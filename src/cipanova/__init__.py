@@ -34,7 +34,6 @@ from .posterior import (
     RegionProbEstimate,
     log_bf_constrained_vs_encompassing,
     region_prob,
-    run_posterior_chain,
 )
 from .scenarios import MODEL_STRINGS, SimScenario, generate_scenario, make_preset, preset_names
 from .simulate import PowerRow, SummaryTable, power_table, run_simulation_study
@@ -84,6 +83,5 @@ __all__ = [
     "region_contains",
     "region_mask",
     "region_prob",
-    "run_posterior_chain",
     "run_simulation_study",
 ]

@@ -40,8 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--prior-draws", type=int, default=None)
-    common.add_argument("--mcmc-iters", type=int, default=None)
-    common.add_argument("--burnin", type=int, default=None)
+    # Retired chain lengths: accepted and ignored, and hidden from --help, so
+    # scripts that still pass them keep running.
+    common.add_argument("--mcmc-iters", type=int, default=None, help=argparse.SUPPRESS)
+    common.add_argument("--burnin", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--quadrature-nodes", type=int, default=None)
     common.add_argument("--evidence-method", choices=("quadrature", "chib"), default=None)
     common.add_argument("--output", choices=("text", "records"), default="text")
@@ -101,8 +103,6 @@ def _pick(flag, cfg, key, default):
 def _resolve_settings(args, cfg) -> Settings:
     return Settings(
         prior_draws=_pick(args.prior_draws, cfg, "prior_draws", 100_000),
-        mcmc_iters=_pick(args.mcmc_iters, cfg, "mcmc_iters", 55_000),
-        burnin=_pick(args.burnin, cfg, "burnin", 5_000),
         quadrature_nodes=_pick(args.quadrature_nodes, cfg, "quadrature_nodes", 64),
         evidence_method=_pick(args.evidence_method, cfg, "evidence_method", "quadrature"),
         chib_iters=cfg.get("chib_iters", 20_000),
@@ -172,8 +172,6 @@ def _parse_theta0(raw):
 def _settings_dict(settings: Settings) -> dict:
     return {
         "prior_draws": settings.prior_draws,
-        "mcmc_iters": settings.mcmc_iters,
-        "burnin": settings.burnin,
         "quadrature_nodes": settings.quadrature_nodes,
         "evidence_method": settings.evidence_method,
         "chib_iters": settings.chib_iters,
@@ -302,7 +300,7 @@ def _check_pmp_normalization():
     models = [parse_model_spec("mu1 = mu2 = mu3", J=3, name="M0"),
               parse_model_spec("mu1 < mu2 < mu3", J=3, name="M2"),
               parse_model_spec("mu1, mu2, mu3", J=3, name="Me")]
-    small = Settings(prior_draws=4000, mcmc_iters=3000, burnin=500)
+    small = Settings(prior_draws=4000)
     report = compare(data, models, settings=small, rng=RandomSource(9))
     assert abs(sum(report.posterior_probs) - 1.0) < 1e-12
 

@@ -4,7 +4,8 @@ Each constrained model's Bayes factor against the null composes two factors
 through its encompassing design: evidence of the design against the point
 null, and the posterior-to-prior cone mass ratio of the order constraints.
 Both factors are computed from one shared prior spec per model so the common
-prior cancels exactly.  Model probabilities follow from the Bayes factors and
+prior cancels exactly; the posterior draws use the same Gauss-Jacobi nodes as
+the evidence rule.  Model probabilities follow from the Bayes factors and
 prior model weights through a log-sum-exp normalization.
 """
 
@@ -25,7 +26,7 @@ from .posterior import (
     below_resolution_bound,
     log_bf_constrained_vs_encompassing,
     region_prob,
-    run_posterior_chain,
+    sample_posterior,
 )
 
 
@@ -34,8 +35,10 @@ class Settings:
     """Draw counts and method switches; defaults suit desk-scale studies."""
 
     prior_draws: int = 100_000
-    mcmc_iters: int = 55_000
-    burnin: int = 5_000
+    # Ignored: the posterior is drawn exactly, with no chain.  The two retired
+    # chain lengths are still accepted so callers that pass them keep working.
+    mcmc_iters: int | None = None
+    burnin: int | None = None
     quadrature_nodes: int = 64
     evidence_method: str = "quadrature"
     chib_iters: int = 20_000
@@ -43,11 +46,8 @@ class Settings:
     def __post_init__(self) -> None:
         if self.evidence_method not in ("quadrature", "chib"):
             raise ValueError(f"unknown evidence method {self.evidence_method!r}")
-        if min(self.prior_draws, self.mcmc_iters, self.quadrature_nodes,
-               self.chib_iters) < 1 or self.burnin < 0:
-            raise ValueError("draw counts must be positive and burnin nonnegative")
-        if self.burnin >= self.mcmc_iters:
-            raise ValueError("burnin must be smaller than mcmc_iters")
+        if min(self.prior_draws, self.quadrature_nodes, self.chib_iters) < 1:
+            raise ValueError("draw counts must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
 
     prior = cip_sample(theta0, spec, settings.prior_draws, rng.split(0).generator())
     prior_est = region_prob(prior, model)
-    chain = run_posterior_chain(y, theta0, spec, iters=settings.mcmc_iters,
-                                burnin=settings.burnin, rng=rng.split(1).generator())
-    post_est = region_prob(chain, model)
+    post = sample_posterior(y, theta0, spec, settings.quadrature_nodes,
+                            rng.split(1).generator())
+    post_est = region_prob(post, model)
     lbf_ce = log_bf_constrained_vs_encompassing(prior_est, post_est)
     below = post_est.hits == 0
     return BfBreakdown(

@@ -56,8 +56,10 @@ def integrand_log(eta: float, y: np.ndarray, theta0: NullParams, spec: CipSpec) 
 class PreparedIntegrand:
     """Per-dataset cache reducing each eta evaluation to O(q) flops.
 
-    Diagonalizes the inner q x q system once; quadrature, mode search and the
-    chain estimator all evaluate through this.  Matches integrand_log.
+    Diagonalizes the inner q x q system once; quadrature, mode search, the
+    chain estimator and the posterior sampler all evaluate through this.
+    ztr is Z'(y - alpha0), the data centred at the null location.  Matches
+    integrand_log.
     """
 
     def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec) -> None:
@@ -70,7 +72,8 @@ class PreparedIntegrand:
         self.n = spec.n
         self.s0sq = theta0.sigma0**2
         self.lam = lam
-        self.wsq = (vec.T @ (lw.T @ (spec.Z.T @ r))) ** 2
+        self.ztr = spec.Z.T @ r
+        self.wsq = (vec.T @ (lw.T @ self.ztr)) ** 2
         self.rr = float(r @ r)
 
     def loglik(self, eta: np.ndarray) -> np.ndarray:
@@ -114,10 +117,17 @@ def _eta_mode(prep: PreparedIntegrand, strict: bool) -> float:
     return 0.5 * (a + b)
 
 
-def _quadrature_value(prep: PreparedIntegrand, nodes: int) -> float:
+def quadrature_log_weights(prep: PreparedIntegrand,
+                           nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes in eta and the log of each node's weight times the integrand."""
     x, w = roots_jacobi(nodes, -0.5, -0.5)
     eta = 0.5 * (x + 1.0)
-    return float(logsumexp(prep.loglik(eta) + np.log(w)) - np.log(np.pi))
+    return eta, prep.loglik(eta) + np.log(w)
+
+
+def _quadrature_value(prep: PreparedIntegrand, nodes: int) -> float:
+    _, log_w = quadrature_log_weights(prep, nodes)
+    return float(logsumexp(log_w) - np.log(np.pi))
 
 
 def log_marginal_quadrature(y: np.ndarray, theta0: NullParams, spec: CipSpec,

@@ -102,13 +102,6 @@ def sample_sigma2_via_eta(c: float, rng: np.random.Generator) -> tuple[float, fl
             return eta, c * eta / (1.0 - eta)
 
 
-def beta_half_logpdf(eta) -> np.ndarray | float:
-    """Log density of Beta(1/2, 1/2)."""
-    eta = np.asarray(eta, dtype=float)
-    out = -np.log(np.pi) - 0.5 * np.log(eta) - 0.5 * np.log1p(-eta)
-    return float(out) if out.ndim == 0 else out
-
-
 def sample_eta_half(T: int, rng: np.random.Generator) -> np.ndarray:
     """Vector of T Beta(1/2, 1/2) draws via the arcsine law."""
     u = rng.random(T)

@@ -1,11 +1,14 @@
-"""Posterior sampling for an encompassing design and constrained-region Bayes factors.
+"""Exact posterior draws for an encompassing design and constrained-region Bayes factors.
 
-The sampler alternates an exact Gaussian draw of gamma given sigma^2 with an
-independence Metropolis step for eta = sigma^2/(sigma^2+sigma0^2) given gamma,
-proposing from Beta(1/2, 1/2).  The Bayes factor of an order-constrained model
-against its encompassing model is the ratio of posterior to prior mass of the
-constraint cone, both estimated by strict-inequality counts with no tolerance,
-from draws under one shared prior spec so the common factors cancel.
+Given eta = sigma^2/(sigma^2+sigma0^2), gamma is exactly Gaussian, and the
+marginal posterior of eta is the evidence integrand against its Beta(1/2, 1/2)
+weight.  So eta is drawn from the normalized integrand on the evidence rule's
+Gauss-Jacobi nodes and gamma given eta in one broadcast, centred at alpha0 so
+the data's location cancels before any product is formed.  The Bayes factor
+of an order-constrained model against its encompassing model is the ratio of
+posterior to prior mass of the constraint cone, both estimated by
+strict-inequality counts with no tolerance, from draws under one shared prior
+spec so the common factors cancel.
 """
 
 from __future__ import annotations
@@ -13,163 +16,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .constraints import ConstraintModel, region_mask
-from .gaussian import beta_half_logpdf, sample_eta_half
+from .evidence import PreparedIntegrand, quadrature_log_weights
 from .intrinsic import CipSpec, NullParams, PriorDraws
+
+POSTERIOR_DRAWS = 50_000
 
 
 class InsufficientPriorMassError(RuntimeError):
     """Raised when no prior draw lands in the constraint region."""
 
 
-def gamma_full_conditional(sigma2: float, y: np.ndarray, theta0: NullParams,
-                           spec: CipSpec, prior_scale: float = 1.0):
-    """Mean and covariance of gamma given sigma^2 and the data.
-
-    prior_scale multiplies the prior precision term; 0 is a test hook that
-    reduces the mean to the least-squares fit.
-    """
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    y = np.asarray(y, dtype=float)
-    u = sigma2 + theta0.sigma0**2
-    prec = prior_scale * spec.w / u + spec.ztz / sigma2
-    cov = np.linalg.inv(prec)
-    cov = 0.5 * (cov + cov.T)
-    rhs = prior_scale * (spec.w @ (theta0.alpha0 * spec.e)) / u + (spec.Z.T @ y) / sigma2
-    return cov @ rhs, cov
-
-
-def eta_log_target(eta: float, C: float, D: float, n: int, q: int, s0sq: float) -> float:
-    """Unnormalized log full conditional of eta given gamma.
-
-    C is the residual sum of squares y - Z gamma, D the prior quadratic form
-    (gamma - alpha0 e)' W (gamma - alpha0 e).  Derived by mapping the sigma^2
-    conditional (likelihood x gamma prior x inverted-beta prior) through
-    sigma^2 = s0sq * eta / (1 - eta), including the Jacobian.
-    """
-    if not 0.0 < eta < 1.0:
-        return -np.inf
-    return (-0.5 * (n + 1) * np.log(eta)
-            + 0.5 * (n + q - 1) * np.log1p(-eta)
-            - (1.0 - eta) * (D + C / eta) / (2.0 * s0sq))
-
-
-def mh_accept(log_target_prop: float, log_target_cur: float,
-              log_proposal_prop: float, log_proposal_cur: float, u: float) -> bool:
-    """Standard Metropolis-Hastings decision for an independence proposal."""
-    log_ratio = (log_target_prop - log_proposal_prop) - (log_target_cur - log_proposal_cur)
-    return np.log(u) < log_ratio if u > 0.0 else True
-
-
-def _residual_forms(gamma: np.ndarray, y: np.ndarray, theta0: NullParams,
-                    spec: CipSpec) -> tuple[float, float]:
-    resid = y - spec.Z @ gamma
-    dev = gamma - theta0.alpha0 * spec.e
-    return float(resid @ resid), float(dev @ (spec.w @ dev))
-
-
-def eta_metropolis_step(eta: float, gamma: np.ndarray, y: np.ndarray,
-                        theta0: NullParams, spec: CipSpec,
-                        rng: np.random.Generator) -> float:
-    """One independence Metropolis update of eta at the current gamma."""
-    C, D = _residual_forms(np.asarray(gamma, dtype=float), np.asarray(y, dtype=float),
-                           theta0, spec)
-    s0sq = theta0.sigma0**2
-    prop = float(sample_eta_half(1, rng)[0])
-    cur_t = eta_log_target(eta, C, D, spec.n, spec.q, s0sq)
-    prop_t = eta_log_target(prop, C, D, spec.n, spec.q, s0sq)
-    if mh_accept(prop_t, cur_t, float(beta_half_logpdf(prop)),
-                 float(beta_half_logpdf(eta)), rng.random()):
-        return prop
-    return eta
-
-
 @dataclass
 class PosteriorDraws:
-    """Post burn-in draws of (gamma, eta) with the chain's acceptance rate."""
+    """Independent joint posterior draws of (gamma, eta); eta lies on quadrature nodes."""
 
-    kept: int
     gamma: np.ndarray
     eta: np.ndarray
-    acceptance_rate: float
-    burnin: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.acceptance_rate < 1.0:
-            raise ValueError(
-                f"acceptance rate {self.acceptance_rate} outside (0, 1); chain is degenerate")
 
 
-def run_posterior_chain(y: np.ndarray, theta0: NullParams, spec: CipSpec,
-                        iters: int = 55_000, burnin: int = 5_000,
-                        rng: np.random.Generator | None = None) -> PosteriorDraws:
-    """Alternate eta Metropolis and exact gamma draws; discard burnin, keep the rest.
+def sample_posterior(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int,
+                     rng: np.random.Generator, T: int = POSTERIOR_DRAWS) -> PosteriorDraws:
+    """T exact draws: eta from the node weights of the evidence rule, then gamma given eta.
 
-    Because W is exactly ((q+1)/n) Z'Z, the gamma conditional covariance is a
-    scalar multiple of (Z'Z)^{-1} for every sigma^2, which keeps each sweep in
-    O(q^2) after a one-time factorization.
+    Because W is exactly c Z'Z with c = (q+1)/n, gamma given eta is
+    gamma - alpha0 e ~ N(beta_r / (1 + c eta), s2 / (1 + c eta) (Z'Z)^{-1}),
+    with s2 = sigma0^2 eta / (1 - eta) and beta_r = (Z'Z)^{-1} Z'(y - alpha0).
     """
-    if rng is None:
-        raise ValueError("run_posterior_chain needs an rng")
-    if burnin < 0 or iters <= burnin:
-        raise ValueError(f"need 0 <= burnin < iters, got burnin={burnin}, iters={iters}")
-    y = np.asarray(y, dtype=float)
-    n, q = spec.n, spec.q
-    if y.shape != (n,):
-        raise ValueError(f"y must have shape ({n},)")
-    s0sq = theta0.sigma0**2
-    alpha0 = theta0.alpha0
-    S = spec.ztz
-    c = (q + 1) / n
-    m = spec.Z.T @ y
-    m0 = S[:, 0].copy()
-    yty = float(y @ y)
-    s_inv = np.linalg.inv(S)
-    amat = np.linalg.cholesky(0.5 * (s_inv + s_inv.T))
-    beta_ls = s_inv @ m
-    e0 = spec.e
-
-    props = sample_eta_half(iters, rng)
-    lbeta_props = beta_half_logpdf(props)
-    log_u = np.log(rng.random(iters))
-    znorm = rng.standard_normal((iters, q))
-
-    kept = iters - burnin
-    gammas = np.empty((kept, q))
-    etas = np.empty(kept)
-
-    gamma = beta_ls.copy()
-    eta = 0.5
-    lbeta_eta = float(beta_half_logpdf(eta))
-    s_gamma = S @ gamma
-    C = yty - 2.0 * float(gamma @ m) + float(gamma @ s_gamma)
-    D = c * (float(gamma @ s_gamma) - 2.0 * alpha0 * float(gamma @ m0) + alpha0**2 * n)
-    accepted = 0
-    for i in range(iters):
-        cur_t = eta_log_target(eta, C, D, n, q, s0sq)
-        prop_t = eta_log_target(props[i], C, D, n, q, s0sq)
-        if log_u[i] < (prop_t - lbeta_props[i]) - (cur_t - lbeta_eta):
-            eta = props[i]
-            lbeta_eta = lbeta_props[i]
-            accepted += 1
-        s2 = s0sq * eta / (1.0 - eta)
-        u_tot = s2 + s0sq
-        k = c / u_tot + 1.0 / s2
-        mean = (c * alpha0 / u_tot / k) * e0 + beta_ls / (s2 * k)
-        gamma = mean + (amat @ znorm[i]) / np.sqrt(k)
-        s_gamma = S @ gamma
-        gsg = float(gamma @ s_gamma)
-        C = yty - 2.0 * float(gamma @ m) + gsg
-        D = c * (gsg - 2.0 * alpha0 * float(gamma @ m0) + alpha0**2 * n)
-        if i >= burnin:
-            gammas[i - burnin] = gamma
-            etas[i - burnin] = eta
-    if accepted == 0:
-        raise RuntimeError("eta chain accepted no proposals")
-    return PosteriorDraws(kept=kept, gamma=gammas, eta=etas,
-                          acceptance_rate=accepted / iters, burnin=burnin)
+    prep = PreparedIntegrand(y, theta0, spec)
+    eta_nodes, log_w = quadrature_log_weights(prep, nodes)
+    idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
+    c = (spec.q + 1) / spec.n
+    shrink = 1.0 / (1.0 + c * eta_nodes)
+    scale = np.sqrt(c * theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
+    beta_r = c * (spec.winv @ prep.ztr)
+    gamma = rng.standard_normal((T, spec.q)) @ spec.chol_winv.T
+    gamma *= scale[idx, None]
+    gamma += shrink[idx, None] * beta_r
+    gamma[:, 0] += theta0.alpha0
+    return PosteriorDraws(gamma=gamma, eta=eta_nodes[idx])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ def data_csv(tmp_path):
     return p
 
 
-FAST_FLAGS = ["--prior-draws", "5000", "--mcmc-iters", "3000", "--burnin", "500"]
+FAST_FLAGS = ["--prior-draws", "5000"]
 
 
 def test_no_command_is_usage_error(capsys):
@@ -31,6 +31,10 @@ def test_help_exits_zero(capsys):
     out = capsys.readouterr().out
     for cmd in ("compare", "simulate", "power", "selftest"):
         assert cmd in out
+    assert main(["compare", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--prior-draws" in out
+    assert "--mcmc-iters" not in out and "--burnin" not in out
 
 
 def test_power_text_and_records(capsys):
@@ -63,10 +67,13 @@ def test_compare_records_are_stable(capsys, data_csv):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second  # byte-identical rerun
+    assert main(argv + ["--mcmc-iters", "3000", "--burnin", "500"]) == 0
+    assert capsys.readouterr().out == first  # retired chain lengths are ignored
     rec = json.loads(first)
     assert rec["type"] == "comparison"
     assert rec["seed"] == 7
-    assert rec["settings"]["prior_draws"] == 5000
+    assert rec["settings"] == {"prior_draws": 5000, "quadrature_nodes": 64,
+                               "evidence_method": "quadrature", "chib_iters": 20_000}
     assert rec["models"][0]["name"] == "model1"  # unnamed specs are numbered
 
 
@@ -110,7 +117,7 @@ def test_config_file_merging(capsys, data_csv, tmp_path):
     cfg = {
         "data": str(data_csv),
         "models": {"null": "mu1=mu2=mu3", "trend": "mu1<mu2<mu3"},
-        "prior_draws": 5000, "mcmc_iters": 3000, "burnin": 500,
+        "prior_draws": 5000,
         "seed": 12,
     }
     cfg_path = tmp_path / "run.json"

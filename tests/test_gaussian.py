@@ -6,7 +6,6 @@ from cipanova.gaussian import (
     LOG_2PI,
     LowRankGaussian,
     RandomSource,
-    beta_half_logpdf,
     inverted_beta_logpdf,
     lowrank_logpdf,
     mvn_logpdf,
@@ -14,6 +13,7 @@ from cipanova.gaussian import (
     sample_eta_half,
     sample_sigma2_via_eta,
 )
+from oracles import beta_half_logpdf
 
 
 def _random_lowrank(rng, n, q):

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp, roots_jacobi
 
-from cipanova.constraints import encompassing_of, parse_model_spec
+from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand
 from cipanova.gaussian import RandomSource, inverted_beta_logpdf
@@ -13,14 +13,12 @@ from cipanova.posterior import (
     PosteriorDraws,
     RegionProbEstimate,
     below_resolution_bound,
-    eta_log_target,
-    eta_metropolis_step,
-    gamma_full_conditional,
     log_bf_constrained_vs_encompassing,
-    mh_accept,
     region_prob,
-    run_posterior_chain,
+    sample_posterior,
 )
+from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
+from oracles import ChainDraws, eta_log_target, gamma_full_conditional, run_posterior_chain
 
 
 def _three_group(seed=11, n_per_group=6, means=(0.0, 0.6, 1.2)):
@@ -134,24 +132,6 @@ def test_eta_target_degenerate_shape():
     assert eta_log_target(1.0, 1.0, 1.0, 3, 2, 1.0) == -np.inf
 
 
-def test_mh_accept_rules():
-    assert mh_accept(0.0, -1.0, 0.0, 0.0, 0.9)
-    assert not mh_accept(-5.0, 0.0, 0.0, 0.0, 0.5)
-    assert mh_accept(-5.0, 0.0, 0.0, 0.0, 0.0)  # u=0 always accepts
-    # proposal terms flip a rejection into an acceptance
-    assert not mh_accept(0.0, 0.0, 3.0, 0.0, 0.9)
-    assert mh_accept(0.0, 0.0, 0.0, 3.0, 0.9)
-
-
-def test_eta_metropolis_step_stays_in_domain():
-    y, theta0, spec = _three_group()
-    rng = RandomSource(5).generator()
-    eta = 0.5
-    for _ in range(50):
-        eta = eta_metropolis_step(eta, np.zeros(spec.q), y, theta0, spec, rng)
-        assert 0.0 < eta < 1.0
-
-
 def test_chain_is_deterministic_and_validates():
     y, theta0, spec = _pooled()
     a = run_posterior_chain(y, theta0, spec, iters=2000, burnin=200,
@@ -224,12 +204,69 @@ def test_chain_shrinks_toward_center():
     assert lo - 0.05 < mean < hi + 0.05
 
 
+def _c07_data():
+    scenario, _ = make_preset("pop3", n_per_group=25, reps=1, base_seed=2026)
+    return generate_scenario(scenario, 0)
+
+
+def _c10_data():
+    rng = np.random.default_rng(77)
+    y = np.concatenate([rng.normal(m, 1.0, 12) for m in (0.0, 0.6, 1.2)])
+    return AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
+
+
+@pytest.mark.parametrize("make_data, text", [(_c07_data, MODEL_STRINGS["M3"]),
+                                             (_c10_data, "mu1 < mu2 < mu3"),
+                                             (_c10_data, "mu2 < mu1")],
+                         ids=["c07 M3", "c10 up", "c10 rev"])
+def test_sampler_cone_mass_agrees_with_chain_and_reference(make_data, text):
+    data = make_data()
+    model = parse_model_spec(text, J=data.J)
+    y, theta0 = data.responses, estimate_null_params(data)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+
+    def mass(draws):
+        return region_prob(draws, model).estimate
+
+    p = mass(sample_posterior(y, theta0, spec, 64, RandomSource(70).generator()))
+    se = np.sqrt(p * (1.0 - p) / 50_000)
+    ref = mass(sample_posterior(y, theta0, spec, 1024, RandomSource(71).generator(),
+                                T=1_000_000))
+    se_ref = np.sqrt(ref * (1.0 - ref) / 1_000_000)
+    chain = run_posterior_chain(y, theta0, spec, iters=55_000, burnin=5_000,
+                                rng=RandomSource(72).generator())
+    hits = region_mask(model, chain.gamma[:, 1:]).astype(float)
+    batch_means = hits.reshape(50, -1).mean(axis=1)
+    se_chain = float(np.std(batch_means, ddof=1) / np.sqrt(50))
+    assert abs(p - ref) < 3.0 * np.hypot(se, se_ref)
+    assert abs(p - hits.mean()) < 3.0 * np.hypot(se, se_chain)
+
+
+def test_sampler_gamma_given_eta_matches_full_conditional():
+    # few nodes, so several of them hold enough draws to check a conditional
+    y, theta0, spec = _three_group(seed=31, n_per_group=10)
+    draws = sample_posterior(y, theta0, spec, 8, RandomSource(73).generator(), T=400_000)
+    assert np.all(np.isin(draws.eta, 0.5 * (roots_jacobi(8, -0.5, -0.5)[0] + 1.0)))
+    checked = 0
+    for eta in np.unique(draws.eta):
+        g = draws.gamma[draws.eta == eta]
+        if len(g) < 20_000:
+            continue
+        checked += 1
+        mean, cov = gamma_full_conditional(theta0.sigma0**2 * eta / (1.0 - eta), y,
+                                           theta0, spec)
+        white = np.linalg.solve(np.linalg.cholesky(cov), (g - mean).T).T
+        tol = 5.0 / np.sqrt(len(g))
+        assert np.max(np.abs(white.mean(axis=0))) < tol
+        assert np.max(np.abs(np.cov(white.T) - np.eye(spec.q))) < 2.0 * tol
+    assert checked >= 2
+
+
 def test_region_prob_sides_and_counts():
     m = parse_model_spec("mu1 < mu2", J=2)
     gamma = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, 3.0], [0.0, -2.0]])
     prior = PriorDraws(T=5, gamma=gamma, eta=np.full(5, 0.5), sigma2=np.ones(5))
-    post = PosteriorDraws(kept=5, gamma=gamma, eta=np.full(5, 0.5),
-                          acceptance_rate=0.5, burnin=0)
+    post = PosteriorDraws(gamma=gamma, eta=np.full(5, 0.5))
     for draws, side in ((prior, "prior"), (post, "posterior")):
         est = region_prob(draws, m)
         assert est.side == side
@@ -280,8 +317,8 @@ def test_estimate_dataclass_validation():
     with pytest.raises(ValueError):
         RegionProbEstimate(estimate=0.4, hits=2, total=5, side="elsewhere")
     with pytest.raises(ValueError):
-        PosteriorDraws(kept=5, gamma=np.zeros((5, 1)), eta=np.full(5, 0.5),
-                       acceptance_rate=0.0, burnin=0)
+        ChainDraws(kept=5, gamma=np.zeros((5, 1)), eta=np.full(5, 0.5),
+                   acceptance_rate=0.0, burnin=0)
     with pytest.raises(ValueError):
-        PosteriorDraws(kept=5, gamma=np.zeros((5, 1)), eta=np.full(5, 0.5),
-                       acceptance_rate=1.0, burnin=0)
+        ChainDraws(kept=5, gamma=np.zeros((5, 1)), eta=np.full(5, 0.5),
+                   acceptance_rate=1.0, burnin=0)

@@ -6,7 +6,7 @@ from cipanova.compare import Settings
 from cipanova.scenarios import make_preset
 from cipanova.simulate import power_table, run_simulation_study, summarize_records
 
-TINY = Settings(prior_draws=8_000, mcmc_iters=4_000, burnin=500)
+TINY = Settings(prior_draws=8_000)
 
 
 def test_power_default_grid_values():
