@@ -15,25 +15,21 @@ from .constraints import (
     encompassing_of,
     model_to_string,
     parse_model_spec,
-    region_contains,
     region_mask,
 )
 from .data import AnovaData, ingest_csv
 from .evidence import (
     EvidenceResult,
-    log_bf_encompassing_vs_null,
     log_marginal_chib,
     log_marginal_quadrature,
     null_loglik,
 )
 from .gaussian import RandomSource
-from .intrinsic import CipSpec, NullParams, cip_logpdf, cip_sample, estimate_null_params, make_cip
+from .intrinsic import CipSpec, NullParams, cip_logpdf, estimate_null_params, make_cip
 from .posterior import (
     InsufficientPriorMassError,
-    PosteriorDraws,
     RegionProbEstimate,
     log_bf_constrained_vs_encompassing,
-    region_prob,
 )
 from .scenarios import MODEL_STRINGS, SimScenario, generate_scenario, make_preset, preset_names
 from .simulate import PowerRow, SummaryTable, power_table, run_simulation_study
@@ -52,7 +48,6 @@ __all__ = [
     "MODEL_STRINGS",
     "NullParams",
     "ParseError",
-    "PosteriorDraws",
     "PowerRow",
     "RandomSource",
     "RegionProbEstimate",
@@ -62,14 +57,12 @@ __all__ = [
     "bf_k0",
     "build_design",
     "cip_logpdf",
-    "cip_sample",
     "compare",
     "encompassing_of",
     "estimate_null_params",
     "generate_scenario",
     "ingest_csv",
     "log_bf_constrained_vs_encompassing",
-    "log_bf_encompassing_vs_null",
     "log_marginal_chib",
     "log_marginal_quadrature",
     "make_cip",
@@ -80,8 +73,6 @@ __all__ = [
     "parse_model_spec",
     "power_table",
     "preset_names",
-    "region_contains",
     "region_mask",
-    "region_prob",
     "run_simulation_study",
 ]

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 
 from .compare import Settings, compare
-from .constraints import model_to_string, parse_model_spec, region_contains
+from .constraints import encompassing_of, model_to_string, parse_model_spec, region_mask
 from .data import ingest_csv
-from .gaussian import LowRankGaussian, RandomSource, inverted_beta_logpdf, lowrank_logpdf, mvn_logpdf
-from .intrinsic import NullParams
+from .evidence import PreparedIntegrand
+from .gaussian import RandomSource, inverted_beta_logpdf, mvn_logpdf
+from .intrinsic import NullParams, make_cip
 from .scenarios import MODEL_STRINGS, make_preset, preset_names
 from .simulate import power_table, run_simulation_study
 
@@ -255,24 +256,27 @@ def _check_notation_roundtrip():
 
 def _check_region_cone():
     model = parse_model_spec(MODEL_STRINGS["M3"], J=5)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        delta = rng.normal(size=3) * 3.0
-        inside = region_contains(model, delta)
-        for c in (0.1, 7.0):
-            assert region_contains(model, c * delta) == inside, "cone invariance failed"
+    deltas = np.random.default_rng(5).normal(size=(200, 3)) * 3.0
+    inside = region_mask(model, deltas)
+    for c in (0.1, 7.0):
+        assert np.array_equal(region_mask(model, c * deltas), inside), "cone invariance failed"
 
 
-def _check_lowrank_dense():
+def _check_integrand_dense():
+    # the evidence integrand at eta is the N(alpha0, a I + b Z Winv Z') density
+    # of y, with a = s0^2 eta / (1 - eta) and b = s0^2 / (1 - eta)
     rng = np.random.default_rng(11)
-    Z = np.column_stack([np.ones(6), rng.integers(0, 2, size=6).astype(float)])
-    winv = np.array([[0.9, -0.2], [-0.2, 0.5]])
-    r = rng.normal(size=6)
-    g = LowRankGaussian(a=0.7, b=1.3, Z=Z, winv=winv)
-    dense = 0.7 * np.eye(6) + 1.3 * Z @ winv @ Z.T
-    want = mvn_logpdf(r, np.zeros(6), dense)
-    got = lowrank_logpdf(r, g)
-    assert abs(got - want) < 1e-10, f"{got} vs {want}"
+    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), (2, 3, 2))
+    theta0 = NullParams(alpha0=0.3, sigma0=1.2)
+    y = theta0.alpha0 + rng.normal(size=spec.n)
+    prep = PreparedIntegrand(y, theta0, spec)
+    s0sq = theta0.sigma0**2
+    for eta in (0.2, 0.7):
+        dense = (s0sq * eta / (1.0 - eta) * np.eye(spec.n)
+                 + s0sq / (1.0 - eta) * spec.Z @ spec.winv @ spec.Z.T)
+        want = mvn_logpdf(y, np.full(spec.n, theta0.alpha0), dense)
+        got = float(prep.loglik(eta))
+        assert abs(got - want) < 1e-10, f"{got} vs {want}"
 
 
 def _check_inverted_beta_half_cauchy():
@@ -308,7 +312,7 @@ def _check_pmp_normalization():
 _SELFTESTS = [
     ("model notation round-trip", _check_notation_roundtrip),
     ("constraint region is a cone", _check_region_cone),
-    ("low-rank density matches dense", _check_lowrank_dense),
+    ("evidence integrand matches dense density", _check_integrand_dense),
     ("inverted-beta matches half-Cauchy in sigma", _check_inverted_beta_half_cauchy),
     ("power table reference values", _check_power_values),
     ("model probabilities normalize", _check_pmp_normalization),

@@ -20,13 +20,15 @@ from .constraints import ConstraintModel, encompassing_of, model_to_string
 from .data import AnovaData
 from .evidence import EvidenceResult, log_marginal_chib, log_marginal_quadrature, null_loglik
 from .gaussian import RandomSource
-from .intrinsic import NullParams, cip_sample, estimate_null_params, make_cip
+from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
     RegionProbEstimate,
     below_resolution_bound,
+    cone_mass,
     log_bf_constrained_vs_encompassing,
-    region_prob,
-    sample_posterior,
+    log_bf_standard_error,
+    posterior_class_means,
+    prior_class_means,
 )
 
 
@@ -52,7 +54,12 @@ class Settings:
 
 @dataclass(frozen=True)
 class BfBreakdown:
-    """Log Bayes factor of one model against the null, split into its factors."""
+    """Log Bayes factor of one model against the null, split into its factors.
+
+    log_bf_se is the Monte Carlo standard error of log_bf_c_vs_e from the two
+    cone-mass hit counts: 0 for a model without an order, None when a count
+    is zero.
+    """
 
     model: str
     log_bf_e_vs_0: float
@@ -63,6 +70,7 @@ class BfBreakdown:
     post_region: RegionProbEstimate | None = None
     below_resolution: bool = False
     resolution_bound: float | None = None
+    log_bf_se: float | None = 0.0
 
     def __post_init__(self) -> None:
         if self.log_bf_c_vs_0 != self.log_bf_e_vs_0 + self.log_bf_c_vs_e:
@@ -92,11 +100,12 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
         return BfBreakdown(model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=0.0,
                            log_bf_c_vs_0=lbf_e0 + 0.0, evidence=ev)
 
-    prior = cip_sample(theta0, spec, settings.prior_draws, rng.split(0).generator())
-    prior_est = region_prob(prior, model)
-    post = sample_posterior(y, theta0, spec, settings.quadrature_nodes,
-                            rng.split(1).generator())
-    post_est = region_prob(post, model)
+    prior_est = cone_mass(
+        model, prior_class_means(spec, settings.prior_draws, rng.split(0).generator()),
+        "prior")
+    _, post_means = posterior_class_means(y, theta0, spec, settings.quadrature_nodes,
+                                          rng.split(1).generator())
+    post_est = cone_mass(model, post_means, "posterior")
     lbf_ce = log_bf_constrained_vs_encompassing(prior_est, post_est)
     below = post_est.hits == 0
     return BfBreakdown(
@@ -104,6 +113,7 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
         log_bf_e_vs_0=lbf_e0,
         log_bf_c_vs_e=lbf_ce,
         log_bf_c_vs_0=lbf_e0 + lbf_ce,
+        log_bf_se=log_bf_standard_error(prior_est, post_est),
         evidence=ev,
         prior_region=prior_est,
         post_region=post_est,
@@ -134,6 +144,7 @@ class ComparisonReport:
                 "log_bf_e_vs_0": bd.log_bf_e_vs_0,
                 "log_bf_c_vs_e": bd.log_bf_c_vs_e,
                 "log_bf_c_vs_0": bd.log_bf_c_vs_0,
+                "log_bf_se": bd.log_bf_se,
                 "prior_prob": prior_p,
                 "posterior_prob": pmp,
                 "display_bf": dbf,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,11 @@ class ConstraintModel:
     @property
     def has_order(self) -> bool:
         return bool(self.order)
+
+    @cached_property
+    def order_reduction(self) -> tuple[tuple[int, int], ...]:
+        """Sorted pairs of the transitive reduction of ``order``; they imply every other pair."""
+        return tuple(sorted(_transitive_reduction(set(self.order))))
 
     @property
     def baseline_rep(self) -> int:
@@ -424,34 +430,25 @@ def build_design(design: EncompassingDesign, group_sizes) -> np.ndarray:
     return Z
 
 
-def region_contains(model: ConstraintModel, delta) -> bool:
-    """Whether a point of the collapsed effect space satisfies every order pair.
+def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
+    """Membership of each row of a T x (q-1) array of effects in the constraint region.
 
     The baseline class sits at 0 and comparisons are strict, so the region is
-    an open cone: membership is invariant under scaling delta by any c > 0.
+    an open cone: membership is invariant under scaling a row by any c > 0.
+    Strict < is transitive on finite values, so testing the pairs of the
+    transitive reduction of the order gives the same mask as testing all of
+    them.
     """
-    delta = np.asarray(delta, dtype=float)
-    labels = model.delta_labels
-    if delta.shape != (len(labels),):
-        raise ValueError(f"delta must have shape ({len(labels)},), got {delta.shape}")
-    value = {model.baseline_rep: 0.0}
-    value.update(zip(labels, delta))
-    return all(value[a] < value[b] for a, b in model.order)
-
-
-def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized region membership for rows of a T x (q-1) array."""
     deltas = np.asarray(deltas, dtype=float)
     labels = model.delta_labels
     if deltas.ndim != 2 or deltas.shape[1] != len(labels):
         raise ValueError(f"deltas must be T x {len(labels)}")
     col = {rep: i for i, rep in enumerate(labels)}
-    zero = np.zeros(deltas.shape[0])
 
     def side(rep):
-        return zero if rep == model.baseline_rep else deltas[:, col[rep]]
+        return 0.0 if rep == model.baseline_rep else deltas[:, col[rep]]
 
     mask = np.ones(deltas.shape[0], dtype=bool)
-    for a, b in model.order:
+    for a, b in model.order_reduction:
         mask &= side(a) < side(b)
     return mask

@@ -1,4 +1,4 @@
-"""Marginal likelihood of an encompassing design and its Bayes factor against the null.
+"""Marginal likelihood of an encompassing design and the log likelihood of the point null.
 
 After integrating gamma and mapping sigma^2 to eta = sigma^2/(sigma^2+sigma0^2),
 the marginal of the data is a one-dimensional integral over (0, 1) of an
@@ -202,19 +202,3 @@ def null_loglik(y: np.ndarray, theta0: NullParams) -> float:
     rr = float(np.sum((y - theta0.alpha0) ** 2))
     s0sq = theta0.sigma0**2
     return -0.5 * (n * (LOG_2PI + np.log(s0sq)) + rr / s0sq)
-
-
-def log_bf_encompassing_vs_null(y: np.ndarray, theta0: NullParams, spec: CipSpec,
-                                method: str = "quadrature", nodes: int = 64,
-                                N: int = 20_000,
-                                rng: np.random.Generator | None = None) -> float:
-    """Log Bayes factor of the encompassing design against the point null."""
-    if method == "quadrature":
-        result = log_marginal_quadrature(y, theta0, spec, nodes=nodes)
-    elif method == "chib":
-        if rng is None:
-            raise ValueError("the chain estimator needs an rng")
-        result = log_marginal_chib(y, theta0, spec, N=N, rng=rng)
-    else:
-        raise ValueError(f"unknown evidence method {method!r}")
-    return result.log_marginal - null_loglik(y, theta0)

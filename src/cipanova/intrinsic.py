@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import EncompassingDesign, build_design
-from .gaussian import mvn_logpdf, sample_eta_half
+from .gaussian import mvn_logpdf
 
 
 @dataclass(frozen=True)
@@ -92,26 +92,3 @@ def cip_logpdf(gamma: np.ndarray, sigma: float, theta0: NullParams, spec: CipSpe
     log_half_cauchy = np.log(2.0) - np.log(np.pi * s0) - np.log1p((sigma / s0) ** 2)
     cov = (sigma**2 + s0**2) * spec.winv
     return float(log_half_cauchy) + mvn_logpdf(gamma, theta0.alpha0 * spec.e, cov)
-
-
-@dataclass
-class PriorDraws:
-    """Joint prior draws; sigma2[t] equals sigma0^2 * eta[t] / (1 - eta[t])."""
-
-    T: int
-    gamma: np.ndarray
-    eta: np.ndarray
-    sigma2: np.ndarray
-
-
-def cip_sample(theta0: NullParams, spec: CipSpec, T: int, rng: np.random.Generator) -> PriorDraws:
-    """T joint draws of (gamma, eta, sigma2) from the prior."""
-    if T < 1:
-        raise ValueError("T must be positive")
-    s0sq = theta0.sigma0**2
-    eta = sample_eta_half(T, rng)
-    sigma2 = s0sq * eta / (1.0 - eta)
-    scale = np.sqrt(sigma2 + s0sq)
-    z = rng.standard_normal((T, spec.q))
-    gamma = theta0.alpha0 * spec.e + scale[:, None] * (z @ spec.chol_winv.T)
-    return PriorDraws(T=T, gamma=gamma, eta=eta, sigma2=sigma2)

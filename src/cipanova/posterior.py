@@ -1,14 +1,19 @@
-"""Exact posterior draws for an encompassing design and constrained-region Bayes factors.
+"""Prior and posterior cone masses and constrained-region Bayes factors.
 
-Given eta = sigma^2/(sigma^2+sigma0^2), gamma is exactly Gaussian, and the
-marginal posterior of eta is the evidence integrand against its Beta(1/2, 1/2)
-weight.  So eta is drawn from the normalized integrand on the evidence rule's
-Gauss-Jacobi nodes and gamma given eta in one broadcast, centred at alpha0 so
-the data's location cancels before any product is formed.  The Bayes factor
-of an order-constrained model against its encompassing model is the ratio of
-posterior to prior mass of the constraint cone, both estimated by
-strict-inequality counts with no tolerance, from draws under one shared prior
-spec so the common factors cancel.
+The Bayes factor of an order-constrained model against its encompassing model
+is the ratio of posterior to prior mass of the constraint cone.  The cone
+reads only the order of the class means, and under the conditional intrinsic
+prior the class means are independent Gaussians, so both masses are counted
+on class-mean draws instead of full (gamma, eta) draws:
+
+- a priori the class-c mean is alpha0 plus a scale shared by all classes
+  times z_c / sqrt(n_c); the cone ignores the location and the scale;
+- a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), it is
+  alpha0 + shrink(eta) rbar_c + sd(eta) z_c / sqrt(n_c), where rbar_c is the
+  class mean of y - alpha0, and eta is drawn from the normalized evidence
+  integrand on the evidence rule's Gauss-Jacobi nodes.
+
+Both masses are strict-inequality hit fractions with no tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from scipy.special import logsumexp
 
 from .constraints import ConstraintModel, region_mask
 from .evidence import PreparedIntegrand, quadrature_log_weights
-from .intrinsic import CipSpec, NullParams, PriorDraws
+from .intrinsic import CipSpec, NullParams
 
 POSTERIOR_DRAWS = 50_000
 
@@ -29,34 +34,43 @@ class InsufficientPriorMassError(RuntimeError):
     """Raised when no prior draw lands in the constraint region."""
 
 
-@dataclass
-class PosteriorDraws:
-    """Independent joint posterior draws of (gamma, eta); eta lies on quadrature nodes."""
+def _class_totals(ztv: np.ndarray) -> np.ndarray:
+    """Per-class totals of a vector v from Z'v, baseline class first.
 
-    gamma: np.ndarray
-    eta: np.ndarray
+    Z's first column is all ones and the others indicate the non-baseline
+    classes, so the baseline class holds what those columns leave over.
+    """
+    return np.concatenate(([ztv[0] - ztv[1:].sum()], ztv[1:]))
 
 
-def sample_posterior(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int,
-                     rng: np.random.Generator, T: int = POSTERIOR_DRAWS) -> PosteriorDraws:
-    """T exact draws: eta from the node weights of the evidence rule, then gamma given eta.
+def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.ndarray:
+    """T x q prior draws of the class means, up to a location and a positive scale per row."""
+    means = rng.standard_normal((T, spec.q))
+    means /= np.sqrt(_class_totals(spec.ztz[:, 0]))
+    return means
 
-    Because W is exactly c Z'Z with c = (q+1)/n, gamma given eta is
-    gamma - alpha0 e ~ N(beta_r / (1 + c eta), s2 / (1 + c eta) (Z'Z)^{-1}),
-    with s2 = sigma0^2 eta / (1 - eta) and beta_r = (Z'Z)^{-1} Z'(y - alpha0).
+
+def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int,
+                          rng: np.random.Generator,
+                          T: int = POSTERIOR_DRAWS) -> tuple[np.ndarray, np.ndarray]:
+    """T exact posterior draws of eta and of the T x q class means minus alpha0.
+
+    Because W is exactly c Z'Z with c = (q+1)/n, the class means given eta are
+    independent: mean - alpha0 ~ N(rbar_c / (1 + c eta), s2 / ((1 + c eta) n_c)),
+    with s2 = sigma0^2 eta / (1 - eta).
     """
     prep = PreparedIntegrand(y, theta0, spec)
     eta_nodes, log_w = quadrature_log_weights(prep, nodes)
     idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
+    sizes = _class_totals(spec.ztz[:, 0])
     c = (spec.q + 1) / spec.n
     shrink = 1.0 / (1.0 + c * eta_nodes)
-    scale = np.sqrt(c * theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
-    beta_r = c * (spec.winv @ prep.ztr)
-    gamma = rng.standard_normal((T, spec.q)) @ spec.chol_winv.T
-    gamma *= scale[idx, None]
-    gamma += shrink[idx, None] * beta_r
-    gamma[:, 0] += theta0.alpha0
-    return PosteriorDraws(gamma=gamma, eta=eta_nodes[idx])
+    sd = np.sqrt(theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
+    means = rng.standard_normal((T, spec.q))
+    means /= np.sqrt(sizes)
+    means *= sd[idx, None]
+    means += shrink[idx, None] * (_class_totals(prep.ztr) / sizes)
+    return eta_nodes[idx], means
 
 
 @dataclass(frozen=True)
@@ -75,18 +89,10 @@ class RegionProbEstimate:
             raise ValueError("estimate must equal hits/total")
 
 
-def region_prob(draws, model: ConstraintModel) -> RegionProbEstimate:
-    """Fraction of draws whose effect vector satisfies every strict order pair."""
-    side = "prior" if isinstance(draws, PriorDraws) else "posterior"
-    delta = draws.gamma[:, 1:]
-    if delta.shape[1] != len(model.delta_labels):
-        raise ValueError(
-            f"draws have {delta.shape[1]} effect columns, model needs {len(model.delta_labels)}")
-    if not model.has_order:
-        return RegionProbEstimate(estimate=1.0, hits=delta.shape[0],
-                                  total=delta.shape[0], side=side)
-    hits = int(np.count_nonzero(region_mask(model, delta)))
-    total = delta.shape[0]
+def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:
+    """Fraction of class-mean rows whose effects, each class minus the baseline, lie in the cone."""
+    hits = int(np.count_nonzero(region_mask(model, means[:, 1:] - means[:, :1])))
+    total = means.shape[0]
     return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
 
 
@@ -102,6 +108,18 @@ def log_bf_constrained_vs_encompassing(prior_est: RegionProbEstimate,
     if post_est.hits == 0:
         return -np.inf
     return float(np.log(post_est.estimate) - np.log(prior_est.estimate))
+
+
+def log_bf_standard_error(prior_est: RegionProbEstimate,
+                          post_est: RegionProbEstimate) -> float | None:
+    """Delta-method standard error of the log cone-mass ratio; None when a side has no hits.
+
+    Each hit count is Binomial(total, p), so log of its hit fraction has
+    variance about (1 - p) / hits, and the two sides are independent.
+    """
+    if prior_est.hits == 0 or post_est.hits == 0:
+        return None
+    return float(np.sqrt(sum((1.0 - r.estimate) / r.hits for r in (prior_est, post_est))))
 
 
 def below_resolution_bound(prior_est: RegionProbEstimate,

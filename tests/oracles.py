@@ -1,9 +1,13 @@
 """Reference implementations the tests compare the library against.
 
-The Gibbs-within-Metropolis posterior chain the library once used for the
-posterior cone mass, with its closed-form conditionals.  It targets the same
-posterior as `cipanova.posterior.sample_posterior` by a different route, so
-agreement between the two checks both.
+- Full joint draws of (gamma, eta) from the prior (`cip_sample`) and from the
+  exact posterior on the evidence rule's nodes (`sample_posterior`), with
+  their cone hit fraction (`region_prob`).  The library counts cone hits on
+  class-mean draws instead; these give the same masses by the longer route.
+- The Gibbs-within-Metropolis posterior chain, with its closed-form
+  conditionals.  It targets the same posterior by a third route.
+- `region_contains`, a one-point membership test over the whole transitively
+  closed order, the reference for the vectorized `region_mask`.
 """
 
 from __future__ import annotations
@@ -11,9 +15,96 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
+from cipanova.constraints import ConstraintModel, region_mask
+from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import sample_eta_half
 from cipanova.intrinsic import CipSpec, NullParams
+from cipanova.posterior import POSTERIOR_DRAWS, RegionProbEstimate
+
+
+def region_contains(model: ConstraintModel, delta) -> bool:
+    """Whether a point of the collapsed effect space satisfies every order pair.
+
+    The baseline class sits at 0 and comparisons are strict, so the region is
+    an open cone: membership is invariant under scaling delta by any c > 0.
+    """
+    delta = np.asarray(delta, dtype=float)
+    labels = model.delta_labels
+    if delta.shape != (len(labels),):
+        raise ValueError(f"delta must have shape ({len(labels)},), got {delta.shape}")
+    value = {model.baseline_rep: 0.0}
+    value.update(zip(labels, delta))
+    return all(value[a] < value[b] for a, b in model.order)
+
+
+@dataclass
+class PriorDraws:
+    """Joint prior draws; sigma2[t] equals sigma0^2 * eta[t] / (1 - eta[t])."""
+
+    T: int
+    gamma: np.ndarray
+    eta: np.ndarray
+    sigma2: np.ndarray
+
+
+def cip_sample(theta0: NullParams, spec: CipSpec, T: int, rng: np.random.Generator) -> PriorDraws:
+    """T joint draws of (gamma, eta, sigma2) from the prior."""
+    if T < 1:
+        raise ValueError("T must be positive")
+    s0sq = theta0.sigma0**2
+    eta = sample_eta_half(T, rng)
+    sigma2 = s0sq * eta / (1.0 - eta)
+    scale = np.sqrt(sigma2 + s0sq)
+    z = rng.standard_normal((T, spec.q))
+    gamma = theta0.alpha0 * spec.e + scale[:, None] * (z @ spec.chol_winv.T)
+    return PriorDraws(T=T, gamma=gamma, eta=eta, sigma2=sigma2)
+
+
+@dataclass
+class PosteriorDraws:
+    """Independent joint posterior draws of (gamma, eta); eta lies on quadrature nodes."""
+
+    gamma: np.ndarray
+    eta: np.ndarray
+
+
+def sample_posterior(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int,
+                     rng: np.random.Generator, T: int = POSTERIOR_DRAWS) -> PosteriorDraws:
+    """T exact draws: eta from the node weights of the evidence rule, then gamma given eta.
+
+    Because W is exactly c Z'Z with c = (q+1)/n, gamma given eta is
+    gamma - alpha0 e ~ N(beta_r / (1 + c eta), s2 / (1 + c eta) (Z'Z)^{-1}),
+    with s2 = sigma0^2 eta / (1 - eta) and beta_r = (Z'Z)^{-1} Z'(y - alpha0).
+    """
+    prep = PreparedIntegrand(y, theta0, spec)
+    eta_nodes, log_w = quadrature_log_weights(prep, nodes)
+    idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
+    c = (spec.q + 1) / spec.n
+    shrink = 1.0 / (1.0 + c * eta_nodes)
+    scale = np.sqrt(c * theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
+    beta_r = c * (spec.winv @ prep.ztr)
+    gamma = rng.standard_normal((T, spec.q)) @ spec.chol_winv.T
+    gamma *= scale[idx, None]
+    gamma += shrink[idx, None] * beta_r
+    gamma[:, 0] += theta0.alpha0
+    return PosteriorDraws(gamma=gamma, eta=eta_nodes[idx])
+
+
+def region_prob(draws, model: ConstraintModel) -> RegionProbEstimate:
+    """Fraction of draws whose effect vector satisfies every strict order pair."""
+    side = "prior" if isinstance(draws, PriorDraws) else "posterior"
+    delta = draws.gamma[:, 1:]
+    if delta.shape[1] != len(model.delta_labels):
+        raise ValueError(
+            f"draws have {delta.shape[1]} effect columns, model needs {len(model.delta_labels)}")
+    if not model.has_order:
+        return RegionProbEstimate(estimate=1.0, hits=delta.shape[0],
+                                  total=delta.shape[0], side=side)
+    hits = int(np.count_nonzero(region_mask(model, delta)))
+    total = delta.shape[0]
+    return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
 
 
 def beta_half_logpdf(eta) -> np.ndarray | float:

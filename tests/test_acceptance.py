@@ -19,10 +19,10 @@ from cipanova.evidence import (
     log_marginal_quadrature,
 )
 from cipanova.gaussian import RandomSource, inverted_beta_logpdf
-from cipanova.intrinsic import NullParams, cip_sample, estimate_null_params, make_cip
+from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from cipanova.simulate import power_table, run_simulation_study
-from oracles import run_posterior_chain
+from oracles import cip_sample, run_posterior_chain
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

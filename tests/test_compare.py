@@ -44,6 +44,7 @@ def test_unordered_model_skips_region_step():
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0
     assert bd.evidence is not None
     assert bd.prior_region is None and bd.post_region is None
+    assert bd.log_bf_se == 0.0
 
 
 def test_ordered_model_composes_factors():
@@ -124,6 +125,7 @@ def test_below_resolution_flag_on_contradicted_order():
     assert bd.below_resolution
     assert bd.log_bf_c_vs_0 == -np.inf
     assert bd.resolution_bound is not None and np.isfinite(bd.resolution_bound)
+    assert bd.log_bf_se is None
     report = compare(data, [mup, parse_model_spec("mu1, mu2, mu3", J=3, name="Me")],
                      settings=FAST, rng=RandomSource(8))
     assert "below MC resolution" in report.to_text()
@@ -140,6 +142,8 @@ def test_report_record_round_trips_through_json():
     up = next(m for m in back["models"] if m["name"] == "Mup")
     assert up["prior_region"]["side"] == "prior"
     assert up["log_bf_c_vs_0"] == pytest.approx(up["log_bf_e_vs_0"] + up["log_bf_c_vs_e"])
+    assert up["log_bf_se"] == pytest.approx(np.sqrt(sum(
+        (1.0 - up[side]["estimate"]) / up[side]["hits"] for side in ("prior_region", "post_region"))))
     text = report.to_text()
     assert text.splitlines()[0].startswith("null fit:")
     assert "post prob" in text
@@ -204,6 +208,4 @@ def test_large_offset_leaves_order_bf_unchanged():
         data = AnovaData(responses=y + shift, groups=np.repeat([1, 2, 3], 20))
         bds.append(bf_k0(data, up, estimate_null_params(data), Settings(), RandomSource(9)))
     base, moved = bds
-    se = np.sqrt(sum((1.0 - r.estimate) / r.hits
-                     for r in (base.prior_region, base.post_region)))
-    assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * se
+    assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se

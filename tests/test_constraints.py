@@ -10,9 +10,9 @@ from cipanova.constraints import (
     encompassing_of,
     model_to_string,
     parse_model_spec,
-    region_contains,
     region_mask,
 )
+from oracles import region_contains
 
 MA = "mu2 < mu1 < mu4 < {mu3 = mu5}"
 MB = "{mu1, mu3} > {mu2, mu4, mu5}"
@@ -218,6 +218,25 @@ def test_region_mask_agrees_with_scalar():
     mask = region_mask(m, deltas)
     for i in range(deltas.shape[0]):
         assert mask[i] == region_contains(m, deltas[i])
+
+
+def test_region_mask_matches_closure_on_random_models():
+    # the mask tests only the transitive reduction, the oracle the whole
+    # closure; small integers make ties, where strictness matters
+    rng = np.random.default_rng(314)
+    for _ in range(200):
+        J = int(rng.integers(2, 11))
+        m = _random_model(rng, J)
+        dim = len(m.delta_labels)
+        deltas = np.vstack([rng.integers(-2, 3, size=(100, dim)),
+                            rng.normal(size=(100, dim))])
+        want = [region_contains(m, d) for d in deltas]
+        assert np.array_equal(region_mask(m, deltas), want)
+    chain = " < ".join(f"mu{j}" for j in range(1, 11))
+    assert len(parse_model_spec(chain, J=10).order_reduction) == 9
+    assert len(parse_model_spec(chain, J=10).order) == 45
+    m2 = parse_model_spec("mu1 < mu2 < mu3 < mu4 < mu5", J=5)
+    assert m2.order_reduction == ((1, 2), (2, 3), (3, 4), (4, 5))
 
 
 def test_encompassing_of_shapes():

@@ -10,10 +10,10 @@ from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import (
     NullParams,
     cip_logpdf,
-    cip_sample,
     estimate_null_params,
     make_cip,
 )
+from oracles import cip_sample
 
 
 def _full_spec(J, n_per_group):

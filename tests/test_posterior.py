@@ -5,20 +5,31 @@ from scipy.special import logsumexp, roots_jacobi
 
 from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
 from cipanova.data import AnovaData
-from cipanova.evidence import PreparedIntegrand
+from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import RandomSource, inverted_beta_logpdf
-from cipanova.intrinsic import NullParams, PriorDraws, cip_sample, estimate_null_params, make_cip
+from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import (
     InsufficientPriorMassError,
-    PosteriorDraws,
     RegionProbEstimate,
     below_resolution_bound,
+    cone_mass,
     log_bf_constrained_vs_encompassing,
-    region_prob,
-    sample_posterior,
+    log_bf_standard_error,
+    posterior_class_means,
+    prior_class_means,
 )
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
-from oracles import ChainDraws, eta_log_target, gamma_full_conditional, run_posterior_chain
+from oracles import (
+    ChainDraws,
+    PosteriorDraws,
+    PriorDraws,
+    cip_sample,
+    eta_log_target,
+    gamma_full_conditional,
+    region_prob,
+    run_posterior_chain,
+    sample_posterior,
+)
 
 
 def _three_group(seed=11, n_per_group=6, means=(0.0, 0.6, 1.2)):
@@ -225,13 +236,12 @@ def test_sampler_cone_mass_agrees_with_chain_and_reference(make_data, text):
     y, theta0 = data.responses, estimate_null_params(data)
     spec = make_cip(encompassing_of(model), data.group_sizes)
 
-    def mass(draws):
-        return region_prob(draws, model).estimate
-
-    p = mass(sample_posterior(y, theta0, spec, 64, RandomSource(70).generator()))
+    _, means = posterior_class_means(y, theta0, spec, 64, RandomSource(70).generator())
+    p = cone_mass(model, means, "posterior").estimate
     se = np.sqrt(p * (1.0 - p) / 50_000)
-    ref = mass(sample_posterior(y, theta0, spec, 1024, RandomSource(71).generator(),
-                                T=1_000_000))
+    # reference: full (gamma, eta) draws on a fine rule
+    ref = region_prob(sample_posterior(y, theta0, spec, 1024, RandomSource(71).generator(),
+                                       T=1_000_000), model).estimate
     se_ref = np.sqrt(ref * (1.0 - ref) / 1_000_000)
     chain = run_posterior_chain(y, theta0, spec, iters=55_000, burnin=5_000,
                                 rng=RandomSource(72).generator())
@@ -242,14 +252,36 @@ def test_sampler_cone_mass_agrees_with_chain_and_reference(make_data, text):
     assert abs(p - hits.mean()) < 3.0 * np.hypot(se, se_chain)
 
 
+def test_sampler_cone_mass_matches_node_mixture():
+    # two classes, the baseline one merged and twice the other's size: given
+    # eta the cone is one normal tail, so its mass is a node mixture of Phi
+    data = _c10_data()
+    model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
+    y, theta0 = data.responses, estimate_null_params(data)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    eta, log_w = quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 64)
+    shrink = 1.0 / (1.0 + 3.0 * eta / spec.n)
+    sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 12 + 1.0 / 24))
+    r = y - theta0.alpha0
+    gap = r[data.groups == 2].mean() - r[data.groups != 2].mean()
+    exact = float(np.exp(log_w - logsumexp(log_w)) @ stats.norm.cdf(shrink * gap / sd))
+    T = 200_000
+    _, means = posterior_class_means(y, theta0, spec, 64, RandomSource(74).generator(), T=T)
+    est = cone_mass(model, means, "posterior")
+    assert abs(est.estimate - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / T)
+
+
 def test_sampler_gamma_given_eta_matches_full_conditional():
     # few nodes, so several of them hold enough draws to check a conditional
     y, theta0, spec = _three_group(seed=31, n_per_group=10)
-    draws = sample_posterior(y, theta0, spec, 8, RandomSource(73).generator(), T=400_000)
-    assert np.all(np.isin(draws.eta, 0.5 * (roots_jacobi(8, -0.5, -0.5)[0] + 1.0)))
+    etas, means = posterior_class_means(y, theta0, spec, 8, RandomSource(73).generator(),
+                                        T=400_000)
+    assert np.all(np.isin(etas, 0.5 * (roots_jacobi(8, -0.5, -0.5)[0] + 1.0)))
+    # gamma: the baseline class mean, then each other class's effect against it
+    gamma = np.column_stack([means[:, 0] + theta0.alpha0, means[:, 1:] - means[:, :1]])
     checked = 0
-    for eta in np.unique(draws.eta):
-        g = draws.gamma[draws.eta == eta]
+    for eta in np.unique(etas):
+        g = gamma[etas == eta]
         if len(g) < 20_000:
             continue
         checked += 1
@@ -294,6 +326,21 @@ def test_prior_region_symmetry_and_completeness():
     assert total == draws.T  # ties have measure zero
 
 
+@pytest.mark.parametrize("text, J, exact", [
+    ("mu1 < mu2 < mu3 < mu4 < mu5", 5, 1.0 / 120.0),
+    ("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}", 10, 1.0 / 252.0),
+    # class sizes 25/25/50/25; value from 1-D quadrature over the class means
+    (MODEL_STRINGS["M3"], 5, 0.0343550143),
+], ids=["5-chain", "5-vs-5", "pop3 M3"])
+def test_prior_cone_mass_matches_exact_value(text, J, exact):
+    model = parse_model_spec(text, J=J)
+    spec = make_cip(encompassing_of(model), (25,) * J)
+    T = 100_000
+    est = cone_mass(model, prior_class_means(spec, T, RandomSource(80).generator()), "prior")
+    assert est.total == T
+    assert abs(est.estimate - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / T)
+
+
 def test_log_bf_from_region_estimates():
     prior = RegionProbEstimate(estimate=0.1, hits=10, total=100, side="prior")
     post = RegionProbEstimate(estimate=0.8, hits=80, total=100, side="posterior")
@@ -309,6 +356,9 @@ def test_log_bf_from_region_estimates():
     bound = below_resolution_bound(
         RegionProbEstimate(estimate=0.25, hits=25, total=100, side="prior"), empty_post)
     assert bound == pytest.approx(np.log(1.0 / 1001) - np.log(0.25), abs=1e-12)
+    assert log_bf_standard_error(prior, post) == pytest.approx(
+        np.sqrt(0.9 / 10 + 0.2 / 80), rel=1e-12)
+    assert log_bf_standard_error(prior, empty_post) is None
 
 
 def test_estimate_dataclass_validation():
