@@ -18,14 +18,9 @@ from .constraints import (
     region_mask,
 )
 from .data import AnovaData, ingest_csv
-from .evidence import (
-    EvidenceResult,
-    log_marginal_chib,
-    log_marginal_quadrature,
-    null_loglik,
-)
+from .evidence import EvidenceResult, log_marginal_quadrature, null_loglik
 from .gaussian import RandomSource
-from .intrinsic import CipSpec, NullParams, cip_logpdf, estimate_null_params, make_cip
+from .intrinsic import CipSpec, NullParams, estimate_null_params, make_cip
 from .posterior import (
     InsufficientPriorMassError,
     RegionProbEstimate,
@@ -56,14 +51,12 @@ __all__ = [
     "SummaryTable",
     "bf_k0",
     "build_design",
-    "cip_logpdf",
     "compare",
     "encompassing_of",
     "estimate_null_params",
     "generate_scenario",
     "ingest_csv",
     "log_bf_constrained_vs_encompassing",
-    "log_marginal_chib",
     "log_marginal_quadrature",
     "make_cip",
     "make_preset",

@@ -8,11 +8,12 @@ import re
 import sys
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .compare import Settings, compare
 from .constraints import encompassing_of, model_to_string, parse_model_spec, region_mask
 from .data import ingest_csv
-from .evidence import PreparedIntegrand
+from .evidence import PreparedIntegrand, log_marginal_quadrature
 from .gaussian import RandomSource, inverted_beta_logpdf, mvn_logpdf
 from .intrinsic import NullParams, make_cip
 from .scenarios import MODEL_STRINGS, make_preset, preset_names
@@ -46,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mcmc-iters", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--burnin", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--quadrature-nodes", type=int, default=None)
-    common.add_argument("--evidence-method", choices=("quadrature", "chib"), default=None)
     common.add_argument("--output", choices=("text", "records"), default="text")
     common.add_argument("--jobs", type=int, default=None)
     common.add_argument("--config", default=None, help="JSON file with defaults for these flags")
@@ -85,6 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_KEYS = frozenset({
+    "seed", "prior_draws", "quadrature_nodes", "jobs", "data", "models", "prior_probs",
+    "theta0", "preset", "reps", "n_per_group",
+})
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -92,6 +98,9 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     return cfg
 
 
@@ -105,8 +114,6 @@ def _resolve_settings(args, cfg) -> Settings:
     return Settings(
         prior_draws=_pick(args.prior_draws, cfg, "prior_draws", 100_000),
         quadrature_nodes=_pick(args.quadrature_nodes, cfg, "quadrature_nodes", 64),
-        evidence_method=_pick(args.evidence_method, cfg, "evidence_method", "quadrature"),
-        chib_iters=cfg.get("chib_iters", 20_000),
     )
 
 
@@ -174,8 +181,6 @@ def _settings_dict(settings: Settings) -> dict:
     return {
         "prior_draws": settings.prior_draws,
         "quadrature_nodes": settings.quadrature_nodes,
-        "evidence_method": settings.evidence_method,
-        "chib_iters": settings.chib_iters,
     }
 
 
@@ -279,6 +284,22 @@ def _check_integrand_dense():
         assert abs(got - want) < 1e-10, f"{got} vs {want}"
 
 
+def _check_quadrature_converges():
+    # the evidence rule settles under node doubling and agrees with a dense
+    # trapezoid rule in u, where eta = sin^2(pi u / 2) turns the Beta(1/2, 1/2)
+    # weight into du and the integrand vanishes at both ends
+    rng = np.random.default_rng(12)
+    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), (4, 4, 4))
+    theta0 = NullParams(alpha0=0.2, sigma0=1.1)
+    y = theta0.alpha0 + rng.normal(size=spec.n)
+    res = log_marginal_quadrature(y, theta0, spec)
+    assert res.node_doubling_delta < 1e-8, f"node-doubling delta {res.node_doubling_delta}"
+    u = np.linspace(0.0, 1.0, 2001)[1:-1]
+    ll = PreparedIntegrand(y, theta0, spec).loglik(np.sin(0.5 * np.pi * u) ** 2)
+    dense = float(logsumexp(ll) + np.log(u[1] - u[0]))
+    assert abs(res.log_marginal - dense) < 1e-8, f"{res.log_marginal} vs dense {dense}"
+
+
 def _check_inverted_beta_half_cauchy():
     s0 = 1.7
     for sigma in (0.3, 1.0, 2.9):
@@ -313,6 +334,7 @@ _SELFTESTS = [
     ("model notation round-trip", _check_notation_roundtrip),
     ("constraint region is a cone", _check_region_cone),
     ("evidence integrand matches dense density", _check_integrand_dense),
+    ("quadrature converges under node doubling", _check_quadrature_converges),
     ("inverted-beta matches half-Cauchy in sigma", _check_inverted_beta_half_cauchy),
     ("power table reference values", _check_power_values),
     ("model probabilities normalize", _check_pmp_normalization),

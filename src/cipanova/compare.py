@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from .constraints import ConstraintModel, encompassing_of, model_to_string
 from .data import AnovaData
-from .evidence import EvidenceResult, log_marginal_chib, log_marginal_quadrature, null_loglik
+from .evidence import EvidenceResult, log_marginal_quadrature, null_loglik
 from .gaussian import RandomSource
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
@@ -34,7 +34,7 @@ from .posterior import (
 
 @dataclass(frozen=True)
 class Settings:
-    """Draw counts and method switches; defaults suit desk-scale studies."""
+    """Draw and node counts; defaults suit desk-scale studies."""
 
     prior_draws: int = 100_000
     # Ignored: the posterior is drawn exactly, with no chain.  The two retired
@@ -42,13 +42,9 @@ class Settings:
     mcmc_iters: int | None = None
     burnin: int | None = None
     quadrature_nodes: int = 64
-    evidence_method: str = "quadrature"
-    chib_iters: int = 20_000
 
     def __post_init__(self) -> None:
-        if self.evidence_method not in ("quadrature", "chib"):
-            raise ValueError(f"unknown evidence method {self.evidence_method!r}")
-        if min(self.prior_draws, self.quadrature_nodes, self.chib_iters) < 1:
+        if min(self.prior_draws, self.quadrature_nodes) < 1:
             raise ValueError("draw counts must be positive")
 
 
@@ -89,11 +85,7 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
     design = encompassing_of(model)
     spec = make_cip(design, data.group_sizes)
     y = data.responses
-    if settings.evidence_method == "chib":
-        ev = log_marginal_chib(y, theta0, spec, N=settings.chib_iters,
-                               rng=rng.split(2).generator())
-    else:
-        ev = log_marginal_quadrature(y, theta0, spec, nodes=settings.quadrature_nodes)
+    ev = log_marginal_quadrature(y, theta0, spec, nodes=settings.quadrature_nodes)
     lbf_e0 = ev.log_marginal - null_loglik(y, theta0)
 
     if not model.has_order:
@@ -196,8 +188,8 @@ def compare(data: AnovaData, models: list[ConstraintModel],
         weights = np.asarray(prior_probs, dtype=float)
         if weights.shape != (len(models),):
             raise ValueError(f"prior_probs must have length {len(models)}")
-        if np.any(weights <= 0.0):
-            raise ValueError("prior probabilities must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0.0)):
+            raise ValueError("prior probabilities must be finite and positive")
         weights = weights / weights.sum()
     if theta0 is None:
         theta0 = estimate_null_params(data)

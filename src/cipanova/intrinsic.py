@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import EncompassingDesign, build_design
-from .gaussian import mvn_logpdf
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,3 @@ def make_cip(design: EncompassingDesign, group_sizes) -> CipSpec:
     e = np.zeros(q)
     e[0] = 1.0
     return CipSpec(Z=Z, winv=winv, e=e, n=n, q=q)
-
-
-def cip_logpdf(gamma: np.ndarray, sigma: float, theta0: NullParams, spec: CipSpec) -> float:
-    """Log prior density at (gamma, sigma), sigma > 0."""
-    if sigma <= 0.0:
-        return -np.inf
-    s0 = theta0.sigma0
-    log_half_cauchy = np.log(2.0) - np.log(np.pi * s0) - np.log1p((sigma / s0) ** 2)
-    cov = (sigma**2 + s0**2) * spec.winv
-    return float(log_half_cauchy) + mvn_logpdf(gamma, theta0.alpha0 * spec.e, cov)

@@ -1,5 +1,11 @@
 """Reference implementations the tests compare the library against.
 
+- The Chib-style candidate-identity estimate of the log marginal
+  (`log_marginal_chib`), an MC route to the integral the library computes by
+  Gauss-Jacobi quadrature, and the direct form of that integrand through the
+  low-rank Gaussian (`integrand_log`, `LowRankGaussian`, `lowrank_logpdf`).
+- Dense and per-draw forms of the prior: `cip_logpdf`, `mvn_sample`,
+  `sample_eta_half` and `sample_sigma2_via_eta`.
 - Full joint draws of (gamma, eta) from the prior (`cip_sample`) and from the
   exact posterior on the evidence rule's nodes (`sample_posterior`), with
   their cone hit fraction (`region_prob`).  The library counts cone hits on
@@ -12,16 +18,183 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from cipanova.constraints import ConstraintModel, region_mask
-from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
-from cipanova.gaussian import sample_eta_half
+from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
+from cipanova.gaussian import LOG_2PI, mvn_logpdf
 from cipanova.intrinsic import CipSpec, NullParams
 from cipanova.posterior import POSTERIOR_DRAWS, RegionProbEstimate
+
+
+def sample_sigma2_via_eta(c: float, rng: np.random.Generator) -> tuple[float, float]:
+    """Draw (eta, sigma2) with eta ~ Beta(1/2, 1/2) and sigma2 = c*eta/(1-eta).
+
+    Uses the arcsine law eta = sin^2(pi*u/2), avoiding rejection steps near
+    the endpoints; draws that round to the closed boundary are retried.
+    """
+    if c <= 0.0:
+        raise ValueError("scale must be positive")
+    while True:
+        u = rng.random()
+        eta = float(np.sin(0.5 * np.pi * u) ** 2)
+        if 0.0 < eta < 1.0:
+            return eta, c * eta / (1.0 - eta)
+
+
+def sample_eta_half(T: int, rng: np.random.Generator) -> np.ndarray:
+    """Vector of T Beta(1/2, 1/2) draws via the arcsine law."""
+    u = rng.random(T)
+    eta = np.sin(0.5 * np.pi * u) ** 2
+    bad = (eta <= 0.0) | (eta >= 1.0)
+    while np.any(bad):
+        u = rng.random(int(bad.sum()))
+        eta[bad] = np.sin(0.5 * np.pi * u) ** 2
+        bad = (eta <= 0.0) | (eta >= 1.0)
+    return eta
+
+
+@dataclass
+class LowRankGaussian:
+    """Zero-mean n-variate Gaussian with covariance a*I_n + b*Z*Winv*Z'.
+
+    a must be positive and b nonnegative; winv is symmetric positive
+    definite.  ztz may be supplied to reuse Z'Z across evaluations that share
+    the design.
+    """
+
+    a: float
+    b: float
+    Z: np.ndarray
+    winv: np.ndarray
+    ztz: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if not (self.a > 0.0) or self.b < 0.0:
+            raise ValueError(f"need a > 0 and b >= 0, got a={self.a}, b={self.b}")
+        if self.ztz is None:
+            self.ztz = self.Z.T @ self.Z
+
+
+def lowrank_logpdf(r: np.ndarray, g: LowRankGaussian) -> float:
+    """Log density of residual vector r under g, in O(q^3 + n*q)."""
+    r = np.asarray(r, dtype=float)
+    n, q = g.Z.shape
+    if r.shape != (n,):
+        raise ValueError(f"residual must have shape ({n},), got {r.shape}")
+    rr = float(r @ r)
+    if g.b == 0.0:
+        return -0.5 * (n * LOG_2PI + n * np.log(g.a) + rr / g.a)
+    try:
+        lw = np.linalg.cholesky(g.winv)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("winv is not positive definite") from exc
+    ratio = g.b / g.a
+    inner = np.eye(q) + ratio * (lw.T @ g.ztz @ lw)
+    try:
+        lk = np.linalg.cholesky(inner)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("inner q x q system is not positive definite") from exc
+    logdet = n * np.log(g.a) + 2.0 * np.sum(np.log(np.diag(lk)))
+    v = lw.T @ (g.Z.T @ r)
+    u = np.linalg.solve(lk, v)
+    quad = (rr - ratio * float(u @ u)) / g.a
+    return -0.5 * (n * LOG_2PI + logdet + quad)
+
+
+def integrand_log(eta: float, y: np.ndarray, theta0: NullParams, spec: CipSpec) -> float:
+    """Log of the gamma-integrated data density at a single eta in (0, 1)."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
+    s0sq = theta0.sigma0**2
+    a = s0sq * eta / (1.0 - eta)
+    b = s0sq / (1.0 - eta)
+    r = np.asarray(y, dtype=float) - theta0.alpha0
+    g = LowRankGaussian(a=a, b=b, Z=spec.Z, winv=spec.winv, ztz=spec.ztz)
+    return lowrank_logpdf(r, g)
+
+
+@dataclass(frozen=True)
+class ChibEstimate:
+    """Chain-based log marginal with its Monte Carlo standard error."""
+
+    log_marginal: float
+    se: float
+    eta_mode: float
+
+
+def _interior_eta_mode(prep: PreparedIntegrand) -> float:
+    """The library's integrand mode, refused when the grid bracket hits the eta boundary."""
+    grid = np.linspace(0.0, 1.0, 131)[1:-1]
+    k = int(np.argmax(prep.loglik(grid)))
+    if k in (0, len(grid) - 1):
+        raise ValueError("integrand mode at the eta boundary; data look degenerate")
+    return _eta_mode(prep)
+
+
+def log_marginal_chib(y: np.ndarray, theta0: NullParams, spec: CipSpec,
+                      N: int, rng: np.random.Generator) -> ChibEstimate:
+    """Chain-based estimate of the log marginal via the candidate identity.
+
+    The chain targets the eta marginal posterior with the Beta(1/2, 1/2) prior
+    as independence proposal, so the acceptance ratio reduces to the
+    likelihood ratio of proposed over current.  After N warm-up iterations,
+    N chain draws estimate the numerator of the density ordinate at the mode
+    and N fresh proposal draws estimate its denominator.
+    """
+    if N < 1000:
+        raise ValueError(f"need N >= 1000 chain iterations, got {N}")
+    prep = PreparedIntegrand(y, theta0, spec)
+    mode = _interior_eta_mode(prep)
+    ll_star = float(prep.loglik(mode))
+
+    proposals = sample_eta_half(2 * N, rng)
+    ll_prop = prep.loglik(proposals)
+    log_u = np.log(rng.random(2 * N))
+    ll_chain = np.empty(2 * N)
+    ll_cur = ll_star
+    accepted = 0
+    for i in range(2 * N):
+        if log_u[i] < ll_prop[i] - ll_cur:
+            ll_cur = ll_prop[i]
+            accepted += 1
+        ll_chain[i] = ll_cur
+    if accepted == 0:
+        raise RuntimeError("chain accepted no proposals; estimate would be degenerate")
+
+    a_terms = np.exp(np.minimum(ll_star - ll_chain[N:], 0.0))
+    fresh = sample_eta_half(N, rng)
+    b_terms = np.exp(np.minimum(prep.loglik(fresh) - ll_star, 0.0))
+    a_mean = float(np.mean(a_terms))
+    b_mean = float(np.mean(b_terms))
+    if b_mean == 0.0:
+        raise RuntimeError("all proposal draws underflowed at the ordinate point")
+    log_m = ll_star - np.log(a_mean) + np.log(b_mean)
+    se = float(np.sqrt(np.var(a_terms) / (N * a_mean**2) + np.var(b_terms) / (N * b_mean**2)))
+    return ChibEstimate(log_marginal=float(log_m), se=se, eta_mode=mode)
+
+
+def cip_logpdf(gamma: np.ndarray, sigma: float, theta0: NullParams, spec: CipSpec) -> float:
+    """Log prior density at (gamma, sigma), sigma > 0."""
+    if sigma <= 0.0:
+        return -np.inf
+    s0 = theta0.sigma0
+    log_half_cauchy = np.log(2.0) - np.log(np.pi * s0) - np.log1p((sigma / s0) ** 2)
+    cov = (sigma**2 + s0**2) * spec.winv
+    return float(log_half_cauchy) + mvn_logpdf(gamma, theta0.alpha0 * spec.e, cov)
+
+
+def mvn_sample(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from a dense multivariate normal via Cholesky."""
+    mean = np.asarray(mean, dtype=float)
+    try:
+        L = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance is not positive definite") from exc
+    return mean + L @ rng.standard_normal(mean.shape[0])
 
 
 def region_contains(model: ConstraintModel, delta) -> bool:

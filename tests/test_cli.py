@@ -72,8 +72,7 @@ def test_compare_records_are_stable(capsys, data_csv):
     rec = json.loads(first)
     assert rec["type"] == "comparison"
     assert rec["seed"] == 7
-    assert rec["settings"] == {"prior_draws": 5000, "quadrature_nodes": 64,
-                               "evidence_method": "quadrature", "chib_iters": 20_000}
+    assert rec["settings"] == {"prior_draws": 5000, "quadrature_nodes": 64}
     assert rec["models"][0]["name"] == "model1"  # unnamed specs are numbered
 
 
@@ -111,6 +110,12 @@ def test_compare_errors(capsys, data_csv, tmp_path):
     assert "no data file" in capsys.readouterr().err
     assert main(["compare", str(data_csv), "--model", "mu9<mu1"]) == 1
     capsys.readouterr()
+    assert main(["compare", str(data_csv), "--model", "M0=mu1=mu2=mu3", "--model",
+                 "up=mu1<mu2<mu3", "--prior-probs", "nan,1", *FAST_FLAGS]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert main(["compare", str(data_csv), "--model", "mu1<mu2<mu3",
+                 "--evidence-method", "chib"]) == 2
+    capsys.readouterr()
 
 
 def test_config_file_merging(capsys, data_csv, tmp_path):
@@ -135,6 +140,11 @@ def test_config_file_merging(capsys, data_csv, tmp_path):
     bad.write_text("[1, 2]")
     assert main(["compare", "--config", str(bad)]) == 1
     capsys.readouterr()
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps({**cfg, "chib_iters": 20_000, "evidence_method": "chib"}))
+    assert main(["compare", "--config", str(retired)]) == 1
+    err = capsys.readouterr().err
+    assert "chib_iters" in err and "evidence_method" in err
 
 
 def test_theta0_flag(capsys, data_csv):
@@ -175,5 +185,5 @@ def test_simulate_text_and_errors(capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok -") == 6
+    assert out.count("ok -") == 7
     assert "all checks passed" in out

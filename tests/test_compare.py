@@ -154,14 +154,15 @@ def test_compare_validates_inputs():
     models = _models()
     with pytest.raises(ValueError):
         compare(data, models, prior_probs=[0.5, 0.5], settings=FAST)
-    with pytest.raises(ValueError):
-        compare(data, models, prior_probs=[0.5, 0.5, -0.1], settings=FAST)
+    for bad in ([0.5, 0.5, -0.1], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            compare(data, models, prior_probs=bad, settings=FAST)
     dup = [parse_model_spec("mu1, mu2, mu3", J=3, name="x"),
            parse_model_spec("mu1 = mu2 = mu3", J=3, name="x")]
     with pytest.raises(ValueError):
         compare(data, dup, settings=FAST)
-    with pytest.raises(ValueError):
-        Settings(evidence_method="bridge")
+    with pytest.raises(TypeError):
+        Settings(evidence_method="quadrature")  # quadrature is the only route
 
 
 def test_theta0_override_is_used():

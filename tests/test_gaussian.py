@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from cipanova.gaussian import (
-    LOG_2PI,
+from cipanova.gaussian import LOG_2PI, RandomSource, inverted_beta_logpdf, mvn_logpdf
+from oracles import (
     LowRankGaussian,
-    RandomSource,
-    inverted_beta_logpdf,
+    beta_half_logpdf,
     lowrank_logpdf,
-    mvn_logpdf,
     mvn_sample,
     sample_eta_half,
     sample_sigma2_via_eta,
 )
-from oracles import beta_half_logpdf
 
 
 def _random_lowrank(rng, n, q):

@@ -7,13 +7,8 @@ from scipy import integrate, stats
 
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.gaussian import RandomSource
-from cipanova.intrinsic import (
-    NullParams,
-    cip_logpdf,
-    estimate_null_params,
-    make_cip,
-)
-from oracles import cip_sample
+from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
+from oracles import cip_logpdf, cip_sample
 
 
 def _full_spec(J, n_per_group):
