@@ -8,13 +8,12 @@ import re
 import sys
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .compare import Settings, compare
 from .constraints import encompassing_of, model_to_string, parse_model_spec, region_mask
 from .data import ingest_csv
 from .evidence import PreparedIntegrand, log_marginal_quadrature
-from .gaussian import RandomSource, inverted_beta_logpdf, mvn_logpdf
+from .gaussian import RandomSource, inverted_beta_logpdf, logsumexp, mvn_logpdf
 from .intrinsic import NullParams, make_cip
 from .scenarios import MODEL_STRINGS, make_preset, preset_names
 from .simulate import power_table, run_simulation_study

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constraints import ConstraintModel, encompassing_of, model_to_string
 from .data import AnovaData
 from .evidence import EvidenceResult, log_marginal_quadrature, null_loglik
-from .gaussian import RandomSource
+from .gaussian import RandomSource, logsumexp
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
     RegionProbEstimate,
@@ -197,6 +196,10 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     breakdowns = tuple(bf_k0(data, m, theta0, settings, rng.split(i))
                        for i, m in enumerate(models))
     log_bf = np.array([bd.log_bf_c_vs_0 for bd in breakdowns])
+    if np.all(log_bf == -np.inf):
+        raise ValueError(
+            "no model has a posterior draw in its region, so every Bayes factor is "
+            "below MC resolution and the model probabilities are undefined")
     log_post = np.log(weights) + log_bf
     pmp = np.exp(log_post - logsumexp(log_post))
 

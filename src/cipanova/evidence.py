@@ -2,8 +2,10 @@
 
 After integrating gamma and mapping sigma^2 to eta = sigma^2/(sigma^2+sigma0^2),
 the marginal of the data is a one-dimensional integral over (0, 1) of an
-n-variate Gaussian density against a Beta(1/2, 1/2) weight, which a
-Gauss-Jacobi rule absorbs.
+n-variate Gaussian density against a Beta(1/2, 1/2) weight.  On x = 2 eta - 1
+that weight is the Chebyshev weight (1 - x^2)^(-1/2), so the Gauss-Jacobi
+(-1/2, -1/2) rule that absorbs it is Gauss-Chebyshev, with closed-form nodes
+and equal weights.
 """
 
 from __future__ import annotations
@@ -11,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, roots_jacobi
 
-from .gaussian import LOG_2PI
+from .gaussian import LOG_2PI, logsumexp
 from .intrinsic import CipSpec, NullParams
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -75,33 +74,36 @@ class PreparedIntegrand:
 
 
 def _eta_mode(prep: PreparedIntegrand) -> float:
-    """Mode of the integrand: 129-point grid bracket, then golden-section."""
+    """Mode of the integrand: 129-point grid bracket, then 32-point zoom grids to width 1e-12.
+
+    Each zoom keeps the neighbours of the best grid point, so the bracket
+    shrinks 15.5-fold per array call.
+    """
     grid = np.linspace(0.0, 1.0, 131)[1:-1]
-    vals = prep.loglik(grid)
-    k = int(np.argmax(vals))
+    k = int(np.argmax(prep.loglik(grid)))
     if k in (0, len(grid) - 1):
         return float(grid[k])
-    a, b = float(grid[k - 1]), float(grid[k + 1])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = float(prep.loglik(c))
-    fd = float(prep.loglik(d))
+    a, b = grid[k - 1], grid[k + 1]
     while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(prep.loglik(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(prep.loglik(d))
-    return 0.5 * (a + b)
+        grid = np.linspace(a, b, 32)
+        k = int(np.argmax(prep.loglik(grid)))
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    return float(0.5 * (a + b))
+
+
+def gauss_chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights on [-1, 1] of the Gauss-Jacobi(-1/2, -1/2) rule.
+
+    The nodes are -cos((2k - 1) pi / 2N) for k = 1..N and every weight is pi/N.
+    """
+    k = np.arange(1, nodes + 1)
+    return -np.cos((2 * k - 1) * np.pi / (2 * nodes)), np.full(nodes, np.pi / nodes)
 
 
 def quadrature_log_weights(prep: PreparedIntegrand,
                            nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes in eta and the log of each node's weight times the integrand."""
-    x, w = roots_jacobi(nodes, -0.5, -0.5)
+    """Gauss-Chebyshev nodes in eta and the log of each node's weight times the integrand."""
+    x, w = gauss_chebyshev(nodes)
     eta = 0.5 * (x + 1.0)
     return eta, prep.loglik(eta) + np.log(w)
 
@@ -113,7 +115,7 @@ def _quadrature_value(prep: PreparedIntegrand, nodes: int) -> float:
 
 def log_marginal_quadrature(y: np.ndarray, theta0: NullParams, spec: CipSpec,
                             nodes: int = 64) -> EvidenceResult:
-    """Gauss-Jacobi estimate of the log marginal, with a node-doubling check."""
+    """Gauss-Chebyshev estimate of the log marginal, with a node-doubling check."""
     if nodes < 8:
         raise ValueError(f"need at least 8 nodes, got {nodes}")
     prep = PreparedIntegrand(y, theta0, spec)

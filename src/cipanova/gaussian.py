@@ -1,11 +1,11 @@
-"""Numeric kernels: RNG streams, and the dense Gaussian and inverted-beta log densities."""
+"""Numeric kernels: RNG streams, log-sum-exp, and dense Gaussian and inverted-beta log densities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -24,13 +24,27 @@ class RandomSource:
         return RandomSource(self.seed, self.stream + (int(k),))
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis, shifted by the maximum so no term overflows.
+
+    A slice whose entries are all -inf gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.exp(a - peak), axis=axis))
+    return total + np.squeeze(peak, axis=axis)
+
+
 def inverted_beta_logpdf(v: float, a: float, b: float, c: float) -> float:
     """Log density of the inverted beta law with shapes (a, b) and scale c."""
     if v <= 0.0:
         return -np.inf
     if min(a, b, c) <= 0.0:
         raise ValueError("shapes and scale must be positive")
-    return b * np.log(c) - betaln(a, b) + (a - 1.0) * np.log(v) - (a + b) * np.log(v + c)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return b * np.log(c) - log_beta + (a - 1.0) * np.log(v) - (a + b) * np.log(v + c)
 
 
 def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

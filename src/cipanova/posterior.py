@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constraints import ConstraintModel, region_mask
 from .evidence import PreparedIntegrand, quadrature_log_weights
+from .gaussian import logsumexp
 from .intrinsic import CipSpec, NullParams
 
 POSTERIOR_DRAWS = 50_000

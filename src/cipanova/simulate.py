@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-
-from scipy.stats import norm
 
 from .compare import Settings, compare
 from .constraints import ConstraintModel
@@ -26,16 +25,17 @@ def power_table(deltas=(0.2, 0.3, 0.4), sigma: float = 1.0,
     """One-sided detection probability of a two-group mean gap at the z threshold.
 
     The test statistic is the standardized difference of two group means, so
-    power = P{Z > z_crit - delta/sd} with sd^2 = 2 sigma^2 / n.
+    power = P{Z > z} = erfc(z / sqrt 2) / 2 with z = z_crit - delta/sd and
+    sd^2 = 2 sigma^2 / n.
     """
     if sigma <= 0 or any(n < 2 for n in n_per_group) or any(d < 0 for d in deltas):
         raise ValueError("need sigma > 0, n >= 2 and nonnegative deltas")
     rows = []
     for delta in deltas:
         for n in n_per_group:
-            sd = sigma * (2.0 / n) ** 0.5
+            z = z_crit - delta / (sigma * (2.0 / n) ** 0.5)
             rows.append(PowerRow(delta=float(delta), n_per_group=int(n),
-                                 power=float(norm.sf(z_crit - delta / sd))))
+                                 power=0.5 * math.erfc(z / math.sqrt(2.0))))
     return rows
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cipanova
 from cipanova.cli import main
 
 
@@ -116,6 +121,32 @@ def test_compare_errors(capsys, data_csv, tmp_path):
     assert main(["compare", str(data_csv), "--model", "mu1<mu2<mu3",
                  "--evidence-method", "chib"]) == 2
     capsys.readouterr()
+
+
+def test_compare_fails_when_every_model_is_below_resolution(capsys, tmp_path):
+    rng = np.random.default_rng(34)
+    lines = ["group,response"]
+    for j, mu in enumerate((0.0, 1.5, 3.0), start=1):
+        lines += [f"{j},{v:.6f}" for v in rng.normal(mu, 0.3, size=12)]
+    path = tmp_path / "rise.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["compare", str(path), "--model", "down=mu1>mu2>mu3",
+                 "--model", "mixed=mu2>mu1>mu3", *FAST_FLAGS]) == 1
+    captured = capsys.readouterr()
+    assert "no model has a posterior draw in its region" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test-time reference
+    env = dict(os.environ)
+    src = str(Path(cipanova.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, cipanova, cipanova.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_file_merging(capsys, data_csv, tmp_path):

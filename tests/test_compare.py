@@ -132,6 +132,17 @@ def test_below_resolution_flag_on_contradicted_order():
     assert sum(report.posterior_probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_every_model_below_resolution_raises():
+    # both orders contradict a steep rise, so neither has a posterior draw
+    rng = np.random.default_rng(34)
+    y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (0.0, 1.5, 3.0)])
+    data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
+    models = [parse_model_spec("mu1 > mu2 > mu3", J=3, name="down"),
+              parse_model_spec("mu2 > mu1 > mu3", J=3, name="mixed")]
+    with pytest.raises(ValueError, match="no model has a posterior draw in its region"):
+        compare(data, models, settings=FAST, rng=RandomSource(8))
+
+
 def test_report_record_round_trips_through_json():
     data = _increasing_data(seed=5)
     report = compare(data, _models(), settings=FAST, rng=RandomSource(6))

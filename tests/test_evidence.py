@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp, roots_jacobi
 
 from cipanova.compare import Settings
 from cipanova.constraints import encompassing_of, parse_model_spec
@@ -9,11 +10,13 @@ from cipanova.data import AnovaData
 from cipanova.evidence import (
     EvidenceResult,
     PreparedIntegrand,
+    gauss_chebyshev,
     log_marginal_quadrature,
     null_loglik,
 )
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
+from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from oracles import cip_sample, integrand_log, log_marginal_chib
 
 
@@ -144,6 +147,49 @@ def test_eta_mode_beats_grid():
     grid = np.linspace(0.0, 1.0, 131)[1:-1]
     assert float(prep.loglik(res.eta_mode)) >= float(np.max(prep.loglik(grid))) - 1e-9
     assert 0.0 < res.eta_mode < 1.0
+
+
+def _c07_case():
+    scenario, _ = make_preset("pop3", n_per_group=25, reps=1, base_seed=2026)
+    return generate_scenario(scenario, 0), MODEL_STRINGS["M3"]
+
+
+def _c10_case():
+    rng = np.random.default_rng(77)
+    y = np.concatenate([rng.normal(m, 1.0, 12) for m in (0.0, 0.6, 1.2)])
+    return AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12)), "mu1 < mu2 < mu3"
+
+
+def _large_n_case():
+    # ten unbalanced groups with a singleton, n = 20000
+    rng = np.random.default_rng(5)
+    sizes = (1, 999, 1500, 2000, 2500, 3000, 2500, 2500, 2500, 2500)
+    y = np.concatenate([rng.normal(0.02 * j, 1.0, k) for j, k in enumerate(sizes)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, 11), sizes))
+    return data, ", ".join(f"mu{j}" for j in range(1, 11))
+
+
+@pytest.mark.parametrize("make_case", [_c07_case, _c10_case, _large_n_case],
+                         ids=["c07", "c10", "large-n"])
+def test_eta_mode_matches_bounded_minimizer(make_case):
+    data, text = make_case()
+    theta0 = estimate_null_params(data)
+    spec = make_cip(encompassing_of(parse_model_spec(text, J=data.J)), data.group_sizes)
+    prep = PreparedIntegrand(data.responses, theta0, spec)
+    mode = log_marginal_quadrature(data.responses, theta0, spec).eta_mode
+    ref = minimize_scalar(lambda e: -float(prep.loglik(e)), bounds=(1e-6, 1.0 - 1e-6),
+                          method="bounded", options={"xatol": 1e-12}).x
+    assert abs(mode - ref) < 1e-7
+    grid = np.linspace(0.0, 1.0, 131)[1:-1]
+    assert float(prep.loglik(mode)) >= float(np.max(prep.loglik(grid)))
+
+
+@pytest.mark.parametrize("n", [8, 64, 128, 4096])
+def test_gauss_chebyshev_matches_scipy_jacobi_rule(n):
+    x, w = gauss_chebyshev(n)
+    want_x, _ = roots_jacobi(n, -0.5, -0.5)
+    assert np.max(np.abs(x - want_x)) <= 1e-15
+    assert np.all(w == np.pi / n)
 
 
 def test_chib_matches_quadrature_and_is_deterministic():

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import logsumexp as scipy_logsumexp
 
-from cipanova.gaussian import LOG_2PI, RandomSource, inverted_beta_logpdf, mvn_logpdf
+from cipanova.gaussian import (
+    LOG_2PI,
+    RandomSource,
+    inverted_beta_logpdf,
+    logsumexp,
+    mvn_logpdf,
+)
 from oracles import (
     LowRankGaussian,
     beta_half_logpdf,
@@ -173,3 +180,20 @@ def test_random_source_reproducibility():
     assert not np.array_equal(a, d)
     # split composes the stream path
     assert RandomSource(7).split(2).split(5) == RandomSource(7, (2, 5))
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 50.0, 1e4):
+        a = scale * rng.standard_normal((6, 9))
+        a[1, 4] = a[3, 0] = -np.inf
+        a[5, :] = -np.inf
+        assert logsumexp(a) == pytest.approx(scipy_logsumexp(a), rel=1e-14)
+        for axis in (0, 1):
+            got, want = logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
+            assert got.shape == want.shape
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
+    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+    assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + np.log(2.0), rel=1e-15)

@@ -276,7 +276,7 @@ def test_sampler_gamma_given_eta_matches_full_conditional():
     y, theta0, spec = _three_group(seed=31, n_per_group=10)
     etas, means = posterior_class_means(y, theta0, spec, 8, RandomSource(73).generator(),
                                         T=400_000)
-    assert np.all(np.isin(etas, 0.5 * (roots_jacobi(8, -0.5, -0.5)[0] + 1.0)))
+    assert np.all(np.isin(etas, quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 8)[0]))
     # gamma: the baseline class mean, then each other class's effect against it
     gamma = np.column_stack([means[:, 0] + theta0.alpha0, means[:, 1:] - means[:, :1]])
     checked = 0

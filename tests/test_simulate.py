@@ -30,6 +30,11 @@ def test_power_closed_form_and_edges():
     direct = power_table(deltas=(0.37,), sigma=1.3, n_per_group=(40,), z_crit=1.64)
     sd = 1.3 * np.sqrt(2.0 / 40)
     assert direct[0].power == pytest.approx(float(norm.sf(1.64 - 0.37 / sd)), abs=1e-12)
+    grid = power_table(deltas=(0.0, 0.1, 0.45, 1.3, 3.0), sigma=0.7,
+                       n_per_group=(2, 25, 400), z_crit=1.64)
+    for row in grid:
+        sd = 0.7 * np.sqrt(2.0 / row.n_per_group)
+        assert abs(row.power - norm.sf(1.64 - row.delta / sd)) <= 1e-15
     with pytest.raises(ValueError):
         power_table(sigma=0.0)
     with pytest.raises(ValueError):
