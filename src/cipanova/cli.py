@@ -267,17 +267,23 @@ def _check_region_cone():
 
 
 def _check_integrand_dense():
-    # the evidence integrand at eta is the N(alpha0, a I + b Z Winv Z') density
-    # of y, with a = s0^2 eta / (1 - eta) and b = s0^2 / (1 - eta)
+    # the evidence integrand at eta is the N(alpha0, a I + b k P) density of y,
+    # with a = s0^2 eta / (1 - eta), b = s0^2 / (1 - eta), k = n / (q + 1) and
+    # P the projection onto the class indicators, built here row by row
     rng = np.random.default_rng(11)
-    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), (2, 3, 2))
+    design = encompassing_of(parse_model_spec("mu1 = mu3, mu2, mu4", J=4))
+    group_sizes = (2, 3, 2, 1)
+    spec = make_cip(design, group_sizes)
     theta0 = NullParams(alpha0=0.3, sigma0=1.2)
     y = theta0.alpha0 + rng.normal(size=spec.n)
     prep = PreparedIntegrand(y, theta0, spec)
+    rows = np.repeat(design.class_of_group, group_sizes)
+    onehot = (rows[:, None] == np.unique(rows)[None, :]).astype(float)
+    proj = (onehot / onehot.sum(axis=0)) @ onehot.T
+    k = spec.n / (spec.q + 1)
     s0sq = theta0.sigma0**2
     for eta in (0.2, 0.7):
-        dense = (s0sq * eta / (1.0 - eta) * np.eye(spec.n)
-                 + s0sq / (1.0 - eta) * spec.Z @ spec.winv @ spec.Z.T)
+        dense = s0sq * eta / (1.0 - eta) * np.eye(spec.n) + s0sq / (1.0 - eta) * k * proj
         want = mvn_logpdf(y, np.full(spec.n, theta0.alpha0), dense)
         got = float(prep.loglik(eta))
         assert abs(got - want) < 1e-10, f"{got} vs {want}"

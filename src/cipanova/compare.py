@@ -30,6 +30,10 @@ from .posterior import (
     prior_class_means,
 )
 
+# to_text flags a model whose log evidence moves by more than this (nat) when
+# the quadrature node count doubles
+UNCONVERGED_DELTA = 1e-8
+
 
 @dataclass(frozen=True)
 class Settings:
@@ -164,7 +168,11 @@ class ComparisonReport:
         ]
         for name, bd, pmp, dbf in zip(self.model_names, self.breakdowns,
                                       self.posterior_probs, self.display_bf):
-            note = "  (below MC resolution)" if bd.below_resolution else ""
+            notes = ["(below MC resolution)"] if bd.below_resolution else []
+            if bd.evidence is not None and bd.evidence.node_doubling_delta > UNCONVERGED_DELTA:
+                notes.append(
+                    f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
+            note = "".join("  " + n for n in notes)
             lines.append(f"{name:<14}{bd.log_bf_c_vs_0:>16.4f}{dbf:>18.4f}{pmp:>12.4f}{note}")
         return "\n".join(lines)
 

@@ -407,29 +407,6 @@ def encompassing_of(model: ConstraintModel) -> EncompassingDesign:
     )
 
 
-def build_design(design: EncompassingDesign, group_sizes) -> np.ndarray:
-    """Build the n x q design matrix: intercept plus one column per non-baseline class.
-
-    Rows are ordered group 1 units first, then group 2, and so on.
-    """
-    if len(group_sizes) != design.J:
-        raise ValueError(f"expected {design.J} group sizes, got {len(group_sizes)}")
-    if any(int(nj) < 1 for nj in group_sizes):
-        raise ValueError("every group needs at least one unit")
-    n = int(sum(group_sizes))
-    Z = np.zeros((n, design.q))
-    Z[:, 0] = 1.0
-    col = {rep: 1 + i for i, rep in enumerate(design.delta_labels)}
-    row = 0
-    for j, nj in enumerate(group_sizes, start=1):
-        nj = int(nj)
-        rep = design.class_of_group[j - 1]
-        if rep != design.baseline:
-            Z[row:row + nj, col[rep]] = 1.0
-        row += nj
-    return Z
-
-
 def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
     """Membership of each row of a T x (q-1) array of effects in the constraint region.
 

@@ -11,11 +11,11 @@ eta = sigma^2 / (sigma^2 + sigma0^2) follows Beta(1/2, 1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import EncompassingDesign, build_design
+from .constraints import EncompassingDesign
 
 
 @dataclass(frozen=True)
@@ -30,30 +30,22 @@ class NullParams:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CipSpec:
-    """Design and prior scale matrix shared by every factor of one comparison.
+    """Class structure shared by every factor of one comparison.
 
-    e is the first standard basis vector, so Z @ e is the all-ones column;
-    that identity is asserted at build time.  w stores the exact inverse
-    ((q+1)/n) * Z'Z of winv, and chol_winv its Cholesky factor.
+    Because Winv = (n / (q + 1)) (Z'Z)^{-1}, every factor reads the design only
+    through its class structure: class_index[j] is the column of group j+1's
+    class (0 for the baseline class), and sizes holds the class sizes,
+    baseline first.
     """
 
-    Z: np.ndarray
-    winv: np.ndarray
-    e: np.ndarray
+    design: EncompassingDesign
+    group_sizes: tuple[int, ...]
+    class_index: np.ndarray
+    sizes: np.ndarray
     n: int
     q: int
-    ztz: np.ndarray = field(init=False)
-    w: np.ndarray = field(init=False)
-    chol_winv: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not np.array_equal(self.Z @ self.e, np.ones(self.n)):
-            raise ValueError("Z @ e must be the all-ones column")
-        self.ztz = self.Z.T @ self.Z
-        self.w = ((self.q + 1) / self.n) * self.ztz
-        self.chol_winv = np.linalg.cholesky(self.winv)
 
 
 def estimate_null_params(data) -> NullParams:
@@ -69,15 +61,15 @@ def estimate_null_params(data) -> NullParams:
 
 
 def make_cip(design: EncompassingDesign, group_sizes) -> CipSpec:
-    """Build the prior spec for a collapsed design with the given group sizes."""
-    Z = build_design(design, group_sizes)
-    n, q = Z.shape
-    ztz = Z.T @ Z
-    try:
-        winv = (n / (q + 1)) * np.linalg.inv(ztz)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("design matrix is rank deficient") from exc
-    winv = 0.5 * (winv + winv.T)
-    e = np.zeros(q)
-    e[0] = 1.0
-    return CipSpec(Z=Z, winv=winv, e=e, n=n, q=q)
+    """Build the prior spec for a collapsed design with the given group sizes, in O(J)."""
+    if len(group_sizes) != design.J:
+        raise ValueError(f"expected {design.J} group sizes, got {len(group_sizes)}")
+    group_sizes = tuple(int(nj) for nj in group_sizes)
+    if min(group_sizes) < 1:
+        raise ValueError("every group needs at least one unit")
+    col = {rep: 1 + i for i, rep in enumerate(design.delta_labels)}
+    col[design.baseline] = 0
+    class_index = np.array([col[rep] for rep in design.class_of_group])
+    sizes = np.bincount(class_index, weights=group_sizes, minlength=design.q)
+    return CipSpec(design=design, group_sizes=group_sizes, class_index=class_index,
+                   sizes=sizes, n=sum(group_sizes), q=design.q)

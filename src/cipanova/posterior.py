@@ -34,19 +34,10 @@ class InsufficientPriorMassError(RuntimeError):
     """Raised when no prior draw lands in the constraint region."""
 
 
-def _class_totals(ztv: np.ndarray) -> np.ndarray:
-    """Per-class totals of a vector v from Z'v, baseline class first.
-
-    Z's first column is all ones and the others indicate the non-baseline
-    classes, so the baseline class holds what those columns leave over.
-    """
-    return np.concatenate(([ztv[0] - ztv[1:].sum()], ztv[1:]))
-
-
 def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.ndarray:
     """T x q prior draws of the class means, up to a location and a positive scale per row."""
     means = rng.standard_normal((T, spec.q))
-    means /= np.sqrt(_class_totals(spec.ztz[:, 0]))
+    means /= np.sqrt(spec.sizes)
     return means
 
 
@@ -62,14 +53,13 @@ def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, node
     prep = PreparedIntegrand(y, theta0, spec)
     eta_nodes, log_w = quadrature_log_weights(prep, nodes)
     idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
-    sizes = _class_totals(spec.ztz[:, 0])
     c = (spec.q + 1) / spec.n
     shrink = 1.0 / (1.0 + c * eta_nodes)
     sd = np.sqrt(theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
     means = rng.standard_normal((T, spec.q))
-    means /= np.sqrt(sizes)
+    means /= np.sqrt(spec.sizes)
     means *= sd[idx, None]
-    means += shrink[idx, None] * (_class_totals(prep.ztr) / sizes)
+    means += shrink[idx, None] * prep.rbar
     return eta_nodes[idx], means
 
 

@@ -1,5 +1,8 @@
 """Reference implementations the tests compare the library against.
 
+- The dense design (`build_design`) and the dense prior matrices the
+  library's compact `CipSpec` stands for (`dense_spec`).  Every oracle below
+  takes the compact spec and expands it through `dense_spec`.
 - The Chib-style candidate-identity estimate of the log marginal
   (`log_marginal_chib`), an MC route to the integral the library computes by
   Gauss-Jacobi quadrature, and the direct form of that integrand through the
@@ -23,11 +26,68 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from cipanova.constraints import ConstraintModel, region_mask
+from cipanova.constraints import ConstraintModel, EncompassingDesign, region_mask
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI, mvn_logpdf
 from cipanova.intrinsic import CipSpec, NullParams
 from cipanova.posterior import POSTERIOR_DRAWS, RegionProbEstimate
+
+
+def build_design(design: EncompassingDesign, group_sizes) -> np.ndarray:
+    """Build the n x q design matrix: intercept plus one column per non-baseline class.
+
+    Rows are ordered group 1 units first, then group 2, and so on.
+    """
+    if len(group_sizes) != design.J:
+        raise ValueError(f"expected {design.J} group sizes, got {len(group_sizes)}")
+    if any(int(nj) < 1 for nj in group_sizes):
+        raise ValueError("every group needs at least one unit")
+    n = int(sum(group_sizes))
+    Z = np.zeros((n, design.q))
+    Z[:, 0] = 1.0
+    col = {rep: 1 + i for i, rep in enumerate(design.delta_labels)}
+    row = 0
+    for j, nj in enumerate(group_sizes, start=1):
+        nj = int(nj)
+        rep = design.class_of_group[j - 1]
+        if rep != design.baseline:
+            Z[row:row + nj, col[rep]] = 1.0
+        row += nj
+    return Z
+
+
+@dataclass(frozen=True)
+class DenseSpec:
+    """Dense design and prior scale matrix of a compact `CipSpec`.
+
+    e is the first standard basis vector, so Z @ e is the all-ones column.
+    winv = (n/(q+1)) (Z'Z)^{-1}, w = ((q+1)/n) Z'Z is its exact inverse, and
+    chol_winv its Cholesky factor.
+    """
+
+    Z: np.ndarray
+    winv: np.ndarray
+    e: np.ndarray
+    n: int
+    q: int
+    ztz: np.ndarray
+    w: np.ndarray
+    chol_winv: np.ndarray
+
+
+def dense_spec(spec: CipSpec) -> DenseSpec:
+    """Expand a compact spec into the dense matrices it stands for."""
+    Z = build_design(spec.design, spec.group_sizes)
+    n, q = Z.shape
+    ztz = Z.T @ Z
+    winv = (n / (q + 1)) * np.linalg.inv(ztz)
+    winv = 0.5 * (winv + winv.T)
+    e = np.zeros(q)
+    e[0] = 1.0
+    if not np.array_equal(Z @ e, np.ones(n)):
+        raise ValueError("Z @ e must be the all-ones column")
+    return DenseSpec(Z=Z, winv=winv, e=e, n=n, q=q, ztz=ztz, w=((q + 1) / n) * ztz,
+                     chol_winv=np.linalg.cholesky(winv))
 
 
 def sample_sigma2_via_eta(c: float, rng: np.random.Generator) -> tuple[float, float]:
@@ -113,7 +173,8 @@ def integrand_log(eta: float, y: np.ndarray, theta0: NullParams, spec: CipSpec) 
     a = s0sq * eta / (1.0 - eta)
     b = s0sq / (1.0 - eta)
     r = np.asarray(y, dtype=float) - theta0.alpha0
-    g = LowRankGaussian(a=a, b=b, Z=spec.Z, winv=spec.winv, ztz=spec.ztz)
+    d = dense_spec(spec)
+    g = LowRankGaussian(a=a, b=b, Z=d.Z, winv=d.winv, ztz=d.ztz)
     return lowrank_logpdf(r, g)
 
 
@@ -183,8 +244,9 @@ def cip_logpdf(gamma: np.ndarray, sigma: float, theta0: NullParams, spec: CipSpe
         return -np.inf
     s0 = theta0.sigma0
     log_half_cauchy = np.log(2.0) - np.log(np.pi * s0) - np.log1p((sigma / s0) ** 2)
-    cov = (sigma**2 + s0**2) * spec.winv
-    return float(log_half_cauchy) + mvn_logpdf(gamma, theta0.alpha0 * spec.e, cov)
+    d = dense_spec(spec)
+    cov = (sigma**2 + s0**2) * d.winv
+    return float(log_half_cauchy) + mvn_logpdf(gamma, theta0.alpha0 * d.e, cov)
 
 
 def mvn_sample(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -230,8 +292,9 @@ def cip_sample(theta0: NullParams, spec: CipSpec, T: int, rng: np.random.Generat
     eta = sample_eta_half(T, rng)
     sigma2 = s0sq * eta / (1.0 - eta)
     scale = np.sqrt(sigma2 + s0sq)
-    z = rng.standard_normal((T, spec.q))
-    gamma = theta0.alpha0 * spec.e + scale[:, None] * (z @ spec.chol_winv.T)
+    d = dense_spec(spec)
+    z = rng.standard_normal((T, d.q))
+    gamma = theta0.alpha0 * d.e + scale[:, None] * (z @ d.chol_winv.T)
     return PriorDraws(T=T, gamma=gamma, eta=eta, sigma2=sigma2)
 
 
@@ -254,11 +317,12 @@ def sample_posterior(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: in
     prep = PreparedIntegrand(y, theta0, spec)
     eta_nodes, log_w = quadrature_log_weights(prep, nodes)
     idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
-    c = (spec.q + 1) / spec.n
+    d = dense_spec(spec)
+    c = (d.q + 1) / d.n
     shrink = 1.0 / (1.0 + c * eta_nodes)
     scale = np.sqrt(c * theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
-    beta_r = c * (spec.winv @ prep.ztr)
-    gamma = rng.standard_normal((T, spec.q)) @ spec.chol_winv.T
+    beta_r = c * (d.winv @ (d.Z.T @ (np.asarray(y, dtype=float) - theta0.alpha0)))
+    gamma = rng.standard_normal((T, d.q)) @ d.chol_winv.T
     gamma *= scale[idx, None]
     gamma += shrink[idx, None] * beta_r
     gamma[:, 0] += theta0.alpha0
@@ -297,11 +361,12 @@ def gamma_full_conditional(sigma2: float, y: np.ndarray, theta0: NullParams,
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     y = np.asarray(y, dtype=float)
+    d = dense_spec(spec)
     u = sigma2 + theta0.sigma0**2
-    prec = prior_scale * spec.w / u + spec.ztz / sigma2
+    prec = prior_scale * d.w / u + d.ztz / sigma2
     cov = np.linalg.inv(prec)
     cov = 0.5 * (cov + cov.T)
-    rhs = prior_scale * (spec.w @ (theta0.alpha0 * spec.e)) / u + (spec.Z.T @ y) / sigma2
+    rhs = prior_scale * (d.w @ (theta0.alpha0 * d.e)) / u + (d.Z.T @ y) / sigma2
     return cov @ rhs, cov
 
 
@@ -355,15 +420,16 @@ def run_posterior_chain(y: np.ndarray, theta0: NullParams, spec: CipSpec,
         raise ValueError(f"y must have shape ({n},)")
     s0sq = theta0.sigma0**2
     alpha0 = theta0.alpha0
-    S = spec.ztz
+    d = dense_spec(spec)
+    S = d.ztz
     c = (q + 1) / n
-    m = spec.Z.T @ y
+    m = d.Z.T @ y
     m0 = S[:, 0].copy()
     yty = float(y @ y)
     s_inv = np.linalg.inv(S)
     amat = np.linalg.cholesky(0.5 * (s_inv + s_inv.T))
     beta_ls = s_inv @ m
-    e0 = spec.e
+    e0 = d.e
 
     props = sample_eta_half(iters, rng)
     lbeta_props = beta_half_logpdf(props)

@@ -8,6 +8,7 @@ from cipanova.constraints import parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params
+from cipanova.scenarios import generate_scenario, make_preset
 
 FAST = Settings(prior_draws=20_000)
 
@@ -221,3 +222,27 @@ def test_large_offset_leaves_order_bf_unchanged():
         bds.append(bf_k0(data, up, estimate_null_params(data), Settings(), RandomSource(9)))
     base, moved = bds
     assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se
+
+
+def test_text_flags_unconverged_evidence():
+    # J=10, n=20000 with a singleton: the 64-node rule moves by nats when doubled
+    rng = np.random.default_rng(5)
+    sizes = (1, 999, 1500, 2000, 2500, 3000, 2500, 2500, 2500, 2500)
+    y = np.concatenate([rng.normal(0.02 * j, 1.0, k) for j, k in enumerate(sizes)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, 11), sizes))
+    models = [parse_model_spec("mu1 = mu2 = mu3 = mu4 = mu5 = mu6 = mu7 = mu8 = mu9 = mu10",
+                               J=10, name="M0"),
+              parse_model_spec(", ".join(f"mu{j}" for j in range(1, 11)), J=10, name="Me")]
+    report = compare(data, models, settings=FAST, rng=RandomSource(3))
+    delta = report.breakdowns[1].evidence.node_doubling_delta
+    assert delta > 1.0
+    line = report.to_text().splitlines()[-1]
+    assert line.startswith("Me") and f"(evidence unconverged: delta={delta:.2g} nat)" in line
+    assert "unconverged" not in report.to_text().splitlines()[-2]  # the null has no integral
+
+    scenario, pop3_models = make_preset("pop3", n_per_group=25, reps=1, base_seed=2026)
+    pop3 = compare(generate_scenario(scenario, 0), pop3_models, settings=FAST,
+                   rng=RandomSource(3))
+    assert all(bd.evidence.node_doubling_delta < 1e-8
+               for bd in pop3.breakdowns if bd.evidence is not None)
+    assert "unconverged" not in pop3.to_text()

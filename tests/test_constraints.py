@@ -6,13 +6,12 @@ import pytest
 from cipanova.constraints import (
     ConstraintModel,
     ParseError,
-    build_design,
     encompassing_of,
     model_to_string,
     parse_model_spec,
     region_mask,
 )
-from oracles import region_contains
+from oracles import build_design, region_contains
 
 MA = "mu2 < mu1 < mu4 < {mu3 = mu5}"
 MB = "{mu1, mu3} > {mu2, mu4, mu5}"

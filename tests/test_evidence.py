@@ -17,7 +17,7 @@ from cipanova.evidence import (
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
-from oracles import cip_sample, integrand_log, log_marginal_chib
+from oracles import cip_sample, dense_spec, integrand_log, log_marginal_chib
 
 
 def _dataset(seed=42, J=3, n_per_group=8, means=(0.0, 0.5, 1.0), sigma=1.0):
@@ -30,8 +30,25 @@ def _dataset(seed=42, J=3, n_per_group=8, means=(0.0, 0.5, 1.0), sigma=1.0):
     return data.responses, theta0, spec
 
 
-def test_prepared_integrand_matches_direct_form():
-    y, theta0, spec = _dataset()
+def _sized_case(sizes, text, offset=0.0, seed=4):
+    # unequal group means, so the class statistics differ from the grand mean
+    rng = np.random.default_rng(seed)
+    y = offset + np.concatenate([rng.normal(0.3 * j, 1.0, k) for j, k in enumerate(sizes)])
+    J = len(sizes)
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
+    spec = make_cip(encompassing_of(parse_model_spec(text, J=J)), data.group_sizes)
+    return data.responses, estimate_null_params(data), spec
+
+
+@pytest.mark.parametrize("make_case", [
+    _dataset,
+    lambda: _sized_case((1, 7749, 3, 100, 5), "mu1 = mu3, mu2, mu4, mu5"),
+    lambda: _sized_case((25, 25, 50, 25), "mu2 = mu4, mu1, mu3"),
+    lambda: _sized_case((500, 500, 500, 500), "mu1, mu2, mu3, mu4"),
+    lambda: _sized_case((6, 9, 7), "mu1, mu2, mu3", offset=1e8),
+], ids=["balanced-24", "merged-singleton-7858", "tie-125", "balanced-2000", "offset-1e8"])
+def test_prepared_integrand_matches_direct_form(make_case):
+    y, theta0, spec = make_case()
     prep = PreparedIntegrand(y, theta0, spec)
     for eta in np.linspace(0.02, 0.98, 25):
         direct = integrand_log(float(eta), y, theta0, spec)
@@ -42,10 +59,11 @@ def test_prepared_integrand_matches_direct_form():
 def test_integrand_matches_sigma_form():
     # same value through the two-step parameterization sigma2 = s0^2 eta/(1-eta)
     y, theta0, spec = _dataset(seed=5, n_per_group=4)
+    dense = dense_spec(spec)
     s0sq = theta0.sigma0**2
     for eta in (0.1, 0.5, 0.9):
         sigma2 = s0sq * eta / (1.0 - eta)
-        cov = sigma2 * np.eye(spec.n) + (sigma2 + s0sq) * spec.Z @ spec.winv @ spec.Z.T
+        cov = sigma2 * np.eye(spec.n) + (sigma2 + s0sq) * dense.Z @ dense.winv @ dense.Z.T
         want = stats.multivariate_normal(mean=theta0.alpha0 * np.ones(spec.n),
                                          cov=cov).logpdf(y)
         got = integrand_log(eta, y, theta0, spec)
@@ -62,7 +80,8 @@ def test_integrand_dense_small_oracle():
     s0sq = theta0.sigma0**2
     a = s0sq * eta / (1.0 - eta)
     b = s0sq / (1.0 - eta)
-    cov = a * np.eye(3) + b * spec.Z @ spec.winv @ spec.Z.T
+    dense = dense_spec(spec)
+    cov = a * np.eye(3) + b * dense.Z @ dense.winv @ dense.Z.T
     want = stats.multivariate_normal(mean=theta0.alpha0 * np.ones(3), cov=cov).logpdf(y)
     assert integrand_log(eta, y, theta0, spec) == pytest.approx(want, abs=1e-10)
 
@@ -104,7 +123,7 @@ def test_quadrature_against_prior_monte_carlo():
     quad = log_marginal_quadrature(y, theta0, spec)
     T = 200_000
     draws = cip_sample(theta0, spec, T, RandomSource(123).generator())
-    resid = y[None, :] - draws.gamma @ spec.Z.T
+    resid = y[None, :] - draws.gamma @ dense_spec(spec).Z.T
     ll = -0.5 * (spec.n * np.log(2.0 * np.pi) + spec.n * np.log(draws.sigma2)
                  + np.einsum("ij,ij->i", resid, resid) / draws.sigma2)
     mc = float(logsumexp(ll) - np.log(T))

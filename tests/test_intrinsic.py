@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import integrate, stats
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
-from oracles import cip_logpdf, cip_sample
+from oracles import cip_logpdf, cip_sample, dense_spec
 
 
 def _full_spec(J, n_per_group):
@@ -47,24 +48,24 @@ def test_estimate_null_params_errors():
 
 
 def test_make_cip_two_group_hand_inverse():
-    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2", J=2)), (1, 1))
+    spec = dense_spec(make_cip(encompassing_of(parse_model_spec("mu1, mu2", J=2)), (1, 1)))
     # Z'Z = [[2,1],[1,1]], inverse [[1,-1],[-1,2]], scaled by n/(q+1) = 2/3
     assert np.allclose(spec.winv, (2.0 / 3.0) * np.array([[1.0, -1.0], [-1.0, 2.0]]),
                        atol=1e-14)
     # the same matrix holds for any balanced sizes
-    spec25 = make_cip(encompassing_of(parse_model_spec("mu1, mu2", J=2)), (25, 25))
+    spec25 = dense_spec(make_cip(encompassing_of(parse_model_spec("mu1, mu2", J=2)), (25, 25)))
     assert np.allclose(spec25.winv, spec.winv, atol=1e-13)
 
 
 def test_make_cip_null_design():
-    spec = _null_spec(10)
+    spec = dense_spec(_null_spec(10))
     assert spec.q == 1
     assert spec.winv == pytest.approx(np.array([[0.5]]))  # (n/2) * (1/n)
     assert np.array_equal(spec.Z, np.ones((10, 1)))
 
 
 def test_cipspec_w_is_exact_scaled_gram():
-    spec = _full_spec(5, 7)
+    spec = dense_spec(_full_spec(5, 7))
     assert np.array_equal(spec.w, (spec.q + 1) / spec.n * spec.ztz)
     assert np.allclose(spec.w @ spec.winv, np.eye(spec.q), atol=1e-12)
     assert np.array_equal(spec.Z @ spec.e, np.ones(spec.n))
@@ -72,7 +73,7 @@ def test_cipspec_w_is_exact_scaled_gram():
 
 def test_make_cip_balanced_permutation_symmetry():
     # permuting non-baseline groups permutes Winv rows/cols identically
-    spec = _full_spec(4, 6)
+    spec = dense_spec(_full_spec(4, 6))
     sub = spec.winv[1:, 1:]
     for p in itertools.permutations(range(3)):
         p = list(p)
@@ -82,13 +83,14 @@ def test_make_cip_balanced_permutation_symmetry():
 def test_cip_logpdf_at_prior_center():
     theta0 = NullParams(alpha0=1.7, sigma0=0.9)
     spec = _full_spec(3, 4)
-    got = cip_logpdf(theta0.alpha0 * spec.e, theta0.sigma0, theta0, spec)
+    dense = dense_spec(spec)
+    got = cip_logpdf(theta0.alpha0 * dense.e, theta0.sigma0, theta0, spec)
     # half-Cauchy factor at sigma0 is 1/(pi*sigma0); normal at its own mean
-    cov = 2.0 * theta0.sigma0**2 * spec.winv
+    cov = 2.0 * theta0.sigma0**2 * dense.winv
     want = -np.log(np.pi * theta0.sigma0) + stats.multivariate_normal(
         mean=np.zeros(spec.q), cov=cov).logpdf(np.zeros(spec.q))
     assert got == pytest.approx(want, abs=1e-10)
-    assert cip_logpdf(spec.e, -1.0, theta0, spec) == -np.inf
+    assert cip_logpdf(dense.e, -1.0, theta0, spec) == -np.inf
 
 
 def test_cip_logpdf_shift_invariance():
@@ -96,7 +98,8 @@ def test_cip_logpdf_shift_invariance():
     rng = np.random.default_rng(0)
     gamma = rng.normal(size=3)
     base = cip_logpdf(gamma, 1.3, NullParams(0.4, 1.1), spec)
-    shifted = cip_logpdf(gamma + 2.5 * spec.e, 1.3, NullParams(0.4 + 2.5, 1.1), spec)
+    shifted = cip_logpdf(gamma + 2.5 * dense_spec(spec).e, 1.3, NullParams(0.4 + 2.5, 1.1),
+                         spec)
     assert shifted == pytest.approx(base, abs=1e-10)
 
 
@@ -167,3 +170,31 @@ def test_make_cip_rejects_empty_group():
     design = encompassing_of(parse_model_spec("mu1, mu2", J=2))
     with pytest.raises(ValueError):
         make_cip(design, (0, 3))
+
+
+def test_make_cip_compact_spec():
+    # Ma-style tie of groups 3 and 5 on unbalanced sizes, one of them a singleton
+    design = encompassing_of(parse_model_spec("mu3 = mu5, mu1, mu2, mu4", J=5))
+    spec = make_cip(design, (4, 1, 6, 2, 3))
+    assert (spec.n, spec.q) == (16, 4)
+    assert spec.group_sizes == (4, 1, 6, 2, 3)
+    assert spec.sizes.tolist() == [4.0, 1.0, 9.0, 2.0]  # baseline class {1} first
+    assert spec.sizes.sum() == spec.n
+    assert spec.class_index.tolist() == [0, 1, 2, 3, 2]
+    with pytest.raises(ValueError):
+        make_cip(design, (4, 1, 6, 2))
+    with pytest.raises(ValueError):
+        make_cip(design, (4, 1, 0, 2, 3))
+
+
+def test_make_cip_memory_is_order_j():
+    # the dense n x q design of five groups of 200 000 would take 40 MB
+    design = encompassing_of(parse_model_spec("mu1, mu2, mu3, mu4, mu5", J=5))
+    tracemalloc.start()
+    try:
+        spec = make_cip(design, (200_000,) * 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.n == 1_000_000
+    assert peak < 1_000_000

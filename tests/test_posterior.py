@@ -24,6 +24,7 @@ from oracles import (
     PosteriorDraws,
     PriorDraws,
     cip_sample,
+    dense_spec,
     eta_log_target,
     gamma_full_conditional,
     region_prob,
@@ -66,25 +67,27 @@ def test_gamma_conditional_hand_case():
 def test_gamma_conditional_prior_scale_zero_is_least_squares():
     y, theta0, spec = _three_group()
     mean, cov = gamma_full_conditional(0.7, y, theta0, spec, prior_scale=0.0)
-    beta_ls, *_ = np.linalg.lstsq(spec.Z, y, rcond=None)
+    dense = dense_spec(spec)
+    beta_ls, *_ = np.linalg.lstsq(dense.Z, y, rcond=None)
     assert mean == pytest.approx(beta_ls, abs=1e-10)
-    assert cov == pytest.approx(0.7 * np.linalg.inv(spec.ztz), abs=1e-12)
+    assert cov == pytest.approx(0.7 * np.linalg.inv(dense.ztz), abs=1e-12)
 
 
 def test_gamma_conditional_bayes_identity():
     # loglik + logprior - logconditional must not depend on gamma
     y, theta0, spec = _three_group()
+    dense = dense_spec(spec)
     sigma2 = 1.3
     u = sigma2 + theta0.sigma0**2
     mean, cov = gamma_full_conditional(sigma2, y, theta0, spec)
-    prior = stats.multivariate_normal(mean=theta0.alpha0 * spec.e,
-                                      cov=u * spec.winv)
+    prior = stats.multivariate_normal(mean=theta0.alpha0 * dense.e,
+                                      cov=u * dense.winv)
     cond = stats.multivariate_normal(mean=mean, cov=cov)
     rng = np.random.default_rng(3)
     vals = []
     for _ in range(5):
         gamma = rng.normal(size=spec.q)
-        resid = y - spec.Z @ gamma
+        resid = y - dense.Z @ gamma
         ll = float(np.sum(stats.norm(scale=np.sqrt(sigma2)).logpdf(resid)))
         vals.append(ll + prior.logpdf(gamma) - cond.logpdf(gamma))
     assert np.ptp(vals) < 1e-10
@@ -108,20 +111,21 @@ def test_eta_target_matches_sigma2_route():
     # map likelihood x gamma prior x inverted-beta through eta, with Jacobian;
     # differences of the unnormalized logs must agree exactly
     y, theta0, spec = _three_group(seed=21, n_per_group=4)
+    dense = dense_spec(spec)
     rng = np.random.default_rng(8)
     gamma = rng.normal(size=spec.q)
-    resid = y - spec.Z @ gamma
+    resid = y - dense.Z @ gamma
     C = float(resid @ resid)
-    dev = gamma - theta0.alpha0 * spec.e
-    D = float(dev @ spec.w @ dev)
+    dev = gamma - theta0.alpha0 * dense.e
+    D = float(dev @ dense.w @ dev)
     s0sq = theta0.sigma0**2
 
     def sigma_route(eta):
         sigma2 = s0sq * eta / (1.0 - eta)
         u = sigma2 + s0sq
         ll = -0.5 * (spec.n * np.log(2 * np.pi * sigma2) + C / sigma2)
-        lp = stats.multivariate_normal(mean=theta0.alpha0 * spec.e,
-                                       cov=u * spec.winv).logpdf(gamma)
+        lp = stats.multivariate_normal(mean=theta0.alpha0 * dense.e,
+                                       cov=u * dense.winv).logpdf(gamma)
         lib = inverted_beta_logpdf(sigma2, 0.5, 0.5, s0sq)
         jac = np.log(s0sq) - 2.0 * np.log1p(-eta)
         return ll + lp + lib + jac
