@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -12,9 +13,10 @@ import numpy as np
 from .compare import Settings, compare
 from .constraints import encompassing_of, model_to_string, parse_model_spec, region_mask
 from .data import ingest_csv
-from .evidence import PreparedIntegrand, log_marginal_quadrature
+from .evidence import PreparedIntegrand, log_marginal_quadrature, quadrature_log_weights
 from .gaussian import RandomSource, inverted_beta_logpdf, logsumexp, mvn_logpdf
 from .intrinsic import NullParams, make_cip
+from .posterior import posterior_cone_mass
 from .scenarios import MODEL_STRINGS, make_preset, preset_names
 from .simulate import power_table, run_simulation_study
 
@@ -305,6 +307,30 @@ def _check_quadrature_converges():
     assert abs(res.log_marginal - dense) < 1e-8, f"{res.log_marginal} vs dense {dense}"
 
 
+def _check_posterior_cone_mass():
+    # two classes, the baseline one merged: given eta the cone is one normal
+    # tail, so the mass is a node mixture of Phi
+    rng = np.random.default_rng(13)
+    y = rng.normal(size=24) + np.repeat([0.0, 0.4, 0.1], 8)
+    theta0 = NullParams(alpha0=float(np.mean(y)), sigma0=float(np.std(y)))
+    model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
+    spec = make_cip(encompassing_of(model), (8, 8, 8))
+    eta, log_w = quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 64)
+    shrink = 1.0 / (1.0 + 3.0 * eta / spec.n)
+    sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 8 + 1.0 / 16))
+    gap = y[8:16].mean() - np.concatenate([y[:8], y[16:]]).mean()
+    phi = [0.5 * math.erfc(-g / math.sqrt(2.0)) for g in shrink * gap / sd]
+    want = float(np.exp(log_w - logsumexp(log_w)) @ phi)
+    got = posterior_cone_mass(model, y, theta0, spec, 64).estimate
+    assert got is not None and abs(got - want) < 1e-12, f"{got} vs Phi mixture {want}"
+    # equal groups with equal means: every order of three is equally likely
+    y = np.tile(rng.normal(size=6), 3)
+    chain = parse_model_spec("mu1 < mu2 < mu3", J=3)
+    spec = make_cip(encompassing_of(chain), (6, 6, 6))
+    got = posterior_cone_mass(chain, y, NullParams(float(np.mean(y)), 1.0), spec, 64).estimate
+    assert got is not None and abs(got - 1.0 / 6.0) < 1e-12, f"{got} vs 1/3!"
+
+
 def _check_inverted_beta_half_cauchy():
     s0 = 1.7
     for sigma in (0.3, 1.0, 2.9):
@@ -340,6 +366,7 @@ _SELFTESTS = [
     ("constraint region is a cone", _check_region_cone),
     ("evidence integrand matches dense density", _check_integrand_dense),
     ("quadrature converges under node doubling", _check_quadrature_converges),
+    ("posterior cone mass matches closed form", _check_posterior_cone_mass),
     ("inverted-beta matches half-Cauchy in sigma", _check_inverted_beta_half_cauchy),
     ("power table reference values", _check_power_values),
     ("model probabilities normalize", _check_pmp_normalization),

@@ -4,9 +4,9 @@ Each constrained model's Bayes factor against the null composes two factors
 through its encompassing design: evidence of the design against the point
 null, and the posterior-to-prior cone mass ratio of the order constraints.
 Both factors are computed from one shared prior spec per model so the common
-prior cancels exactly; the posterior draws use the same Gauss-Jacobi nodes as
-the evidence rule.  Model probabilities follow from the Bayes factors and
-prior model weights through a log-sum-exp normalization.
+prior cancels exactly; the exact posterior cone mass mixes over the same
+Gauss-Jacobi nodes as the evidence rule.  Model probabilities follow from the
+Bayes factors and prior model weights through a log-sum-exp normalization.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from .evidence import EvidenceResult, log_marginal_quadrature, null_loglik
 from .gaussian import RandomSource, logsumexp
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
+    PosteriorConeMass,
     RegionProbEstimate,
     below_resolution_bound,
+    check_prior_mass,
     cone_mass,
     log_bf_constrained_vs_encompassing,
     log_bf_standard_error,
-    posterior_class_means,
+    posterior_cone_mass,
     prior_class_means,
 )
 
@@ -55,9 +57,9 @@ class Settings:
 class BfBreakdown:
     """Log Bayes factor of one model against the null, split into its factors.
 
-    log_bf_se is the Monte Carlo standard error of log_bf_c_vs_e from the two
-    cone-mass hit counts: 0 for a model without an order, None when a count
-    is zero.
+    log_bf_se is the Monte Carlo standard error of log_bf_c_vs_e from the
+    prior cone-mass hit count (the posterior mass is exact): 0 for a model
+    without an order, None when the posterior mass is unresolved.
     """
 
     model: str
@@ -66,7 +68,7 @@ class BfBreakdown:
     log_bf_c_vs_0: float
     evidence: EvidenceResult | None = None
     prior_region: RegionProbEstimate | None = None
-    post_region: RegionProbEstimate | None = None
+    post_region: PosteriorConeMass | None = None
     below_resolution: bool = False
     resolution_bound: float | None = None
     log_bf_se: float | None = 0.0
@@ -88,6 +90,12 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
     design = encompassing_of(model)
     spec = make_cip(design, data.group_sizes)
     y = data.responses
+    if model.has_order:
+        # the prior mass alone decides a refusal, so it is drawn before any other work
+        prior_est = cone_mass(
+            model, prior_class_means(spec, settings.prior_draws, rng.split(0).generator()),
+            "prior")
+        check_prior_mass(prior_est)
     ev = log_marginal_quadrature(y, theta0, spec, nodes=settings.quadrature_nodes)
     lbf_e0 = ev.log_marginal - null_loglik(y, theta0)
 
@@ -95,20 +103,15 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
         return BfBreakdown(model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=0.0,
                            log_bf_c_vs_0=lbf_e0 + 0.0, evidence=ev)
 
-    prior_est = cone_mass(
-        model, prior_class_means(spec, settings.prior_draws, rng.split(0).generator()),
-        "prior")
-    _, post_means = posterior_class_means(y, theta0, spec, settings.quadrature_nodes,
-                                          rng.split(1).generator())
-    post_est = cone_mass(model, post_means, "posterior")
+    post_est = posterior_cone_mass(model, y, theta0, spec, settings.quadrature_nodes)
     lbf_ce = log_bf_constrained_vs_encompassing(prior_est, post_est)
-    below = post_est.hits == 0
+    below = post_est.estimate is None
     return BfBreakdown(
         model=name,
         log_bf_e_vs_0=lbf_e0,
         log_bf_c_vs_e=lbf_ce,
         log_bf_c_vs_0=lbf_e0 + lbf_ce,
-        log_bf_se=log_bf_standard_error(prior_est, post_est),
+        log_bf_se=None if below else log_bf_standard_error(prior_est),
         evidence=ev,
         prior_region=prior_est,
         post_region=post_est,
@@ -168,13 +171,19 @@ class ComparisonReport:
         ]
         for name, bd, pmp, dbf in zip(self.model_names, self.breakdowns,
                                       self.posterior_probs, self.display_bf):
-            notes = ["(below MC resolution)"] if bd.below_resolution else []
+            notes = ["(posterior mass unresolved)"] if bd.below_resolution else []
             if bd.evidence is not None and bd.evidence.node_doubling_delta > UNCONVERGED_DELTA:
                 notes.append(
                     f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
             note = "".join("  " + n for n in notes)
-            lines.append(f"{name:<14}{bd.log_bf_c_vs_0:>16.4f}{dbf:>18.4f}{pmp:>12.4f}{note}")
+            lines.append(f"{name:<14}{bd.log_bf_c_vs_0:>16.4f}{_format_bf(dbf):>18}{pmp:>12.4f}"
+                         f"{note}")
         return "\n".join(lines)
+
+
+def _format_bf(bf: float) -> str:
+    """Fixed point inside [1e-4, 1e12], where it fits the column and keeps digits; else exponent."""
+    return f"{bf:.4f}" if 1e-4 <= bf <= 1e12 else f"{bf:.4e}"
 
 
 def compare(data: AnovaData, models: list[ConstraintModel],
@@ -206,8 +215,8 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     log_bf = np.array([bd.log_bf_c_vs_0 for bd in breakdowns])
     if np.all(log_bf == -np.inf):
         raise ValueError(
-            "no model has a posterior draw in its region, so every Bayes factor is "
-            "below MC resolution and the model probabilities are undefined")
+            "no model has a resolved posterior cone mass, so every Bayes factor is "
+            "below resolution and the model probabilities are undefined")
     log_post = np.log(weights) + log_bf
     pmp = np.exp(log_post - logsumexp(log_post))
 

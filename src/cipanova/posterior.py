@@ -3,31 +3,66 @@
 The Bayes factor of an order-constrained model against its encompassing model
 is the ratio of posterior to prior mass of the constraint cone.  The cone
 reads only the order of the class means, and under the conditional intrinsic
-prior the class means are independent Gaussians, so both masses are counted
-on class-mean draws instead of full (gamma, eta) draws:
+prior the class means are independent Gaussians:
 
 - a priori the class-c mean is alpha0 plus a scale shared by all classes
-  times z_c / sqrt(n_c); the cone ignores the location and the scale;
-- a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), it is
-  alpha0 + shrink(eta) rbar_c + sd(eta) z_c / sqrt(n_c), where rbar_c is the
-  class mean of y - alpha0, and eta is drawn from the normalized evidence
-  integrand on the evidence rule's Gauss-Jacobi nodes.
+  times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
+  prior mass is the hit fraction of class-mean draws (strict inequalities, no
+  tolerance);
+- a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
+  alpha0 is N(shrink rbar_c, sd^2 / n_c) with shrink = 1/(1 + c eta),
+  c = (q+1)/n and sd^2 = sigma0^2 eta/(1-eta) shrink, where rbar_c is the
+  class mean of y - alpha0.
 
-Both masses are strict-inequality hit fractions with no tolerance.
+The posterior mass is exact: the evidence-weighted mixture, over the evidence
+rule's Gauss-Chebyshev eta nodes, of P(order | eta).  For independent
+variables the probability of a strict partial order factors over the weak
+components of the order, and within a component it is a recursion over the
+down-sets (order ideals) I:
+
+    H_empty = 1,  H_I(t) = int_{-inf}^t sum_{j maximal in I} f_j(s) H_{I-j}(s) ds,
+
+with the mass H_all(inf).  Each cumulative integral runs on a per-node grid of
+Chebyshev-Lobatto panels over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], panel
+widths scaled to the sd of the narrowest class covering each point.  The grid
+doubles until the mass moves by less than POSTERIOR_REL_TOL; a mass that does
+not settle, or is too small for the +-10 sd truncation to be negligible, is
+reported as unresolved with an upper bound instead of a value.  The number of
+down-sets can grow as 2^q (counting linear extensions is #P-complete;
+Brightwell and Winkler 1991, Order), so a component with more than
+MAX_DOWNSETS of them is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .constraints import ConstraintModel, region_mask
+from .constraints import ConstraintModel, _weak_components, region_mask
 from .evidence import PreparedIntegrand, quadrature_log_weights
-from .gaussian import logsumexp
+from .gaussian import LOG_2PI, logsumexp
 from .intrinsic import CipSpec, NullParams
 
-POSTERIOR_DRAWS = 50_000
+# a posterior mass is accepted when doubling the grid moves it by less than this
+POSTERIOR_REL_TOL = 1e-9
+# a component of the order with more down-sets than this is refused
+MAX_DOWNSETS = 2**16
+# each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
+# most erfc(SPAN_SD / sqrt 2) per class
+SPAN_SD = 10.0
+_TAIL_PER_CLASS = 1.6e-23  # erfc(10 / sqrt(2)) = 1.52e-23, rounded up
+# Chebyshev-Lobatto points per panel, and the starting panel width in units of
+# the sd of the narrowest class covering the panel
+PANEL_POINTS = 24
+PANEL_SD = 6.0
+# grid points per node beyond which a mass is left unresolved
+MAX_GRID = 2**12
+# nodes lighter than this are skipped when their summed bound on the mass is
+# at most PRUNE_REL times the mass of the nodes kept
+PRUNE_WEIGHT = 1e-18
+PRUNE_REL = 1e-10
 
 
 class InsufficientPriorMassError(RuntimeError):
@@ -39,28 +74,6 @@ def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.nda
     means = rng.standard_normal((T, spec.q))
     means /= np.sqrt(spec.sizes)
     return means
-
-
-def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int,
-                          rng: np.random.Generator,
-                          T: int = POSTERIOR_DRAWS) -> tuple[np.ndarray, np.ndarray]:
-    """T exact posterior draws of eta and of the T x q class means minus alpha0.
-
-    Because W is exactly c Z'Z with c = (q+1)/n, the class means given eta are
-    independent: mean - alpha0 ~ N(rbar_c / (1 + c eta), s2 / ((1 + c eta) n_c)),
-    with s2 = sigma0^2 eta / (1 - eta).
-    """
-    prep = PreparedIntegrand(y, theta0, spec)
-    eta_nodes, log_w = quadrature_log_weights(prep, nodes)
-    idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
-    c = (spec.q + 1) / spec.n
-    shrink = 1.0 / (1.0 + c * eta_nodes)
-    sd = np.sqrt(theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
-    means = rng.standard_normal((T, spec.q))
-    means /= np.sqrt(spec.sizes)
-    means *= sd[idx, None]
-    means += shrink[idx, None] * prep.rbar
-    return eta_nodes[idx], means
 
 
 @dataclass(frozen=True)
@@ -86,33 +99,285 @@ def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionPro
     return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
 
 
+@dataclass(frozen=True)
+class PosteriorConeMass:
+    """Exact posterior mass of the constraint cone with its convergence diagnostics.
+
+    estimate is None when the mass is unresolved.  doubling_error is the
+    relative change of the mass over the last grid doubling (inf when the mass
+    is not positive), grid the number of points per node and per component of
+    the finest grid used, and upper_bound a closed-form bound on the mass.
+    """
+
+    estimate: float | None
+    doubling_error: float
+    grid: int
+    upper_bound: float
+    side: str = "posterior"
+
+
+@dataclass(frozen=True)
+class _DownSetLevel:
+    """Down-sets of one size: one (parent, top) pair per down-set and maximal element.
+
+    parent indexes the previous level's down-sets and top the component's
+    classes; owner is the 0/1 matrix, down-sets by pairs, that sums each
+    down-set's pairs.
+    """
+
+    parent: np.ndarray
+    top: np.ndarray
+    owner: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Component:
+    """A weak component of the order: its class columns and its down-set levels."""
+
+    cols: np.ndarray
+    levels: tuple[_DownSetLevel, ...]
+
+
+def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
+    """Down-set levels of each weak component with at least two classes.
+
+    Raises ValueError when a component has more than MAX_DOWNSETS down-sets.
+    """
+    col = {rep: i for i, rep in enumerate((model.baseline_rep,) + model.delta_labels)}
+    comps = []
+    for members in _weak_components(list(col), model.order):
+        if len(members) < 2:
+            continue
+        local = {rep: i for i, rep in enumerate(members)}
+        below = [0] * len(members)
+        above = [0] * len(members)
+        for a, b in model.order:
+            if a in local:
+                below[local[b]] |= 1 << local[a]
+                above[local[a]] |= 1 << local[b]
+        comps.append(_Component(cols=np.array([col[r] for r in members]),
+                                levels=_downset_levels(tuple(below), tuple(above))))
+    return tuple(comps)
+
+
+def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[_DownSetLevel, ...]:
+    """Down-sets as bit masks, size by size; below[j]/above[j] mask the classes below/above j."""
+    m = len(below)
+    level = {0: 0}
+    count = 1
+    levels = []
+    for _ in range(m):
+        nxt: dict[int, int] = {}
+        for mask in level:
+            for j in range(m):
+                if not mask >> j & 1 and below[j] & ~mask == 0:
+                    nxt.setdefault(mask | 1 << j, len(nxt))
+        count += len(nxt)
+        if count > MAX_DOWNSETS:
+            raise ValueError(
+                f"a component of the order over {m} classes has more than {MAX_DOWNSETS} "
+                "down-sets; its exact cone mass is too costly")
+        parent, top, owner = [], [], []
+        for i, mask in enumerate(nxt):
+            for j in range(m):
+                if mask >> j & 1 and above[j] & mask == 0:
+                    parent.append(level[mask ^ 1 << j])
+                    top.append(j)
+                    owner.append(i)
+        pairs = np.zeros((len(nxt), len(owner)))
+        pairs[owner, np.arange(len(owner))] = 1.0
+        levels.append(_DownSetLevel(np.array(parent), np.array(top), pairs))
+        level = nxt
+    return tuple(levels)
+
+
+@lru_cache(maxsize=None)
+def _lobatto_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Chebyshev-Lobatto points x on [-1, 1] and the matrix M with (M g)_i ~ int_{-1}^{x_i} g.
+
+    M maps values to Chebyshev coefficients, integrates those exactly and
+    evaluates the antiderivative, which vanishes at -1, at the points.
+    """
+    theta = np.pi * np.arange(points)[::-1] / (points - 1)
+    x = np.cos(theta)
+    k = np.arange(points)
+    values = np.cos(np.outer(theta, k))  # T_k(x_i)
+    anti = np.empty((points, points))
+    anti[:, 0] = x + 1.0
+    anti[:, 1] = 0.5 * (x * x - 1.0)
+    for j in range(2, points):
+        # int T_j = T_{j+1} / (2(j+1)) - T_{j-1} / (2(j-1)), and T_m(-1) = (-1)^m
+        at = np.cos((j + 1) * theta) / (2 * (j + 1)) - np.cos((j - 1) * theta) / (2 * (j - 1))
+        at_minus_one = (-1) ** (j + 1) * (1.0 / (2 * (j + 1)) - 1.0 / (2 * (j - 1)))
+        anti[:, j] = at - at_minus_one
+    return x, anti @ np.linalg.inv(values)
+
+
+def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the sorted class-interval ends and the cumulative resolution need at them.
+
+    The need grows at rate 1/s_c of the narrowest class c whose interval
+    mu_c +- SPAN_SD s_c covers the point, and not at all in gaps no class
+    covers, so equal steps of need give panels sized to the local sd.
+    """
+    ends = np.sort(np.concatenate([mu - SPAN_SD * s, mu + SPAN_SD * s], axis=1), axis=1)
+    mids = 0.5 * (ends[:, :-1] + ends[:, 1:])
+    covers = np.abs(mids[:, :, None] - mu[:, None, :]) < SPAN_SD * s[:, None, :]
+    rate = np.max(np.where(covers, 1.0 / s[:, None, :], 0.0), axis=2)
+    need = np.zeros(ends.shape)
+    np.cumsum(rate * np.diff(ends, axis=1), axis=1, out=need[:, 1:])
+    return ends, need
+
+
+def _panel_edges(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
+    """Per node, the panels + 1 points that split its total need into equal steps."""
+    target = need[:, -1:] * np.linspace(0.0, 1.0, panels + 1)
+    seg = np.minimum(np.sum(need[:, None, :] <= target[:, :, None], axis=2) - 1,
+                     need.shape[1] - 2)
+    lo, hi = np.take_along_axis(need, seg, 1), np.take_along_axis(need, seg + 1, 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(hi > lo, (target - lo) / (hi - lo), 0.0)
+    left = np.take_along_axis(ends, seg, 1)
+    return left + frac * (np.take_along_axis(ends, seg + 1, 1) - left)
+
+
+def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
+                      edges: np.ndarray) -> np.ndarray:
+    """P(the component's order | eta) at each node, on the given panel edges per node."""
+    x, M = _lobatto_rule(PANEL_POINTS)
+    half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
+    t = edges[:, :-1, None] + half * (1.0 + x)
+    z = (t[None] - mu.T[:, :, None, None]) / s.T[:, :, None, None]
+    # each class lives on its own +-SPAN_SD interval; every integrand below
+    # holds one density factor, so the panel half-widths are folded in here
+    dens = np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
+    dens *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
+    dens = dens.reshape(len(comp.cols), -1)
+    H = np.ones((1, t.size))
+    for lv in comp.levels:
+        g = dens[lv.top] * H[lv.parent]
+        if lv.owner.shape[0] < lv.owner.shape[1]:
+            g = lv.owner @ g
+        H = (g.reshape(-1, PANEL_POINTS) @ M.T).reshape((-1,) + t.shape)
+        totals = H[..., -1]
+        H += (np.cumsum(totals, axis=-1) - totals)[..., None]
+        H = H.reshape(len(g), -1)
+    return H.reshape(t.shape)[:, -1, -1]
+
+
+def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per node, log of min over order pairs (a, b) of a closed-form bound on P(X_a < X_b).
+
+    P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
+    Phi(z) <= phi(z)/|z| (Mills' ratio).
+    """
+    col = {rep: i for i, rep in enumerate((model.baseline_rep,) + model.delta_labels)}
+    a = np.array([col[p] for p, _ in model.order_reduction])
+    b = np.array([col[p] for _, p in model.order_reduction])
+    z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
+    neg = np.minimum(z, -1e-300)
+    mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)
+    log_phi = np.where(z >= 0.0, 0.0, np.minimum(np.log(0.5), mills))
+    return np.min(log_phi, axis=1)
+
+
+def _converged_mass(comps, mu, s, w) -> tuple[float, float, int]:
+    """Mixture mass over the given nodes, doubling every component's grid until it settles.
+
+    Returns (mass, relative change over the last doubling, points per node of
+    the finest grid evaluated).  The change is inf when the mass is not
+    positive or MAX_GRID stops the doubling first; the mass is nan when even
+    the starting grid and its double exceed MAX_GRID.
+    """
+    layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
+               for c in comps]
+    base = [max(1, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
+
+    def mass_at(scale):
+        node = np.ones(len(w))
+        for (comp, cmu, cs, ends, need), p in zip(layouts, base):
+            node *= _component_masses(comp, cmu, cs, _panel_edges(ends, need, p * scale))
+        return float(w @ node)
+
+    if 2 * max(base) * PANEL_POINTS > MAX_GRID:
+        return np.nan, np.inf, 0
+    prev, scale = mass_at(1), 2
+    while max(base) * scale * PANEL_POINTS <= MAX_GRID:
+        mass = mass_at(scale)
+        change = abs(mass - prev) / mass if mass > 0.0 else np.inf
+        if change < POSTERIOR_REL_TOL or not np.isfinite(change):
+            return mass, change, max(base) * scale * PANEL_POINTS
+        prev, scale = mass, 2 * scale
+    return prev, np.inf, max(base) * scale // 2 * PANEL_POINTS
+
+
+def posterior_cone_mass(model: ConstraintModel, y: np.ndarray, theta0: NullParams,
+                        spec: CipSpec, nodes: int) -> PosteriorConeMass:
+    """Exact posterior mass of the model's cone on the evidence rule's eta nodes.
+
+    Nodes lighter than PRUNE_WEIGHT are skipped only while their summed
+    closed-form bound stays within PRUNE_REL of the mass; otherwise the
+    heaviest skipped nodes are added until it does.
+    """
+    comps = order_components(model)
+    prep = PreparedIntegrand(y, theta0, spec)
+    eta, log_w = quadrature_log_weights(prep, nodes)
+    log_w = log_w - logsumexp(log_w)
+    w = np.exp(log_w)
+    shrink = 1.0 / (1.0 + (spec.q + 1) / spec.n * eta)
+    sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink)
+    mu = shrink[:, None] * prep.rbar
+    s = sd[:, None] / np.sqrt(spec.sizes)
+    log_bound = log_w + _log_pair_bound(model, mu, s)
+    bound = np.exp(log_bound)
+    # the +-SPAN_SD truncation may drop up to this much mass at every node
+    truncation = _TAIL_PER_CLASS * sum(len(c.cols) for c in comps)
+
+    def settle(keep):
+        mass, change, grid = _converged_mass(comps, mu[keep], s[keep], w[keep])
+        return mass, change, grid, (change < POSTERIOR_REL_TOL
+                                    and truncation <= POSTERIOR_REL_TOL * mass)
+
+    keep = w > PRUNE_WEIGHT
+    mass, change, grid, resolved = settle(keep)
+    if resolved and bound[~keep].sum() > PRUNE_REL * mass:
+        skipped = np.flatnonzero(~keep)
+        heavy_first = skipped[np.argsort(-bound[skipped])]
+        suffix = np.cumsum(bound[heavy_first][::-1])[::-1]
+        keep[heavy_first[:np.searchsorted(-suffix, -PRUNE_REL * mass)]] = True
+        mass, change, grid, resolved = settle(keep)
+    return PosteriorConeMass(estimate=mass if resolved else None, doubling_error=float(change),
+                             grid=int(grid), upper_bound=float(np.exp(logsumexp(log_bound))))
+
+
 def log_bf_constrained_vs_encompassing(prior_est: RegionProbEstimate,
-                                       post_est: RegionProbEstimate) -> float:
-    """Log ratio of posterior to prior cone mass; -inf when no posterior draw hits."""
+                                       post_est: PosteriorConeMass) -> float:
+    """Log ratio of posterior to prior cone mass; -inf when the posterior mass is unresolved."""
     if prior_est.side != "prior" or post_est.side != "posterior":
-        raise ValueError("pass a prior estimate then a posterior estimate")
-    if prior_est.hits == 0:
-        raise InsufficientPriorMassError(
-            f"no prior draw in the constraint region after {prior_est.total} draws; "
-            "increase the prior draw count")
-    if post_est.hits == 0:
+        raise ValueError("pass a prior estimate then a posterior mass")
+    check_prior_mass(prior_est)
+    if post_est.estimate is None:
         return -np.inf
     return float(np.log(post_est.estimate) - np.log(prior_est.estimate))
 
 
-def log_bf_standard_error(prior_est: RegionProbEstimate,
-                          post_est: RegionProbEstimate) -> float | None:
-    """Delta-method standard error of the log cone-mass ratio; None when a side has no hits.
+def check_prior_mass(prior_est: RegionProbEstimate) -> None:
+    """Raise InsufficientPriorMassError when no prior draw hit the cone."""
+    if prior_est.hits == 0:
+        raise InsufficientPriorMassError(
+            f"no prior draw in the constraint region after {prior_est.total} draws; "
+            "increase the prior draw count")
 
-    Each hit count is Binomial(total, p), so log of its hit fraction has
-    variance about (1 - p) / hits, and the two sides are independent.
+
+def log_bf_standard_error(prior_est: RegionProbEstimate) -> float:
+    """Delta-method standard error of the log cone-mass ratio, from the prior hit count alone.
+
+    The posterior mass is exact; the prior hit count is Binomial(total, p), so
+    the log of its hit fraction has variance about (1 - p) / hits.
     """
-    if prior_est.hits == 0 or post_est.hits == 0:
-        return None
-    return float(np.sqrt(sum((1.0 - r.estimate) / r.hits for r in (prior_est, post_est))))
+    return float(np.sqrt((1.0 - prior_est.estimate) / prior_est.hits))
 
 
-def below_resolution_bound(prior_est: RegionProbEstimate,
-                           post_est: RegionProbEstimate) -> float:
-    """Upper bound on the log Bayes factor when the posterior count is zero."""
-    return float(np.log(1.0 / (post_est.total + 1)) - np.log(prior_est.estimate))
+def below_resolution_bound(prior_est: RegionProbEstimate, post_est: PosteriorConeMass) -> float:
+    """Upper bound on the log Bayes factor when the posterior mass is unresolved."""
+    return float(np.log(post_est.upper_bound) - np.log(prior_est.estimate))

@@ -11,8 +11,11 @@
   `sample_eta_half` and `sample_sigma2_via_eta`.
 - Full joint draws of (gamma, eta) from the prior (`cip_sample`) and from the
   exact posterior on the evidence rule's nodes (`sample_posterior`), with
-  their cone hit fraction (`region_prob`).  The library counts cone hits on
-  class-mean draws instead; these give the same masses by the longer route.
+  their cone hit fraction (`region_prob`).  The library counts prior cone
+  hits on class-mean draws instead; these give the same masses by the longer
+  route.
+- Monte Carlo posterior class-mean draws (`posterior_class_means`), whose
+  cone hit fraction the library's exact posterior cone mass replaces.
 - The Gibbs-within-Metropolis posterior chain, with its closed-form
   conditionals.  It targets the same posterior by a third route.
 - `region_contains`, a one-point membership test over the whole transitively
@@ -30,7 +33,9 @@ from cipanova.constraints import ConstraintModel, EncompassingDesign, region_mas
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI, mvn_logpdf
 from cipanova.intrinsic import CipSpec, NullParams
-from cipanova.posterior import POSTERIOR_DRAWS, RegionProbEstimate
+from cipanova.posterior import RegionProbEstimate
+
+POSTERIOR_DRAWS = 50_000
 
 
 def build_design(design: EncompassingDesign, group_sizes) -> np.ndarray:
@@ -327,6 +332,28 @@ def sample_posterior(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: in
     gamma += shrink[idx, None] * beta_r
     gamma[:, 0] += theta0.alpha0
     return PosteriorDraws(gamma=gamma, eta=eta_nodes[idx])
+
+
+def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int,
+                          rng: np.random.Generator,
+                          T: int = POSTERIOR_DRAWS) -> tuple[np.ndarray, np.ndarray]:
+    """T exact posterior draws of eta and of the T x q class means minus alpha0.
+
+    Because W is exactly c Z'Z with c = (q+1)/n, the class means given eta are
+    independent: mean - alpha0 ~ N(rbar_c / (1 + c eta), s2 / ((1 + c eta) n_c)),
+    with s2 = sigma0^2 eta / (1 - eta).
+    """
+    prep = PreparedIntegrand(y, theta0, spec)
+    eta_nodes, log_w = quadrature_log_weights(prep, nodes)
+    idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
+    c = (spec.q + 1) / spec.n
+    shrink = 1.0 / (1.0 + c * eta_nodes)
+    sd = np.sqrt(theta0.sigma0**2 * eta_nodes / (1.0 - eta_nodes) * shrink)
+    means = rng.standard_normal((T, spec.q))
+    means /= np.sqrt(spec.sizes)
+    means *= sd[idx, None]
+    means += shrink[idx, None] * prep.rbar
+    return eta_nodes[idx], means
 
 
 def region_prob(draws, model: ConstraintModel) -> RegionProbEstimate:

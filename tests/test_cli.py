@@ -133,7 +133,7 @@ def test_compare_fails_when_every_model_is_below_resolution(capsys, tmp_path):
     assert main(["compare", str(path), "--model", "down=mu1>mu2>mu3",
                  "--model", "mixed=mu2>mu1>mu3", *FAST_FLAGS]) == 1
     captured = capsys.readouterr()
-    assert "no model has a posterior draw in its region" in captured.err
+    assert "no model has a resolved posterior cone mass" in captured.err
     assert "nan" not in captured.out
 
 
@@ -202,6 +202,17 @@ def test_simulate_records_stream(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_simulate_records_match_across_jobs(capsys):
+    argv = ["simulate", "pop2l", "--reps", "3", "--n-per-group", "10",
+            "--output", "records", "--seed", "4", *FAST_FLAGS]
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].count('"type": "replication"') == 3
+
+
 def test_simulate_text_and_errors(capsys):
     assert main(["simulate", "pop1", "--reps", "2", "--n-per-group", "6",
                  *FAST_FLAGS]) == 0
@@ -216,5 +227,5 @@ def test_simulate_text_and_errors(capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok -") == 7
+    assert out.count("ok -") == 8
     assert "all checks passed" in out

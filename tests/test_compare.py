@@ -129,18 +129,18 @@ def test_below_resolution_flag_on_contradicted_order():
     assert bd.log_bf_se is None
     report = compare(data, [mup, parse_model_spec("mu1, mu2, mu3", J=3, name="Me")],
                      settings=FAST, rng=RandomSource(8))
-    assert "below MC resolution" in report.to_text()
+    assert "posterior mass unresolved" in report.to_text()
     assert sum(report.posterior_probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_every_model_below_resolution_raises():
-    # both orders contradict a steep rise, so neither has a posterior draw
+    # both orders contradict a steep rise, so neither posterior mass resolves
     rng = np.random.default_rng(34)
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (0.0, 1.5, 3.0)])
     data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
     models = [parse_model_spec("mu1 > mu2 > mu3", J=3, name="down"),
               parse_model_spec("mu2 > mu1 > mu3", J=3, name="mixed")]
-    with pytest.raises(ValueError, match="no model has a posterior draw in its region"):
+    with pytest.raises(ValueError, match="no model has a resolved posterior cone mass"):
         compare(data, models, settings=FAST, rng=RandomSource(8))
 
 
@@ -154,8 +154,8 @@ def test_report_record_round_trips_through_json():
     up = next(m for m in back["models"] if m["name"] == "Mup")
     assert up["prior_region"]["side"] == "prior"
     assert up["log_bf_c_vs_0"] == pytest.approx(up["log_bf_e_vs_0"] + up["log_bf_c_vs_e"])
-    assert up["log_bf_se"] == pytest.approx(np.sqrt(sum(
-        (1.0 - up[side]["estimate"]) / up[side]["hits"] for side in ("prior_region", "post_region"))))
+    prior = up["prior_region"]
+    assert up["log_bf_se"] == pytest.approx(np.sqrt((1.0 - prior["estimate"]) / prior["hits"]))
     text = report.to_text()
     assert text.splitlines()[0].startswith("null fit:")
     assert "post prob" in text
@@ -196,6 +196,34 @@ def test_seed_reproducibility():
     assert a.posterior_probs != c.posterior_probs
 
 
+def _c10_report(seed):
+    rng = np.random.default_rng(77)
+    y = np.concatenate([rng.normal(m, 1.0, 12) for m in (0.0, 0.6, 1.2)])
+    data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
+    models = [parse_model_spec("mu1 = mu2 = mu3", J=3, name="M0"),
+              parse_model_spec("mu1 < mu2 < mu3", J=3, name="up"),
+              parse_model_spec("mu2 < mu1", J=3, name="rev"),
+              parse_model_spec("mu1, mu2, mu3", J=3, name="Me")]
+    return compare(data, models, settings=FAST, rng=RandomSource(seed)).to_record()["models"]
+
+
+def test_prior_stream_and_exact_posterior_across_seeds():
+    a, b = _c10_report(10), _c10_report(11)
+    # the prior draws still come from the model's split(0) stream: these hit
+    # counts are the ones the Monte Carlo posterior code recorded at this seed
+    assert [m.get("prior_region") for m in a] == [
+        None,
+        {"estimate": 0.1705, "hits": 3410, "total": 20_000, "side": "prior"},
+        {"estimate": 0.50605, "hits": 10121, "total": 20_000, "side": "prior"},
+        None]
+    assert [m.get("prior_region") for m in a] != [m.get("prior_region") for m in b]
+    # the posterior mass draws nothing, so another seed leaves it bit-identical
+    assert [m.get("post_region") for m in a] == [m.get("post_region") for m in b]
+    up = a[1]["post_region"]
+    assert set(up) == {"estimate", "side", "doubling_error", "grid", "upper_bound"}
+    assert up["doubling_error"] < 1e-9 and up["grid"] > 0
+
+
 def test_breakdown_sum_rule_enforced():
     from cipanova.compare import BfBreakdown
     with pytest.raises(ValueError):
@@ -224,15 +252,22 @@ def test_large_offset_leaves_order_bf_unchanged():
     assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se
 
 
-def test_text_flags_unconverged_evidence():
+def _large_unbalanced():
     # J=10, n=20000 with a singleton: the 64-node rule moves by nats when doubled
     rng = np.random.default_rng(5)
     sizes = (1, 999, 1500, 2000, 2500, 3000, 2500, 2500, 2500, 2500)
     y = np.concatenate([rng.normal(0.02 * j, 1.0, k) for j, k in enumerate(sizes)])
-    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, 11), sizes))
-    models = [parse_model_spec("mu1 = mu2 = mu3 = mu4 = mu5 = mu6 = mu7 = mu8 = mu9 = mu10",
-                               J=10, name="M0"),
-              parse_model_spec(", ".join(f"mu{j}" for j in range(1, 11)), J=10, name="Me")]
+    return AnovaData(responses=y, groups=np.repeat(np.arange(1, 11), sizes))
+
+
+def _j10_null_and_free():
+    return (parse_model_spec(" = ".join(f"mu{j}" for j in range(1, 11)), J=10, name="M0"),
+            parse_model_spec(", ".join(f"mu{j}" for j in range(1, 11)), J=10, name="Me"))
+
+
+def test_text_flags_unconverged_evidence():
+    data = _large_unbalanced()
+    models = list(_j10_null_and_free())
     report = compare(data, models, settings=FAST, rng=RandomSource(3))
     delta = report.breakdowns[1].evidence.node_doubling_delta
     assert delta > 1.0
@@ -246,3 +281,19 @@ def test_text_flags_unconverged_evidence():
     assert all(bd.evidence.node_doubling_delta < 1e-8
                for bd in pop3.breakdowns if bd.evidence is not None)
     assert "unconverged" not in pop3.to_text()
+
+
+def test_text_bf_column_keeps_its_width():
+    # the null's BF against Me is ~1e15 and the reversed order's ~1e-7: fixed
+    # point would run the first into the log BF column and print the second as 0
+    null, free = _j10_null_and_free()
+    models = [null, parse_model_spec("mu2 < mu5 < mu10", J=10, name="up"),
+              parse_model_spec("mu10 < mu5 < mu2", J=10, name="down"), free]
+    report = compare(_large_unbalanced(), models, settings=FAST, rng=RandomSource(3))
+    rows = report.to_text().splitlines()[3:]
+    for row, dbf in zip(rows, report.display_bf):
+        field = row[30:48]
+        assert field[0] == " " and float(field) == pytest.approx(dbf, rel=1e-4)
+    assert report.display_bf[0] > 1e12 and "e+" in rows[0][30:48]
+    assert 0.0 < report.display_bf[2] < 1e-4 and "e-" in rows[2][30:48]
+    assert rows[1][30:48].strip() == f"{report.display_bf[1]:.4f}"

@@ -1,0 +1,79 @@
+"""Property tests of the exact posterior cone mass on random data with J = 2-4 groups."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cipanova.constraints import encompassing_of, parse_model_spec
+from cipanova.data import AnovaData
+from cipanova.intrinsic import estimate_null_params, make_cip
+from cipanova.posterior import POSTERIOR_REL_TOL, posterior_cone_mass
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def datasets(draw):
+    J = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=J, max_size=J))
+    means = draw(st.lists(st.floats(-1.5, 1.5), min_size=J, max_size=J))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.concatenate([m + rng.standard_normal(n) for m, n in zip(means, sizes)])
+    return AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
+
+
+def _mass(data, text):
+    model = parse_model_spec(text, J=data.J)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    return posterior_cone_mass(model, data.responses, estimate_null_params(data), spec, 64)
+
+
+def _chain(perm):
+    return " < ".join(f"mu{j}" for j in perm)
+
+
+@PROPERTY
+@given(datasets())
+def test_total_orders_partition_the_posterior(data):
+    masses = [_mass(data, _chain(p)) for p in itertools.permutations(range(1, data.J + 1))]
+    resolved = sum(m.estimate for m in masses if m.estimate is not None)
+    # an unresolved order contributes at most its upper bound
+    slack = sum(m.upper_bound for m in masses if m.estimate is None)
+    assert -1e-9 - slack <= resolved - 1.0 <= 1e-9
+
+
+@PROPERTY
+@given(datasets(), st.randoms(use_true_random=False))
+def test_mass_ignores_group_labels(data, random):
+    # group j of the data becomes group perm[j - 1], and so does mu_j in the model
+    perm = list(range(1, data.J + 1))
+    random.shuffle(perm)
+    moved = AnovaData(responses=data.responses, groups=np.array(perm)[data.groups - 1])
+    order = list(range(1, data.J + 1))
+    random.shuffle(order)
+    base = _mass(data, _chain(order))
+    again = _mass(moved, _chain(perm[j - 1] for j in order))
+    if base.estimate is None:
+        assert again.estimate is None
+    else:
+        assert abs(again.estimate - base.estimate) <= 4 * POSTERIOR_REL_TOL * base.estimate
+
+
+@PROPERTY
+@given(datasets(), st.floats(1e-6, 1e6), st.floats(-1e8, 1e8))
+def test_mass_ignores_affine_maps_of_the_data(data, a, b):
+    y = data.responses
+    moved = AnovaData(responses=a * y + b, groups=data.groups)
+    # a * y + b is rounded to the float spacing at its magnitude, which
+    # perturbs the data by eps relative to their spread (up to 2e-2 at a = 1e-6,
+    # |b| = 1e8); the mass may move by a small multiple of that, and by its own
+    # tolerance
+    eps = np.finfo(float).eps * (abs(b) + a * np.max(np.abs(y))) / (a * np.std(y))
+    text = _chain(range(1, data.J + 1))
+    base, again = _mass(data, text), _mass(moved, text)
+    assert (base.estimate is None) == (again.estimate is None)
+    if base.estimate is not None:
+        tol = 4 * POSTERIOR_REL_TOL + 10 * eps
+        assert abs(again.estimate - base.estimate) <= tol * base.estimate

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,14 +10,18 @@ from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import RandomSource, inverted_beta_logpdf
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
+from cipanova import posterior
 from cipanova.posterior import (
     InsufficientPriorMassError,
+    PosteriorConeMass,
     RegionProbEstimate,
     below_resolution_bound,
+    check_prior_mass,
     cone_mass,
     log_bf_constrained_vs_encompassing,
     log_bf_standard_error,
-    posterior_class_means,
+    order_components,
+    posterior_cone_mass,
     prior_class_means,
 )
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
@@ -27,6 +33,7 @@ from oracles import (
     dense_spec,
     eta_log_target,
     gamma_full_conditional,
+    posterior_class_means,
     region_prob,
     run_posterior_chain,
     sample_posterior,
@@ -298,6 +305,115 @@ def test_sampler_gamma_given_eta_matches_full_conditional():
     assert checked >= 2
 
 
+def _zero_mean_data(J, n=7, seed=0):
+    # every group mean equals the grand mean, so every rbar_c is 0 and, with
+    # equal sizes, the class means are iid given eta at every node
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([(lambda v: v - v.mean())(rng.normal(size=n)) for _ in range(J)])
+    return AnovaData(responses=y + 3.0, groups=np.repeat(np.arange(1, J + 1), n))
+
+
+def _exact_mass(data, text):
+    model = parse_model_spec(text, J=data.J)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    return posterior_cone_mass(model, data.responses, estimate_null_params(data), spec, 64)
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_exact_mass_of_iid_chain_is_one_over_q_factorial(q):
+    post = _exact_mass(_zero_mean_data(q), " < ".join(f"mu{j}" for j in range(1, q + 1)))
+    assert post.estimate == pytest.approx(1.0 / math.factorial(q), rel=1e-9)
+    assert post.doubling_error < posterior.POSTERIOR_REL_TOL
+
+
+@pytest.mark.parametrize("text, J, exact", [
+    ("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}", 10, 1.0 / 252.0),
+    # the "N" order a < c, b < c, b < d has 5 of the 24 linear extensions
+    ("mu1 < mu3, mu2 < mu3, mu2 < mu4", 4, 5.0 / 24.0),
+    # two weak components multiply: 1/2 * 1/6
+    ("mu1 < mu2, mu3 < mu4 < mu5", 5, 1.0 / 12.0),
+], ids=["5-vs-5", "N", "two components"])
+def test_exact_mass_of_iid_partial_orders(text, J, exact):
+    assert _exact_mass(_zero_mean_data(J), text).estimate == pytest.approx(exact, rel=1e-9)
+
+
+def test_exact_mass_matches_node_mixture():
+    # the merged two-class case of test_sampler_cone_mass_matches_node_mixture:
+    # given eta the cone is one normal tail, so the mass is a node mixture of Phi
+    data = _c10_data()
+    model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
+    y, theta0 = data.responses, estimate_null_params(data)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    eta, log_w = quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 64)
+    shrink = 1.0 / (1.0 + 3.0 * eta / spec.n)
+    sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 12 + 1.0 / 24))
+    r = y - theta0.alpha0
+    gap = r[data.groups == 2].mean() - r[data.groups != 2].mean()
+    exact = float(np.exp(log_w - logsumexp(log_w)) @ stats.norm.cdf(shrink * gap / sd))
+    post = posterior_cone_mass(model, y, theta0, spec, 64)
+    assert abs(post.estimate - exact) < 1e-12
+
+
+def _j10_data(seed=1):
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([0.1 * j + rng.standard_normal(20) for j in range(10)])
+    return AnovaData(responses=y, groups=np.repeat(np.arange(1, 11), 20))
+
+
+@pytest.mark.parametrize("make_data, text", [
+    (_c07_data, MODEL_STRINGS["M2"]),
+    (_c07_data, MODEL_STRINGS["M3"]),
+    (_j10_data, "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"),
+    (_c10_data, "mu1 < mu2 < mu3"),
+    (_c10_data, "mu2 < mu1"),
+], ids=["pop3 M2", "pop3 M3", "j10 split", "c10 up", "c10 rev"])
+def test_exact_mass_agrees_with_sampler(make_data, text):
+    data = make_data()
+    model = parse_model_spec(text, J=data.J)
+    y, theta0 = data.responses, estimate_null_params(data)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    post = posterior_cone_mass(model, y, theta0, spec, 64)
+    rng = RandomSource(75).generator()
+    T, hits = 0, 0
+    for _ in range(10):  # 2M draws in chunks of 200k
+        _, means = posterior_class_means(y, theta0, spec, 64, rng, T=200_000)
+        est = cone_mass(model, means, "posterior")
+        T, hits = T + est.total, hits + est.hits
+    p = hits / T
+    assert abs(post.estimate - p) < 4.0 * np.sqrt(p * (1.0 - p) / T)
+
+
+def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
+    # steeply decreasing means against the increasing chain (the data of
+    # test_below_resolution_flag_on_contradicted_order)
+    rng = np.random.default_rng(33)
+    y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
+    model = parse_model_spec("mu1 < mu2 < mu3", J=3)
+    spec = make_cip(encompassing_of(model), (12, 12, 12))
+    post = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
+    assert post.estimate is None
+    assert 0.0 < post.upper_bound < 1e-10
+    # a grid cap that stops the doubling leaves an ordinary mass unresolved too
+    assert _exact_mass(_c10_data(), "mu1 < mu2 < mu3").estimate is not None
+    monkeypatch.setattr(posterior, "MAX_GRID", 2 * posterior.PANEL_POINTS)
+    capped = _exact_mass(_c10_data(), "mu1 < mu2 < mu3")
+    assert capped.estimate is None and capped.doubling_error == np.inf
+    assert 0.0 < capped.upper_bound <= 1.0 + 1e-12
+
+
+def test_downset_budget_raises(monkeypatch):
+    five_vs_five = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
+                                    J=10)
+    assert sum(len(lv.owner) for lv in order_components(five_vs_five)[0].levels) == 62
+    monkeypatch.setattr(posterior, "MAX_DOWNSETS", 62)
+    with pytest.raises(ValueError, match="down-sets"):
+        order_components(five_vs_five)
+    # free classes and separate components do not count against one budget
+    monkeypatch.setattr(posterior, "MAX_DOWNSETS", 4)
+    comps = order_components(parse_model_spec("mu1 < mu2 < mu3, mu4 < mu5", J=6))
+    assert [sorted(c.cols) for c in comps] == [[0, 1, 2], [3, 4]]
+
+
 def test_region_prob_sides_and_counts():
     m = parse_model_spec("mu1 < mu2", J=2)
     gamma = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, 3.0], [0.0, -2.0]])
@@ -347,7 +463,7 @@ def test_prior_cone_mass_matches_exact_value(text, J, exact):
 
 def test_log_bf_from_region_estimates():
     prior = RegionProbEstimate(estimate=0.1, hits=10, total=100, side="prior")
-    post = RegionProbEstimate(estimate=0.8, hits=80, total=100, side="posterior")
+    post = PosteriorConeMass(estimate=0.8, doubling_error=1e-12, grid=96, upper_bound=1.0)
     assert log_bf_constrained_vs_encompassing(prior, post) == pytest.approx(np.log(8.0),
                                                                             rel=1e-12)
     with pytest.raises(ValueError):
@@ -355,14 +471,16 @@ def test_log_bf_from_region_estimates():
     empty_prior = RegionProbEstimate(estimate=0.0, hits=0, total=100, side="prior")
     with pytest.raises(InsufficientPriorMassError):
         log_bf_constrained_vs_encompassing(empty_prior, post)
-    empty_post = RegionProbEstimate(estimate=0.0, hits=0, total=1000, side="posterior")
-    assert log_bf_constrained_vs_encompassing(prior, empty_post) == -np.inf
+    with pytest.raises(InsufficientPriorMassError):
+        check_prior_mass(empty_prior)
+    unresolved = PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=4096,
+                                   upper_bound=1e-20)
+    assert log_bf_constrained_vs_encompassing(prior, unresolved) == -np.inf
     bound = below_resolution_bound(
-        RegionProbEstimate(estimate=0.25, hits=25, total=100, side="prior"), empty_post)
-    assert bound == pytest.approx(np.log(1.0 / 1001) - np.log(0.25), abs=1e-12)
-    assert log_bf_standard_error(prior, post) == pytest.approx(
-        np.sqrt(0.9 / 10 + 0.2 / 80), rel=1e-12)
-    assert log_bf_standard_error(prior, empty_post) is None
+        RegionProbEstimate(estimate=0.25, hits=25, total=100, side="prior"), unresolved)
+    assert bound == pytest.approx(np.log(1e-20) - np.log(0.25), abs=1e-12)
+    # the posterior mass is exact, so only the prior hit count carries error
+    assert log_bf_standard_error(prior) == pytest.approx(np.sqrt(0.9 / 10), rel=1e-12)
 
 
 def test_estimate_dataclass_validation():
