@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp, roots_jacobi
 
+from cipanova import posterior
 from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import RandomSource, inverted_beta_logpdf
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
-from cipanova import posterior
 from cipanova.posterior import (
     InsufficientPriorMassError,
     PosteriorConeMass,
@@ -322,7 +322,7 @@ def _exact_mass(data, text):
 @pytest.mark.parametrize("q", range(2, 11))
 def test_exact_mass_of_iid_chain_is_one_over_q_factorial(q):
     post = _exact_mass(_zero_mean_data(q), " < ".join(f"mu{j}" for j in range(1, q + 1)))
-    assert post.estimate == pytest.approx(1.0 / math.factorial(q), rel=1e-9)
+    assert post.estimate == pytest.approx(1.0 / math.factorial(q), rel=1e-9, abs=0.0)
     assert post.doubling_error < posterior.POSTERIOR_REL_TOL
 
 
@@ -334,7 +334,8 @@ def test_exact_mass_of_iid_chain_is_one_over_q_factorial(q):
     ("mu1 < mu2, mu3 < mu4 < mu5", 5, 1.0 / 12.0),
 ], ids=["5-vs-5", "N", "two components"])
 def test_exact_mass_of_iid_partial_orders(text, J, exact):
-    assert _exact_mass(_zero_mean_data(J), text).estimate == pytest.approx(exact, rel=1e-9)
+    assert _exact_mass(_zero_mean_data(J), text).estimate == pytest.approx(exact, rel=1e-9,
+                                                                          abs=0.0)
 
 
 def test_exact_mass_matches_node_mixture():
@@ -399,6 +400,19 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     capped = _exact_mass(_c10_data(), "mu1 < mu2 < mu3")
     assert capped.estimate is None and capped.doubling_error == np.inf
     assert 0.0 < capped.upper_bound <= 1.0 + 1e-12
+
+
+def test_skipped_nodes_are_restored_when_their_bound_matters(monkeypatch):
+    # an order against the data, mass ~1.8e-12: the nodes lighter than
+    # PRUNE_WEIGHT shift it by ~3e-9 relative, so some must be added back
+    rng = np.random.default_rng(33)
+    data = AnovaData(responses=np.concatenate([rng.normal(m, 0.5, size=12) for m in (2, 1, 0)]),
+                     groups=np.repeat([1, 2, 3], 12))
+    pruned = _exact_mass(data, "mu1 < mu2 < mu3").estimate
+    monkeypatch.setattr(posterior, "PRUNE_WEIGHT", 0.0)
+    every_node = _exact_mass(data, "mu1 < mu2 < mu3").estimate
+    assert 1e-13 < every_node < 1e-11
+    assert pruned == pytest.approx(every_node, rel=2 * posterior.POSTERIOR_REL_TOL, abs=0.0)
 
 
 def test_downset_budget_raises(monkeypatch):
