@@ -47,8 +47,10 @@ from .intrinsic import CipSpec, NullParams
 
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
-# a component of the order with more down-sets than this is refused
-MAX_DOWNSETS = 2**16
+# a component of the order with more down-sets than this is refused; its
+# widest level would already hold more arrays than MAX_ELEMENTS allows on a
+# grid fine enough to settle
+MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
 SPAN_SD = 10.0
@@ -59,6 +61,9 @@ PANEL_POINTS = 24
 PANEL_SD = 6.0
 # grid points per node beyond which a mass is left unresolved
 MAX_GRID = 2**12
+# float64 elements one recursion step may hold (32 MB): nodes go through in
+# chunks under it, and a grid too fine for even one node counts as past MAX_GRID
+MAX_ELEMENTS = 2**22
 # nodes lighter than this are skipped when their summed bound on the mass is
 # at most PRUNE_REL times the mass of the nodes kept
 PRUNE_WEIGHT = 1e-18
@@ -118,24 +123,29 @@ class PosteriorConeMass:
 
 @dataclass(frozen=True)
 class _DownSetLevel:
-    """Down-sets of one size: one (parent, top) pair per down-set and maximal element.
+    """Down-sets of one size, a row each, with a column per maximal element.
 
-    parent indexes the previous level's down-sets and top the component's
-    classes; owner is the 0/1 matrix, down-sets by pairs, that sums each
-    down-set's pairs.
+    top[d, k] is the k-th maximal class of down-set d and parent[d, k] the
+    previous level's down-set without it.  Rows with fewer maximal classes
+    are padded with top = the number of classes, which indexes a zero
+    density, and parent = 0.
     """
 
-    parent: np.ndarray
     top: np.ndarray
-    owner: np.ndarray
+    parent: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Component:
-    """A weak component of the order: its class columns and its down-set levels."""
+    """A weak component of the order: its class columns and its down-set levels.
+
+    rows bounds the number of grid-sized arrays per node that one step of the
+    recursion holds at once.
+    """
 
     cols: np.ndarray
     levels: tuple[_DownSetLevel, ...]
+    rows: int
 
 
 def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
@@ -155,8 +165,12 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
             if a in local:
                 below[local[b]] |= 1 << local[a]
                 above[local[a]] |= 1 << local[b]
-        comps.append(_Component(cols=np.array([col[r] for r in members]),
-                                levels=_downset_levels(tuple(below), tuple(above))))
+        levels = _downset_levels(tuple(below), tuple(above))
+        # the densities and their temporaries, then per level the previous
+        # H, the integrand, two gathers, their product and the new H
+        rows = 4 * len(members) + max(
+            len(prev.top) + 5 * len(lv.top) for prev, lv in zip((levels[0],) + levels, levels))
+        comps.append(_Component(np.array([col[r] for r in members]), levels, rows))
     return tuple(comps)
 
 
@@ -177,16 +191,14 @@ def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[_Do
             raise ValueError(
                 f"a component of the order over {m} classes has more than {MAX_DOWNSETS} "
                 "down-sets; its exact cone mass is too costly")
-        parent, top, owner = [], [], []
-        for i, mask in enumerate(nxt):
-            for j in range(m):
-                if mask >> j & 1 and above[j] & mask == 0:
-                    parent.append(level[mask ^ 1 << j])
-                    top.append(j)
-                    owner.append(i)
-        pairs = np.zeros((len(nxt), len(owner)))
-        pairs[owner, np.arange(len(owner))] = 1.0
-        levels.append(_DownSetLevel(np.array(parent), np.array(top), pairs))
+        tops = [[j for j in range(m) if mask >> j & 1 and above[j] & mask == 0] for mask in nxt]
+        width = max(map(len, tops))
+        top = np.full((len(nxt), width), m)
+        parent = np.zeros((len(nxt), width), dtype=int)
+        for i, (mask, js) in enumerate(zip(nxt, tops)):
+            top[i, :len(js)] = js
+            parent[i, :len(js)] = [level[mask ^ 1 << j] for j in js]
+        levels.append(_DownSetLevel(top, parent))
         level = nxt
     return tuple(levels)
 
@@ -250,14 +262,14 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     z = (t[None] - mu.T[:, :, None, None]) / s.T[:, :, None, None]
     # each class lives on its own +-SPAN_SD interval; every integrand below
     # holds one density factor, so the panel half-widths are folded in here
-    dens = np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
-    dens *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
-    dens = dens.reshape(len(comp.cols), -1)
+    dens = np.zeros((len(comp.cols) + 1, t.size))  # the last row pads the levels
+    dens[:-1] = (np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
+                 * (half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi)))).reshape(len(z), -1)
     H = np.ones((1, t.size))
     for lv in comp.levels:
-        g = dens[lv.top] * H[lv.parent]
-        if lv.owner.shape[0] < lv.owner.shape[1]:
-            g = lv.owner @ g
+        g = dens[lv.top[:, 0]] * H[lv.parent[:, 0]]
+        for k in range(1, lv.top.shape[1]):
+            g += dens[lv.top[:, k]] * H[lv.parent[:, k]]
         H = (g.reshape(-1, PANEL_POINTS) @ M.T).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
@@ -286,23 +298,30 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int]:
 
     Returns (mass, relative change over the last doubling, points per node of
     the finest grid evaluated).  The change is inf when the mass is not
-    positive or MAX_GRID stops the doubling first; the mass is nan when even
-    the starting grid and its double exceed MAX_GRID.
+    positive or the grid cap (MAX_GRID, lower for components too wide for
+    MAX_ELEMENTS) stops the doubling first; the mass is nan when even the
+    starting grid and its double exceed the cap.
     """
     layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
                for c in comps]
     base = [max(1, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
 
+    cap = min(MAX_GRID, MAX_ELEMENTS // max(c.rows for c in comps))
+
     def mass_at(scale):
         node = np.ones(len(w))
         for (comp, cmu, cs, ends, need), p in zip(layouts, base):
-            node *= _component_masses(comp, cmu, cs, _panel_edges(ends, need, p * scale))
+            edges = _panel_edges(ends, need, p * scale)
+            step = max(1, MAX_ELEMENTS // (comp.rows * p * scale * PANEL_POINTS))
+            node *= np.concatenate([
+                _component_masses(comp, cmu[i:i + step], cs[i:i + step], edges[i:i + step])
+                for i in range(0, len(w), step)])
         return float(w @ node)
 
-    if 2 * max(base) * PANEL_POINTS > MAX_GRID:
+    if 2 * max(base) * PANEL_POINTS > cap:
         return np.nan, np.inf, 0
     prev, scale = mass_at(1), 2
-    while max(base) * scale * PANEL_POINTS <= MAX_GRID:
+    while max(base) * scale * PANEL_POINTS <= cap:
         mass = mass_at(scale)
         change = abs(mass - prev) / mass if mass > 0.0 else np.inf
         if change < POSTERIOR_REL_TOL or not np.isfinite(change):

@@ -415,10 +415,25 @@ def test_skipped_nodes_are_restored_when_their_bound_matters(monkeypatch):
     assert pruned == pytest.approx(every_node, rel=2 * posterior.POSTERIOR_REL_TOL, abs=0.0)
 
 
+def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
+    data = _j10_data()
+    text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
+    whole = _exact_mass(data, text)
+    rows = order_components(parse_model_spec(text, J=10))[0].rows
+    # room for three nodes at a time on the finest grid used
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", 3 * rows * whole.grid)
+    chunked = _exact_mass(data, text)
+    assert chunked.estimate == pytest.approx(whole.estimate, rel=1e-13, abs=0.0)
+    assert chunked.grid == whole.grid
+    # room for less than the grid the mass needs: unresolved, not a larger array
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid // 2)
+    assert _exact_mass(data, text).estimate is None
+
+
 def test_downset_budget_raises(monkeypatch):
     five_vs_five = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
                                     J=10)
-    assert sum(len(lv.owner) for lv in order_components(five_vs_five)[0].levels) == 62
+    assert sum(len(lv.top) for lv in order_components(five_vs_five)[0].levels) == 62
     monkeypatch.setattr(posterior, "MAX_DOWNSETS", 62)
     with pytest.raises(ValueError, match="down-sets"):
         order_components(five_vs_five)
