@@ -168,8 +168,8 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         levels = _downset_levels(tuple(below), tuple(above))
         # the densities and their temporaries, then per level the previous
         # H, the integrand, two gathers, their product and the new H
-        rows = 4 * len(members) + max(
-            len(prev.top) + 5 * len(lv.top) for prev, lv in zip((levels[0],) + levels, levels))
+        sizes = [1] + [len(lv.top) for lv in levels]
+        rows = 4 * len(members) + max(prev + 5 * cur for prev, cur in zip(sizes, sizes[1:]))
         comps.append(_Component(np.array([col[r] for r in members]), levels, rows))
     return tuple(comps)
 
