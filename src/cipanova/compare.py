@@ -151,7 +151,7 @@ class ComparisonReport:
                 entry["evidence"] = asdict(bd.evidence)
             if bd.prior_region is not None:
                 entry["prior_region"] = asdict(bd.prior_region)
-                entry["post_region"] = asdict(bd.post_region)
+                entry["post_region"] = {**asdict(bd.post_region), "side": "posterior"}
             if bd.below_resolution:
                 entry["below_resolution"] = True
                 entry["resolution_bound"] = bd.resolution_bound

@@ -25,12 +25,13 @@ down-sets (order ideals) I:
 with the mass H_all(inf).  Each cumulative integral runs on a per-node grid of
 Chebyshev-Lobatto panels over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], panel
 widths scaled to the sd of the narrowest class covering each point.  The grid
-doubles until the mass moves by less than POSTERIOR_REL_TOL; a mass that does
-not settle, or is too small for the +-10 sd truncation to be negligible, is
-reported as unresolved with an upper bound instead of a value.  The number of
-down-sets can grow as 2^q (counting linear extensions is #P-complete;
-Brightwell and Winkler 1991, Order), so a component with more than
-MAX_DOWNSETS of them is refused.
+doubles until the mass moves by less than POSTERIOR_REL_TOL.  A mass too
+small for the +-10 sd truncation to be negligible is reported as unresolved,
+with an upper bound instead of a value; a larger mass that the grid cap stops
+before it settles raises ValueError, since dropping it would skew the other
+models' probabilities.  The number of down-sets can grow as 2^q (counting
+linear extensions is #P-complete; Brightwell and Winkler 1991, Order), so a
+component with more than MAX_DOWNSETS of them is refused the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import ConstraintModel, _weak_components, region_mask
+from .constraints import ConstraintModel, _weak_components, model_to_string, region_mask
 from .evidence import PreparedIntegrand, quadrature_log_weights
 from .gaussian import LOG_2PI, logsumexp
 from .intrinsic import CipSpec, NullParams
@@ -59,7 +60,7 @@ _TAIL_PER_CLASS = 1.6e-23  # erfc(10 / sqrt(2)) = 1.52e-23, rounded up
 # the sd of the narrowest class covering the panel
 PANEL_POINTS = 24
 PANEL_SD = 6.0
-# grid points per node beyond which a mass is left unresolved
+# grid points per node beyond which a mass that has not settled is refused
 MAX_GRID = 2**12
 # float64 elements one recursion step may hold (32 MB): nodes go through in
 # chunks under it, and a grid too fine for even one node counts as past MAX_GRID
@@ -68,6 +69,8 @@ MAX_ELEMENTS = 2**22
 # at most PRUNE_REL times the mass of the nodes kept
 PRUNE_WEIGHT = 1e-18
 PRUNE_REL = 1e-10
+# rows of class means turned into effects at a time when counting cone hits
+CONE_BLOCK = 2**14
 
 
 class InsufficientPriorMassError(RuntimeError):
@@ -99,7 +102,9 @@ class RegionProbEstimate:
 
 def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:
     """Fraction of class-mean rows whose effects, each class minus the baseline, lie in the cone."""
-    hits = int(np.count_nonzero(region_mask(model, means[:, 1:] - means[:, :1])))
+    # the effects are formed a block of rows at a time, so no copy of all of them is held
+    hits = sum(int(np.count_nonzero(region_mask(model, block[:, 1:] - block[:, :1])))
+               for block in np.split(means, range(CONE_BLOCK, len(means), CONE_BLOCK)))
     total = means.shape[0]
     return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
 
@@ -110,15 +115,15 @@ class PosteriorConeMass:
 
     estimate is None when the mass is unresolved.  doubling_error is the
     relative change of the mass over the last grid doubling (inf when the mass
-    is not positive), grid the number of points per node and per component of
-    the finest grid used, and upper_bound a closed-form bound on the mass.
+    is not positive or no grid was evaluated), grid the number of points per
+    node and per component of the finest grid used (0 when the bound alone
+    shows the mass negligible), and upper_bound a closed-form bound on the mass.
     """
 
     estimate: float | None
     doubling_error: float
     grid: int
     upper_bound: float
-    side: str = "posterior"
 
 
 @dataclass(frozen=True)
@@ -293,14 +298,15 @@ def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np
     return np.min(log_phi, axis=1)
 
 
-def _converged_mass(comps, mu, s, w) -> tuple[float, float, int]:
+def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     """Mixture mass over the given nodes, doubling every component's grid until it settles.
 
     Returns (mass, relative change over the last doubling, points per node of
-    the finest grid evaluated).  The change is inf when the mass is not
-    positive or the grid cap (MAX_GRID, lower for components too wide for
-    MAX_ELEMENTS) stops the doubling first; the mass is nan when even the
-    starting grid and its double exceed the cap.
+    the finest grid evaluated, largest |mass| of the last two grids).  The
+    doubling stops when the change falls below POSTERIOR_REL_TOL, when the
+    mass is not positive (change inf) or at the grid cap (MAX_GRID, lower for
+    components too wide for MAX_ELEMENTS); the mass and the level are nan when
+    even the starting grid and its double exceed the cap.
     """
     layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
                for c in comps]
@@ -319,15 +325,15 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int]:
         return float(w @ node)
 
     if 2 * max(base) * PANEL_POINTS > cap:
-        return np.nan, np.inf, 0
+        return np.nan, np.inf, 0, np.nan
     prev, scale = mass_at(1), 2
-    while max(base) * scale * PANEL_POINTS <= cap:
+    while True:
         mass = mass_at(scale)
+        grid = max(base) * scale * PANEL_POINTS
         change = abs(mass - prev) / mass if mass > 0.0 else np.inf
-        if change < POSTERIOR_REL_TOL or not np.isfinite(change):
-            return mass, change, max(base) * scale * PANEL_POINTS
+        if change < POSTERIOR_REL_TOL or not np.isfinite(change) or 2 * grid > cap:
+            return mass, change, grid, max(abs(mass), abs(prev))
         prev, scale = mass, 2 * scale
-    return prev, np.inf, max(base) * scale // 2 * PANEL_POINTS
 
 
 def posterior_cone_mass(model: ConstraintModel, y: np.ndarray, theta0: NullParams,
@@ -336,7 +342,10 @@ def posterior_cone_mass(model: ConstraintModel, y: np.ndarray, theta0: NullParam
 
     Nodes lighter than PRUNE_WEIGHT are skipped only while their summed
     closed-form bound stays within PRUNE_REL of the mass; otherwise the
-    heaviest skipped nodes are added until it does.
+    heaviest skipped nodes are added until it does.  A mass that does not
+    settle is unresolved only when it is negligible, i.e. the bound or the
+    last two grids put it within the truncation floor; otherwise it raises
+    ValueError, like an order with too many down-sets.
     """
     comps = order_components(model)
     prep = PreparedIntegrand(y, theta0, spec)
@@ -349,32 +358,42 @@ def posterior_cone_mass(model: ConstraintModel, y: np.ndarray, theta0: NullParam
     s = sd[:, None] / np.sqrt(spec.sizes)
     log_bound = log_w + _log_pair_bound(model, mu, s)
     bound = np.exp(log_bound)
-    # the +-SPAN_SD truncation may drop up to this much mass at every node
-    truncation = _TAIL_PER_CLASS * sum(len(c.cols) for c in comps)
+    upper_bound = float(np.exp(logsumexp(log_bound)))
+    # the +-SPAN_SD truncation may drop up to this much mass at every node, so
+    # a mass below the floor cannot be told from the truncation error
+    floor = _TAIL_PER_CLASS * sum(len(c.cols) for c in comps) / POSTERIOR_REL_TOL
+    if upper_bound <= floor:
+        return PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=0,
+                                 upper_bound=upper_bound)
 
     def settle(keep):
-        mass, change, grid = _converged_mass(comps, mu[keep], s[keep], w[keep])
-        return mass, change, grid, (change < POSTERIOR_REL_TOL
-                                    and truncation <= POSTERIOR_REL_TOL * mass)
+        mass, change, grid, level = _converged_mass(comps, mu[keep], s[keep], w[keep])
+        return mass, change, grid, level, change < POSTERIOR_REL_TOL and mass >= floor
 
     keep = w > PRUNE_WEIGHT
-    mass, change, grid, resolved = settle(keep)
+    mass, change, grid, level, resolved = settle(keep)
     if resolved and bound[~keep].sum() > PRUNE_REL * mass:
         skipped = np.flatnonzero(~keep)
         heavy_first = skipped[np.argsort(-bound[skipped])]
         suffix = np.cumsum(bound[heavy_first][::-1])[::-1]
         keep[heavy_first[:np.searchsorted(-suffix, -PRUNE_REL * mass)]] = True
-        mass, change, grid, resolved = settle(keep)
+        mass, change, grid, level, resolved = settle(keep)
+    if not resolved and not level + bound[~keep].sum() <= floor:
+        raise ValueError(
+            f"the posterior cone mass of {model.name or model_to_string(model)} did not "
+            "settle within the grid cap; its exact mass is too costly")
     return PosteriorConeMass(estimate=mass if resolved else None, doubling_error=float(change),
-                             grid=int(grid), upper_bound=float(np.exp(logsumexp(log_bound))))
+                             grid=int(grid), upper_bound=upper_bound)
 
 
 def log_bf_constrained_vs_encompassing(prior_est: RegionProbEstimate,
                                        post_est: PosteriorConeMass) -> float:
-    """Log ratio of posterior to prior cone mass; -inf when the posterior mass is unresolved."""
-    if prior_est.side != "prior" or post_est.side != "posterior":
+    """Log ratio of posterior to prior cone mass; -inf when the posterior mass is unresolved.
+
+    The prior mass must be checked first (check_prior_mass).
+    """
+    if not isinstance(prior_est, RegionProbEstimate) or prior_est.side != "prior":
         raise ValueError("pass a prior estimate then a posterior mass")
-    check_prior_mass(prior_est)
     if post_est.estimate is None:
         return -np.inf
     return float(np.log(post_est.estimate) - np.log(prior_est.estimate))

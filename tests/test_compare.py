@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from cipanova.constraints import parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params
+from cipanova.posterior import InsufficientPriorMassError, PosteriorConeMass
 from cipanova.scenarios import generate_scenario, make_preset
 
 FAST = Settings(prior_draws=20_000)
@@ -54,7 +56,7 @@ def test_ordered_model_composes_factors():
     bd = bf_k0(data, mup, NullParams(0.7, 1.2), FAST, RandomSource(2))
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0 + bd.log_bf_c_vs_e
     assert bd.prior_region.side == "prior"
-    assert bd.post_region.side == "posterior"
+    assert isinstance(bd.post_region, PosteriorConeMass)
     # increasing data: the posterior concentrates on the increasing cone
     assert bd.post_region.estimate > bd.prior_region.estimate
     assert bd.log_bf_c_vs_e > 0.0
@@ -142,6 +144,24 @@ def test_every_model_below_resolution_raises():
               parse_model_spec("mu2 > mu1 > mu3", J=3, name="mixed")]
     with pytest.raises(ValueError, match="no model has a resolved posterior cone mass"):
         compare(data, models, settings=FAST, rng=RandomSource(8))
+
+
+def test_empty_prior_cone_refuses_before_the_evidence(monkeypatch):
+    # the 10-group total order has prior mass 1/10!, so 1000 draws miss it;
+    # the refusal must come before the evidence integral is computed
+    rng = np.random.default_rng(35)
+    data = AnovaData(responses=rng.normal(size=50), groups=np.repeat(np.arange(1, 11), 5))
+    total = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 11)), J=10)
+
+    def no_evidence(*args, **kwargs):
+        raise AssertionError("evidence computed for a refused model")
+
+    # the package's compare() shadows its module of the same name
+    monkeypatch.setattr(importlib.import_module("cipanova.compare"), "log_marginal_quadrature",
+                        no_evidence)
+    with pytest.raises(InsufficientPriorMassError):
+        bf_k0(data, total, estimate_null_params(data), Settings(prior_draws=1000),
+              RandomSource(9))
 
 
 def test_report_record_round_trips_through_json():

@@ -6,6 +6,7 @@ from scipy import stats
 from scipy.special import logsumexp, roots_jacobi
 
 from cipanova import posterior
+from cipanova.compare import Settings, compare
 from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
@@ -386,20 +387,39 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
 
 def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     # steeply decreasing means against the increasing chain (the data of
-    # test_below_resolution_flag_on_contradicted_order)
+    # test_below_resolution_flag_on_contradicted_order): the bound alone
+    # puts the mass under the truncation floor, so no grid is evaluated
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     model = parse_model_spec("mu1 < mu2 < mu3", J=3)
     spec = make_cip(encompassing_of(model), (12, 12, 12))
     post = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
-    assert post.estimate is None
+    assert post.estimate is None and post.grid == 0
     assert 0.0 < post.upper_bound < 1e-10
-    # a grid cap that stops the doubling leaves an ordinary mass unresolved too
-    assert _exact_mass(_c10_data(), "mu1 < mu2 < mu3").estimate is not None
-    monkeypatch.setattr(posterior, "MAX_GRID", 2 * posterior.PANEL_POINTS)
-    capped = _exact_mass(_c10_data(), "mu1 < mu2 < mu3")
-    assert capped.estimate is None and capped.doubling_error == np.inf
-    assert 0.0 < capped.upper_bound <= 1.0 + 1e-12
+    # wider groups: the bound is loose, and the grid settles on a mass under the floor
+    rng = np.random.default_rng(33)
+    y = np.concatenate([rng.normal(m, 0.9, size=30) for m in (3.0, 1.5, 0.0)])
+    spec = make_cip(encompassing_of(model), (30, 30, 30))
+    settled = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
+    assert settled.estimate is None and settled.doubling_error < posterior.POSTERIOR_REL_TOL
+    assert settled.upper_bound > 1e-12
+    # a grid cap that stops such a mass before it settles still leaves it unresolved
+    monkeypatch.setattr(posterior, "MAX_GRID", settled.grid // 2)
+    capped = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
+    assert capped.estimate is None and capped.doubling_error >= posterior.POSTERIOR_REL_TOL
+
+
+def test_grid_cap_refuses_a_mass_that_is_not_negligible(monkeypatch):
+    data = _c10_data()
+    whole = _exact_mass(data, "mu1 < mu2 < mu3")
+    assert whole.estimate > 0.1
+    # stopped one doubling before it settles, the mass is refused, not dropped
+    monkeypatch.setattr(posterior, "MAX_GRID", whole.grid // 2)
+    with pytest.raises(ValueError, match="did not settle"):
+        _exact_mass(data, "mu1 < mu2 < mu3")
+    models = [parse_model_spec(t, J=3) for t in ("mu1 = mu2 = mu3", "mu1 < mu2 < mu3")]
+    with pytest.raises(ValueError, match="did not settle"):
+        compare(data, models, settings=Settings(prior_draws=2000), rng=RandomSource(4))
 
 
 def test_skipped_nodes_are_restored_when_their_bound_matters(monkeypatch):
@@ -425,9 +445,10 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
     chunked = _exact_mass(data, text)
     assert chunked.estimate == pytest.approx(whole.estimate, rel=1e-13, abs=0.0)
     assert chunked.grid == whole.grid
-    # room for less than the grid the mass needs: unresolved, not a larger array
+    # room for less than the grid the mass needs: refused, not a larger array
     monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid // 2)
-    assert _exact_mass(data, text).estimate is None
+    with pytest.raises(ValueError, match="did not settle"):
+        _exact_mass(data, text)
 
 
 def test_downset_budget_raises(monkeypatch):
@@ -498,8 +519,6 @@ def test_log_bf_from_region_estimates():
     with pytest.raises(ValueError):
         log_bf_constrained_vs_encompassing(post, prior)
     empty_prior = RegionProbEstimate(estimate=0.0, hits=0, total=100, side="prior")
-    with pytest.raises(InsufficientPriorMassError):
-        log_bf_constrained_vs_encompassing(empty_prior, post)
     with pytest.raises(InsufficientPriorMassError):
         check_prior_mass(empty_prior)
     unresolved = PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=4096,
