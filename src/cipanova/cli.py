@@ -90,6 +90,8 @@ _CONFIG_KEYS = frozenset({
     "seed", "prior_draws", "quadrature_nodes", "jobs", "data", "models", "prior_probs",
     "theta0", "preset", "reps", "n_per_group",
 })
+# config keys that stand for integer flags; a JSON float or bool there is an error
+_INT_KEYS = ("seed", "reps", "n_per_group", "jobs", "prior_draws", "quadrature_nodes")
 
 
 def _load_config(path):
@@ -102,6 +104,9 @@ def _load_config(path):
     unknown = sorted(set(cfg) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key in _INT_KEYS:
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
+            raise ValueError(f"{path}: config key {key} must be an integer, got {cfg[key]!r}")
     return cfg
 
 
@@ -138,7 +143,7 @@ def _parse_model_args(model_args, cfg, J):
 def _cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     settings = _resolve_settings(args, cfg)
-    seed = int(_pick(args.seed, cfg, "seed", 0))
+    seed = _pick(args.seed, cfg, "seed", 0)
     path = _pick(args.data, cfg, "data", None)
     if path is None:
         raise ValueError("no data file given")
@@ -191,10 +196,10 @@ def _cmd_simulate(args) -> int:
     preset = _pick(args.preset, cfg, "preset", None)
     if preset is None:
         raise ValueError(f"no preset given; choose from {', '.join(preset_names())}")
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    reps = int(_pick(args.reps, cfg, "reps", 50))
-    n_per_group = int(_pick(args.n_per_group, cfg, "n_per_group", 25))
-    jobs = int(_pick(args.jobs, cfg, "jobs", 1))
+    seed = _pick(args.seed, cfg, "seed", 0)
+    reps = _pick(args.reps, cfg, "reps", 50)
+    n_per_group = _pick(args.n_per_group, cfg, "n_per_group", 25)
+    jobs = _pick(args.jobs, cfg, "jobs", 1)
     scenario, models = make_preset(preset, n_per_group=n_per_group, reps=reps,
                                    base_seed=seed)
     sink = None

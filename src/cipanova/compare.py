@@ -11,6 +11,7 @@ Bayes factors and prior model weights through a log-sum-exp normalization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,11 +26,10 @@ from .posterior import (
     RegionProbEstimate,
     below_resolution_bound,
     check_prior_mass,
-    cone_mass,
     log_bf_constrained_vs_encompassing,
     log_bf_standard_error,
     posterior_cone_mass,
-    prior_class_means,
+    prior_cone_mass,
 )
 
 # to_text flags a model whose log evidence moves by more than this (nat) when
@@ -39,7 +39,7 @@ UNCONVERGED_DELTA = 1e-8
 
 @dataclass(frozen=True)
 class Settings:
-    """Draw and node counts; defaults suit desk-scale studies."""
+    """Prior cone evaluations and quadrature nodes; defaults suit desk-scale studies."""
 
     prior_draws: int = 100_000
     # Ignored: the posterior is drawn exactly, with no chain.  The two retired
@@ -49,6 +49,10 @@ class Settings:
     quadrature_nodes: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("prior_draws", "quadrature_nodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.prior_draws, self.quadrature_nodes) < 1:
             raise ValueError("draw counts must be positive")
 
@@ -59,7 +63,10 @@ class BfBreakdown:
 
     log_bf_se is the Monte Carlo standard error of log_bf_c_vs_e from the
     prior cone-mass hit count (the posterior mass is exact): 0 for a model
-    without an order, None when the posterior mass is unresolved.
+    without an order, None when the posterior mass is unresolved.  The prior
+    mass is prior_draws cone evaluations from ceil(prior_draws/2) draws and
+    their sign flips; its binomial standard error is a conservative bound,
+    since a sign-flip pair never hits twice.
     """
 
     model: str
@@ -92,9 +99,8 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
     y = data.responses
     if model.has_order:
         # the prior mass alone decides a refusal, so it is drawn before any other work
-        prior_est = cone_mass(
-            model, prior_class_means(spec, settings.prior_draws, rng.split(0).generator()),
-            "prior")
+        prior_est = prior_cone_mass(model, spec, settings.prior_draws,
+                                    rng.split(0).generator())
         check_prior_mass(prior_est)
     ev = log_marginal_quadrature(y, theta0, spec, nodes=settings.quadrature_nodes)
     lbf_e0 = ev.log_marginal - null_loglik(y, theta0)

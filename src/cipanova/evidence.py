@@ -42,8 +42,8 @@ class PreparedIntegrand:
     With k = n/(q+1), Winv = k (Z'Z)^{-1}, so Z Winv Z' is k times the
     projection onto the class indicators and the integrand reads r = y - alpha0
     only through r'r and the class means rbar of r, via B = sum_c n_c rbar_c^2.
-    Quadrature, mode search and the posterior sampler all evaluate through
-    this.
+    Quadrature, mode search and the exact posterior cone mass all evaluate
+    through this.
     """
 
     def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec) -> None:

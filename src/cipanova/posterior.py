@@ -8,7 +8,7 @@ prior the class means are independent Gaussians:
 - a priori the class-c mean is alpha0 plus a scale shared by all classes
   times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
   prior mass is the hit fraction of class-mean draws (strict inequalities, no
-  tolerance);
+  tolerance), each draw counted with its sign flip (antithetic pairs);
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
   alpha0 is N(shrink rbar_c, sd^2 / n_c) with shrink = 1/(1 + c eta),
   c = (q+1)/n and sd^2 = sigma0^2 eta/(1-eta) shrink, where rbar_c is the
@@ -69,19 +69,12 @@ MAX_ELEMENTS = 2**22
 # at most PRUNE_REL times the mass of the nodes kept
 PRUNE_WEIGHT = 1e-18
 PRUNE_REL = 1e-10
-# rows of class means turned into effects at a time when counting cone hits
+# class-mean rows drawn and counted at a time by the prior cone mass
 CONE_BLOCK = 2**14
 
 
 class InsufficientPriorMassError(RuntimeError):
     """Raised when no prior draw lands in the constraint region."""
-
-
-def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.ndarray:
-    """T x q prior draws of the class means, up to a location and a positive scale per row."""
-    means = rng.standard_normal((T, spec.q))
-    means /= np.sqrt(spec.sizes)
-    return means
 
 
 @dataclass(frozen=True)
@@ -100,13 +93,31 @@ class RegionProbEstimate:
             raise ValueError("estimate must equal hits/total")
 
 
-def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:
-    """Fraction of class-mean rows whose effects, each class minus the baseline, lie in the cone."""
-    # the effects are formed a block of rows at a time, so no copy of all of them is held
-    hits = sum(int(np.count_nonzero(region_mask(model, block[:, 1:] - block[:, :1])))
-               for block in np.split(means, range(CONE_BLOCK, len(means), CONE_BLOCK)))
-    total = means.shape[0]
-    return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
+def prior_cone_mass(model: ConstraintModel, spec: CipSpec, T: int,
+                    rng: np.random.Generator) -> RegionProbEstimate:
+    """Prior cone mass from T cone evaluations: ceil(T/2) class-mean draws and their sign flips.
+
+    The centred prior makes effects d and -d equally likely, and a strict
+    order never holds for both, so the hit fraction stays unbiased with
+    variance p(1 - 2p)/T <= p(1 - p)/T; the last flip is dropped when T is
+    odd.  Each CONE_BLOCK of draws is made class by class (q x rows) into one
+    reused buffer, so no T x q array is held and the effects are formed on
+    contiguous rows.
+    """
+    pairs, flips = (T + 1) // 2, T // 2
+    scale = np.sqrt(spec.sizes)[:, None]
+    buf = np.empty(spec.q * min(CONE_BLOCK, pairs))
+    hits = 0
+    for start in range(0, pairs, CONE_BLOCK):
+        rows = min(CONE_BLOCK, pairs - start)
+        block = rng.standard_normal(out=buf[:spec.q * rows].reshape(spec.q, rows))
+        block /= scale
+        effects = block[1:]
+        effects -= block[0]
+        hits += int(np.count_nonzero(region_mask(model, effects.T)))
+        np.negative(effects, out=effects)
+        hits += int(np.count_nonzero(region_mask(model, effects[:, :flips - start].T)))
+    return RegionProbEstimate(estimate=hits / T, hits=hits, total=T, side="prior")
 
 
 @dataclass(frozen=True)
@@ -403,15 +414,17 @@ def check_prior_mass(prior_est: RegionProbEstimate) -> None:
     """Raise InsufficientPriorMassError when no prior draw hit the cone."""
     if prior_est.hits == 0:
         raise InsufficientPriorMassError(
-            f"no prior draw in the constraint region after {prior_est.total} draws; "
-            "increase the prior draw count")
+            f"no prior draw or sign flip in the constraint region after {prior_est.total} "
+            "evaluations; increase the prior draw count")
 
 
 def log_bf_standard_error(prior_est: RegionProbEstimate) -> float:
     """Delta-method standard error of the log cone-mass ratio, from the prior hit count alone.
 
-    The posterior mass is exact; the prior hit count is Binomial(total, p), so
-    the log of its hit fraction has variance about (1 - p) / hits.
+    The posterior mass is exact.  Were the prior hits Binomial(total, p), the
+    log of their fraction would have variance about (1 - p) / hits; the
+    sign-flip pairs of prior_cone_mass have the smaller p(1 - 2p)/total in
+    the fraction, so this binomial value is a conservative bound.
     """
     return float(np.sqrt((1.0 - prior_est.estimate) / prior_est.hits))
 

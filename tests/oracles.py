@@ -14,8 +14,10 @@
   their cone hit fraction (`region_prob`).  The library counts prior cone
   hits on class-mean draws instead; these give the same masses by the longer
   route.
-- Monte Carlo posterior class-mean draws (`posterior_class_means`), whose
-  cone hit fraction the library's exact posterior cone mass replaces.
+- Monte Carlo class-mean draws from the prior (`prior_class_means`) and the
+  posterior (`posterior_class_means`), with their cone hit fraction
+  (`cone_mass`): T independent draws, where the library's prior mass counts
+  sign-flip pairs and its posterior mass is exact.
 - The Gibbs-within-Metropolis posterior chain, with its closed-form
   conditionals.  It targets the same posterior by a third route.
 - `region_contains`, a one-point membership test over the whole transitively
@@ -354,6 +356,21 @@ def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, node
     means *= sd[idx, None]
     means += shrink[idx, None] * prep.rbar
     return eta_nodes[idx], means
+
+
+def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.ndarray:
+    """T x q prior draws of the class means, up to a location and a positive scale per row.
+
+    The normals are drawn class by class, as one block of the library's prior count.
+    """
+    return rng.standard_normal((spec.q, T)).T / np.sqrt(spec.sizes)
+
+
+def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:
+    """Fraction of class-mean rows whose effects, each class minus the baseline, lie in the cone."""
+    hits = int(np.count_nonzero(region_mask(model, means[:, 1:] - means[:, :1])))
+    total = means.shape[0]
+    return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
 
 
 def region_prob(draws, model: ConstraintModel) -> RegionProbEstimate:

@@ -178,6 +178,26 @@ def test_config_file_merging(capsys, data_csv, tmp_path):
     assert "chib_iters" in err and "evidence_method" in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "reps", 2.7),
+    ("compare", "prior_draws", 1500.5),
+    ("compare", "prior_draws", "5000"),
+    ("compare", "seed", True),
+    ("simulate", "n_per_group", 8.0),
+    ("simulate", "jobs", None),
+    ("compare", "quadrature_nodes", "64"),
+])
+def test_config_integers_must_be_integers(capsys, data_csv, tmp_path, command, key, value):
+    cfg = {"compare": {"data": str(data_csv), "models": {"null": "mu1=mu2=mu3"}},
+           "simulate": {"preset": "pop3", "reps": 1, "n_per_group": 8}}[command]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**cfg, key: value}))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert f"config key {key} must be an integer" in err
+
+
 def test_theta0_flag(capsys, data_csv):
     assert main(["compare", str(data_csv), "--model", "Me=mu1,mu2,mu3",
                  "--theta0", "0.5,2.0", "--output", "records", *FAST_FLAGS]) == 0

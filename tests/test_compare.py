@@ -229,12 +229,13 @@ def _c10_report(seed):
 
 def test_prior_stream_and_exact_posterior_across_seeds():
     a, b = _c10_report(10), _c10_report(11)
-    # the prior draws still come from the model's split(0) stream: these hit
-    # counts are the ones the Monte Carlo posterior code recorded at this seed
+    # the prior draws come from the model's split(0) stream: these hit counts
+    # pin its 10 000 sign-flip pairs at this seed; a two-class order such as
+    # rev has exactly one hit per pair
     assert [m.get("prior_region") for m in a] == [
         None,
-        {"estimate": 0.1705, "hits": 3410, "total": 20_000, "side": "prior"},
-        {"estimate": 0.50605, "hits": 10121, "total": 20_000, "side": "prior"},
+        {"estimate": 0.16665, "hits": 3333, "total": 20_000, "side": "prior"},
+        {"estimate": 0.5, "hits": 10_000, "total": 20_000, "side": "prior"},
         None]
     assert [m.get("prior_region") for m in a] != [m.get("prior_region") for m in b]
     # the posterior mass draws nothing, so another seed leaves it bit-identical
@@ -248,6 +249,15 @@ def test_breakdown_sum_rule_enforced():
     from cipanova.compare import BfBreakdown
     with pytest.raises(ValueError):
         BfBreakdown(model="m", log_bf_e_vs_0=1.0, log_bf_c_vs_e=2.0, log_bf_c_vs_0=3.5)
+
+
+def test_settings_reject_non_integer_counts():
+    for bad in (1500.5, "5000", True, None):
+        with pytest.raises(ValueError, match="prior_draws must be an integer"):
+            Settings(prior_draws=bad)
+        with pytest.raises(ValueError, match="quadrature_nodes must be an integer"):
+            Settings(quadrature_nodes=bad)
+    assert Settings(prior_draws=np.int64(3000)).prior_draws == 3000
 
 
 def test_retired_chain_settings_change_nothing():

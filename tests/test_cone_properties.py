@@ -1,4 +1,5 @@
-"""Property tests of the exact posterior cone mass on random data with J = 2-4 groups."""
+"""Property tests of the cone masses with J = 2-4 groups: the exact posterior mass on random
+data, and the prior mass's sign-flip count."""
 
 import itertools
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
+from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import estimate_null_params, make_cip
-from cipanova.posterior import POSTERIOR_REL_TOL, posterior_cone_mass
+from cipanova.posterior import POSTERIOR_REL_TOL, posterior_cone_mass, prior_cone_mass
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -77,3 +79,16 @@ def test_mass_ignores_affine_maps_of_the_data(data, a, b):
     if base.estimate is not None:
         tol = 4 * POSTERIOR_REL_TOL + 10 * eps
         assert abs(again.estimate - base.estimate) <= tol * base.estimate
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=4, unique=True),
+       st.integers(1, 3001), st.integers(0, 2**32 - 1))
+def test_total_orders_partition_the_prior_evaluations(sizes, T, seed):
+    # every total order counts the same draws and flips, and ties have measure zero
+    hits = 0
+    for perm in itertools.permutations(range(1, len(sizes) + 1)):
+        model = parse_model_spec(_chain(perm), J=len(sizes))
+        spec = make_cip(encompassing_of(model), sizes)
+        hits += prior_cone_mass(model, spec, T, RandomSource(seed).generator()).hits
+    assert hits == T

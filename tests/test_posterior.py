@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,11 @@ from cipanova.posterior import (
     RegionProbEstimate,
     below_resolution_bound,
     check_prior_mass,
-    cone_mass,
     log_bf_constrained_vs_encompassing,
     log_bf_standard_error,
     order_components,
     posterior_cone_mass,
-    prior_class_means,
+    prior_cone_mass,
 )
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from oracles import (
@@ -31,10 +31,12 @@ from oracles import (
     PosteriorDraws,
     PriorDraws,
     cip_sample,
+    cone_mass,
     dense_spec,
     eta_log_target,
     gamma_full_conditional,
     posterior_class_means,
+    prior_class_means,
     region_prob,
     run_posterior_chain,
     sample_posterior,
@@ -506,9 +508,71 @@ def test_prior_cone_mass_matches_exact_value(text, J, exact):
     model = parse_model_spec(text, J=J)
     spec = make_cip(encompassing_of(model), (25,) * J)
     T = 100_000
-    est = cone_mass(model, prior_class_means(spec, T, RandomSource(80).generator()), "prior")
+    est = prior_cone_mass(model, spec, T, RandomSource(80).generator())
     assert est.total == T
     assert abs(est.estimate - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / T)
+
+
+@pytest.mark.parametrize("T", [1, 2, 2001, 100_000])
+def test_prior_cone_mass_counts_sign_flip_pairs(T):
+    model = parse_model_spec(MODEL_STRINGS["M3"], J=5)
+    spec = make_cip(encompassing_of(model), (25, 25, 50, 25, 25))
+    rng = RandomSource(81).generator()
+    est = prior_cone_mass(model, spec, T, rng)
+    assert est.total == T and est.side == "prior"
+    # the same stream, block by block: ceil(T/2) rows, each counted with its
+    # sign flip, the last flip dropped when T is odd
+    ref = RandomSource(81).generator()
+    pairs = (T + 1) // 2
+    means = np.concatenate([prior_class_means(spec, min(posterior.CONE_BLOCK, pairs - start), ref)
+                            for start in range(0, pairs, posterior.CONE_BLOCK)])
+    effects = means[:, 1:] - means[:, :1]
+    assert est.hits == (np.count_nonzero(region_mask(model, effects))
+                        + np.count_nonzero(region_mask(model, -effects[:T // 2])))
+    # and no row more: both generators stand at the same point of the stream
+    assert rng.random() == ref.random()
+
+
+def test_prior_cone_mass_holds_one_block():
+    # the 5-vs-5 order at J=10: all 100k rows at once took 9.3 MB
+    model = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}", J=10)
+    spec = make_cip(encompassing_of(model), (20,) * 10)
+    rng = RandomSource(82).generator()
+    tracemalloc.start()
+    try:
+        est = prior_cone_mass(model, spec, 100_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.hits > 0
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("text, J, p", [
+    ("mu1 < mu2 < mu3 < mu4 < mu5", 5, 1.0 / 120.0),
+    ("mu1 < mu2, mu1 < mu3", 3, 1.0 / 3.0),
+], ids=["5-chain", "lowest of 3"])
+def test_sign_flip_pairs_are_unbiased_with_variance_p_1_minus_2p(text, J, p):
+    model = parse_model_spec(text, J=J)
+    spec = make_cip(encompassing_of(model), (25,) * J)
+    T, seeds = 2000, 400
+    est = np.array([prior_cone_mass(model, spec, T, RandomSource(s).generator()).estimate
+                    for s in range(seeds)])
+    paired_sd = np.sqrt(p * (1.0 - 2.0 * p) / T)
+    assert abs(est.mean() - p) < 4.0 * paired_sd / np.sqrt(seeds)
+    # the sample sd of 400 estimates is off its true value by about
+    # 1/sqrt(2 * 399) = 3.5% of it; the paired sd is below the binomial
+    # sd of T independent draws, by 0.4% for the 5-chain and 29% when p = 1/3
+    sd = np.std(est, ddof=1)
+    assert abs(sd / paired_sd - 1.0) < 4.0 / np.sqrt(2 * (seeds - 1))
+
+
+def test_sign_flip_pairs_of_two_classes_always_hit_once():
+    # p = 1/2 with any class sizes: exactly one of d and -d is in the cone
+    model = parse_model_spec("mu1 < mu2", J=2)
+    spec = make_cip(encompassing_of(model), (3, 40))
+    assert {prior_cone_mass(model, spec, 2000, RandomSource(s).generator()).hits
+            for s in range(20)} == {1000}
 
 
 def test_log_bf_from_region_estimates():
