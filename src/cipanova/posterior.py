@@ -57,9 +57,13 @@ MAX_DOWNSETS = 2**13
 SPAN_SD = 10.0
 _TAIL_PER_CLASS = 1.6e-23  # erfc(10 / sqrt(2)) = 1.52e-23, rounded up
 # Chebyshev-Lobatto points per panel, and the starting panel width in units of
-# the sd of the narrowest class covering the panel
+# the sd of the narrowest class covering the panel.  From 4.5 sd the first
+# doubling moved the benchmark's masses (pop3, pop2l, j10) by 1e-10 or less,
+# so they settle on the second grid; from 6 sd the move straddled
+# POSTERIOR_REL_TOL and a third of the j10 datasets paid for a third grid,
+# which costs more than the first two together.
 PANEL_POINTS = 24
-PANEL_SD = 6.0
+PANEL_SD = 4.5
 # grid points per node beyond which a mass that has not settled is refused
 MAX_GRID = 2**12
 # float64 elements one recursion step may hold (32 MB): nodes go through in

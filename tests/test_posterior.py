@@ -387,6 +387,22 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
     assert abs(post.estimate - p) < 4.0 * np.sqrt(p * (1.0 - p) / T)
 
 
+def test_mass_settles_on_the_second_grid_across_datasets(monkeypatch):
+    # the cost of a mass should not jump with the data: with 6 sd panels a
+    # third of these datasets moved by more than POSTERIOR_REL_TOL over the
+    # first doubling and paid for a third grid
+    grids = []
+    component_masses = posterior._component_masses
+    monkeypatch.setattr(posterior, "_component_masses",
+                        lambda *a: grids.append(a[-1].shape[1]) or component_masses(*a))
+    text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
+    for seed in range(1, 13):
+        grids.clear()
+        post = _exact_mass(_j10_data(seed), text)
+        assert post.doubling_error < 1e-10
+        assert len(grids) == 2 and grids[1] - 1 == 2 * (grids[0] - 1), seed
+
+
 def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     # steeply decreasing means against the increasing chain (the data of
     # test_below_resolution_flag_on_contradicted_order): the bound alone
@@ -398,7 +414,10 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     post = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
     assert post.estimate is None and post.grid == 0
     assert 0.0 < post.upper_bound < 1e-10
-    # wider groups: the bound is loose, and the grid settles on a mass under the floor
+    # wider groups: the bound is loose, and the grid settles on a mass under the
+    # floor; from 6 sd panels it takes a second doubling, so a cap can stop it
+    # after two grids
+    monkeypatch.setattr(posterior, "PANEL_SD", 6.0)
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.9, size=30) for m in (3.0, 1.5, 0.0)])
     spec = make_cip(encompassing_of(model), (30, 30, 30))
