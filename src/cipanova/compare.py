@@ -25,11 +25,11 @@ from .posterior import (
     PosteriorConeMass,
     RegionProbEstimate,
     below_resolution_bound,
+    cached_prior_cone_mass,
     check_prior_mass,
     log_bf_constrained_vs_encompassing,
     log_bf_standard_error,
     posterior_cone_mass,
-    prior_cone_mass,
 )
 
 # to_text flags a model whose log evidence moves by more than this (nat) when
@@ -65,8 +65,9 @@ class BfBreakdown:
     prior cone-mass hit count (the posterior mass is exact): 0 for a model
     without an order, None when the posterior mass is unresolved.  The prior
     mass is prior_draws cone evaluations from ceil(prior_draws/2) draws and
-    their sign flips; its binomial standard error is a conservative bound,
-    since a sign-flip pair never hits twice.
+    their sign flips, whose delta-method error sqrt((1 - 2p)/hits) is 0 for
+    a two-class order.  It is counted once per order, class sizes and
+    prior_draws on a fixed stream, so every call with that key shares it.
     """
 
     model: str
@@ -86,7 +87,7 @@ class BfBreakdown:
 
 
 def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
-          settings: Settings, rng: RandomSource) -> BfBreakdown:
+          settings: Settings) -> BfBreakdown:
     """Bayes factor breakdown of one model against the null on one dataset."""
     if model.J != data.J:
         raise ValueError(f"model is over {model.J} groups, data has {data.J}")
@@ -98,9 +99,8 @@ def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
     spec = make_cip(design, data.group_sizes)
     y = data.responses
     if model.has_order:
-        # the prior mass alone decides a refusal, so it is drawn before any other work
-        prior_est = prior_cone_mass(model, spec, settings.prior_draws,
-                                    rng.split(0).generator())
+        # the prior mass alone decides a refusal, so it is checked before any other work
+        prior_est = cached_prior_cone_mass(model, spec.sizes, settings.prior_draws)
         check_prior_mass(prior_est)
     ev = log_marginal_quadrature(y, theta0, spec, nodes=settings.quadrature_nodes)
     lbf_e0 = ev.log_marginal - null_loglik(y, theta0)
@@ -196,11 +196,14 @@ def compare(data: AnovaData, models: list[ConstraintModel],
             prior_probs=None, settings: Settings | None = None,
             rng: RandomSource | None = None,
             theta0: NullParams | None = None) -> ComparisonReport:
-    """Compare the models on one dataset under a shared null fit."""
+    """Compare the models on one dataset under a shared null fit.
+
+    The results do not depend on rng: the prior cone masses are counted on a
+    fixed stream (posterior.cached_prior_cone_mass) and nothing else is
+    random.  rng is still accepted so existing callers keep working.
+    """
     if settings is None:
         settings = Settings()
-    if rng is None:
-        rng = RandomSource(0)
     names = [m.name or model_to_string(m) for m in models]
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names")
@@ -216,8 +219,7 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     if theta0 is None:
         theta0 = estimate_null_params(data)
 
-    breakdowns = tuple(bf_k0(data, m, theta0, settings, rng.split(i))
-                       for i, m in enumerate(models))
+    breakdowns = tuple(bf_k0(data, m, theta0, settings) for m in models)
     log_bf = np.array([bd.log_bf_c_vs_0 for bd in breakdowns])
     if np.all(log_bf == -np.inf):
         raise ValueError(

@@ -45,7 +45,7 @@ class AnovaData:
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.count_nonzero(self.groups == j)) for j in range(1, self.J + 1))
+        return tuple(np.bincount(self.groups, minlength=self.J + 1)[1:].tolist())
 
 
 def ingest_csv(path) -> AnovaData:

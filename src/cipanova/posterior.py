@@ -8,7 +8,9 @@ prior the class means are independent Gaussians:
 - a priori the class-c mean is alpha0 plus a scale shared by all classes
   times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
   prior mass is the hit fraction of class-mean draws (strict inequalities, no
-  tolerance), each draw counted with its sign flip (antithetic pairs);
+  tolerance), each draw counted with its sign flip (antithetic pairs).  It
+  depends on nothing but the order, the class sizes and the draw count, so it
+  is counted once per process on one fixed stream (cached_prior_cone_mass);
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
   alpha0 is N(shrink rbar_c, sd^2 / n_c) with shrink = 1/(1 + c eta),
   c = (q+1)/n and sd^2 = sigma0^2 eta/(1-eta) shrink, where rbar_c is the
@@ -64,6 +66,11 @@ _TAIL_PER_CLASS = 1.6e-23  # erfc(10 / sqrt(2)) = 1.52e-23, rounded up
 # which costs more than the first two together.
 PANEL_POINTS = 24
 PANEL_SD = 4.5
+# starting panels per node at least, room for classes up to 16 sd apart
+# (MIN_PANELS * PANEL_SD - 2 * SPAN_SD): below that the grid, and so the cost
+# of a mass, does not follow the data; from need / PANEL_SD alone it took
+# 6 to 9 panels on pop3 and j10 datasets
+MIN_PANELS = 8
 # grid points per node beyond which a mass that has not settled is refused
 MAX_GRID = 2**12
 # float64 elements one recursion step may hold (32 MB): nodes go through in
@@ -75,6 +82,8 @@ PRUNE_WEIGHT = 1e-18
 PRUNE_REL = 1e-10
 # class-mean rows drawn and counted at a time by the prior cone mass
 CONE_BLOCK = 2**14
+# prior cone masses kept per process, one per (order, class sizes, draw count)
+PRIOR_CACHE_SIZE = 256
 
 
 class InsufficientPriorMassError(RuntimeError):
@@ -97,24 +106,26 @@ class RegionProbEstimate:
             raise ValueError("estimate must equal hits/total")
 
 
-def prior_cone_mass(model: ConstraintModel, spec: CipSpec, T: int,
+def prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int,
                     rng: np.random.Generator) -> RegionProbEstimate:
     """Prior cone mass from T cone evaluations: ceil(T/2) class-mean draws and their sign flips.
 
-    The centred prior makes effects d and -d equally likely, and a strict
-    order never holds for both, so the hit fraction stays unbiased with
-    variance p(1 - 2p)/T <= p(1 - p)/T; the last flip is dropped when T is
+    sizes holds the class sizes, baseline first.  The centred prior makes
+    effects d and -d equally likely, and a strict order never holds for both,
+    so the hit fraction stays unbiased with variance p(1 - 2p)/T, below the
+    p(1 - p)/T of T independent draws; the last flip is dropped when T is
     odd.  Each CONE_BLOCK of draws is made class by class (q x rows) into one
     reused buffer, so no T x q array is held and the effects are formed on
     contiguous rows.
     """
+    q = len(sizes)
     pairs, flips = (T + 1) // 2, T // 2
-    scale = np.sqrt(spec.sizes)[:, None]
-    buf = np.empty(spec.q * min(CONE_BLOCK, pairs))
+    scale = np.sqrt(np.asarray(sizes, dtype=float))[:, None]
+    buf = np.empty(q * min(CONE_BLOCK, pairs))
     hits = 0
     for start in range(0, pairs, CONE_BLOCK):
         rows = min(CONE_BLOCK, pairs - start)
-        block = rng.standard_normal(out=buf[:spec.q * rows].reshape(spec.q, rows))
+        block = rng.standard_normal(out=buf[:q * rows].reshape(q, rows))
         block /= scale
         effects = block[1:]
         effects -= block[0]
@@ -122,6 +133,26 @@ def prior_cone_mass(model: ConstraintModel, spec: CipSpec, T: int,
         np.negative(effects, out=effects)
         hits += int(np.count_nonzero(region_mask(model, effects[:, :flips - start].T)))
     return RegionProbEstimate(estimate=hits / T, hits=hits, total=T, side="prior")
+
+
+def cached_prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int) -> RegionProbEstimate:
+    """prior_cone_mass on the fixed stream default_rng(0), counted once per key and process.
+
+    The key is the model without its name, the class sizes and T, which is
+    all the mass depends on.  Every call with the same key shares one
+    estimate and so one Monte Carlo error; only a larger T shrinks it.
+    Processes forked after a key is counted inherit it.
+    """
+    return _fixed_stream_prior_mass(model.J, model.classes, model.order,
+                                    tuple(int(n) for n in sizes), T)
+
+
+@lru_cache(maxsize=PRIOR_CACHE_SIZE)
+def _fixed_stream_prior_mass(J: int, classes: tuple[tuple[int, ...], ...],
+                             order: frozenset[tuple[int, int]], sizes: tuple[int, ...],
+                             T: int) -> RegionProbEstimate:
+    model = ConstraintModel(name="", J=J, classes=classes, order=order)
+    return prior_cone_mass(model, np.array(sizes, dtype=float), T, np.random.default_rng(0))
 
 
 @dataclass(frozen=True)
@@ -325,9 +356,9 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     """
     layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
                for c in comps]
-    base = [max(1, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
-
     cap = min(MAX_GRID, MAX_ELEMENTS // max(c.rows for c in comps))
+    least = min(MIN_PANELS, cap // (2 * PANEL_POINTS))
+    base = [max(least, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
 
     def mass_at(scale):
         node = np.ones(len(w))
@@ -425,12 +456,12 @@ def check_prior_mass(prior_est: RegionProbEstimate) -> None:
 def log_bf_standard_error(prior_est: RegionProbEstimate) -> float:
     """Delta-method standard error of the log cone-mass ratio, from the prior hit count alone.
 
-    The posterior mass is exact.  Were the prior hits Binomial(total, p), the
-    log of their fraction would have variance about (1 - p) / hits; the
-    sign-flip pairs of prior_cone_mass have the smaller p(1 - 2p)/total in
-    the fraction, so this binomial value is a conservative bound.
+    The posterior mass is exact.  The sign-flip pairs of prior_cone_mass give
+    the hit fraction variance p(1 - 2p)/total, so its log has variance about
+    (1 - 2p)/hits: 0 for a two-class order, where every pair hits exactly
+    once.  It is clipped at 0 for the one unpaired draw of an odd total.
     """
-    return float(np.sqrt((1.0 - prior_est.estimate) / prior_est.hits))
+    return float(np.sqrt(max(0.0, 1.0 - 2.0 * prior_est.estimate) / prior_est.hits))
 
 
 def below_resolution_bound(prior_est: RegionProbEstimate, post_est: PosteriorConeMass) -> float:

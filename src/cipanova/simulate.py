@@ -8,8 +8,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from .compare import Settings, compare
-from .constraints import ConstraintModel
-from .gaussian import RandomSource
+from .constraints import ConstraintModel, encompassing_of
+from .intrinsic import make_cip
+from .posterior import cached_prior_cone_mass
 from .scenarios import SimScenario, generate_scenario
 
 
@@ -64,8 +65,7 @@ class SummaryTable:
 def _replicate(scenario: SimScenario, models: list[ConstraintModel],
                settings: Settings, r: int) -> dict:
     data = generate_scenario(scenario, r)
-    rng = RandomSource(scenario.base_seed, (1, r))
-    report = compare(data, models, settings=settings, rng=rng)
+    report = compare(data, models, settings=settings)
     pmp = dict(zip(report.model_names, report.posterior_probs))
     top = max(range(len(report.model_names)),
               key=lambda i: (report.posterior_probs[i], -i))
@@ -87,8 +87,10 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
     """Run every replication, stream records in index order, summarize the wins.
 
     Aggregation is keyed by replication index, so the summary does not depend
-    on worker scheduling.  On interrupt, records completed so far are flushed
-    before the exception propagates.
+    on worker scheduling.  The prior cone masses are counted here, before any
+    worker starts, so forked workers inherit them instead of counting them
+    again.  On interrupt, records completed so far are flushed before the
+    exception propagates.
     """
     if settings is None:
         settings = Settings()
@@ -96,6 +98,10 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
         raise ValueError("jobs must be >= 1")
     if all(m.name != scenario.true_model for m in models):
         raise ValueError(f"model list must include the true model {scenario.true_model!r}")
+    for m in models:
+        if m.has_order:
+            spec = make_cip(encompassing_of(m), (scenario.n_per_group,) * m.J)
+            cached_prior_cone_mass(m, spec.sizes, settings.prior_draws)
     records: dict[int, dict] = {}
     try:
         if jobs == 1:

@@ -81,6 +81,17 @@ def test_compare_records_are_stable(capsys, data_csv):
     assert rec["models"][0]["name"] == "model1"  # unnamed specs are numbered
 
 
+def test_compare_records_do_not_depend_on_the_seed(capsys, data_csv):
+    records = []
+    for seed in ("1", "2"):
+        assert main(["compare", str(data_csv), "--model", "up=mu1<mu2<mu3",
+                     "--model", "Me=mu1,mu2,mu3", "--output", "records",
+                     "--seed", seed, *FAST_FLAGS]) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    assert [r.pop("seed") for r in records] == [1, 2]
+    assert records[0] == records[1]
+
+
 def test_model_name_prefix_rules(capsys, data_csv):
     # 'mu3=mu1<mu2' must parse as a model string, not as a name assignment
     code = main(["compare", str(data_csv), "--model", "mu3=mu1<mu2",

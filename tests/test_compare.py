@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cipanova import posterior
 from cipanova.compare import ComparisonReport, Settings, bf_k0, compare, pairwise_bf
 from cipanova.constraints import parse_model_spec
 from cipanova.data import AnovaData
@@ -32,7 +33,7 @@ def _models():
 def test_null_breakdown_is_identity():
     data = _increasing_data()
     m0 = parse_model_spec("mu1 = mu2 = mu3", J=3)
-    bd = bf_k0(data, m0, NullParams(0.5, 1.0), FAST, RandomSource(1))
+    bd = bf_k0(data, m0, NullParams(0.5, 1.0), FAST)
     assert bd.log_bf_e_vs_0 == 0.0
     assert bd.log_bf_c_vs_e == 0.0
     assert bd.log_bf_c_vs_0 == 0.0
@@ -42,7 +43,7 @@ def test_null_breakdown_is_identity():
 def test_unordered_model_skips_region_step():
     data = _increasing_data()
     me = parse_model_spec("mu1, mu2, mu3", J=3)
-    bd = bf_k0(data, me, NullParams(0.5, 1.0), FAST, RandomSource(1))
+    bd = bf_k0(data, me, NullParams(0.5, 1.0), FAST)
     assert bd.log_bf_c_vs_e == 0.0
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0
     assert bd.evidence is not None
@@ -53,7 +54,7 @@ def test_unordered_model_skips_region_step():
 def test_ordered_model_composes_factors():
     data = _increasing_data()
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3)
-    bd = bf_k0(data, mup, NullParams(0.7, 1.2), FAST, RandomSource(2))
+    bd = bf_k0(data, mup, NullParams(0.7, 1.2), FAST)
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0 + bd.log_bf_c_vs_e
     assert bd.prior_region.side == "prior"
     assert isinstance(bd.post_region, PosteriorConeMass)
@@ -65,8 +66,7 @@ def test_ordered_model_composes_factors():
 def test_bf_k0_rejects_group_mismatch():
     data = _increasing_data()
     with pytest.raises(ValueError):
-        bf_k0(data, parse_model_spec("mu1 < mu2", J=2), NullParams(0.0, 1.0),
-              FAST, RandomSource(0))
+        bf_k0(data, parse_model_spec("mu1 < mu2", J=2), NullParams(0.0, 1.0), FAST)
 
 
 def test_pmp_matches_hand_normalization():
@@ -124,7 +124,7 @@ def test_below_resolution_flag_on_contradicted_order():
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3, name="Mup")
-    bd = bf_k0(data, mup, NullParams(1.5, 1.5), FAST, RandomSource(8))
+    bd = bf_k0(data, mup, NullParams(1.5, 1.5), FAST)
     assert bd.below_resolution
     assert bd.log_bf_c_vs_0 == -np.inf
     assert bd.resolution_bound is not None and np.isfinite(bd.resolution_bound)
@@ -160,8 +160,7 @@ def test_empty_prior_cone_refuses_before_the_evidence(monkeypatch):
     monkeypatch.setattr(importlib.import_module("cipanova.compare"), "log_marginal_quadrature",
                         no_evidence)
     with pytest.raises(InsufficientPriorMassError):
-        bf_k0(data, total, estimate_null_params(data), Settings(prior_draws=1000),
-              RandomSource(9))
+        bf_k0(data, total, estimate_null_params(data), Settings(prior_draws=1000))
 
 
 def test_report_record_round_trips_through_json():
@@ -175,7 +174,8 @@ def test_report_record_round_trips_through_json():
     assert up["prior_region"]["side"] == "prior"
     assert up["log_bf_c_vs_0"] == pytest.approx(up["log_bf_e_vs_0"] + up["log_bf_c_vs_e"])
     prior = up["prior_region"]
-    assert up["log_bf_se"] == pytest.approx(np.sqrt((1.0 - prior["estimate"]) / prior["hits"]))
+    assert up["log_bf_se"] == pytest.approx(
+        np.sqrt((1.0 - 2.0 * prior["estimate"]) / prior["hits"]))
     text = report.to_text()
     assert text.splitlines()[0].startswith("null fit:")
     assert "post prob" in text
@@ -212,8 +212,10 @@ def test_seed_reproducibility():
     b = compare(data, _models(), settings=FAST, rng=RandomSource(42))
     assert a.posterior_probs == b.posterior_probs
     assert a.display_bf == b.display_bf
+    # the prior cone masses come from one fixed stream, so the seed changes nothing
     c = compare(data, _models(), settings=FAST, rng=RandomSource(43))
-    assert a.posterior_probs != c.posterior_probs
+    assert a.posterior_probs == c.posterior_probs
+    assert a.to_record() == c.to_record()
 
 
 def _c10_report(seed):
@@ -229,20 +231,44 @@ def _c10_report(seed):
 
 def test_prior_stream_and_exact_posterior_across_seeds():
     a, b = _c10_report(10), _c10_report(11)
-    # the prior draws come from the model's split(0) stream: these hit counts
-    # pin its 10 000 sign-flip pairs at this seed; a two-class order such as
-    # rev has exactly one hit per pair
+    # the prior draws come from the fixed stream default_rng(0): these hit
+    # counts pin its 10 000 sign-flip pairs; a two-class order such as rev
+    # has exactly one hit per pair, so its estimate carries no error
     assert [m.get("prior_region") for m in a] == [
         None,
-        {"estimate": 0.16665, "hits": 3333, "total": 20_000, "side": "prior"},
+        {"estimate": 0.16435, "hits": 3287, "total": 20_000, "side": "prior"},
         {"estimate": 0.5, "hits": 10_000, "total": 20_000, "side": "prior"},
         None]
-    assert [m.get("prior_region") for m in a] != [m.get("prior_region") for m in b]
-    # the posterior mass draws nothing, so another seed leaves it bit-identical
-    assert [m.get("post_region") for m in a] == [m.get("post_region") for m in b]
+    assert a[2]["log_bf_se"] == 0.0
+    # neither mass depends on the seed
+    assert a == b
     up = a[1]["post_region"]
     assert set(up) == {"estimate", "side", "doubling_error", "grid", "upper_bound"}
     assert up["doubling_error"] < 1e-9 and up["grid"] > 0
+
+
+def test_prior_mass_is_counted_once_per_key(monkeypatch):
+    posterior._fixed_stream_prior_mass.cache_clear()
+    counted = []
+    count = posterior.prior_cone_mass
+
+    def counting(model, sizes, T, rng):
+        counted.append((model.order, tuple(sizes), T))
+        return count(model, sizes, T, rng)
+
+    monkeypatch.setattr(posterior, "prior_cone_mass", counting)
+    data = _increasing_data(seed=20)
+    first = compare(data, _models(), settings=FAST, rng=RandomSource(1))
+    renamed = [parse_model_spec("mu1 < mu2 < mu3", J=3, name="trend"),
+               parse_model_spec("mu1, mu2, mu3", J=3, name="free")]
+    again = compare(data, renamed, settings=FAST, rng=RandomSource(2))
+    assert len(counted) == 1
+    assert again.breakdowns[0].prior_region == first.breakdowns[1].prior_region
+    # other class sizes or another draw count make another key
+    compare(_increasing_data(seed=20, n_per_group=11), renamed, settings=FAST)
+    compare(data, renamed, settings=Settings(prior_draws=10_000))
+    assert [T for *_, T in counted] == [20_000, 20_000, 10_000]
+    assert [sizes for _, sizes, _ in counted] == [(10, 10, 10), (11, 11, 11), (10, 10, 10)]
 
 
 def test_breakdown_sum_rule_enforced():
@@ -277,7 +303,7 @@ def test_large_offset_leaves_order_bf_unchanged():
     bds = []
     for shift in (0.0, 1e8):
         data = AnovaData(responses=y + shift, groups=np.repeat([1, 2, 3], 20))
-        bds.append(bf_k0(data, up, estimate_null_params(data), Settings(), RandomSource(9)))
+        bds.append(bf_k0(data, up, estimate_null_params(data), Settings()))
     base, moved = bds
     assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se
 

@@ -90,5 +90,5 @@ def test_total_orders_partition_the_prior_evaluations(sizes, T, seed):
     for perm in itertools.permutations(range(1, len(sizes) + 1)):
         model = parse_model_spec(_chain(perm), J=len(sizes))
         spec = make_cip(encompassing_of(model), sizes)
-        hits += prior_cone_mass(model, spec, T, RandomSource(seed).generator()).hits
+        hits += prior_cone_mass(model, spec.sizes, T, RandomSource(seed).generator()).hits
     assert hits == T

@@ -390,17 +390,21 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
 def test_mass_settles_on_the_second_grid_across_datasets(monkeypatch):
     # the cost of a mass should not jump with the data: with 6 sd panels a
     # third of these datasets moved by more than POSTERIOR_REL_TOL over the
-    # first doubling and paid for a third grid
+    # first doubling and paid for a third grid, and without MIN_PANELS the
+    # first grid took 6 or 7 panels by dataset
     grids = []
     component_masses = posterior._component_masses
     monkeypatch.setattr(posterior, "_component_masses",
                         lambda *a: grids.append(a[-1].shape[1]) or component_masses(*a))
     text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
+    first = set()
     for seed in range(1, 13):
         grids.clear()
         post = _exact_mass(_j10_data(seed), text)
         assert post.doubling_error < 1e-10
         assert len(grids) == 2 and grids[1] - 1 == 2 * (grids[0] - 1), seed
+        first.add(grids[0])
+    assert first == {posterior.MIN_PANELS + 1}
 
 
 def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
@@ -527,7 +531,7 @@ def test_prior_cone_mass_matches_exact_value(text, J, exact):
     model = parse_model_spec(text, J=J)
     spec = make_cip(encompassing_of(model), (25,) * J)
     T = 100_000
-    est = prior_cone_mass(model, spec, T, RandomSource(80).generator())
+    est = prior_cone_mass(model, spec.sizes, T, RandomSource(80).generator())
     assert est.total == T
     assert abs(est.estimate - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / T)
 
@@ -537,7 +541,7 @@ def test_prior_cone_mass_counts_sign_flip_pairs(T):
     model = parse_model_spec(MODEL_STRINGS["M3"], J=5)
     spec = make_cip(encompassing_of(model), (25, 25, 50, 25, 25))
     rng = RandomSource(81).generator()
-    est = prior_cone_mass(model, spec, T, rng)
+    est = prior_cone_mass(model, spec.sizes, T, rng)
     assert est.total == T and est.side == "prior"
     # the same stream, block by block: ceil(T/2) rows, each counted with its
     # sign flip, the last flip dropped when T is odd
@@ -559,7 +563,7 @@ def test_prior_cone_mass_holds_one_block():
     rng = RandomSource(82).generator()
     tracemalloc.start()
     try:
-        est = prior_cone_mass(model, spec, 100_000, rng)
+        est = prior_cone_mass(model, spec.sizes, 100_000, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,8 +579,9 @@ def test_sign_flip_pairs_are_unbiased_with_variance_p_1_minus_2p(text, J, p):
     model = parse_model_spec(text, J=J)
     spec = make_cip(encompassing_of(model), (25,) * J)
     T, seeds = 2000, 400
-    est = np.array([prior_cone_mass(model, spec, T, RandomSource(s).generator()).estimate
-                    for s in range(seeds)])
+    counts = [prior_cone_mass(model, spec.sizes, T, RandomSource(s).generator())
+              for s in range(seeds)]
+    est = np.array([c.estimate for c in counts])
     paired_sd = np.sqrt(p * (1.0 - 2.0 * p) / T)
     assert abs(est.mean() - p) < 4.0 * paired_sd / np.sqrt(seeds)
     # the sample sd of 400 estimates is off its true value by about
@@ -584,13 +589,19 @@ def test_sign_flip_pairs_are_unbiased_with_variance_p_1_minus_2p(text, J, p):
     # sd of T independent draws, by 0.4% for the 5-chain and 29% when p = 1/3
     sd = np.std(est, ddof=1)
     assert abs(sd / paired_sd - 1.0) < 4.0 / np.sqrt(2 * (seeds - 1))
+    # the reported error of log p-hat follows the paired variance too; the
+    # binomial value would read 41% high when p = 1/3, and at the 5-chain's
+    # ~17 hits the delta method itself reads about 7% low
+    log_sd = np.std(np.log(est), ddof=1)
+    reported = np.mean([log_bf_standard_error(c) for c in counts])
+    assert abs(reported / log_sd - 1.0) < 4.0 / np.sqrt(2 * (seeds - 1))
 
 
 def test_sign_flip_pairs_of_two_classes_always_hit_once():
     # p = 1/2 with any class sizes: exactly one of d and -d is in the cone
     model = parse_model_spec("mu1 < mu2", J=2)
     spec = make_cip(encompassing_of(model), (3, 40))
-    assert {prior_cone_mass(model, spec, 2000, RandomSource(s).generator()).hits
+    assert {prior_cone_mass(model, spec.sizes, 2000, RandomSource(s).generator()).hits
             for s in range(20)} == {1000}
 
 
@@ -611,7 +622,7 @@ def test_log_bf_from_region_estimates():
         RegionProbEstimate(estimate=0.25, hits=25, total=100, side="prior"), unresolved)
     assert bound == pytest.approx(np.log(1e-20) - np.log(0.25), abs=1e-12)
     # the posterior mass is exact, so only the prior hit count carries error
-    assert log_bf_standard_error(prior) == pytest.approx(np.sqrt(0.9 / 10), rel=1e-12)
+    assert log_bf_standard_error(prior) == pytest.approx(np.sqrt(0.8 / 10), rel=1e-12)
 
 
 def test_estimate_dataclass_validation():

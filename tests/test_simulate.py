@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from cipanova import posterior
 from cipanova.compare import Settings
 from cipanova.scenarios import make_preset
 from cipanova.simulate import power_table, run_simulation_study, summarize_records
@@ -64,6 +67,28 @@ def test_parallel_matches_sequential():
     serial = run_simulation_study(scenario, models, settings=TINY, jobs=1)
     parallel = run_simulation_study(scenario, models, settings=TINY, jobs=2)
     assert serial == parallel
+
+
+def test_workers_inherit_the_prior_masses_counted_in_the_parent(monkeypatch):
+    posterior._fixed_stream_prior_mass.cache_clear()
+    parent = os.getpid()
+    counted = []
+    count = posterior.prior_cone_mass
+
+    def parent_only(model, sizes, T, rng):
+        if os.getpid() != parent:
+            raise AssertionError("a worker counted a prior cone mass")
+        counted.append(model.order)
+        return count(model, sizes, T, rng)
+
+    monkeypatch.setattr(posterior, "prior_cone_mass", parent_only)
+    scenario, models = make_preset("pop3", n_per_group=8, reps=4, base_seed=13)
+    parallel, serial = [], []
+    run_simulation_study(scenario, models, settings=TINY, jobs=2, record_sink=parallel.append)
+    assert len(counted) == sum(m.has_order for m in models)
+    run_simulation_study(scenario, models, settings=TINY, jobs=1, record_sink=serial.append)
+    assert len(counted) == sum(m.has_order for m in models)
+    assert parallel == serial
 
 
 def test_study_validation():
