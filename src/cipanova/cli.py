@@ -13,7 +13,7 @@ import numpy as np
 from .compare import Settings, compare
 from .constraints import encompassing_of, model_to_string, parse_model_spec, region_mask
 from .data import ingest_csv
-from .evidence import PreparedIntegrand, log_marginal_quadrature, quadrature_log_weights
+from .evidence import PreparedIntegrand
 from .gaussian import inverted_beta_logpdf, logsumexp, mvn_logpdf
 from .intrinsic import NullParams, make_cip
 from .posterior import posterior_cone_mass
@@ -304,11 +304,11 @@ def _check_quadrature_converges():
     rng = np.random.default_rng(12)
     spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), (4, 4, 4))
     theta0 = NullParams(alpha0=0.2, sigma0=1.1)
-    y = theta0.alpha0 + rng.normal(size=spec.n)
-    res = log_marginal_quadrature(y, theta0, spec)
+    prep = PreparedIntegrand(theta0.alpha0 + rng.normal(size=spec.n), theta0, spec)
+    res = prep.evidence
     assert res.node_doubling_delta < 1e-8, f"node-doubling delta {res.node_doubling_delta}"
     u = np.linspace(0.0, 1.0, 2001)[1:-1]
-    ll = PreparedIntegrand(y, theta0, spec).loglik(np.sin(0.5 * np.pi * u) ** 2)
+    ll = prep.loglik(np.sin(0.5 * np.pi * u) ** 2)
     dense = float(logsumexp(ll) + np.log(u[1] - u[0]))
     assert abs(res.log_marginal - dense) < 1e-8, f"{res.log_marginal} vs dense {dense}"
 
@@ -320,20 +320,21 @@ def _check_posterior_cone_mass():
     y = rng.normal(size=24) + np.repeat([0.0, 0.4, 0.1], 8)
     theta0 = NullParams(alpha0=float(np.mean(y)), sigma0=float(np.std(y)))
     model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
-    spec = make_cip(encompassing_of(model), (8, 8, 8))
-    eta, log_w = quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 64)
-    shrink = 1.0 / (1.0 + 3.0 * eta / spec.n)
+    prep = PreparedIntegrand(y, theta0, make_cip(encompassing_of(model), (8, 8, 8)))
+    eta, log_w, _ = prep.eta_weights
+    shrink = 1.0 / (1.0 + 3.0 * eta / prep.n)
     sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 8 + 1.0 / 16))
     gap = y[8:16].mean() - np.concatenate([y[:8], y[16:]]).mean()
     phi = [0.5 * math.erfc(-g / math.sqrt(2.0)) for g in shrink * gap / sd]
-    want = float(np.exp(log_w - logsumexp(log_w)) @ phi)
-    got = posterior_cone_mass(model, y, theta0, spec, 64).estimate
+    want = float(np.exp(log_w) @ phi)
+    got = posterior_cone_mass(model, prep).estimate
     assert got is not None and abs(got - want) < 1e-12, f"{got} vs Phi mixture {want}"
     # equal groups with equal means: every order of three is equally likely
     y = np.tile(rng.normal(size=6), 3)
     chain = parse_model_spec("mu1 < mu2 < mu3", J=3)
     spec = make_cip(encompassing_of(chain), (6, 6, 6))
-    got = posterior_cone_mass(chain, y, NullParams(float(np.mean(y)), 1.0), spec, 64).estimate
+    got = posterior_cone_mass(chain, PreparedIntegrand(y, NullParams(float(np.mean(y)), 1.0),
+                                                       spec)).estimate
     assert got is not None and abs(got - 1.0 / 6.0) < 1e-12, f"{got} vs 1/3!"
 
 

@@ -3,10 +3,11 @@
 Each constrained model's Bayes factor against the null composes two factors
 through its encompassing design: evidence of the design against the point
 null, and the posterior-to-prior cone mass ratio of the order constraints.
-Both factors are computed from one shared prior spec per model so the common
-prior cancels exactly; the exact posterior cone mass mixes over the same
-Gauss-Jacobi nodes as the evidence rule.  Model probabilities follow from the
-Bayes factors and prior model weights through a log-sum-exp normalization.
+Both factors read one prepared design per encompassing design and call, so
+the common prior cancels exactly and the exact posterior cone mass mixes over
+the evidence rule's own Gauss-Jacobi nodes and weights.  Model probabilities
+follow from the Bayes factors and prior model weights through a log-sum-exp
+normalization.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constraints import ConstraintModel, encompassing_of, model_to_string
+from .constraints import ConstraintModel, EncompassingDesign, encompassing_of, model_to_string
 from .data import AnovaData
-from .evidence import EvidenceResult, log_marginal_quadrature, null_loglik
+from .evidence import EvidenceResult, PreparedIntegrand, null_loglik
 from .gaussian import RandomSource, logsumexp
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
@@ -86,44 +87,53 @@ class BfBreakdown:
             raise ValueError("total must be the exact sum of the two factors")
 
 
-def bf_k0(data: AnovaData, model: ConstraintModel, theta0: NullParams,
-          settings: Settings) -> BfBreakdown:
-    """Bayes factor breakdown of one model against the null on one dataset."""
-    if model.J != data.J:
-        raise ValueError(f"model is over {model.J} groups, data has {data.J}")
-    name = model.name or model_to_string(model)
-    if model.is_null:
-        return BfBreakdown(model=name, log_bf_e_vs_0=0.0, log_bf_c_vs_e=0.0,
-                           log_bf_c_vs_0=0.0)
-    design = encompassing_of(model)
-    spec = make_cip(design, data.group_sizes)
-    y = data.responses
-    if model.has_order:
-        # the prior mass alone decides a refusal, so it is checked before any other work
-        prior_est = cached_prior_cone_mass(model, spec.sizes, settings.prior_draws)
-        check_prior_mass(prior_est)
-    ev = log_marginal_quadrature(y, theta0, spec, nodes=settings.quadrature_nodes)
-    lbf_e0 = ev.log_marginal - null_loglik(y, theta0)
+def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
+          settings: Settings) -> tuple[BfBreakdown, ...]:
+    """Bayes factor breakdown of each model against the null on one dataset.
 
-    if not model.has_order:
+    Models on one encompassing design share its PreparedIntegrand, so each
+    design's class statistics, evidence and eta nodes are computed once per
+    call.  The prior masses alone decide a refusal, so all are checked first.
+    """
+    names = [m.name or model_to_string(m) for m in models]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate model names")
+    group_sizes = data.group_sizes
+    designs = [encompassing_of(m) for m in models]
+    prepared: dict[EncompassingDesign, PreparedIntegrand] = {}
+    priors = {}
+    for i, (model, design) in enumerate(zip(models, designs)):
+        if model.J != data.J:
+            raise ValueError(f"model is over {model.J} groups, data has {data.J}")
+        if not model.is_null and design not in prepared:
+            prepared[design] = PreparedIntegrand(data.responses, theta0,
+                                                 make_cip(design, group_sizes),
+                                                 settings.quadrature_nodes)
+        if model.has_order:
+            priors[i] = cached_prior_cone_mass(model, prepared[design].sizes, settings.prior_draws)
+            check_prior_mass(priors[i])
+    log_null = null_loglik(data.responses, theta0)
+    return tuple(_breakdown(model, name, prepared.get(design), log_null, priors.get(i))
+                 for i, (model, name, design) in enumerate(zip(models, names, designs)))
+
+
+def _breakdown(model: ConstraintModel, name: str, prep: PreparedIntegrand | None,
+               log_null: float, prior_est: RegionProbEstimate | None) -> BfBreakdown:
+    if prep is None:
+        return BfBreakdown(model=name, log_bf_e_vs_0=0.0, log_bf_c_vs_e=0.0, log_bf_c_vs_0=0.0)
+    ev = prep.evidence
+    lbf_e0 = ev.log_marginal - log_null
+    if prior_est is None:
         return BfBreakdown(model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=0.0,
                            log_bf_c_vs_0=lbf_e0 + 0.0, evidence=ev)
-
-    post_est = posterior_cone_mass(model, y, theta0, spec, settings.quadrature_nodes)
+    post_est = posterior_cone_mass(model, prep)
     lbf_ce = log_bf_constrained_vs_encompassing(prior_est, post_est)
     below = post_est.estimate is None
     return BfBreakdown(
-        model=name,
-        log_bf_e_vs_0=lbf_e0,
-        log_bf_c_vs_e=lbf_ce,
-        log_bf_c_vs_0=lbf_e0 + lbf_ce,
-        log_bf_se=None if below else log_bf_standard_error(prior_est),
-        evidence=ev,
-        prior_region=prior_est,
-        post_region=post_est,
-        below_resolution=below,
-        resolution_bound=below_resolution_bound(prior_est, post_est) if below else None,
-    )
+        model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=lbf_ce, log_bf_c_vs_0=lbf_e0 + lbf_ce,
+        log_bf_se=None if below else log_bf_standard_error(prior_est), evidence=ev,
+        prior_region=prior_est, post_region=post_est, below_resolution=below,
+        resolution_bound=below_resolution_bound(prior_est, post_est) if below else None)
 
 
 @dataclass(frozen=True)
@@ -204,9 +214,6 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     """
     if settings is None:
         settings = Settings()
-    names = [m.name or model_to_string(m) for m in models]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate model names")
     if prior_probs is None:
         weights = np.full(len(models), 1.0 / len(models))
     else:
@@ -219,7 +226,8 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     if theta0 is None:
         theta0 = estimate_null_params(data)
 
-    breakdowns = tuple(bf_k0(data, m, theta0, settings) for m in models)
+    breakdowns = bf_k0(data, models, theta0, settings)
+    names = [bd.model for bd in breakdowns]
     log_bf = np.array([bd.log_bf_c_vs_0 for bd in breakdowns])
     if np.all(log_bf == -np.inf):
         raise ValueError(

@@ -57,11 +57,12 @@ def ingest_csv(path) -> AnovaData:
     """
     labels: list[str] = []
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        fields = [name.strip() for name in reader.fieldnames]
+        reader.fieldnames = fields = [name.strip() for name in reader.fieldnames]
         if "group" not in fields or "response" not in fields:
             raise ValueError(f"{path}: header must name 'group' and 'response' columns")
         for lineno, row in enumerate(reader, start=2):

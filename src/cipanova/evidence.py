@@ -11,6 +11,7 @@ and equal weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,16 +38,17 @@ class EvidenceResult:
 
 
 class PreparedIntegrand:
-    """Per-dataset class statistics reducing each eta evaluation to O(1) flops.
+    """One design's class statistics on one dataset, reducing each eta evaluation to O(1) flops.
 
     With k = n/(q+1), Winv = k (Z'Z)^{-1}, so Z Winv Z' is k times the
     projection onto the class indicators and the integrand reads r = y - alpha0
     only through r'r and the class means rbar of r, via B = sum_c n_c rbar_c^2.
-    Quadrature, mode search and the exact posterior cone mass all evaluate
-    through this.
+    The evidence and its eta nodes are computed on first use, once for every model on the design.
     """
 
-    def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec) -> None:
+    def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int = 64) -> None:
+        if nodes < 8:
+            raise ValueError(f"need at least 8 nodes, got {nodes}")
         y = np.asarray(y, dtype=float)
         if y.shape != (spec.n,) or not np.all(np.isfinite(y)):
             raise ValueError("y must be a finite vector matching the design rows")
@@ -54,10 +56,12 @@ class PreparedIntegrand:
         starts = np.cumsum((0,) + spec.group_sizes[:-1])
         sums = np.bincount(spec.class_index, weights=np.add.reduceat(r, starts),
                            minlength=spec.q)
+        self.nodes = nodes
         self.n = spec.n
         self.q = spec.q
         self.k = spec.n / (spec.q + 1)
         self.s0sq = theta0.sigma0**2
+        self.sizes = spec.sizes
         self.rbar = sums / spec.sizes
         self.B = float(sums @ self.rbar)
         self.rr = float(r @ r)
@@ -70,6 +74,26 @@ class PreparedIntegrand:
         quad = (self.rr - self.k * self.B / (eta + self.k)) / a
         return -0.5 * (self.n * LOG_2PI + self.n * np.log(a)
                        + self.q * np.log1p(self.k / eta) + quad)
+
+    def class_mean_moments(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and sd of each class mean minus alpha0, a Gaussian given eta; a row per eta."""
+        shrink = 1.0 / (1.0 + (self.q + 1) / self.n * eta)
+        sd = np.sqrt(self.s0sq * eta / (1.0 - eta) * shrink)
+        return shrink[:, None] * self.rbar, sd[:, None] / np.sqrt(self.sizes)
+
+    @cached_property
+    def eta_weights(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The rule's eta nodes, their log weights normalised to sum to 1, and the log integral."""
+        eta, log_w = quadrature_log_weights(self, self.nodes)
+        total = logsumexp(log_w)
+        return eta, log_w - total, float(total - np.log(np.pi))
+
+    @cached_property
+    def evidence(self) -> EvidenceResult:
+        """Gauss-Chebyshev estimate of the log marginal, with a node-doubling check."""
+        value = self.eta_weights[2]
+        doubled = float(logsumexp(quadrature_log_weights(self, 2 * self.nodes)[1]) - np.log(np.pi))
+        return EvidenceResult(value, self.nodes, _eta_mode(self), abs(value - doubled))
 
 
 def _eta_mode(prep: PreparedIntegrand) -> float:
@@ -107,25 +131,10 @@ def quadrature_log_weights(prep: PreparedIntegrand,
     return eta, prep.loglik(eta) + np.log(w)
 
 
-def _quadrature_value(prep: PreparedIntegrand, nodes: int) -> float:
-    _, log_w = quadrature_log_weights(prep, nodes)
-    return float(logsumexp(log_w) - np.log(np.pi))
-
-
 def log_marginal_quadrature(y: np.ndarray, theta0: NullParams, spec: CipSpec,
                             nodes: int = 64) -> EvidenceResult:
     """Gauss-Chebyshev estimate of the log marginal, with a node-doubling check."""
-    if nodes < 8:
-        raise ValueError(f"need at least 8 nodes, got {nodes}")
-    prep = PreparedIntegrand(y, theta0, spec)
-    value = _quadrature_value(prep, nodes)
-    doubled = _quadrature_value(prep, 2 * nodes)
-    return EvidenceResult(
-        log_marginal=value,
-        nodes=nodes,
-        eta_mode=_eta_mode(prep),
-        node_doubling_delta=abs(value - doubled),
-    )
+    return PreparedIntegrand(y, theta0, spec, nodes).evidence
 
 
 def null_loglik(y: np.ndarray, theta0: NullParams) -> float:

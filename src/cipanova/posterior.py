@@ -12,13 +12,11 @@ prior the class means are independent Gaussians:
   depends on nothing but the order, the class sizes and the draw count, so it
   is counted once per process on one fixed stream (cached_prior_cone_mass);
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
-  alpha0 is N(shrink rbar_c, sd^2 / n_c) with shrink = 1/(1 + c eta),
-  c = (q+1)/n and sd^2 = sigma0^2 eta/(1-eta) shrink, where rbar_c is the
-  class mean of y - alpha0.
+  alpha0 is Gaussian too (PreparedIntegrand.class_mean_moments).
 
 The posterior mass is exact: the evidence-weighted mixture, over the evidence
-rule's Gauss-Chebyshev eta nodes, of P(order | eta).  For independent
-variables the probability of a strict partial order factors over the weak
+rule's own Gauss-Chebyshev eta nodes and weights, of P(order | eta).  For
+independent variables the probability of a strict partial order factors over the weak
 components of the order, and within a component it is a recursion over the
 down-sets (order ideals) I:
 
@@ -44,9 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .constraints import ConstraintModel, _weak_components, model_to_string, region_mask
-from .evidence import PreparedIntegrand, quadrature_log_weights
+from .evidence import PreparedIntegrand
 from .gaussian import LOG_2PI, logsumexp
-from .intrinsic import CipSpec, NullParams
 
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
@@ -382,9 +379,8 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
         prev, scale = mass, 2 * scale
 
 
-def posterior_cone_mass(model: ConstraintModel, y: np.ndarray, theta0: NullParams,
-                        spec: CipSpec, nodes: int) -> PosteriorConeMass:
-    """Exact posterior mass of the model's cone on the evidence rule's eta nodes.
+def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> PosteriorConeMass:
+    """Exact posterior cone mass, mixed over the eta nodes of the model's prepared design.
 
     Nodes lighter than PRUNE_WEIGHT are skipped only while their summed
     closed-form bound stays within PRUNE_REL of the mass; otherwise the
@@ -394,14 +390,9 @@ def posterior_cone_mass(model: ConstraintModel, y: np.ndarray, theta0: NullParam
     ValueError, like an order with too many down-sets.
     """
     comps = order_components(model)
-    prep = PreparedIntegrand(y, theta0, spec)
-    eta, log_w = quadrature_log_weights(prep, nodes)
-    log_w = log_w - logsumexp(log_w)
+    eta, log_w, _ = prep.eta_weights
     w = np.exp(log_w)
-    shrink = 1.0 / (1.0 + (spec.q + 1) / spec.n * eta)
-    sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink)
-    mu = shrink[:, None] * prep.rbar
-    s = sd[:, None] / np.sqrt(spec.sizes)
+    mu, s = prep.class_mean_moments(eta)
     log_bound = log_w + _log_pair_bound(model, mu, s)
     bound = np.exp(log_bound)
     upper_bound = float(np.exp(logsumexp(log_bound)))

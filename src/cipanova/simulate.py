@@ -108,7 +108,8 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
             for r in range(scenario.reps):
                 records[r] = _replicate(scenario, models, settings, r)
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # every worker forks at the first submit, so start no more than there are tasks
+            with ProcessPoolExecutor(max_workers=min(jobs, scenario.reps)) as pool:
                 pending = {pool.submit(_replicate, scenario, models, settings, r): r
                            for r in range(scenario.reps)}
                 while pending:

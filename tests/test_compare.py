@@ -1,15 +1,16 @@
-import importlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cipanova import posterior
+from cipanova import evidence, posterior
 from cipanova.compare import ComparisonReport, Settings, bf_k0, compare, pairwise_bf
-from cipanova.constraints import parse_model_spec
+from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.gaussian import RandomSource
-from cipanova.intrinsic import NullParams, estimate_null_params
+from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import InsufficientPriorMassError, PosteriorConeMass
 from cipanova.scenarios import generate_scenario, make_preset
 
@@ -33,7 +34,7 @@ def _models():
 def test_null_breakdown_is_identity():
     data = _increasing_data()
     m0 = parse_model_spec("mu1 = mu2 = mu3", J=3)
-    bd = bf_k0(data, m0, NullParams(0.5, 1.0), FAST)
+    bd = bf_k0(data, [m0], NullParams(0.5, 1.0), FAST)[0]
     assert bd.log_bf_e_vs_0 == 0.0
     assert bd.log_bf_c_vs_e == 0.0
     assert bd.log_bf_c_vs_0 == 0.0
@@ -43,7 +44,7 @@ def test_null_breakdown_is_identity():
 def test_unordered_model_skips_region_step():
     data = _increasing_data()
     me = parse_model_spec("mu1, mu2, mu3", J=3)
-    bd = bf_k0(data, me, NullParams(0.5, 1.0), FAST)
+    bd = bf_k0(data, [me], NullParams(0.5, 1.0), FAST)[0]
     assert bd.log_bf_c_vs_e == 0.0
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0
     assert bd.evidence is not None
@@ -54,7 +55,7 @@ def test_unordered_model_skips_region_step():
 def test_ordered_model_composes_factors():
     data = _increasing_data()
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3)
-    bd = bf_k0(data, mup, NullParams(0.7, 1.2), FAST)
+    bd = bf_k0(data, [mup], NullParams(0.7, 1.2), FAST)[0]
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0 + bd.log_bf_c_vs_e
     assert bd.prior_region.side == "prior"
     assert isinstance(bd.post_region, PosteriorConeMass)
@@ -66,7 +67,7 @@ def test_ordered_model_composes_factors():
 def test_bf_k0_rejects_group_mismatch():
     data = _increasing_data()
     with pytest.raises(ValueError):
-        bf_k0(data, parse_model_spec("mu1 < mu2", J=2), NullParams(0.0, 1.0), FAST)
+        bf_k0(data, [parse_model_spec("mu1 < mu2", J=2)], NullParams(0.0, 1.0), FAST)
 
 
 def test_pmp_matches_hand_normalization():
@@ -124,7 +125,7 @@ def test_below_resolution_flag_on_contradicted_order():
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3, name="Mup")
-    bd = bf_k0(data, mup, NullParams(1.5, 1.5), FAST)
+    bd = bf_k0(data, [mup], NullParams(1.5, 1.5), FAST)[0]
     assert bd.below_resolution
     assert bd.log_bf_c_vs_0 == -np.inf
     assert bd.resolution_bound is not None and np.isfinite(bd.resolution_bound)
@@ -148,19 +149,19 @@ def test_every_model_below_resolution_raises():
 
 def test_empty_prior_cone_refuses_before_the_evidence(monkeypatch):
     # the 10-group total order has prior mass 1/10!, so 1000 draws miss it;
-    # the refusal must come before the evidence integral is computed
+    # the refusal must come before the evidence integral of any model is computed
     rng = np.random.default_rng(35)
     data = AnovaData(responses=rng.normal(size=50), groups=np.repeat(np.arange(1, 11), 5))
-    total = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 11)), J=10)
+    free, total = (parse_model_spec(sep.join(f"mu{j}" for j in range(1, 11)), J=10)
+                   for sep in (", ", " < "))
 
     def no_evidence(*args, **kwargs):
-        raise AssertionError("evidence computed for a refused model")
+        raise AssertionError("evidence computed in a refused call")
 
-    # the package's compare() shadows its module of the same name
-    monkeypatch.setattr(importlib.import_module("cipanova.compare"), "log_marginal_quadrature",
-                        no_evidence)
+    # the evidence, its eta nodes and its mode search all evaluate loglik
+    monkeypatch.setattr(evidence.PreparedIntegrand, "loglik", no_evidence)
     with pytest.raises(InsufficientPriorMassError):
-        bf_k0(data, total, estimate_null_params(data), Settings(prior_draws=1000))
+        bf_k0(data, [free, total], estimate_null_params(data), Settings(prior_draws=1000))
 
 
 def test_report_record_round_trips_through_json():
@@ -303,7 +304,7 @@ def test_large_offset_leaves_order_bf_unchanged():
     bds = []
     for shift in (0.0, 1e8):
         data = AnovaData(responses=y + shift, groups=np.repeat([1, 2, 3], 20))
-        bds.append(bf_k0(data, up, estimate_null_params(data), Settings()))
+        bds.append(bf_k0(data, [up], estimate_null_params(data), Settings())[0])
     base, moved = bds
     assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se
 
@@ -353,3 +354,73 @@ def test_text_bf_column_keeps_its_width():
     assert report.display_bf[0] > 1e12 and "e+" in rows[0][30:48]
     assert 0.0 < report.display_bf[2] < 1e-4 and "e-" in rows[2][30:48]
     assert rows[1][30:48].strip() == f"{report.display_bf[1]:.4f}"
+
+
+def _pop3(base_seed=2026):
+    scenario, models = make_preset("pop3", n_per_group=25, reps=1, base_seed=base_seed)
+    return generate_scenario(scenario, 0), models
+
+
+def _count_evidence_work(monkeypatch):
+    counts = {"prepared": 0, "mode": 0, "quadrature": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    init = evidence.PreparedIntegrand.__init__
+    monkeypatch.setattr(evidence.PreparedIntegrand, "__init__", counting("prepared", init))
+    monkeypatch.setattr(evidence, "_eta_mode", counting("mode", evidence._eta_mode))
+    monkeypatch.setattr(evidence, "quadrature_log_weights",
+                        counting("quadrature", evidence.quadrature_log_weights))
+    return counts
+
+
+def test_each_design_is_prepared_once_per_call(monkeypatch):
+    # pop3's M2 and Me share the free design and M3 has its own; the null has
+    # none.  Each design takes one build, one mode search and the 64- and
+    # 128-node rules; the posterior masses add no quadrature of their own.
+    data, models = _pop3()
+    counts = _count_evidence_work(monkeypatch)
+    compare(data, models, settings=FAST)
+    assert counts == {"prepared": 2, "mode": 2, "quadrature": 4}
+
+    rng = np.random.default_rng(5)
+    j10 = AnovaData(responses=rng.normal(np.repeat(0.1 * np.arange(10), 20)),
+                    groups=np.repeat(np.arange(1, 11), 20))
+    null, free = _j10_null_and_free()
+    split = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}", J=10,
+                             name="split")
+    counts.update(prepared=0, mode=0, quadrature=0)
+    compare(j10, [null, split, free], settings=FAST)
+    assert counts == {"prepared": 1, "mode": 1, "quadrature": 2}
+
+    up = models[1]
+    prep = evidence.PreparedIntegrand(data.responses, estimate_null_params(data),
+                                      make_cip(encompassing_of(up), data.group_sizes))
+    _ = prep.evidence  # compare computes the evidence before any cone mass
+    counts.update(prepared=0, mode=0, quadrature=0)
+    posterior.posterior_cone_mass(up, prep)
+    assert counts == {"prepared": 0, "mode": 0, "quadrature": 0}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([0, 1]), st.permutations(range(5)), st.integers(min_value=1, max_value=5))
+def test_breakdown_does_not_depend_on_the_other_models(which, order, size):
+    # the prepared designs are keyed by design within one call: sharing one
+    # with other models, in any order, leaves every breakdown bit-identical
+    cases = []
+    for seed in (2026, 2027):
+        data, models = _pop3(seed)
+        models = models + [parse_model_spec("mu5 < mu4 < mu3 < mu2 < mu1", J=5, name="down")]
+        theta0 = estimate_null_params(data)
+        cases.append((data, models, theta0,
+                      [repr(bf_k0(data, [m], theta0, FAST)[0]) for m in models]))
+    # no design outlives its call: the second dataset's models read its own data
+    assert all(a != b for a, b in zip(cases[0][3][1:], cases[1][3][1:]))
+    data, models, theta0, alone = cases[which]
+    chosen = order[:size]
+    shared = bf_k0(data, [models[i] for i in chosen], theta0, FAST)
+    assert [repr(bd) for bd in shared] == [alone[i] for i in chosen]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
+from cipanova.evidence import PreparedIntegrand
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import estimate_null_params, make_cip
 from cipanova.posterior import POSTERIOR_REL_TOL, posterior_cone_mass, prior_cone_mass
@@ -29,7 +30,8 @@ def datasets(draw):
 def _mass(data, text):
     model = parse_model_spec(text, J=data.J)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    return posterior_cone_mass(model, data.responses, estimate_null_params(data), spec, 64)
+    prep = PreparedIntegrand(data.responses, estimate_null_params(data), spec)
+    return posterior_cone_mass(model, prep)
 
 
 def _chain(perm):

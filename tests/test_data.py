@@ -41,6 +41,16 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(data.responses, [0.5, -0.5, 1.5, 2.5])
 
 
+def test_csv_header_with_spaces_or_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    p = tmp_path / "d.csv"
+    for text in ("group , response\n1, 0.5\n2,1.5\n", "\ufeffgroup,response\n1,0.5\n2,1.5\n"):
+        p.write_text(text, encoding="utf-8")
+        data = ingest_csv(p)
+        assert data.group_labels == ("1", "2")
+        assert np.array_equal(data.responses, [0.5, 1.5])
+
+
 def test_csv_recode_warning_for_letters(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("group,response\nb,1.0\na,2.0\nb,3.0\n")

@@ -319,7 +319,8 @@ def _zero_mean_data(J, n=7, seed=0):
 def _exact_mass(data, text):
     model = parse_model_spec(text, J=data.J)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    return posterior_cone_mass(model, data.responses, estimate_null_params(data), spec, 64)
+    prep = PreparedIntegrand(data.responses, estimate_null_params(data), spec)
+    return posterior_cone_mass(model, prep)
 
 
 @pytest.mark.parametrize("q", range(2, 11))
@@ -354,7 +355,7 @@ def test_exact_mass_matches_node_mixture():
     r = y - theta0.alpha0
     gap = r[data.groups == 2].mean() - r[data.groups != 2].mean()
     exact = float(np.exp(log_w - logsumexp(log_w)) @ stats.norm.cdf(shrink * gap / sd))
-    post = posterior_cone_mass(model, y, theta0, spec, 64)
+    post = posterior_cone_mass(model, PreparedIntegrand(y, theta0, spec))
     assert abs(post.estimate - exact) < 1e-12
 
 
@@ -376,7 +377,7 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
     model = parse_model_spec(text, J=data.J)
     y, theta0 = data.responses, estimate_null_params(data)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    post = posterior_cone_mass(model, y, theta0, spec, 64)
+    post = posterior_cone_mass(model, PreparedIntegrand(y, theta0, spec))
     rng = RandomSource(75).generator()
     T, hits = 0, 0
     for _ in range(10):  # 2M draws in chunks of 200k
@@ -415,7 +416,7 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     model = parse_model_spec("mu1 < mu2 < mu3", J=3)
     spec = make_cip(encompassing_of(model), (12, 12, 12))
-    post = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
+    post = posterior_cone_mass(model, PreparedIntegrand(y, NullParams(1.5, 1.5), spec))
     assert post.estimate is None and post.grid == 0
     assert 0.0 < post.upper_bound < 1e-10
     # wider groups: the bound is loose, and the grid settles on a mass under the
@@ -425,12 +426,12 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.9, size=30) for m in (3.0, 1.5, 0.0)])
     spec = make_cip(encompassing_of(model), (30, 30, 30))
-    settled = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
+    settled = posterior_cone_mass(model, PreparedIntegrand(y, NullParams(1.5, 1.5), spec))
     assert settled.estimate is None and settled.doubling_error < posterior.POSTERIOR_REL_TOL
     assert settled.upper_bound > 1e-12
     # a grid cap that stops such a mass before it settles still leaves it unresolved
     monkeypatch.setattr(posterior, "MAX_GRID", settled.grid // 2)
-    capped = posterior_cone_mass(model, y, NullParams(1.5, 1.5), spec, 64)
+    capped = posterior_cone_mass(model, PreparedIntegrand(y, NullParams(1.5, 1.5), spec))
     assert capped.estimate is None and capped.doubling_error >= posterior.POSTERIOR_REL_TOL
 
 

@@ -1,10 +1,11 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from cipanova import posterior
+from cipanova import posterior, simulate
 from cipanova.compare import Settings
 from cipanova.scenarios import make_preset
 from cipanova.simulate import power_table, run_simulation_study, summarize_records
@@ -89,6 +90,35 @@ def test_workers_inherit_the_prior_masses_counted_in_the_parent(monkeypatch):
     run_simulation_study(scenario, models, settings=TINY, jobs=1, record_sink=serial.append)
     assert len(counted) == sum(m.has_order for m in models)
     assert parallel == serial
+
+
+def test_pool_forks_no_more_workers_than_replications(monkeypatch):
+    # a stand-in pool that records its size and runs each task inline
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    serial, pooled = [], []
+    for reps, jobs in ((1, 3), (2, 3), (3, 2)):
+        scenario, models = make_preset("pop2l", n_per_group=8, reps=reps, base_seed=17)
+        run_simulation_study(scenario, models, settings=TINY, jobs=1, record_sink=serial.append)
+        run_simulation_study(scenario, models, settings=TINY, jobs=jobs, record_sink=pooled.append)
+    assert sizes == [1, 2, 2]
+    assert pooled == serial
 
 
 def test_study_validation():
