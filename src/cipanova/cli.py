@@ -18,7 +18,7 @@ from .gaussian import inverted_beta_logpdf, logsumexp, mvn_logpdf
 from .intrinsic import NullParams, make_cip
 from .posterior import posterior_cone_mass
 from .scenarios import MODEL_STRINGS, make_preset, preset_names
-from .simulate import power_table, run_simulation_study
+from .simulate import MIN_REPS_PER_WORKER, power_table, run_simulation_study
 
 _NAMED_MODEL = re.compile(r"^(?!mu\d)([A-Za-z_][\w.-]*)=(.+)$")
 
@@ -51,7 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--burnin", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--quadrature-nodes", type=int, default=None)
     common.add_argument("--output", choices=("text", "records"), default="text")
-    common.add_argument("--jobs", type=int, default=None)
+    common.add_argument("--jobs", type=int, default=None,
+                        help="simulate's worker processes (default 1); a pool starts only "
+                             f"when each worker gets {MIN_REPS_PER_WORKER} or more "
+                             "replications, and the records do not depend on it; compare "
+                             "accepts it and ignores it")
     common.add_argument("--config", default=None, help="JSON file with defaults for these flags")
 
     parser = argparse.ArgumentParser(

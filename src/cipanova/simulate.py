@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from .compare import Settings, compare
@@ -12,6 +12,11 @@ from .constraints import ConstraintModel, encompassing_of
 from .intrinsic import make_cip
 from .posterior import cached_prior_cone_mass
 from .scenarios import SimScenario, generate_scenario
+
+# A pool starts only when each worker gets at least this many replications:
+# below that, the pool's start and each worker's cold first replication cost
+# more than the replications they share out (break-even table in CHANGES.md).
+MIN_REPS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,18 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
                          record_sink=None) -> SummaryTable:
     """Run every replication, stream records in index order, summarize the wins.
 
-    Aggregation is keyed by replication index, so the summary does not depend
-    on worker scheduling.  The prior cone masses are counted here, before any
-    worker starts, so forked workers inherit them instead of counting them
-    again.  On interrupt, records completed so far are flushed before the
-    exception propagates.
+    A pool of ``min(jobs, reps // MIN_REPS_PER_WORKER)`` worker processes runs
+    the replications when that is at least 2; otherwise they run here, one
+    after another, since a pool's start costs more than it saves on a few
+    replications.  Records do not depend on ``jobs``: each replication seeds
+    its own data, and aggregation is keyed by replication index.
+
+    ``record_sink`` gets each record as soon as it and every record of lower
+    index are done.  The prior cone masses are counted here, before any worker
+    starts, so forked workers inherit them instead of counting them again.  If
+    a replication, the sink or an interrupt raises, queued replications are
+    cancelled, the records completed so far go to the sink in index order, and
+    the exception propagates.
     """
     if settings is None:
         settings = Settings()
@@ -102,24 +114,36 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
         if m.has_order:
             spec = make_cip(encompassing_of(m), (scenario.n_per_group,) * m.J)
             cached_prior_cone_mass(m, spec.sizes, settings.prior_draws)
+    sink = record_sink or (lambda rec: None)
     records: dict[int, dict] = {}
+    sent = 0  # records 0 .. sent-1 have gone to the sink
+
+    def send_finished_prefix():
+        nonlocal sent
+        while sent in records:
+            sent += 1
+            sink(records[sent - 1])
+
+    workers = min(jobs, scenario.reps // MIN_REPS_PER_WORKER)
     try:
-        if jobs == 1:
+        if workers < 2:
             for r in range(scenario.reps):
                 records[r] = _replicate(scenario, models, settings, r)
+                send_finished_prefix()
         else:
-            # every worker forks at the first submit, so start no more than there are tasks
-            with ProcessPoolExecutor(max_workers=min(jobs, scenario.reps)) as pool:
-                pending = {pool.submit(_replicate, scenario, models, settings, r): r
+            pool = ProcessPoolExecutor(max_workers=workers)
+            try:
+                futures = {pool.submit(_replicate, scenario, models, settings, r): r
                            for r in range(scenario.reps)}
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        records[pending.pop(fut)] = fut.result()
+                for fut in as_completed(futures):
+                    records[futures[fut]] = fut.result()
+                    send_finished_prefix()
+            finally:
+                # after an error, a plain shutdown would wait for every queued replication
+                pool.shutdown(cancel_futures=True)
     finally:
-        if record_sink is not None:
-            for r in sorted(records):
-                record_sink(records[r])
+        for r in sorted(r for r in records if r >= sent):
+            sink(records[r])
     return summarize_records(scenario, models, [records[r] for r in sorted(records)])
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cipanova
+from cipanova import simulate
 from cipanova.cli import main
 
 
@@ -233,7 +234,8 @@ def test_simulate_records_stream(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_simulate_records_match_across_jobs(capsys):
+def test_simulate_records_match_across_jobs(capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)  # pool these 3 replications
     argv = ["simulate", "pop2l", "--reps", "3", "--n-per-group", "10",
             "--output", "records", "--seed", "4", *FAST_FLAGS]
     outs = []

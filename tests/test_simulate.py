@@ -1,4 +1,5 @@
 import os
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -63,7 +64,8 @@ def test_study_is_deterministic_and_streams_in_order():
         assert sum(rec["pmp"].values()) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_parallel_matches_sequential():
+def test_parallel_matches_sequential(monkeypatch):
+    monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)  # pool these 4 replications
     scenario, models = make_preset("pop1", n_per_group=8, reps=4, base_seed=11)
     serial = run_simulation_study(scenario, models, settings=TINY, jobs=1)
     parallel = run_simulation_study(scenario, models, settings=TINY, jobs=2)
@@ -83,6 +85,7 @@ def test_workers_inherit_the_prior_masses_counted_in_the_parent(monkeypatch):
         return count(model, sizes, T, rng)
 
     monkeypatch.setattr(posterior, "prior_cone_mass", parent_only)
+    monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)  # pool these 4 replications
     scenario, models = make_preset("pop3", n_per_group=8, reps=4, base_seed=13)
     parallel, serial = [], []
     run_simulation_study(scenario, models, settings=TINY, jobs=2, record_sink=parallel.append)
@@ -92,7 +95,7 @@ def test_workers_inherit_the_prior_masses_counted_in_the_parent(monkeypatch):
     assert parallel == serial
 
 
-def test_pool_forks_no_more_workers_than_replications(monkeypatch):
+def test_pool_starts_only_when_each_worker_gets_enough_replications(monkeypatch):
     # a stand-in pool that records its size and runs each task inline
     sizes = []
 
@@ -100,25 +103,61 @@ def test_pool_forks_no_more_workers_than_replications(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
             fut = Future()
             fut.set_result(fn(*args))
             return fut
 
+        def shutdown(self, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    k = simulate.MIN_REPS_PER_WORKER
     serial, pooled = [], []
-    for reps, jobs in ((1, 3), (2, 3), (3, 2)):
+    # (reps, jobs): the first three run in-process, the rest on min(jobs, reps // k) workers
+    for reps, jobs in ((1, 3), (k, 8), (2 * k - 1, 8), (2 * k, 8), (3 * k + 1, 2), (3 * k + 1, 4)):
         scenario, models = make_preset("pop2l", n_per_group=8, reps=reps, base_seed=17)
         run_simulation_study(scenario, models, settings=TINY, jobs=1, record_sink=serial.append)
         run_simulation_study(scenario, models, settings=TINY, jobs=jobs, record_sink=pooled.append)
-    assert sizes == [1, 2, 2]
+    assert sizes == [2, 2, 3]
     assert pooled == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_serial_study_sends_each_record_before_the_next_replication(monkeypatch, jobs):
+    events = []
+    generate = simulate.generate_scenario
+
+    def logged(scenario, r):
+        events.append(("run", r))
+        return generate(scenario, r)
+
+    monkeypatch.setattr(simulate, "generate_scenario", logged)
+    scenario, models = make_preset("pop2l", n_per_group=8, reps=3, base_seed=23)
+    run_simulation_study(scenario, models, settings=TINY, jobs=jobs,
+                         record_sink=lambda rec: events.append(("sink", rec["rep"])))
+    assert events == [("run", 0), ("sink", 0), ("run", 1), ("sink", 1), ("run", 2), ("sink", 2)]
+
+
+def test_an_exception_in_a_pooled_study_cancels_the_queued_replications(monkeypatch, tmp_path):
+    generate = simulate.generate_scenario
+
+    def marked(scenario, r):
+        # runs in a forked worker, so it leaves a file where the parent can count it
+        (tmp_path / f"rep{r}").touch()
+        time.sleep(0.02)
+        return generate(scenario, r)
+
+    def failing_sink(rec):
+        raise RuntimeError("sink failed")
+
+    monkeypatch.setattr(simulate, "generate_scenario", marked)
+    monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)
+    scenario, models = make_preset("pop2l", n_per_group=8, reps=40, base_seed=19)
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_simulation_study(scenario, models, settings=TINY, jobs=2, record_sink=failing_sink)
+    # the running and prefetched replications finish; the queued rest never start
+    assert len(list(tmp_path.iterdir())) < 20
 
 
 def test_study_validation():
