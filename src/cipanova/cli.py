@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # scripts that still pass them keep running.
     common.add_argument("--mcmc-iters", type=int, default=None, help=argparse.SUPPRESS)
     common.add_argument("--burnin", type=int, default=None, help=argparse.SUPPRESS)
-    common.add_argument("--quadrature-nodes", type=int, default=None)
     common.add_argument("--output", choices=("text", "records"), default="text")
     common.add_argument("--jobs", type=int, default=None,
                         help="simulate's worker processes (default 1); a pool starts only "
@@ -93,11 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_KEYS = frozenset({
-    "seed", "prior_draws", "quadrature_nodes", "jobs", "data", "models", "prior_probs",
-    "theta0", "preset", "reps", "n_per_group",
+    "seed", "prior_draws", "jobs", "data", "models", "prior_probs", "theta0", "preset",
+    "reps", "n_per_group",
 })
 # config keys that stand for integer flags; a JSON float or bool there is an error
-_INT_KEYS = ("seed", "reps", "n_per_group", "jobs", "prior_draws", "quadrature_nodes")
+_INT_KEYS = ("seed", "reps", "n_per_group", "jobs", "prior_draws")
 
 
 def _load_config(path):
@@ -113,6 +112,10 @@ def _load_config(path):
     for key in _INT_KEYS:
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
             raise ValueError(f"{path}: config key {key} must be an integer, got {cfg[key]!r}")
+    models = cfg.get("models", {})
+    if not isinstance(models, dict) or not all(isinstance(v, str) for v in models.values()):
+        raise ValueError(f"{path}: config key models must be an object of model strings, "
+                         f"got {models!r}")
     return cfg
 
 
@@ -125,14 +128,13 @@ def _pick(flag, cfg, key, default):
 def _resolve_settings(args, cfg) -> Settings:
     return Settings(
         prior_draws=_pick(args.prior_draws, cfg, "prior_draws", 100_000),
-        quadrature_nodes=_pick(args.quadrature_nodes, cfg, "quadrature_nodes", 64),
     )
 
 
 def _parse_model_args(model_args, cfg, J):
     specs: list[tuple[str, str]] = []
     for name, text in cfg.get("models", {}).items():
-        specs.append((str(name), str(text)))
+        specs.append((name, text))
     auto = 0
     for raw in model_args:
         m = _NAMED_MODEL.match(raw.strip())
@@ -189,10 +191,7 @@ def _parse_theta0(raw):
 
 
 def _settings_dict(settings: Settings) -> dict:
-    return {
-        "prior_draws": settings.prior_draws,
-        "quadrature_nodes": settings.quadrature_nodes,
-    }
+    return {"prior_draws": settings.prior_draws}
 
 
 def _cmd_simulate(args) -> int:

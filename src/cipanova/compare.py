@@ -19,7 +19,7 @@ import numpy as np
 
 from .constraints import ConstraintModel, EncompassingDesign, encompassing_of, model_to_string
 from .data import AnovaData
-from .evidence import EvidenceResult, PreparedIntegrand, null_loglik
+from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_loglik
 from .gaussian import RandomSource, logsumexp
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
@@ -33,28 +33,22 @@ from .posterior import (
     posterior_cone_mass,
 )
 
-# to_text flags a model whose log evidence moves by more than this (nat) when
-# the quadrature node count doubles
-UNCONVERGED_DELTA = 1e-8
-
 
 @dataclass(frozen=True)
 class Settings:
-    """Prior cone evaluations and quadrature nodes; defaults suit desk-scale studies."""
+    """Prior cone evaluations; the default suits desk-scale studies."""
 
     prior_draws: int = 100_000
     # Ignored: the posterior is drawn exactly, with no chain.  The two retired
     # chain lengths are still accepted so callers that pass them keep working.
     mcmc_iters: int | None = None
     burnin: int | None = None
-    quadrature_nodes: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("prior_draws", "quadrature_nodes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.prior_draws, self.quadrature_nodes) < 1:
+        value = self.prior_draws
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"prior_draws must be an integer, got {value!r}")
+        if value < 1:
             raise ValueError("draw counts must be positive")
 
 
@@ -107,8 +101,7 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
             raise ValueError(f"model is over {model.J} groups, data has {data.J}")
         if not model.is_null and design not in prepared:
             prepared[design] = PreparedIntegrand(data.responses, theta0,
-                                                 make_cip(design, group_sizes),
-                                                 settings.quadrature_nodes)
+                                                 make_cip(design, group_sizes))
         if model.has_order:
             priors[i] = cached_prior_cone_mass(model, prepared[design].sizes, settings.prior_draws)
             check_prior_mass(priors[i])
@@ -188,7 +181,7 @@ class ComparisonReport:
         for name, bd, pmp, dbf in zip(self.model_names, self.breakdowns,
                                       self.posterior_probs, self.display_bf):
             notes = ["(posterior mass unresolved)"] if bd.below_resolution else []
-            if bd.evidence is not None and bd.evidence.node_doubling_delta > UNCONVERGED_DELTA:
+            if bd.evidence is not None and bd.evidence.node_doubling_delta >= EVIDENCE_TOL:
                 notes.append(
                     f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
             note = "".join("  " + n for n in notes)

@@ -24,7 +24,10 @@ class AnovaData:
 
     def __post_init__(self) -> None:
         y = np.asarray(self.responses, dtype=float)
-        g = np.asarray(self.groups, dtype=int)
+        codes = np.asarray(self.groups)
+        if codes.dtype.kind == "f" and not np.all(np.isfinite(codes) & (codes == np.round(codes))):
+            raise ValueError("group codes must be whole numbers")
+        g = codes.astype(int)
         if y.ndim != 1 or y.shape != g.shape or y.size == 0:
             raise ValueError("responses and groups must be matching nonempty vectors")
         if not np.all(np.isfinite(y)):

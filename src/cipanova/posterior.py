@@ -14,9 +14,13 @@ prior the class means are independent Gaussians:
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
   alpha0 is Gaussian too (PreparedIntegrand.class_mean_moments).
 
-The posterior mass is exact: the evidence-weighted mixture, over the evidence
-rule's own Gauss-Chebyshev eta nodes and weights, of P(order | eta).  For
-independent variables the probability of a strict partial order factors over the weak
+The posterior mass is exact: the evidence-weighted mixture, over the eta nodes
+and weights of the evidence's settled Gauss-Chebyshev rule, of P(order | eta).
+That rule doubles until the evidence settles, so a narrow eta posterior at
+large n still spans many nodes; the mixture is not itself checked against a
+finer rule in eta.
+
+For independent variables the probability of a strict partial order factors over the weak
 components of the order, and within a component it is a recursion over the
 down-sets (order ideals) I:
 

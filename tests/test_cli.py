@@ -78,7 +78,7 @@ def test_compare_records_are_stable(capsys, data_csv):
     rec = json.loads(first)
     assert rec["type"] == "comparison"
     assert rec["seed"] == 7
-    assert rec["settings"] == {"prior_draws": 5000, "quadrature_nodes": 64}
+    assert rec["settings"] == {"prior_draws": 5000}
     assert rec["models"][0]["name"] == "model1"  # unnamed specs are numbered
 
 
@@ -197,7 +197,6 @@ def test_config_file_merging(capsys, data_csv, tmp_path):
     ("compare", "seed", True),
     ("simulate", "n_per_group", 8.0),
     ("simulate", "jobs", None),
-    ("compare", "quadrature_nodes", "64"),
 ])
 def test_config_integers_must_be_integers(capsys, data_csv, tmp_path, command, key, value):
     cfg = {"compare": {"data": str(data_csv), "models": {"null": "mu1=mu2=mu3"}},
@@ -208,6 +207,16 @@ def test_config_integers_must_be_integers(capsys, data_csv, tmp_path, command, k
     out, err = capsys.readouterr()
     assert not out
     assert f"config key {key} must be an integer" in err
+
+
+@pytest.mark.parametrize("models", [["mu1 < mu2"], {"up": 5}, "mu1 < mu2 < mu3"])
+def test_config_models_must_map_names_to_strings(capsys, data_csv, tmp_path, models):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"data": str(data_csv), "models": models}))
+    assert main(["compare", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert "config key models must be an object of model strings" in err
 
 
 def test_theta0_flag(capsys, data_csv):

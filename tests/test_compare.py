@@ -13,6 +13,7 @@ from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import InsufficientPriorMassError, PosteriorConeMass
 from cipanova.scenarios import generate_scenario, make_preset
+from oracles import log_marginal_trapezoid
 
 FAST = Settings(prior_draws=20_000)
 
@@ -282,8 +283,6 @@ def test_settings_reject_non_integer_counts():
     for bad in (1500.5, "5000", True, None):
         with pytest.raises(ValueError, match="prior_draws must be an integer"):
             Settings(prior_draws=bad)
-        with pytest.raises(ValueError, match="quadrature_nodes must be an integer"):
-            Settings(quadrature_nodes=bad)
     assert Settings(prior_draws=np.int64(3000)).prior_draws == 3000
 
 
@@ -309,11 +308,11 @@ def test_large_offset_leaves_order_bf_unchanged():
     assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se
 
 
-def _large_unbalanced():
+def _large_unbalanced(step=0.02, seed=5):
     # J=10, n=20000 with a singleton: the 64-node rule moves by nats when doubled
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     sizes = (1, 999, 1500, 2000, 2500, 3000, 2500, 2500, 2500, 2500)
-    y = np.concatenate([rng.normal(0.02 * j, 1.0, k) for j, k in enumerate(sizes)])
+    y = np.concatenate([rng.normal(step * j, 1.0, k) for j, k in enumerate(sizes)])
     return AnovaData(responses=y, groups=np.repeat(np.arange(1, 11), sizes))
 
 
@@ -322,10 +321,13 @@ def _j10_null_and_free():
             parse_model_spec(", ".join(f"mu{j}" for j in range(1, 11)), J=10, name="Me"))
 
 
-def test_text_flags_unconverged_evidence():
+def test_text_flags_unconverged_evidence(monkeypatch):
+    # a cap of 128 nodes stops the doubling at 64, which the large n outruns
+    monkeypatch.setattr(evidence, "MAX_NODES", 128)
     data = _large_unbalanced()
     models = list(_j10_null_and_free())
     report = compare(data, models, settings=FAST, rng=RandomSource(3))
+    assert report.breakdowns[1].evidence.nodes == 64
     delta = report.breakdowns[1].evidence.node_doubling_delta
     assert delta > 1.0
     line = report.to_text().splitlines()[-1]
@@ -341,12 +343,18 @@ def test_text_flags_unconverged_evidence():
 
 
 def test_text_bf_column_keeps_its_width():
-    # the null's BF against Me is ~1e15 and the reversed order's ~1e-7: fixed
+    # the null's BF against Me is ~4e13 and the reversed order's ~7e-6: fixed
     # point would run the first into the log BF column and print the second as 0
     null, free = _j10_null_and_free()
     models = [null, parse_model_spec("mu2 < mu5 < mu10", J=10, name="up"),
               parse_model_spec("mu10 < mu5 < mu2", J=10, name="down"), free]
-    report = compare(_large_unbalanced(), models, settings=FAST, rng=RandomSource(3))
+    data = _large_unbalanced(step=0.0175, seed=6)
+    report = compare(data, models, settings=FAST, rng=RandomSource(3))
+    # the brute-force evidence puts the true BF past 1e12 as well
+    prep = evidence.PreparedIntegrand(data.responses, report.theta0,
+                                      make_cip(encompassing_of(free), data.group_sizes))
+    log_null = evidence.null_loglik(data.responses, report.theta0)
+    assert log_null - log_marginal_trapezoid(prep) > np.log(1e12)
     rows = report.to_text().splitlines()[3:]
     for row, dbf in zip(rows, report.display_bf):
         field = row[30:48]

@@ -32,6 +32,15 @@ def test_container_validation():
                   group_labels=("a",))
 
 
+def test_fractional_group_codes_are_refused():
+    y = np.arange(6.0)
+    for bad in ([1.0, 1.9, 2.2, 2.7, 1.5, 2.0], [1.0, 2.0, np.nan, 1.0, 2.0, 2.0]):
+        with pytest.raises(ValueError, match="group codes must be whole numbers"):
+            AnovaData(responses=y, groups=bad)
+    data = AnovaData(responses=y, groups=[1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
+    assert data.group_sizes == (3, 3) and data.groups.dtype.kind == "i"
+
+
 def test_csv_round_trip(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("group,response\n1,0.5\n2,1.5\n1,-0.5\n2,2.5\n")

@@ -8,6 +8,7 @@ from cipanova.compare import Settings
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.evidence import (
+    EVIDENCE_TOL,
     EvidenceResult,
     PreparedIntegrand,
     gauss_chebyshev,
@@ -17,7 +18,13 @@ from cipanova.evidence import (
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
-from oracles import cip_sample, dense_spec, integrand_log, log_marginal_chib
+from oracles import (
+    cip_sample,
+    dense_spec,
+    integrand_log,
+    log_marginal_chib,
+    log_marginal_trapezoid,
+)
 
 
 def _dataset(seed=42, J=3, n_per_group=8, means=(0.0, 0.5, 1.0), sigma=1.0):
@@ -30,10 +37,10 @@ def _dataset(seed=42, J=3, n_per_group=8, means=(0.0, 0.5, 1.0), sigma=1.0):
     return data.responses, theta0, spec
 
 
-def _sized_case(sizes, text, offset=0.0, seed=4):
+def _sized_case(sizes, text, offset=0.0, seed=4, step=0.3):
     # unequal group means, so the class statistics differ from the grand mean
     rng = np.random.default_rng(seed)
-    y = offset + np.concatenate([rng.normal(0.3 * j, 1.0, k) for j, k in enumerate(sizes)])
+    y = offset + np.concatenate([rng.normal(step * j, 1.0, k) for j, k in enumerate(sizes)])
     J = len(sizes)
     data = AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
     spec = make_cip(encompassing_of(parse_model_spec(text, J=J)), data.group_sizes)
@@ -116,6 +123,29 @@ def test_quadrature_against_trapezoid_oracle():
     trap = float(logsumexp(ll + logw))
     quad = log_marginal_quadrature(y, theta0, spec, nodes=64)
     assert quad.log_marginal == pytest.approx(trap, abs=1e-6)
+
+
+FREE5 = "mu1, mu2, mu3, mu4, mu5"
+
+
+@pytest.mark.parametrize("make_case", [
+    lambda: _sized_case((25,) * 5, FREE5, seed=11, step=0.2),
+    lambda: _sized_case((400,) * 5, FREE5, seed=11, step=0.2),
+    lambda: _sized_case((2000,) * 5, FREE5, seed=11, step=0.2),
+    lambda: _sized_case((10_000,) * 5, FREE5, seed=11, step=0.2),
+    lambda: _sized_case((1, 999, 1500, 2000, 2500, 3000, 2500, 2500, 2500, 2500),
+                        ", ".join(f"mu{j}" for j in range(1, 11)), seed=5, step=0.02),
+    lambda: _sized_case((1, 7749, 3, 100, 5), "mu1 = mu3, mu2, mu4, mu5"),
+    lambda: _sized_case((50,) * 3, "mu1, mu2, mu3", seed=11, step=100.0),
+], ids=["trend-125", "trend-2000", "trend-10000", "trend-50000", "singleton-20000",
+        "merged-singleton-7858", "near-separated-150"])
+def test_evidence_matches_trapezoid_reference_at_any_n(make_case):
+    # the settled rule against a brute-force trapezoid in logit eta; the
+    # near-separated case puts the integrand's peak at eta ~ 1e-4
+    prep = PreparedIntegrand(*make_case())
+    ev = prep.evidence
+    assert ev.node_doubling_delta < EVIDENCE_TOL
+    assert abs(ev.log_marginal - log_marginal_trapezoid(prep)) < EVIDENCE_TOL
 
 
 def test_quadrature_against_prior_monte_carlo():

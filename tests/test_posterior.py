@@ -359,6 +359,23 @@ def test_exact_mass_matches_node_mixture():
     assert abs(post.estimate - exact) < 1e-12
 
 
+def test_exact_mass_at_large_n_matches_a_fine_node_rule():
+    # pop2s-like trend at 400 per group: the eta posterior is narrow, so a
+    # 64-node rule would hold it on a handful of nodes
+    rng = np.random.default_rng(11)
+    y = np.concatenate([rng.normal(m, 1.0, 400) for m in (0.0, 0.2, 0.4, 0.6, 0.8)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, 6), 400))
+    theta0 = estimate_null_params(data)
+    model = parse_model_spec(MODEL_STRINGS["M2"], J=5)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    prep = PreparedIntegrand(data.responses, theta0, spec)
+    fine = PreparedIntegrand(data.responses, theta0, spec, nodes=4096)
+    got = posterior_cone_mass(model, prep).estimate
+    want = posterior_cone_mass(model, fine).estimate
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+    assert np.sum(np.exp(prep.eta_weights[1]) > posterior.PRUNE_WEIGHT) > 3
+
+
 def _j10_data(seed=1):
     rng = np.random.default_rng(seed)
     y = np.concatenate([0.1 * j + rng.standard_normal(20) for j in range(10)])
