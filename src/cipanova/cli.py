@@ -91,12 +91,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = frozenset({
-    "seed", "prior_draws", "jobs", "data", "models", "prior_probs", "theta0", "preset",
-    "reps", "n_per_group",
-})
-# config keys that stand for integer flags; a JSON float or bool there is an error
-_INT_KEYS = ("seed", "reps", "n_per_group", "jobs", "prior_draws")
+def _numbers(value, count=None) -> bool:
+    return (isinstance(value, list) and count in (None, len(value))
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value))
+
+
+# what each config key must hold, as reported when it does not, and the check
+_CONFIG_TYPES = {
+    **dict.fromkeys(("seed", "reps", "n_per_group", "jobs", "prior_draws"), (
+        "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))),
+    **dict.fromkeys(("data", "preset"), ("a string", lambda v: isinstance(v, str))),
+    "models": ("an object of model strings",
+               lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in v.values())),
+    "prior_probs": ("a list of numbers or a comma-separated string",
+                    lambda v: isinstance(v, str) or _numbers(v)),
+    "theta0": ('two numbers, an object of numbers alpha0 and sigma0, or an "alpha0,sigma0" '
+               "string", lambda v: isinstance(v, str) or _numbers(v, 2) or (
+                   isinstance(v, dict) and sorted(v) == ["alpha0", "sigma0"]
+                   and _numbers(list(v.values())))),
+}
 
 
 def _load_config(path):
@@ -106,16 +119,13 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    for key in _INT_KEYS:
-        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], int)):
-            raise ValueError(f"{path}: config key {key} must be an integer, got {cfg[key]!r}")
-    models = cfg.get("models", {})
-    if not isinstance(models, dict) or not all(isinstance(v, str) for v in models.values()):
-        raise ValueError(f"{path}: config key models must be an object of model strings, "
-                         f"got {models!r}")
+    for key, value in cfg.items():
+        kind, check = _CONFIG_TYPES[key]
+        if not check(value):
+            raise ValueError(f"{path}: config key {key} must be {kind}, got {value!r}")
     return cfg
 
 
@@ -288,7 +298,7 @@ def _check_integrand_dense():
     theta0 = NullParams(alpha0=0.3, sigma0=1.2)
     y = theta0.alpha0 + rng.normal(size=spec.n)
     prep = PreparedIntegrand(y, theta0, spec)
-    rows = np.repeat(design.class_of_group, group_sizes)
+    rows = np.repeat([design.columns[j] for j in range(1, 5)], group_sizes)
     onehot = (rows[:, None] == np.unique(rows)[None, :]).astype(float)
     proj = (onehot / onehot.sum(axis=0)) @ onehot.T
     k = spec.n / (spec.q + 1)
@@ -317,7 +327,7 @@ def _check_quadrature_converges():
 
 
 def _check_posterior_cone_mass():
-    # two classes, the baseline one merged: given eta the cone is one normal
+    # two classes, class 0 (group 1's) merged: given eta the cone is one normal
     # tail, so the mass is a node mixture of Phi
     rng = np.random.default_rng(13)
     y = rng.normal(size=24) + np.repeat([0.0, 0.4, 0.1], 8)

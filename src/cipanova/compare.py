@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constraints import ConstraintModel, EncompassingDesign, encompassing_of, model_to_string
+from .constraints import ConstraintModel, encompassing_of, model_to_string
 from .data import AnovaData
 from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_loglik
 from .gaussian import RandomSource, logsumexp
@@ -94,7 +94,7 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
         raise ValueError("duplicate model names")
     group_sizes = data.group_sizes
     designs = [encompassing_of(m) for m in models]
-    prepared: dict[EncompassingDesign, PreparedIntegrand] = {}
+    prepared: dict[ConstraintModel, PreparedIntegrand] = {}
     priors = {}
     for i, (model, design) in enumerate(zip(models, designs)):
         if model.J != data.J:

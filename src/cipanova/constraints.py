@@ -17,7 +17,7 @@ sides.  Groups not mentioned are free singleton classes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -70,13 +70,15 @@ class ConstraintModel:
     """Equality partition of group means with a strict order over the classes.
 
     ``classes`` is a partition of {1..J}; each class is a sorted tuple of the
-    group indices whose means are constrained equal.  ``order`` holds pairs of
+    group indices whose means are constrained equal, and the classes are
+    sorted, so class 0 is the class of group 1.  ``order`` holds pairs of
     class representatives (lowest member index) ``(a, b)`` meaning the class-a
     mean is strictly below the class-b mean; it is transitively closed and
-    acyclic.
+    acyclic.  A model is its partition and its order: ``name`` is a label
+    that equality and hashing ignore.
     """
 
-    name: str
+    name: str = field(compare=False)
     J: int
     classes: tuple[tuple[int, ...], ...]
     order: frozenset[tuple[int, int]]
@@ -135,33 +137,30 @@ class ConstraintModel:
         """Sorted pairs of the transitive reduction of ``order``; they imply every other pair."""
         return tuple(sorted(_transitive_reduction(set(self.order))))
 
-    @property
-    def baseline_rep(self) -> int:
-        for cls in self.classes:
-            if 1 in cls:
-                return cls[0]
-        raise AssertionError("no class contains group 1")
+    @cached_property
+    def columns(self) -> dict[int, int]:
+        """Column of each group's class: class c is column c, so group 1's class is column 0."""
+        return {g: c for c, cls in enumerate(self.classes) for g in cls}
 
-    @property
-    def delta_labels(self) -> tuple[int, ...]:
-        base = self.baseline_rep
-        return tuple(cls[0] for cls in self.classes if cls[0] != base)
-
-
-@dataclass(frozen=True)
-class EncompassingDesign:
-    """Collapsed design of a model: equalities kept, order relations dropped.
-
-    ``class_of_group[j-1]`` gives the representative of group j's class; the
-    baseline class (always the one containing group 1) is absorbed into the
-    intercept, and ``delta_labels`` name the remaining q-1 effect columns.
-    """
-
-    J: int
-    q: int
-    class_of_group: tuple[int, ...]
-    baseline: int
-    delta_labels: tuple[int, ...]
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Weak components of the order as sorted class representatives, by least member."""
+        adj: dict[int, set[int]] = {cls[0]: set() for cls in self.classes}
+        for a, b in self.order:
+            adj[a].add(b)
+            adj[b].add(a)
+        comps = []
+        left = set(adj)
+        while left:
+            stack, comp = [min(left)], set()
+            while stack:
+                node = stack.pop()
+                if node not in comp:
+                    comp.add(node)
+                    stack.extend(adj[node] - comp)
+            comps.append(tuple(sorted(comp)))
+            left -= comp
+        return tuple(comps)
 
 
 def parse_model_spec(text: str, J: int, name: str = "") -> ConstraintModel:
@@ -305,14 +304,12 @@ def model_to_string(model: ConstraintModel) -> str:
     chain clause; anything else falls back to one clause per edge of the
     transitive reduction, which parses back to the same closure.
     """
-    reps = [cls[0] for cls in model.classes]
     by_rep = {cls[0]: cls for cls in model.classes}
-    pred: dict[int, set[int]] = {r: set() for r in reps}
+    pred: dict[int, set[int]] = {r: set() for r in by_rep}
     for a, b in model.order:
         pred[b].add(a)
-    components = _weak_components(reps, model.order)
     clauses = []
-    for comp in components:
+    for comp in model.components:
         if len(comp) == 1:
             clauses.append(_format_layer([by_rep[comp[0]]], bare_ok=True))
             continue
@@ -337,28 +334,6 @@ def _chain_clause(comp, pred, order, by_rep):
 def _transitive_reduction(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return {(a, b) for a, b in pairs
             if not any((a, c) in pairs and (c, b) in pairs for c, _ in pairs)}
-
-
-def _weak_components(reps, order):
-    adj: dict[int, set[int]] = {r: set() for r in reps}
-    for a, b in order:
-        adj[a].add(b)
-        adj[b].add(a)
-    comps = []
-    left = set(reps)
-    while left:
-        start = min(left)
-        stack = [start]
-        comp = set()
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adj[node] - comp)
-        comps.append(sorted(comp))
-        left -= comp
-    return comps
 
 
 def _layer_decomposition(comp, pred, order):
@@ -392,38 +367,27 @@ def _format_layer(classes, bare_ok: bool = False) -> str:
     return "{" + ", ".join(f"mu{cls[0]}" for cls in classes) + "}"
 
 
-def encompassing_of(model: ConstraintModel) -> EncompassingDesign:
-    """Design of the model that keeps the equalities and drops the order."""
-    class_of = {}
-    for cls in model.classes:
-        for g in cls:
-            class_of[g] = cls[0]
-    return EncompassingDesign(
-        J=model.J,
-        q=model.q,
-        class_of_group=tuple(class_of[j] for j in range(1, model.J + 1)),
-        baseline=model.baseline_rep,
-        delta_labels=model.delta_labels,
-    )
+def encompassing_of(model: ConstraintModel) -> ConstraintModel:
+    """The encompassing model: the same equality classes with no order."""
+    return ConstraintModel(name="", J=model.J, classes=model.classes, order=frozenset())
 
 
 def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
     """Membership of each row of a T x (q-1) array of effects in the constraint region.
 
-    The baseline class sits at 0 and comparisons are strict, so the region is
-    an open cone: membership is invariant under scaling a row by any c > 0.
-    Strict < is transitive on finite values, so testing the pairs of the
-    transitive reduction of the order gives the same mask as testing all of
-    them.
+    Column c - 1 holds class c minus class 0, the class of group 1, which sits
+    at 0.  Comparisons are strict, so the region is an open cone: membership
+    is invariant under scaling a row by any c > 0.  Strict < is transitive on
+    finite values, so testing the pairs of the transitive reduction of the
+    order gives the same mask as testing all of them.
     """
     deltas = np.asarray(deltas, dtype=float)
-    labels = model.delta_labels
-    if deltas.ndim != 2 or deltas.shape[1] != len(labels):
-        raise ValueError(f"deltas must be T x {len(labels)}")
-    col = {rep: i for i, rep in enumerate(labels)}
+    if deltas.ndim != 2 or deltas.shape[1] != model.q - 1:
+        raise ValueError(f"deltas must be T x {model.q - 1}")
 
     def side(rep):
-        return 0.0 if rep == model.baseline_rep else deltas[:, col[rep]]
+        c = model.columns[rep]
+        return deltas[:, c - 1] if c else 0.0
 
     mask = np.ones(deltas.shape[0], dtype=bool)
     for a, b in model.order_reduction:

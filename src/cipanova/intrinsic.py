@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import EncompassingDesign
+from .constraints import ConstraintModel
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ class CipSpec:
 
     Because Winv = (n / (q + 1)) (Z'Z)^{-1}, every factor reads the design only
     through its class structure: class_index[j] is the column of group j+1's
-    class (0 for the baseline class), and sizes holds the class sizes,
-    baseline first.
+    class (design.columns), and sizes holds the class sizes, class 0, the
+    class of group 1, first.  design is the order-free encompassing model.
     """
 
-    design: EncompassingDesign
+    design: ConstraintModel
     group_sizes: tuple[int, ...]
     class_index: np.ndarray
     sizes: np.ndarray
@@ -60,16 +60,18 @@ def estimate_null_params(data) -> NullParams:
     return NullParams(alpha0=alpha0, sigma0=sigma0)
 
 
-def make_cip(design: EncompassingDesign, group_sizes) -> CipSpec:
-    """Build the prior spec for a collapsed design with the given group sizes, in O(J)."""
+def make_cip(design: ConstraintModel, group_sizes) -> CipSpec:
+    """Build the prior spec of an encompassing design with the given group sizes, in O(J).
+
+    Column c of the spec is class c of the design; class 0, the class of
+    group 1, is the one the intercept absorbs.
+    """
     if len(group_sizes) != design.J:
         raise ValueError(f"expected {design.J} group sizes, got {len(group_sizes)}")
     group_sizes = tuple(int(nj) for nj in group_sizes)
     if min(group_sizes) < 1:
         raise ValueError("every group needs at least one unit")
-    col = {rep: 1 + i for i, rep in enumerate(design.delta_labels)}
-    col[design.baseline] = 0
-    class_index = np.array([col[rep] for rep in design.class_of_group])
+    class_index = np.array([design.columns[j] for j in range(1, design.J + 1)])
     sizes = np.bincount(class_index, weights=group_sizes, minlength=design.q)
     return CipSpec(design=design, group_sizes=group_sizes, class_index=class_index,
                    sizes=sizes, n=sum(group_sizes), q=design.q)

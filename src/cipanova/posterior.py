@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import ConstraintModel, _weak_components, model_to_string, region_mask
+from .constraints import ConstraintModel, model_to_string, region_mask
 from .evidence import PreparedIntegrand
 from .gaussian import LOG_2PI, logsumexp
 
@@ -111,13 +111,13 @@ def prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int,
                     rng: np.random.Generator) -> RegionProbEstimate:
     """Prior cone mass from T cone evaluations: ceil(T/2) class-mean draws and their sign flips.
 
-    sizes holds the class sizes, baseline first.  The centred prior makes
-    effects d and -d equally likely, and a strict order never holds for both,
-    so the hit fraction stays unbiased with variance p(1 - 2p)/T, below the
-    p(1 - p)/T of T independent draws; the last flip is dropped when T is
-    odd.  Each CONE_BLOCK of draws is made class by class (q x rows) into one
-    reused buffer, so no T x q array is held and the effects are formed on
-    contiguous rows.
+    sizes holds the class sizes, class 0, the class of group 1, first.  The
+    centred prior makes effects d and -d equally likely, and a strict order
+    never holds for both, so the hit fraction stays unbiased with variance
+    p(1 - 2p)/T, below the p(1 - p)/T of T independent draws; the last flip
+    is dropped when T is odd.  Each CONE_BLOCK of draws is made class by
+    class (q x rows) into one reused buffer, so no T x q array is held and
+    the effects are formed on contiguous rows.
     """
     q = len(sizes)
     pairs, flips = (T + 1) // 2, T // 2
@@ -139,20 +139,17 @@ def prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int,
 def cached_prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int) -> RegionProbEstimate:
     """prior_cone_mass on the fixed stream default_rng(0), counted once per key and process.
 
-    The key is the model without its name, the class sizes and T, which is
-    all the mass depends on.  Every call with the same key shares one
-    estimate and so one Monte Carlo error; only a larger T shrinks it.
-    Processes forked after a key is counted inherit it.
+    The key is the model (its classes and order; equality ignores the name),
+    the class sizes and T, which is all the mass depends on.  Every call with
+    the same key shares one estimate and so one Monte Carlo error; only a
+    larger T shrinks it.  Processes forked after a key is counted inherit it.
     """
-    return _fixed_stream_prior_mass(model.J, model.classes, model.order,
-                                    tuple(int(n) for n in sizes), T)
+    return _fixed_stream_prior_mass(model, tuple(int(n) for n in sizes), T)
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
-def _fixed_stream_prior_mass(J: int, classes: tuple[tuple[int, ...], ...],
-                             order: frozenset[tuple[int, int]], sizes: tuple[int, ...],
+def _fixed_stream_prior_mass(model: ConstraintModel, sizes: tuple[int, ...],
                              T: int) -> RegionProbEstimate:
-    model = ConstraintModel(name="", J=J, classes=classes, order=order)
     return prior_cone_mass(model, np.array(sizes, dtype=float), T, np.random.default_rng(0))
 
 
@@ -205,9 +202,8 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
 
     Raises ValueError when a component has more than MAX_DOWNSETS down-sets.
     """
-    col = {rep: i for i, rep in enumerate((model.baseline_rep,) + model.delta_labels)}
     comps = []
-    for members in _weak_components(list(col), model.order):
+    for members in model.components:
         if len(members) < 2:
             continue
         local = {rep: i for i, rep in enumerate(members)}
@@ -222,7 +218,7 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         # H, the integrand, two gathers, their product and the new H
         sizes = [1] + [len(lv.top) for lv in levels]
         rows = 4 * len(members) + max(prev + 5 * cur for prev, cur in zip(sizes, sizes[1:]))
-        comps.append(_Component(np.array([col[r] for r in members]), levels, rows))
+        comps.append(_Component(np.array([model.columns[r] for r in members]), levels, rows))
     return tuple(comps)
 
 
@@ -335,9 +331,8 @@ def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np
     P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
-    col = {rep: i for i, rep in enumerate((model.baseline_rep,) + model.delta_labels)}
-    a = np.array([col[p] for p, _ in model.order_reduction])
-    b = np.array([col[p] for _, p in model.order_reduction])
+    a = np.array([model.columns[p] for p, _ in model.order_reduction])
+    b = np.array([model.columns[p] for _, p in model.order_reduction])
     z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .compare import Settings, compare
 from .constraints import ConstraintModel, encompassing_of
@@ -101,8 +102,8 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
     index are done.  The prior cone masses are counted here, before any worker
     starts, so forked workers inherit them instead of counting them again.  If
     a replication, the sink or an interrupt raises, queued replications are
-    cancelled, the records completed so far go to the sink in index order, and
-    the exception propagates.
+    cancelled and the exception propagates; the sink has had every record
+    before the first unfinished one, and no later one.
     """
     if settings is None:
         settings = Settings()
@@ -115,36 +116,20 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
             spec = make_cip(encompassing_of(m), (scenario.n_per_group,) * m.J)
             cached_prior_cone_mass(m, spec.sizes, settings.prior_draws)
     sink = record_sink or (lambda rec: None)
-    records: dict[int, dict] = {}
-    sent = 0  # records 0 .. sent-1 have gone to the sink
-
-    def send_finished_prefix():
-        nonlocal sent
-        while sent in records:
-            sent += 1
-            sink(records[sent - 1])
-
     workers = min(jobs, scenario.reps // MIN_REPS_PER_WORKER)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers >= 2 else None
+    records = []
     try:
-        if workers < 2:
-            for r in range(scenario.reps):
-                records[r] = _replicate(scenario, models, settings, r)
-                send_finished_prefix()
-        else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            try:
-                futures = {pool.submit(_replicate, scenario, models, settings, r): r
-                           for r in range(scenario.reps)}
-                for fut in as_completed(futures):
-                    records[futures[fut]] = fut.result()
-                    send_finished_prefix()
-            finally:
-                # after an error, a plain shutdown would wait for every queued replication
-                pool.shutdown(cancel_futures=True)
+        # both maps yield in index order, each record once it and every earlier one are done
+        for rec in (pool.map if pool else map)(partial(_replicate, scenario, models, settings),
+                                                range(scenario.reps)):
+            records.append(rec)
+            sink(rec)
     finally:
-        for r in sorted(r for r in records if r >= sent):
-            sink(records[r])
-    return summarize_records(scenario, models, [records[r] for r in sorted(records)])
+        if pool:
+            # after an error, a plain shutdown would wait for every queued replication
+            pool.shutdown(cancel_futures=True)
+    return summarize_records(scenario, models, records)
 
 
 def summarize_records(scenario: SimScenario, models: list[ConstraintModel],

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from cipanova.constraints import ConstraintModel, EncompassingDesign, region_mask
+from cipanova.constraints import ConstraintModel, region_mask
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI, mvn_logpdf
 from cipanova.intrinsic import CipSpec, NullParams
@@ -40,26 +40,23 @@ from cipanova.posterior import RegionProbEstimate
 POSTERIOR_DRAWS = 50_000
 
 
-def build_design(design: EncompassingDesign, group_sizes) -> np.ndarray:
-    """Build the n x q design matrix: intercept plus one column per non-baseline class.
+def build_design(design: ConstraintModel, group_sizes) -> np.ndarray:
+    """Build the n x q design matrix: intercept plus one column per class after class 0.
 
-    Rows are ordered group 1 units first, then group 2, and so on.
+    Class 0 holds group 1 and is absorbed into the intercept; class c is
+    column c.  Rows are ordered group 1 units first, then group 2, and so on.
     """
     if len(group_sizes) != design.J:
         raise ValueError(f"expected {design.J} group sizes, got {len(group_sizes)}")
     if any(int(nj) < 1 for nj in group_sizes):
         raise ValueError("every group needs at least one unit")
-    n = int(sum(group_sizes))
-    Z = np.zeros((n, design.q))
+    sizes = [int(nj) for nj in group_sizes]
+    ends = np.cumsum(sizes)
+    Z = np.zeros((int(ends[-1]), design.q))
     Z[:, 0] = 1.0
-    col = {rep: 1 + i for i, rep in enumerate(design.delta_labels)}
-    row = 0
-    for j, nj in enumerate(group_sizes, start=1):
-        nj = int(nj)
-        rep = design.class_of_group[j - 1]
-        if rep != design.baseline:
-            Z[row:row + nj, col[rep]] = 1.0
-        row += nj
+    for c, cls in enumerate(design.classes[1:], start=1):
+        for j in cls:
+            Z[ends[j - 1] - sizes[j - 1]:ends[j - 1], c] = 1.0
     return Z
 
 
@@ -296,15 +293,14 @@ def mvn_sample(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> n
 def region_contains(model: ConstraintModel, delta) -> bool:
     """Whether a point of the collapsed effect space satisfies every order pair.
 
-    The baseline class sits at 0 and comparisons are strict, so the region is
-    an open cone: membership is invariant under scaling delta by any c > 0.
+    delta[c - 1] is class c minus class 0, the class of group 1, which sits
+    at 0.  Comparisons are strict, so the region is an open cone: membership
+    is invariant under scaling delta by any c > 0.
     """
     delta = np.asarray(delta, dtype=float)
-    labels = model.delta_labels
-    if delta.shape != (len(labels),):
-        raise ValueError(f"delta must have shape ({len(labels)},), got {delta.shape}")
-    value = {model.baseline_rep: 0.0}
-    value.update(zip(labels, delta))
+    if delta.shape != (model.q - 1,):
+        raise ValueError(f"delta must have shape ({model.q - 1},), got {delta.shape}")
+    value = dict(zip((cls[0] for cls in model.classes), [0.0, *delta]))
     return all(value[a] < value[b] for a, b in model.order)
 
 
@@ -394,7 +390,7 @@ def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.nda
 
 
 def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:
-    """Fraction of class-mean rows whose effects, each class minus the baseline, lie in the cone."""
+    """Fraction of class-mean rows whose effects, each class minus class 0, lie in the cone."""
     hits = int(np.count_nonzero(region_mask(model, means[:, 1:] - means[:, :1])))
     total = means.shape[0]
     return RegionProbEstimate(estimate=hits / total, hits=hits, total=total, side=side)
@@ -404,9 +400,9 @@ def region_prob(draws, model: ConstraintModel) -> RegionProbEstimate:
     """Fraction of draws whose effect vector satisfies every strict order pair."""
     side = "prior" if isinstance(draws, PriorDraws) else "posterior"
     delta = draws.gamma[:, 1:]
-    if delta.shape[1] != len(model.delta_labels):
+    if delta.shape[1] != model.q - 1:
         raise ValueError(
-            f"draws have {delta.shape[1]} effect columns, model needs {len(model.delta_labels)}")
+            f"draws have {delta.shape[1]} effect columns, model needs {model.q - 1}")
     if not model.has_order:
         return RegionProbEstimate(estimate=1.0, hits=delta.shape[0],
                                   total=delta.shape[0], side=side)

@@ -219,6 +219,46 @@ def test_config_models_must_map_names_to_strings(capsys, data_csv, tmp_path, mod
     assert "config key models must be an object of model strings" in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("compare", "data", 0),  # open() would take 0 as a file descriptor and read stdin
+    ("compare", "data", None),
+    ("simulate", "preset", 3),
+    ("compare", "prior_probs", {"a": 1}),
+    ("compare", "prior_probs", [0.5, "0.5"]),
+    ("compare", "prior_probs", [True, 1]),
+    ("compare", "theta0", {"alpha0": 1}),
+    ("compare", "theta0", {"alpha0": 1, "sigma0": "2"}),
+    ("compare", "theta0", [1.0, 2.0, 3.0]),
+    ("compare", "theta0", 1.5),
+])
+def test_config_values_must_have_their_types(capsys, data_csv, tmp_path, command, key, value):
+    cfg = {"compare": {"data": str(data_csv), "models": {"null": "mu1=mu2=mu3"}},
+           "simulate": {"preset": "pop3", "reps": 1, "n_per_group": 8}}[command]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**cfg, key: value}))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith(f"error: {cfg_path}: config key {key} must be ")
+
+
+def test_config_takes_every_documented_form_of_prior_probs_and_theta0(capsys, data_csv,
+                                                                      tmp_path):
+    models = {"null": "mu1=mu2=mu3", "free": "mu1,mu2,mu3"}
+    forms = [({"prior_probs": [1, 3.0]}, {"prior_probs": "1,3"}),
+             ({"theta0": [0.5, 2]}, {"theta0": {"sigma0": 2.0, "alpha0": 0.5}},
+              {"theta0": "0.5,2"})]
+    for same in forms:
+        records = []
+        for extra in same:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"data": str(data_csv), "models": models, **extra}))
+            assert main(["compare", "--config", str(cfg_path), "--output", "records"]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        assert all(rec == records[0] for rec in records)
+    assert records[0]["theta0"] == {"alpha0": 0.5, "sigma0": 2.0}
+
+
 def test_theta0_flag(capsys, data_csv):
     assert main(["compare", str(data_csv), "--model", "Me=mu1,mu2,mu3",
                  "--theta0", "0.5,2.0", "--output", "records", *FAST_FLAGS]) == 0

@@ -432,3 +432,43 @@ def test_breakdown_does_not_depend_on_the_other_models(which, order, size):
     chosen = order[:size]
     shared = bf_k0(data, [models[i] for i in chosen], theta0, FAST)
     assert [repr(bd) for bd in shared] == [alone[i] for i in chosen]
+
+
+@st.composite
+def _affine_cases(draw):
+    """Unbalanced data on J = 2-6 groups, often with a singleton, and a map y -> a y + b."""
+    J = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=J, max_size=J))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, J - 1))] = 1
+    means = draw(st.lists(st.floats(-1.5, 1.5), min_size=J, max_size=J))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.concatenate([m + rng.standard_normal(n) for m, n in zip(means, sizes)])
+    g = draw(st.permutations(range(1, J + 1)))
+    models = [parse_model_spec(" = ".join(f"mu{j}" for j in range(1, J + 1)), J=J, name="null"),
+              parse_model_spec(", ".join(f"mu{j}" for j in range(1, J + 1)), J=J, name="free"),
+              parse_model_spec(f"mu{g[0]} = mu{g[1]}", J=J, name="tie"),
+              # prior mass 1/2 or 1/6, so no model is refused
+              parse_model_spec(" < ".join(f"mu{j}" for j in g[:3]), J=J, name="order")]
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
+    return data, models, draw(st.floats(1e-6, 1e6)), draw(st.floats(-1e8, 1e8))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_affine_cases())
+def test_whole_report_ignores_affine_maps_of_the_data(case):
+    data, models, a, b = case
+    y = data.responses
+    base = compare(data, models)
+    moved = compare(AnovaData(responses=a * y + b, groups=data.groups), models)
+    # a * y + b is rounded to the float spacing at its magnitude, which moves
+    # each datum by up to eps of the data's spread; the log BF reads n data,
+    # and each evidence is within EVIDENCE_TOL of the rule twice as fine
+    eps = np.finfo(float).eps * (abs(b) + a * np.max(np.abs(y))) / (a * np.std(y))
+    tol = y.size * eps + 2 * evidence.EVIDENCE_TOL
+    for one, other in zip(base.breakdowns, moved.breakdowns):
+        assert one.below_resolution == other.below_resolution
+        if not one.below_resolution:
+            assert abs(one.log_bf_c_vs_0 - other.log_bf_c_vs_0) <= tol
+    # a posterior probability moves by at most the largest log BF move
+    assert np.allclose(base.posterior_probs, moved.posterior_probs, rtol=0.0, atol=tol)

@@ -23,8 +23,7 @@ def test_parse_chain_with_tie():
     # adjacent relations mu2<mu1, mu1<mu4, mu4<{3,5} plus transitive closure
     assert m.order == frozenset(
         {(2, 1), (1, 4), (4, 3), (2, 4), (2, 3), (1, 3)})
-    assert m.baseline_rep == 1
-    assert m.delta_labels == (2, 3, 4)
+    assert m.columns == {1: 0, 2: 1, 3: 2, 5: 2, 4: 3}
     assert m.q == 4
     assert m.has_order and not m.is_null and not m.is_encompassing
 
@@ -175,7 +174,7 @@ def test_region_cone_property():
     rng = np.random.default_rng(7)
     models = [parse_model_spec(s, J=5) for s in (MA, MB, "mu1 < mu2 < mu3 < mu4 < mu5")]
     for m in models:
-        dim = len(m.delta_labels)
+        dim = m.q - 1
         for _ in range(100):
             delta = rng.normal(size=dim) * 5.0
             inside = region_contains(m, delta)
@@ -185,8 +184,7 @@ def test_region_cone_property():
 
 def _mu_level_oracle(model, delta):
     # independent route: build the group-mean vector and test every relation
-    value = {model.baseline_rep: 0.0}
-    value.update(zip(model.delta_labels, delta))
+    value = dict(zip((cls[0] for cls in model.classes), [0.0, *delta]))
     mu = {}
     for cls in model.classes:
         for g in cls:
@@ -202,7 +200,7 @@ def test_region_matches_mu_level_enumeration():
     specs = [(MA, 5), (MB, 5), ("mu1 < {mu2 = mu3} < mu4", 4), ("{mu1, mu2} < mu3", 3)]
     for text, J in specs:
         m = parse_model_spec(text, J=J)
-        dim = len(m.delta_labels)
+        dim = m.q - 1
         mags = [1.0, 2.0, 3.0, 4.0][:dim]
         for perm in itertools.permutations(mags):
             for signs in itertools.product((-1.0, 1.0), repeat=dim):
@@ -226,7 +224,7 @@ def test_region_mask_matches_closure_on_random_models():
     for _ in range(200):
         J = int(rng.integers(2, 11))
         m = _random_model(rng, J)
-        dim = len(m.delta_labels)
+        dim = m.q - 1
         deltas = np.vstack([rng.integers(-2, 3, size=(100, dim)),
                             rng.normal(size=(100, dim))])
         want = [region_contains(m, d) for d in deltas]
@@ -239,15 +237,19 @@ def test_region_mask_matches_closure_on_random_models():
 
 
 def test_encompassing_of_shapes():
-    ma = parse_model_spec(MA, J=5)
+    ma = parse_model_spec(MA, J=5, name="Ma")
     d = encompassing_of(ma)
-    assert (d.J, d.q) == (5, 4)
-    assert d.class_of_group == (1, 2, 3, 4, 3)
-    assert d.baseline == 1
-    assert d.delta_labels == (2, 3, 4)
+    assert isinstance(d, ConstraintModel)
+    assert (d.J, d.q, d.classes, d.order) == (5, 4, ma.classes, frozenset())
+    assert d.columns == ma.columns
+    # the encompassing model is the partition alone: two orders on the same
+    # classes share it, and it equals the order-free model of any name
+    reversed_order = parse_model_spec("mu4 < mu1 < mu2, mu3 = mu5", J=5)
+    assert encompassing_of(reversed_order) == d
+    assert hash(encompassing_of(reversed_order)) == hash(d)
+    assert d == parse_model_spec("mu1, mu2, mu3 = mu5, mu4", J=5, name="free")
     m0 = parse_model_spec("mu1 = mu2 = mu3", J=3)
-    d0 = encompassing_of(m0)
-    assert (d0.q, d0.delta_labels) == (1, ())
+    assert encompassing_of(m0) == m0
     me = parse_model_spec("mu1, mu2, mu3, mu4", J=4)
     assert encompassing_of(me).q == 4
 
@@ -272,12 +274,12 @@ def test_build_design_merged_class_column():
     Z = build_design(d, (2, 2, 2, 2, 2))
     assert Z.shape == (10, 4)
     assert np.array_equal(Z[:, 0], np.ones(10))
-    col3 = 1 + d.delta_labels.index(3)
+    col3 = d.columns[3]
     expect = np.zeros(10)
     expect[4:6] = 1.0  # group 3 rows
     expect[8:10] = 1.0  # group 5 rows
     assert np.array_equal(Z[:, col3], expect)
-    col2 = 1 + d.delta_labels.index(2)
+    col2 = d.columns[2]
     assert Z[:, col2].sum() == 2.0 and Z[2:4, col2].all()
     # every row has intercept plus at most one effect indicator
     assert np.all(Z.sum(axis=1) <= 2.0)

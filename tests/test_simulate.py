@@ -1,6 +1,5 @@
 import os
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -103,10 +102,8 @@ def test_pool_starts_only_when_each_worker_gets_enough_replications(monkeypatch)
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, iterable):
+            return map(fn, iterable)
 
         def shutdown(self, cancel_futures=False):
             pass
