@@ -24,13 +24,16 @@ _NAMED_MODEL = re.compile(r"^(?!mu\d)([A-Za-z_][\w.-]*)=(.+)$")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the config's values become the subcommand's defaults, so flags win
+            commands[args.command].set_defaults(**_load_config(args.config, args.command))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else int(exc.code)
-    try:
-        return args.func(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
@@ -39,59 +42,64 @@ def main(argv=None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed of simulate's data generation (default 0); compare "
-                             "results do not depend on it")
-    common.add_argument("--prior-draws", type=int, default=None)
-    # Retired chain lengths: accepted and ignored, and hidden from --help, so
-    # scripts that still pass them keep running.
-    common.add_argument("--mcmc-iters", type=int, default=None, help=argparse.SUPPRESS)
-    common.add_argument("--burnin", type=int, default=None, help=argparse.SUPPRESS)
-    common.add_argument("--output", choices=("text", "records"), default="text")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="simulate's worker processes (default 1); a pool starts only "
-                             f"when each worker gets {MIN_REPS_PER_WORKER} or more "
-                             "replications, and the records do not depend on it; compare "
-                             "accepts it and ignores it")
-    common.add_argument("--config", default=None, help="JSON file with defaults for these flags")
-
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="cipanova",
         description="Compare constrained ANOVA models with conditional intrinsic priors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="compare models on a group,response CSV file")
-    p.add_argument("data", nargs="?", default=None, help="CSV file with group,response columns")
-    p.add_argument("--model", action="append", default=[],
-                   help="model string, optionally NAME=STRING; repeatable")
-    p.add_argument("--prior-probs", default=None, help="comma-separated prior model weights")
-    p.add_argument("--theta0", default=None, help="null fit override as alpha0,sigma0")
-    p.set_defaults(func=_cmd_compare)
+    compare_p = sub.add_parser("compare", help="compare models on a group,response CSV file")
+    compare_p.add_argument("data", nargs="?", help="CSV file with group,response columns")
+    compare_p.add_argument("--model", action="append", default=[],
+                           help="model string, optionally NAME=STRING; repeatable")
+    compare_p.add_argument("--prior-probs", help="comma-separated prior model weights")
+    compare_p.add_argument("--theta0", help="null fit override as alpha0,sigma0")
+    compare_p.add_argument("--seed", type=int, default=0,
+                           help="echoed in the records; the results do not depend on it")
+    compare_p.set_defaults(func=_cmd_compare, models={})
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="replicate a preset scenario and summarize model wins")
-    p.add_argument("preset", nargs="?", default=None, choices=[None] + preset_names())
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--n-per-group", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate)
+    simulate_p = sub.add_parser("simulate",
+                                help="replicate a preset scenario and summarize model wins")
+    simulate_p.add_argument("preset", nargs="?", choices=[None] + preset_names())
+    simulate_p.add_argument("--reps", type=int, default=50)
+    simulate_p.add_argument("--n-per-group", type=int, default=25)
+    simulate_p.add_argument("--jobs", type=int, default=1,
+                            help="worker processes; a pool starts only when each worker "
+                                 f"gets {MIN_REPS_PER_WORKER} or more replications, and "
+                                 "the records do not depend on it")
+    simulate_p.add_argument("--seed", type=int, default=0, help="seed of the data generation")
+    # Retired chain lengths: accepted and ignored, and hidden from --help, so
+    # scripts that still pass them keep running.
+    simulate_p.add_argument("--mcmc-iters", type=int, help=argparse.SUPPRESS)
+    simulate_p.add_argument("--burnin", type=int, help=argparse.SUPPRESS)
+    simulate_p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("power", parents=[common],
-                       help="two-group z-test power table")
-    p.add_argument("--deltas", default="0.2,0.3,0.4")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--sizes", default="25,50")
-    p.add_argument("--z-crit", type=float, default=1.96)
-    p.set_defaults(func=_cmd_power)
+    power_p = sub.add_parser("power", help="two-group z-test power table")
+    power_p.add_argument("--deltas", default="0.2,0.3,0.4")
+    power_p.add_argument("--sigma", type=float, default=1.0)
+    power_p.add_argument("--sizes", default="25,50")
+    power_p.add_argument("--z-crit", type=float, default=1.96)
+    power_p.set_defaults(func=_cmd_power)
 
-    p = sub.add_parser("selftest", parents=[common], help="run built-in invariant checks")
-    p.set_defaults(func=_cmd_selftest)
-    return parser
+    for p in (compare_p, simulate_p):
+        p.add_argument("--prior-draws", type=int, default=Settings.prior_draws)
+        p.add_argument("--config", help="JSON file of defaults for this subcommand's flags")
+    for p in (compare_p, simulate_p, power_p):
+        p.add_argument("--output", choices=("text", "records"), default="text")
+
+    sub.add_parser("selftest", help="run built-in invariant checks").set_defaults(
+        func=_cmd_selftest)
+    return parser, sub.choices
 
 
 def _numbers(value, count=None) -> bool:
+    """Whether value is a list of numbers, or a comma-separated string of them."""
+    if isinstance(value, str):
+        try:
+            value = [float(x) for x in value.split(",")]
+        except ValueError:
+            return False
     return (isinstance(value, list) and count in (None, len(value))
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value))
 
@@ -100,28 +108,33 @@ def _numbers(value, count=None) -> bool:
 _CONFIG_TYPES = {
     **dict.fromkeys(("seed", "reps", "n_per_group", "jobs", "prior_draws"), (
         "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))),
-    **dict.fromkeys(("data", "preset"), ("a string", lambda v: isinstance(v, str))),
+    "data": ("a string", lambda v: isinstance(v, str)),
+    "preset": ("one of " + ", ".join(preset_names()), lambda v: v in preset_names()),
     "models": ("an object of model strings",
                lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in v.values())),
-    "prior_probs": ("a list of numbers or a comma-separated string",
-                    lambda v: isinstance(v, str) or _numbers(v)),
+    "prior_probs": ("a list of numbers or a comma-separated string of them", _numbers),
     "theta0": ('two numbers, an object of numbers alpha0 and sigma0, or an "alpha0,sigma0" '
-               "string", lambda v: isinstance(v, str) or _numbers(v, 2) or (
+               "string", lambda v: _numbers(v, 2) or (
                    isinstance(v, dict) and sorted(v) == ["alpha0", "sigma0"]
                    and _numbers(list(v.values())))),
 }
 
+# the config keys each subcommand reads; each is the dest of its flag
+_CONFIG_KEYS = {
+    "compare": ("data", "models", "prior_probs", "theta0", "seed", "prior_draws"),
+    "simulate": ("preset", "reps", "n_per_group", "jobs", "seed", "prior_draws"),
+}
 
-def _load_config(path):
-    if path is None:
-        return {}
+
+def _load_config(path, command) -> dict:
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS[command]))
     if unknown:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: config keys that {command} does not read: "
+                         f"{', '.join(unknown)}")
     for key, value in cfg.items():
         kind, check = _CONFIG_TYPES[key]
         if not check(value):
@@ -129,22 +142,16 @@ def _load_config(path):
     return cfg
 
 
-def _pick(flag, cfg, key, default):
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
+def _split(text: str, flag: str, kind=float) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {what}, got {text!r}") from None
 
 
-def _resolve_settings(args, cfg) -> Settings:
-    return Settings(
-        prior_draws=_pick(args.prior_draws, cfg, "prior_draws", 100_000),
-    )
-
-
-def _parse_model_args(model_args, cfg, J):
-    specs: list[tuple[str, str]] = []
-    for name, text in cfg.get("models", {}).items():
-        specs.append((name, text))
+def _parse_model_args(config_models, model_args, J):
+    specs = list(config_models.items())
     auto = 0
     for raw in model_args:
         m = _NAMED_MODEL.match(raw.strip())
@@ -159,23 +166,19 @@ def _parse_model_args(model_args, cfg, J):
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _resolve_settings(args, cfg)
-    seed = _pick(args.seed, cfg, "seed", 0)
-    path = _pick(args.data, cfg, "data", None)
-    if path is None:
+    settings = Settings(prior_draws=args.prior_draws)
+    if args.data is None:
         raise ValueError("no data file given")
-    data = ingest_csv(path)
-    models = _parse_model_args(args.model, cfg, J=data.J)
-    probs = _pick(args.prior_probs, cfg, "prior_probs", None)
+    data = ingest_csv(args.data)
+    models = _parse_model_args(args.models, args.model, J=data.J)
+    probs = args.prior_probs
     if isinstance(probs, str):
-        probs = [float(x) for x in probs.split(",")]
-    raw_theta0 = _pick(args.theta0, cfg, "theta0", None)
-    theta0 = _parse_theta0(raw_theta0)
+        probs = _split(probs, "--prior-probs")
+    theta0 = _parse_theta0(args.theta0)
     report = compare(data, models, prior_probs=probs, settings=settings, theta0=theta0)
     if args.output == "records":
         record = report.to_record()
-        record.update(type="comparison", seed=seed, settings=_settings_dict(settings))
+        record.update(type="comparison", seed=args.seed, settings=_settings_dict(settings))
         print(json.dumps(record, sort_keys=True))
     else:
         if data.group_labels is not None and list(data.group_labels) != [
@@ -190,14 +193,12 @@ def _parse_theta0(raw):
     if raw is None:
         return None
     if isinstance(raw, str):
-        parts = [float(x) for x in raw.split(",")]
+        raw = _split(raw, "--theta0")
     elif isinstance(raw, dict):
-        parts = [float(raw["alpha0"]), float(raw["sigma0"])]
-    else:
-        parts = [float(x) for x in raw]
-    if len(parts) != 2:
-        raise ValueError("theta0 must give alpha0,sigma0")
-    return NullParams(alpha0=parts[0], sigma0=parts[1])
+        raw = [raw["alpha0"], raw["sigma0"]]
+    if len(raw) != 2:
+        raise ValueError("--theta0 must give alpha0,sigma0")
+    return NullParams(*map(float, raw))
 
 
 def _settings_dict(settings: Settings) -> dict:
@@ -205,21 +206,15 @@ def _settings_dict(settings: Settings) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _resolve_settings(args, cfg)
-    preset = _pick(args.preset, cfg, "preset", None)
-    if preset is None:
+    settings = Settings(prior_draws=args.prior_draws)
+    if args.preset is None:
         raise ValueError(f"no preset given; choose from {', '.join(preset_names())}")
-    seed = _pick(args.seed, cfg, "seed", 0)
-    reps = _pick(args.reps, cfg, "reps", 50)
-    n_per_group = _pick(args.n_per_group, cfg, "n_per_group", 25)
-    jobs = _pick(args.jobs, cfg, "jobs", 1)
-    scenario, models = make_preset(preset, n_per_group=n_per_group, reps=reps,
-                                   base_seed=seed)
+    scenario, models = make_preset(args.preset, n_per_group=args.n_per_group, reps=args.reps,
+                                   base_seed=args.seed)
     sink = None
     if args.output == "records":
-        header = {"type": "config", "scenario": preset, "reps": reps, "seed": seed,
-                  "n_per_group": n_per_group,
+        header = {"type": "config", "scenario": args.preset, "reps": args.reps,
+                  "seed": args.seed, "n_per_group": args.n_per_group,
                   "models": {m.name: model_to_string(m) for m in models},
                   "settings": _settings_dict(settings)}
         print(json.dumps(header, sort_keys=True), flush=True)
@@ -227,7 +222,7 @@ def _cmd_simulate(args) -> int:
         def sink(rec):
             print(json.dumps(rec, sort_keys=True), flush=True)
 
-    table = run_simulation_study(scenario, models, settings=settings, jobs=jobs,
+    table = run_simulation_study(scenario, models, settings=settings, jobs=args.jobs,
                                  record_sink=sink)
     if args.output == "records":
         summary = {"type": "summary", "scenario": table.scenario, "reps": table.reps,
@@ -240,8 +235,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    deltas = [float(x) for x in args.deltas.split(",")]
-    sizes = [int(x) for x in args.sizes.split(",")]
+    deltas = _split(args.deltas, "--deltas")
+    sizes = _split(args.sizes, "--sizes", int)
     rows = power_table(deltas=deltas, sigma=args.sigma, n_per_group=sizes,
                        z_crit=args.z_crit)
     if args.output == "records":

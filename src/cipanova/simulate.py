@@ -9,9 +9,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .compare import Settings, compare
-from .constraints import ConstraintModel, encompassing_of
-from .intrinsic import make_cip
-from .posterior import cached_prior_cone_mass
+from .constraints import ConstraintModel
 from .scenarios import SimScenario, generate_scenario
 
 # A pool starts only when each worker gets at least this many replications:
@@ -99,9 +97,10 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
     its own data, and aggregation is keyed by replication index.
 
     ``record_sink`` gets each record as soon as it and every record of lower
-    index are done.  The prior cone masses are counted here, before any worker
-    starts, so forked workers inherit them instead of counting them again.  If
-    a replication, the sink or an interrupt raises, queued replications are
+    index are done.  Replication 0 runs here before any worker starts, so the
+    per-process caches it fills (the prior cone masses and the quadrature
+    rules) are inherited by forked workers instead of filled again.  If a
+    replication, the sink or an interrupt raises, queued replications are
     cancelled and the exception propagates; the sink has had every record
     before the first unfinished one, and no later one.
     """
@@ -111,18 +110,15 @@ def run_simulation_study(scenario: SimScenario, models: list[ConstraintModel],
         raise ValueError("jobs must be >= 1")
     if all(m.name != scenario.true_model for m in models):
         raise ValueError(f"model list must include the true model {scenario.true_model!r}")
-    for m in models:
-        if m.has_order:
-            spec = make_cip(encompassing_of(m), (scenario.n_per_group,) * m.J)
-            cached_prior_cone_mass(m, spec.sizes, settings.prior_draws)
     sink = record_sink or (lambda rec: None)
+    replicate = partial(_replicate, scenario, models, settings)
+    records = [replicate(0)]
+    sink(records[0])
     workers = min(jobs, scenario.reps // MIN_REPS_PER_WORKER)
     pool = ProcessPoolExecutor(max_workers=workers) if workers >= 2 else None
-    records = []
     try:
         # both maps yield in index order, each record once it and every earlier one are done
-        for rec in (pool.map if pool else map)(partial(_replicate, scenario, models, settings),
-                                                range(scenario.reps)):
+        for rec in (pool.map if pool else map)(replicate, range(1, scenario.reps)):
             records.append(rec)
             sink(rec)
     finally:

@@ -9,7 +9,7 @@ import pytest
 
 import cipanova
 from cipanova import simulate
-from cipanova.cli import main
+from cipanova.cli import _build_parser, _load_config, main
 
 
 @pytest.fixture
@@ -73,8 +73,6 @@ def test_compare_records_are_stable(capsys, data_csv):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second  # byte-identical rerun
-    assert main(argv + ["--mcmc-iters", "3000", "--burnin", "500"]) == 0
-    assert capsys.readouterr().out == first  # retired chain lengths are ignored
     rec = json.loads(first)
     assert rec["type"] == "comparison"
     assert rec["seed"] == 7
@@ -230,6 +228,9 @@ def test_config_models_must_map_names_to_strings(capsys, data_csv, tmp_path, mod
     ("compare", "theta0", {"alpha0": 1, "sigma0": "2"}),
     ("compare", "theta0", [1.0, 2.0, 3.0]),
     ("compare", "theta0", 1.5),
+    ("compare", "prior_probs", "1,x"),
+    ("compare", "theta0", "0.5,sigma"),
+    ("compare", "theta0", "0.5"),
 ])
 def test_config_values_must_have_their_types(capsys, data_csv, tmp_path, command, key, value):
     cfg = {"compare": {"data": str(data_csv), "models": {"null": "mu1=mu2=mu3"}},
@@ -257,6 +258,59 @@ def test_config_takes_every_documented_form_of_prior_probs_and_theta0(capsys, da
             records.append(json.loads(capsys.readouterr().out))
         assert all(rec == records[0] for rec in records)
     assert records[0]["theta0"] == {"alpha0": 0.5, "sigma0": 2.0}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("compare", "--prior-probs", "a,b"),
+    ("compare", "--prior-probs", "1,"),
+    ("compare", "--theta0", "1,x"),
+    ("power", "--deltas", "0.2,x"),
+    ("power", "--sizes", "25,1.5"),
+])
+def test_number_lists_that_do_not_parse_name_their_flag(capsys, data_csv, command, flag,
+                                                        value):
+    argv = {"compare": ["compare", str(data_csv), "--model", "mu1<mu2",
+                        "--model", "mu1,mu2,mu3", *FAST_FLAGS],
+            "power": ["power"]}[command]
+    assert main([*argv, flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith(f"error: {flag} must be comma-separated ")
+
+
+# every option string of each subcommand, hidden ones included
+CLI_SURFACE = {
+    "compare": {"-h", "--help", "data", "--model", "--prior-probs", "--theta0", "--seed",
+                "--prior-draws", "--output", "--config"},
+    "simulate": {"-h", "--help", "preset", "--reps", "--n-per-group", "--jobs", "--seed",
+                 "--prior-draws", "--output", "--config", "--mcmc-iters", "--burnin"},
+    "power": {"-h", "--help", "--deltas", "--sigma", "--sizes", "--z-crit", "--output"},
+    "selftest": {"-h", "--help"},
+}
+CONFIG_KEYS = {
+    "compare": {"data": "d.csv", "models": {"m": "mu1<mu2"}, "prior_probs": [1, 1],
+                "theta0": [0.0, 1.0], "seed": 1, "prior_draws": 5000},
+    "simulate": {"preset": "pop3", "reps": 2, "n_per_group": 8, "jobs": 1, "seed": 1,
+                 "prior_draws": 5000},
+}
+
+
+def test_each_subcommand_takes_only_its_own_flags_and_config_keys(tmp_path):
+    _, commands = _build_parser()
+    assert set(commands) == set(CLI_SURFACE)
+    for name, parser in commands.items():
+        got = {opt for action in parser._actions
+               for opt in (action.option_strings or [action.dest])}
+        assert got == CLI_SURFACE[name], name
+    for name, own in CONFIG_KEYS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(own))
+        assert _load_config(path, name) == own
+        for other, keys in CONFIG_KEYS.items():
+            for key in set(keys) - set(own):
+                path.write_text(json.dumps({key: keys[key]}))
+                with pytest.raises(ValueError, match=f"{name} does not read: {key}$"):
+                    _load_config(path, name)
 
 
 def test_theta0_flag(capsys, data_csv):

@@ -1,10 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp, roots_jacobi
 
-from cipanova.compare import Settings
+from cipanova.compare import Settings, compare
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.evidence import (
@@ -298,3 +303,56 @@ def test_null_loglik_closed_form():
     want = float(np.sum(stats.norm(loc=2.0, scale=1.5).logpdf(y)))
     assert null_loglik(y, theta0) == pytest.approx(want, abs=1e-12)
     assert rr == 5.0
+
+
+def _load_benchmark_oracle():
+    # the benchmark's reference integral, written without cipanova
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLE = _load_benchmark_oracle()
+
+
+@st.composite
+def _oracle_cases(draw):
+    """J = 2-10 unbalanced groups, often with a singleton, mapped by y -> a y + b."""
+    J = draw(st.integers(2, 10))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=J, max_size=J))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, J - 1))] = 1
+    assume(max(sizes) >= 2)  # every group a singleton leaves the free model no residual
+    spread = draw(st.sampled_from([0.0, 1e3]) | st.floats(1e-3, 1e3))  # in noise sds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = spread * rng.random(J)
+    z = np.concatenate([m + rng.standard_normal(n) for m, n in zip(means, sizes)])
+    a = 10.0 ** draw(st.floats(-6, 6))
+    b = draw(st.floats(-1e8, 1e8))
+    groups = np.repeat(np.arange(1, J + 1), sizes)
+    pair = draw(st.permutations(range(1, J + 1)))[:2]
+    return z, a, b, groups, pair
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_oracle_cases())
+def test_evidence_agrees_with_the_benchmark_oracle_or_is_flagged(case):
+    z, a, b, groups, pair = case
+    J = int(groups.max())
+    y = a * z + b
+    free = parse_model_spec(", ".join(f"mu{j}" for j in range(1, J + 1)), J=J, name="free")
+    tie = parse_model_spec(f"mu{pair[0]} = mu{pair[1]}", J=J, name="tie")
+    report = compare(AnovaData(responses=y, groups=groups), [free, tie])
+    # a y + b is rounded to the float spacing at its magnitude, which moves
+    # each datum by up to eps of the data's spread (as in test_cone_properties)
+    eps = np.finfo(float).eps * (abs(b) + a * np.max(np.abs(z))) / (a * np.std(z))
+    tol = y.size * eps + 2 * EVIDENCE_TOL
+    for model, bd in zip((free, tie), report.breakdowns):
+        if model.is_null:  # the tie at J = 2
+            assert bd.log_bf_c_vs_0 == 0.0
+            continue
+        want = BENCH_ORACLE.log_bf_vs_null(y, groups, model.classes)
+        if bd.evidence.node_doubling_delta < EVIDENCE_TOL:
+            assert abs(bd.log_bf_c_vs_0 - want) <= tol, (model.name, bd.log_bf_c_vs_0, want)

@@ -146,7 +146,8 @@ def test_an_exception_in_a_pooled_study_cancels_the_queued_replications(monkeypa
         return generate(scenario, r)
 
     def failing_sink(rec):
-        raise RuntimeError("sink failed")
+        if rec["rep"] == 1:  # replication 0 runs before the pool, 1 is the pool's first
+            raise RuntimeError("sink failed")
 
     monkeypatch.setattr(simulate, "generate_scenario", marked)
     monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)
