@@ -201,9 +201,10 @@ def compare(data: AnovaData, models: list[ConstraintModel],
             theta0: NullParams | None = None) -> ComparisonReport:
     """Compare the models on one dataset under a shared null fit.
 
-    The results do not depend on rng: the prior cone masses are counted on a
-    fixed stream (posterior.cached_prior_cone_mass) and nothing else is
-    random.  rng is still accepted so existing callers keep working.
+    The results depend on no seed: the evidence and the posterior cone masses
+    draw nothing, and the prior cone masses are counted on a fixed stream
+    (posterior.cached_prior_cone_mass).  rng is accepted and ignored, so
+    existing callers keep working.
     """
     if settings is None:
         settings = Settings()

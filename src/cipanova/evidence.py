@@ -50,8 +50,12 @@ class PreparedIntegrand:
 
     With k = n/(q+1), Winv = k (Z'Z)^{-1}, so Z Winv Z' is k times the
     projection onto the class indicators and the integrand reads r = y - alpha0
-    only through r'r and the class means rbar of r, via B = sum_c n_c rbar_c^2.
-    The evidence and its eta nodes are computed on first use, once for every model on the design.
+    only through the class means rbar of r, B = sum_c n_c rbar_c^2 and the
+    within-class sum of squares SSW = sum (r - rbar_class)^2.  Its quadratic
+    form r'r - k B/(eta + k) is taken as SSW + B eta/(eta + k): r'r - B
+    cancels once the class means are many sds apart, and SSW, summed in a
+    second pass, does not.  The evidence and its eta nodes are computed on
+    first use, once for every model on the design.
     """
 
     def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int = 64) -> None:
@@ -72,14 +76,15 @@ class PreparedIntegrand:
         self.sizes = spec.sizes
         self.rbar = sums / spec.sizes
         self.B = float(sums @ self.rbar)
-        self.rr = float(r @ r)
+        within = r - np.repeat(self.rbar[spec.class_index], spec.group_sizes)
+        self.ssw = float(within @ within)
 
     def loglik(self, eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
         if np.any(eta <= 0.0) or np.any(eta >= 1.0):
             raise ValueError("eta must lie strictly inside (0, 1)")
         a = self.s0sq * eta / (1.0 - eta)
-        quad = (self.rr - self.k * self.B / (eta + self.k)) / a
+        quad = (self.ssw + self.B * eta / (eta + self.k)) / a
         return -0.5 * (self.n * LOG_2PI + self.n * np.log(a)
                        + self.q * np.log1p(self.k / eta) + quad)
 
@@ -118,21 +123,23 @@ class PreparedIntegrand:
 def _eta_mode(prep: PreparedIntegrand) -> float:
     """Mode of the integrand in eta: Newton in t = logit eta on closed-form derivatives.
 
-    It starts at the settled rule's heaviest node and keeps to the bracket of
-    that node's neighbours, which each slope's sign narrows; a step that leaves
-    the bracket, or one where the integrand is not concave, bisects it instead.
+    It starts where the error variance a = s0^2 eta/(1 - eta) is the
+    within-class estimate SSW/(n - q), the mode when the class term is flat,
+    or at 1/2 when SSW is 0 or that eta rounds to 1.  It keeps to a bracket in
+    (0, 1), which each slope's sign narrows; a step that leaves the bracket,
+    or one where the integrand is not concave, bisects it instead.
     """
-    eta, log_w, _ = prep.eta_weights
-    i = int(np.argmax(log_w))
-    lo, e, hi = np.concatenate(([0.0], eta, [1.0]))[i:i + 3].tolist()
-    k, B = prep.k, prep.B
+    n, q, k, B = prep.n, prep.q, prep.k, prep.B
+    x = prep.ssw / ((n - q) * prep.s0sq) if prep.ssw > 0.0 else 0.0
+    e = x / (1.0 + x)
+    lo, e, hi = 0.0, e if 0.0 < e < 1.0 else 0.5, 1.0
     for _ in range(100):
         # first and second derivatives in t of -2 loglik; d eta/dt = eta (1 - eta)
         a, v, c = prep.s0sq * e / (1.0 - e), e * (1.0 - e), k / (e + k)
-        quad, quad1 = prep.rr - c * B, c * B * v / (e + k)
+        quad, quad1 = prep.ssw + B * e / (e + k), c * B * v / (e + k)
         quad2 = quad1 * (1.0 - 2.0 * e - 2.0 * v / (e + k))
-        f1 = prep.n - prep.q * c * (1.0 - e) + (quad1 - quad) / a
-        f2 = prep.q * c * (k + 1.0) * v / (e + k) + (quad - 2.0 * quad1 + quad2) / a
+        f1 = n - q * c * (1.0 - e) + (quad1 - quad) / a
+        f2 = q * c * (k + 1.0) * v / (e + k) + (quad - 2.0 * quad1 + quad2) / a
         lo, hi = (e, hi) if f1 < 0.0 else (lo, e)
         step = -f1 / f2 if f2 > 0.0 else math.inf
         if abs(step) < 1e-12:

@@ -83,7 +83,8 @@ PRUNE_WEIGHT = 1e-18
 PRUNE_REL = 1e-10
 # class-mean rows drawn and counted at a time by the prior cone mass
 CONE_BLOCK = 2**14
-# prior cone masses kept per process, one per (order, class sizes, draw count)
+# prior cone masses kept per process, one per (order, class sizes, draw count),
+# and down-set plans, one per order
 PRIOR_CACHE_SIZE = 256
 
 
@@ -197,9 +198,12 @@ class _Component:
     rows: int
 
 
+@lru_cache(maxsize=PRIOR_CACHE_SIZE)
 def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     """Down-set levels of each weak component with at least two classes.
 
+    The plan depends on the order alone, so it is built once per model and
+    process (equality ignores the name), and its arrays are read-only.
     Raises ValueError when a component has more than MAX_DOWNSETS down-sets.
     """
     comps = []
@@ -218,7 +222,9 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         # H, the integrand, two gathers, their product and the new H
         sizes = [1] + [len(lv.top) for lv in levels]
         rows = 4 * len(members) + max(prev + 5 * cur for prev, cur in zip(sizes, sizes[1:]))
-        comps.append(_Component(np.array([model.columns[r] for r in members]), levels, rows))
+        cols = np.array([model.columns[r] for r in members])
+        cols.flags.writeable = False
+        comps.append(_Component(cols, levels, rows))
     return tuple(comps)
 
 
@@ -246,6 +252,7 @@ def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[_Do
         for i, (mask, js) in enumerate(zip(nxt, tops)):
             top[i, :len(js)] = js
             parent[i, :len(js)] = [level[mask ^ 1 << j] for j in js]
+        top.flags.writeable = parent.flags.writeable = False
         levels.append(_DownSetLevel(top, parent))
         level = nxt
     return tuple(levels)

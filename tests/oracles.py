@@ -7,8 +7,10 @@
   (`log_marginal_chib`), an MC route to the integral the library computes by
   Gauss-Jacobi quadrature, and the direct form of that integrand through the
   low-rank Gaussian (`integrand_log`, `LowRankGaussian`, `lowrank_logpdf`).
-- Dense and per-draw forms of the prior: `cip_logpdf`, `mvn_sample`,
-  `sample_eta_half` and `sample_sigma2_via_eta`.
+- Dense and per-draw forms of the prior: `cip_logpdf`, `mvn_logpdf`,
+  `mvn_sample`, `sample_eta_half` and `sample_sigma2_via_eta`, and the
+  inverted-beta law of sigma^2 that the half-Cauchy prior on sigma induces
+  (`inverted_beta_logpdf`).
 - Full joint draws of (gamma, eta) from the prior (`cip_sample`) and from the
   exact posterior on the evidence rule's nodes (`sample_posterior`), with
   their cone hit fraction (`region_prob`).  The library counts prior cone
@@ -26,6 +28,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ from scipy.special import logsumexp
 
 from cipanova.constraints import ConstraintModel, region_mask
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
-from cipanova.gaussian import LOG_2PI, mvn_logpdf
+from cipanova.gaussian import LOG_2PI
 from cipanova.intrinsic import CipSpec, NullParams
 from cipanova.posterior import RegionProbEstimate
 
@@ -278,6 +281,29 @@ def cip_logpdf(gamma: np.ndarray, sigma: float, theta0: NullParams, spec: CipSpe
     d = dense_spec(spec)
     cov = (sigma**2 + s0**2) * d.winv
     return float(log_half_cauchy) + mvn_logpdf(gamma, theta0.alpha0 * d.e, cov)
+
+
+def inverted_beta_logpdf(v: float, a: float, b: float, c: float) -> float:
+    """Log density of the inverted beta law with shapes (a, b) and scale c."""
+    if v <= 0.0:
+        return -np.inf
+    if min(a, b, c) <= 0.0:
+        raise ValueError("shapes and scale must be positive")
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return b * np.log(c) - log_beta + (a - 1.0) * np.log(v) - (a + b) * np.log(v + c)
+
+
+def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """Log density of a dense multivariate normal via Cholesky."""
+    x = np.asarray(x, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    q = mean.shape[0]
+    try:
+        L = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance is not positive definite") from exc
+    z = np.linalg.solve(L, x - mean)
+    return -0.5 * (q * LOG_2PI + 2.0 * np.sum(np.log(np.diag(L))) + float(z @ z))
 
 
 def mvn_sample(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:

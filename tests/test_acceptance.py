@@ -14,11 +14,12 @@ from cipanova.compare import Settings, compare, pairwise_bf
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, log_marginal_quadrature
-from cipanova.gaussian import RandomSource, inverted_beta_logpdf
+from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from cipanova.simulate import power_table, run_simulation_study
-from oracles import cip_sample, log_marginal_chib, run_posterior_chain
+from oracles import (cip_sample, inverted_beta_logpdf, log_marginal_chib,
+                     run_posterior_chain)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import cipanova
 from cipanova import simulate
-from cipanova.cli import _build_parser, _load_config, main
+from cipanova.cli import _CONFIG_KEYS, _build_parser, _load_config, main
 
 
 @pytest.fixture
@@ -56,8 +58,7 @@ def test_power_text_and_records(capsys):
 
 def test_compare_text_output(capsys, data_csv):
     code = main(["compare", str(data_csv), "--model", "M0=mu1=mu2=mu3",
-                 "--model", "up=mu1<mu2<mu3", "--model", "Me=mu1,mu2,mu3",
-                 "--seed", "4", *FAST_FLAGS])
+                 "--model", "up=mu1<mu2<mu3", "--model", "Me=mu1,mu2,mu3", *FAST_FLAGS])
     assert code == 0
     out = capsys.readouterr().out
     assert "null fit:" in out
@@ -67,7 +68,7 @@ def test_compare_text_output(capsys, data_csv):
 
 def test_compare_records_are_stable(capsys, data_csv):
     argv = ["compare", str(data_csv), "--model", "mu1<mu2<mu3",
-            "--output", "records", "--seed", "7", *FAST_FLAGS]
+            "--output", "records", *FAST_FLAGS]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -75,20 +76,23 @@ def test_compare_records_are_stable(capsys, data_csv):
     assert first == second  # byte-identical rerun
     rec = json.loads(first)
     assert rec["type"] == "comparison"
-    assert rec["seed"] == 7
+    assert "seed" not in rec
     assert rec["settings"] == {"prior_draws": 5000}
     assert rec["models"][0]["name"] == "model1"  # unnamed specs are numbered
 
 
-def test_compare_records_do_not_depend_on_the_seed(capsys, data_csv):
-    records = []
-    for seed in ("1", "2"):
-        assert main(["compare", str(data_csv), "--model", "up=mu1<mu2<mu3",
-                     "--model", "Me=mu1,mu2,mu3", "--output", "records",
-                     "--seed", seed, *FAST_FLAGS]) == 0
-        records.append(json.loads(capsys.readouterr().out))
-    assert [r.pop("seed") for r in records] == [1, 2]
-    assert records[0] == records[1]
+def test_compare_takes_no_seed(capsys, data_csv, tmp_path):
+    # compare's results do not depend on a seed, so it takes none, by flag or by config
+    argv = ["compare", str(data_csv), "--model", "up=mu1<mu2<mu3", "--model", "Me=mu1,mu2,mu3",
+            "--output", "records", *FAST_FLAGS]
+    assert main(argv + ["--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"data": str(data_csv), "seed": 1}))
+    assert main(["compare", "--config", str(cfg_path), *argv[2:]]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"error: {cfg_path}: config keys that compare does not read: seed\n"
 
 
 def test_model_name_prefix_rules(capsys, data_csv):
@@ -164,19 +168,18 @@ def test_config_file_merging(capsys, data_csv, tmp_path):
         "data": str(data_csv),
         "models": {"null": "mu1=mu2=mu3", "trend": "mu1<mu2<mu3"},
         "prior_draws": 5000,
-        "seed": 12,
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["compare", "--config", str(cfg_path), "--output", "records"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert [m["name"] for m in rec["models"]] == ["null", "trend"]
-    assert rec["seed"] == 12
+    assert rec["settings"] == {"prior_draws": 5000}
     # explicit flag beats the config value
-    assert main(["compare", "--config", str(cfg_path), "--seed", "99",
+    assert main(["compare", "--config", str(cfg_path), "--prior-draws", "6000",
                  "--output", "records"]) == 0
     rec2 = json.loads(capsys.readouterr().out)
-    assert rec2["seed"] == 99
+    assert rec2["settings"] == {"prior_draws": 6000}
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert main(["compare", "--config", str(bad)]) == 1
@@ -192,7 +195,7 @@ def test_config_file_merging(capsys, data_csv, tmp_path):
     ("simulate", "reps", 2.7),
     ("compare", "prior_draws", 1500.5),
     ("compare", "prior_draws", "5000"),
-    ("compare", "seed", True),
+    ("simulate", "seed", True),
     ("simulate", "n_per_group", 8.0),
     ("simulate", "jobs", None),
 ])
@@ -280,7 +283,7 @@ def test_number_lists_that_do_not_parse_name_their_flag(capsys, data_csv, comman
 
 # every option string of each subcommand, hidden ones included
 CLI_SURFACE = {
-    "compare": {"-h", "--help", "data", "--model", "--prior-probs", "--theta0", "--seed",
+    "compare": {"-h", "--help", "data", "--model", "--prior-probs", "--theta0",
                 "--prior-draws", "--output", "--config"},
     "simulate": {"-h", "--help", "preset", "--reps", "--n-per-group", "--jobs", "--seed",
                  "--prior-draws", "--output", "--config", "--mcmc-iters", "--burnin"},
@@ -289,7 +292,7 @@ CLI_SURFACE = {
 }
 CONFIG_KEYS = {
     "compare": {"data": "d.csv", "models": {"m": "mu1<mu2"}, "prior_probs": [1, 1],
-                "theta0": [0.0, 1.0], "seed": 1, "prior_draws": 5000},
+                "theta0": [0.0, 1.0], "prior_draws": 5000},
     "simulate": {"preset": "pop3", "reps": 2, "n_per_group": 8, "jobs": 1, "seed": 1,
                  "prior_draws": 5000},
 }
@@ -311,6 +314,30 @@ def test_each_subcommand_takes_only_its_own_flags_and_config_keys(tmp_path):
                 path.write_text(json.dumps({key: keys[key]}))
                 with pytest.raises(ValueError, match=f"{name} does not read: {key}$"):
                     _load_config(path, name)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_bullets(lead: str) -> dict[str, set[str]]:
+    """The backticked words of each `name`: bullet in the README list that follows lead."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index(lead) + len(lead):].lstrip("\n").split("\n\n")[0]
+    bullets = re.split(r"^- ", block, flags=re.M)[1:]
+    return {m.group(1): set(re.findall(r"`([^`]+)`", m.group(2)))
+            for m in (re.match(r"`(\w+)`:(.*)", b, re.S) for b in bullets)}
+
+
+def test_readme_lists_each_subcommands_flags_and_config_keys():
+    _, commands = _build_parser()
+    flags = {name: {opt for action in parser._actions if action.help != argparse.SUPPRESS
+                    for opt in action.option_strings if opt not in ("-h", "--help")}
+             for name, parser in commands.items()}
+    listed = _readme_bullets("Each subcommand takes only the flags it reads:")
+    assert {name: {w.split()[0] for w in words if w.startswith("--")}
+            for name, words in listed.items()} == flags
+    keys = _readme_bullets("each subcommand reads its\nown keys:")
+    assert keys == {name: set(own) for name, own in _CONFIG_KEYS.items()}
 
 
 def test_theta0_flag(capsys, data_csv):
@@ -363,5 +390,5 @@ def test_simulate_text_and_errors(capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok -") == 8
+    assert out.count("ok -") == 7
     assert "all checks passed" in out

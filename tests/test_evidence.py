@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, roots_jacobi
+from scipy.special import expit, logsumexp, roots_jacobi
 
 from cipanova.compare import Settings, compare
 from cipanova.constraints import encompassing_of, parse_model_spec
@@ -356,3 +357,54 @@ def test_evidence_agrees_with_the_benchmark_oracle_or_is_flagged(case):
         want = BENCH_ORACLE.log_bf_vs_null(y, groups, model.classes)
         if bd.evidence.node_doubling_delta < EVIDENCE_TOL:
             assert abs(bd.log_bf_c_vs_0 - want) <= tol, (model.name, bd.log_bf_c_vs_0, want)
+
+
+def _separated_case(seed, spread):
+    """Three groups of 30/50/20 with unit noise and means spread * U(0, 1) noise sds apart."""
+    sizes = (30, 50, 20)
+    rng = np.random.default_rng(seed)
+    means = spread * rng.random(3)
+    y = np.concatenate([rng.normal(m, 1.0, k) for m, k in zip(means, sizes)])
+    data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], sizes))
+    theta0 = estimate_null_params(data)
+    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), sizes)
+    return y, theta0, spec
+
+
+@pytest.mark.parametrize("spread", [1e5, 1e6, 1e7, 1e8])
+def test_loglik_reads_a_directly_summed_within_class_sum_of_squares(spread):
+    # r'r - B, the within-class sum of squares, cancels once the means are far
+    # apart; the integrand must match the closed form on a two-pass SSW
+    for seed in range(5):
+        y, theta0, spec = _separated_case(seed, spread)
+        r = y - theta0.alpha0
+        groups = np.split(r, np.cumsum(spec.group_sizes)[:-1])
+        means = [math.fsum(g) / g.size for g in groups]
+        ssw = math.fsum(math.fsum((g - m) ** 2) for g, m in zip(groups, means))
+        B = math.fsum(g.size * m * m for g, m in zip(groups, means))
+        n, q, s0sq = spec.n, spec.q, theta0.sigma0**2
+        k = n / (q + 1)
+        prep = PreparedIntegrand(y, theta0, spec)
+        x = ssw / ((n - q) * s0sq)
+        for eta in np.array([0.5, 1.0, 2.0]) * x / (1.0 + x):  # around the mode
+            a = s0sq * eta / (1.0 - eta)
+            want = -0.5 * (n * math.log(2.0 * math.pi) + n * math.log(a)
+                           + q * math.log1p(k / eta) + (ssw + B * eta / (eta + k)) / a)
+            assert float(prep.loglik(eta)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_eta_mode_is_right_at_any_separation():
+    # from 1e5 sds the node doubling reaches its cap, and the mode, which no
+    # longer starts from the nodes, must still be found: against a dense scan
+    # in logit eta refined by a bounded minimiser
+    for spread in np.logspace(4, 8, 7):
+        for seed in range(15):
+            y, theta0, spec = _separated_case(seed, spread)
+            prep = PreparedIntegrand(y, theta0, spec)
+            t = np.linspace(-80.0, 30.0, 11_001)
+            i = int(np.argmax(prep.loglik(expit(t))))
+            ref = expit(minimize_scalar(lambda u: -float(prep.loglik(expit(u))),
+                                        bounds=(t[i - 1], t[i + 1]), method="bounded",
+                                        options={"xatol": 1e-12}).x)
+            mode = prep.evidence.eta_mode
+            assert abs(mode - ref) <= 1e-6 * ref, (spread, seed, mode, ref)

@@ -3,17 +3,13 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import logsumexp as scipy_logsumexp
 
-from cipanova.gaussian import (
-    LOG_2PI,
-    RandomSource,
-    inverted_beta_logpdf,
-    logsumexp,
-    mvn_logpdf,
-)
+from cipanova.gaussian import LOG_2PI, RandomSource, logsumexp
 from oracles import (
     LowRankGaussian,
     beta_half_logpdf,
+    inverted_beta_logpdf,
     lowrank_logpdf,
+    mvn_logpdf,
     mvn_sample,
     sample_eta_half,
     sample_sigma2_via_eta,

@@ -11,7 +11,7 @@ from cipanova.compare import Settings, compare
 from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
-from cipanova.gaussian import RandomSource, inverted_beta_logpdf
+from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import (
     InsufficientPriorMassError,
@@ -35,6 +35,7 @@ from oracles import (
     dense_spec,
     eta_log_target,
     gamma_full_conditional,
+    inverted_beta_logpdf,
     posterior_class_means,
     prior_class_means,
     region_prob,
@@ -499,12 +500,22 @@ def test_downset_budget_raises(monkeypatch):
                                     J=10)
     assert sum(len(lv.top) for lv in order_components(five_vs_five)[0].levels) == 62
     monkeypatch.setattr(posterior, "MAX_DOWNSETS", 62)
+    order_components.cache_clear()  # the plan above was built under the default budget
     with pytest.raises(ValueError, match="down-sets"):
         order_components(five_vs_five)
     # free classes and separate components do not count against one budget
     monkeypatch.setattr(posterior, "MAX_DOWNSETS", 4)
     comps = order_components(parse_model_spec("mu1 < mu2 < mu3, mu4 < mu5", J=6))
     assert [sorted(c.cols) for c in comps] == [[0, 1, 2], [3, 4]]
+
+
+def test_equal_models_share_one_read_only_plan():
+    text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
+    plan = order_components(parse_model_spec(text, J=10, name="split"))
+    assert order_components(parse_model_spec(text, J=10, name="other")) is plan
+    assert len(plan) == 1
+    arrays = [plan[0].cols] + [a for lv in plan[0].levels for a in (lv.top, lv.parent)]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_region_prob_sides_and_counts():
