@@ -56,6 +56,11 @@ class PreparedIntegrand:
     cancels once the class means are many sds apart, and SSW, summed in a
     second pass, does not.  The evidence and its eta nodes are computed on
     first use, once for every model on the design.
+
+    With SSW = 0 and n > q the integrand grows like eta^-((n - q)/2) as eta
+    -> 0, so the marginal is infinite and ValueError is raised.  Constant
+    classes leave in SSW only the rounding error of their means, under
+    (n eps)^2 B, so SSW up to twice that bound counts as 0.
     """
 
     def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int = 64) -> None:
@@ -78,6 +83,9 @@ class PreparedIntegrand:
         self.B = float(sums @ self.rbar)
         within = r - np.repeat(self.rbar[spec.class_index], spec.group_sizes)
         self.ssw = float(within @ within)
+        if spec.n > spec.q and self.ssw <= (2 * spec.n * np.finfo(float).eps) ** 2 * self.B:
+            raise ValueError("the responses are constant within every class (zero within-class "
+                             "spread), so the marginal likelihood of this design is infinite")
 
     def loglik(self, eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)

@@ -28,14 +28,18 @@ down-sets (order ideals) I:
 
 with the mass H_all(inf).  Each cumulative integral runs on a per-node grid of
 Chebyshev-Lobatto panels over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], panel
-widths scaled to the sd of the narrowest class covering each point.  The grid
-doubles until the mass moves by less than POSTERIOR_REL_TOL.  A mass too
-small for the +-10 sd truncation to be negligible is reported as unresolved,
-with an upper bound instead of a value; a larger mass that the grid cap stops
-before it settles raises ValueError, since dropping it would skew the other
-models' probabilities.  The number of down-sets can grow as 2^q (counting
-linear extensions is #P-complete; Brightwell and Winkler 1991, Order), so a
-component with more than MAX_DOWNSETS of them is refused the same way.
+widths scaled to the sd of the narrowest class covering each point.  The class
+densities are formed in place in one buffer, and each level's integrand is
+summed row by row from row views of the densities and the previous level's H,
+so a step holds the densities, the previous H, the integrand and the new H,
+and no gathered copies.  The grid doubles until the mass moves by less than
+POSTERIOR_REL_TOL.  A mass too small for the +-10 sd truncation to be
+negligible is reported as unresolved, with an upper bound instead of a value;
+a larger mass that the grid cap stops before it settles raises ValueError,
+since dropping it would skew the other models' probabilities.  The number of
+down-sets can grow as 2^q (counting linear extensions is #P-complete;
+Brightwell and Winkler 1991, Order), so a component with more than
+MAX_DOWNSETS of them is refused the same way.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ from .gaussian import LOG_2PI, logsumexp
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
 # a component of the order with more down-sets than this is refused; its
-# widest level would already hold more arrays than MAX_ELEMENTS allows on a
-# grid fine enough to settle
+# widest levels would already hold some 5000 arrays per grid point, which
+# leaves MAX_ELEMENTS room for a grid of about 800 points (12 classes below
+# a thirteenth, 4097 down-sets, get 1578)
 MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
@@ -175,22 +180,26 @@ class PosteriorConeMass:
 class _DownSetLevel:
     """Down-sets of one size, a row each, with a column per maximal element.
 
-    top[d, k] is the k-th maximal class of down-set d and parent[d, k] the
-    previous level's down-set without it.  Rows with fewer maximal classes
-    are padded with top = the number of classes, which indexes a zero
-    density, and parent = 0.
+    terms[d] holds the maximal classes of down-set d and, for each, the
+    previous level's down-set without it: the integrand of row d sums one
+    density-times-H product per pair, in this order.  top and parent hold the
+    same pairs as arrays, top[d, k] and parent[d, k]; rows with fewer maximal
+    classes are padded with top = the number of classes, which indexes a zero
+    density in a gathered form, and parent = 0.
     """
 
     top: np.ndarray
     parent: np.ndarray
+    terms: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
 class _Component:
     """A weak component of the order: its class columns and its down-set levels.
 
-    rows bounds the number of grid-sized arrays per node that one step of the
-    recursion holds at once.
+    rows bounds the number of grid-sized arrays per node that _component_masses
+    holds at once: the densities and their mask, the grid points, the
+    product row, and per level the previous H, the integrand and the new H.
     """
 
     cols: np.ndarray
@@ -218,10 +227,12 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
                 below[local[b]] |= 1 << local[a]
                 above[local[a]] |= 1 << local[b]
         levels = _downset_levels(tuple(below), tuple(above))
-        # the densities and their temporaries, then per level the previous
-        # H, the integrand, two gathers, their product and the new H
-        sizes = [1] + [len(lv.top) for lv in levels]
-        rows = 4 * len(members) + max(prev + 5 * cur for prev, cur in zip(sizes, sizes[1:]))
+        # a density row per class and a bool mask (8 classes to a row), the
+        # grid points and the product row, then per level the previous H,
+        # the integrand and the new H
+        q = len(members)
+        sizes = [1] + [len(lv.terms) for lv in levels]
+        rows = q + -(-q // 8) + 2 + max(prev + 2 * cur for prev, cur in zip(sizes, sizes[1:]))
         cols = np.array([model.columns[r] for r in members])
         cols.flags.writeable = False
         comps.append(_Component(cols, levels, rows))
@@ -245,15 +256,18 @@ def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[_Do
             raise ValueError(
                 f"a component of the order over {m} classes has more than {MAX_DOWNSETS} "
                 "down-sets; its exact cone mass is too costly")
-        tops = [[j for j in range(m) if mask >> j & 1 and above[j] & mask == 0] for mask in nxt]
-        width = max(map(len, tops))
-        top = np.full((len(nxt), width), m)
-        parent = np.zeros((len(nxt), width), dtype=int)
-        for i, (mask, js) in enumerate(zip(nxt, tops)):
+        terms = []
+        for mask in nxt:
+            js = tuple(j for j in range(m) if mask >> j & 1 and above[j] & mask == 0)
+            terms.append((js, tuple(level[mask ^ 1 << j] for j in js)))
+        width = max(len(js) for js, _ in terms)
+        top = np.full((len(terms), width), m)
+        parent = np.zeros((len(terms), width), dtype=int)
+        for i, (js, parents) in enumerate(terms):
             top[i, :len(js)] = js
-            parent[i, :len(js)] = [level[mask ^ 1 << j] for j in js]
+            parent[i, :len(js)] = parents
         top.flags.writeable = parent.flags.writeable = False
-        levels.append(_DownSetLevel(top, parent))
+        levels.append(_DownSetLevel(top, parent, tuple(terms)))
         level = nxt
     return tuple(levels)
 
@@ -310,26 +324,53 @@ def _panel_edges(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
 
 def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
                       edges: np.ndarray) -> np.ndarray:
-    """P(the component's order | eta) at each node, on the given panel edges per node."""
+    """P(the component's order | eta) at each node, on the given panel edges per node.
+
+    The densities are formed in place in one buffer, and each integrand row
+    is summed from row views of the densities and the previous H through one
+    reused product row, so no step gathers rows into a copy.
+    """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
     t = edges[:, :-1, None] + half * (1.0 + x)
-    z = (t[None] - mu.T[:, :, None, None]) / s.T[:, :, None, None]
-    # each class lives on its own +-SPAN_SD interval; every integrand below
-    # holds one density factor, so the panel half-widths are folded in here
-    dens = np.zeros((len(comp.cols) + 1, t.size))  # the last row pads the levels
-    dens[:-1] = (np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
-                 * (half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi)))).reshape(len(z), -1)
+    dens = np.empty((len(comp.cols), t.size))
+    z = dens.reshape((-1,) + t.shape)
+    np.subtract(t, mu.T[:, :, None, None], out=z)
+    z /= s.T[:, :, None, None]
+    z *= z
+    # each class lives on its own +-SPAN_SD interval; z*z > SPAN_SD**2 is
+    # |z| > SPAN_SD exactly, since SPAN_SD**2 is exact in floating point
+    outside = z > SPAN_SD * SPAN_SD
+    z *= -0.5
+    np.exp(z, out=z)
+    # every integrand below holds one density factor, so the panel
+    # half-widths are folded in here
+    z *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
+    z[outside] = 0.0
     H = np.ones((1, t.size))
+    term = np.empty(t.size)
     for lv in comp.levels:
-        g = dens[lv.top[:, 0]] * H[lv.parent[:, 0]]
-        for k in range(1, lv.top.shape[1]):
-            g += dens[lv.top[:, k]] * H[lv.parent[:, k]]
-        H = (g.reshape(-1, PANEL_POINTS) @ M.T).reshape((-1,) + t.shape)
+        H = (_level_integrand(lv, dens, H, term).reshape(-1, PANEL_POINTS) @ M.T
+             ).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
-        H = H.reshape(len(g), -1)
+        H = H.reshape(len(lv.terms), -1)
     return H.reshape(t.shape)[:, -1, -1]
+
+
+def _level_integrand(lv: _DownSetLevel, dens: np.ndarray, H: np.ndarray,
+                     term: np.ndarray) -> np.ndarray:
+    """Row d: the sum over the maximal classes j of down-set d of f_j times H of d without j.
+
+    Each product goes through the reused row term and is added in place, in
+    lv.terms order; the integrand is freed once the caller has integrated it.
+    """
+    g = np.empty((len(lv.terms), H.shape[1]))
+    for row, (tops, parents) in zip(g, lv.terms):
+        np.multiply(dens[tops[0]], H[parents[0]], out=row)
+        for j, p in zip(tops[1:], parents[1:]):
+            row += np.multiply(dens[j], H[p], out=term)
+    return g
 
 
 def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -24,6 +24,9 @@
   conditionals.  It targets the same posterior by a third route.
 - `region_contains`, a one-point membership test over the whole transitively
   closed order, the reference for the vectorized `region_mask`.
+- `component_masses_reference`, the gathered form of the down-set recursion
+  that `posterior._component_masses` evaluates on row views: the same float
+  operations in the same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from cipanova.constraints import ConstraintModel, region_mask
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI
 from cipanova.intrinsic import CipSpec, NullParams
-from cipanova.posterior import RegionProbEstimate
+from cipanova.posterior import PANEL_POINTS, SPAN_SD, RegionProbEstimate, _lobatto_rule
 
 POSTERIOR_DRAWS = 50_000
 
@@ -563,3 +566,27 @@ def run_posterior_chain(y: np.ndarray, theta0: NullParams, spec: CipSpec,
         raise RuntimeError("eta chain accepted no proposals")
     return ChainDraws(kept=kept, gamma=gammas, eta=etas,
                       acceptance_rate=accepted / iters, burnin=burnin)
+
+
+def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray,
+                               edges: np.ndarray) -> np.ndarray:
+    """P(the component's order | eta) at each node, gathering rows by the padded top/parent arrays."""
+    x, M = _lobatto_rule(PANEL_POINTS)
+    half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
+    t = edges[:, :-1, None] + half * (1.0 + x)
+    z = (t[None] - mu.T[:, :, None, None]) / s.T[:, :, None, None]
+    # each class lives on its own +-SPAN_SD interval; every integrand below
+    # holds one density factor, so the panel half-widths are folded in here
+    dens = np.zeros((len(comp.cols) + 1, t.size))  # the last row pads the levels
+    dens[:-1] = (np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
+                 * (half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi)))).reshape(len(z), -1)
+    H = np.ones((1, t.size))
+    for lv in comp.levels:
+        g = dens[lv.top[:, 0]] * H[lv.parent[:, 0]]
+        for k in range(1, lv.top.shape[1]):
+            g += dens[lv.top[:, k]] * H[lv.parent[:, k]]
+        H = (g.reshape(-1, PANEL_POINTS) @ M.T).reshape((-1,) + t.shape)
+        totals = H[..., -1]
+        H += (np.cumsum(totals, axis=-1) - totals)[..., None]
+        H = H.reshape(len(g), -1)
+    return H.reshape(t.shape)[:, -1, -1]

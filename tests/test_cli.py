@@ -104,6 +104,14 @@ def test_model_name_prefix_rules(capsys, data_csv):
     assert rec["models"][0]["name"] == "model1"
 
 
+def test_compare_refuses_constant_groups(capsys, tmp_path):
+    p = tmp_path / "flat.csv"
+    p.write_text("group,response\n" + "".join(f"{j},{v}\n" for j, v in zip(
+        np.repeat([1, 2, 3], 5), np.repeat([0.3, 1.7, 2.9], 5))))
+    assert main(["compare", str(p), "--model", "mu1<mu2<mu3", *FAST_FLAGS]) == 1
+    assert capsys.readouterr().err.startswith("error: the responses are constant within every class")
+
+
 def test_compare_group_recode_note(capsys, tmp_path):
     p = tmp_path / "lab.csv"
     rows = ["group,response"]

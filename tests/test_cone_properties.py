@@ -1,9 +1,10 @@
-"""Property tests of the cone masses with J = 2-4 groups: the exact posterior mass on random
+"""Property tests of the cone masses with J = 2-5 groups: the exact posterior mass on random
 data, and the prior mass's sign-flip count."""
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,32 @@ def test_mass_ignores_affine_maps_of_the_data(data, a, b):
     if base.estimate is not None:
         tol = 4 * POSTERIOR_REL_TOL + 10 * eps
         assert abs(again.estimate - base.estimate) <= tol * base.estimate
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("text, J", [
+    ("mu1 < mu3, mu2 < mu3, mu2 < mu4", 4),
+    ("{mu1, mu2} < {mu3, mu4}", 4),
+    ("mu1 < mu2, mu1 < mu3, mu1 < mu4", 4),
+    ("{mu1, mu2, mu3} < mu4 < mu5", 5),
+], ids=["N", "2-vs-2", "lowest of 4", "3-vs-1-vs-1"])
+def test_partial_order_mass_is_the_sum_of_its_linear_extensions(text, J, seed):
+    # the orders' levels have mixed widths, so the recursion sums over
+    # several maximal classes per down-set; each chain sums over one
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(3, 12, size=J)
+    y = np.concatenate([m + rng.standard_normal(n) for m, n in zip(rng.normal(size=J), sizes)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
+    model = parse_model_spec(text, J=J)
+    prep = PreparedIntegrand(data.responses, estimate_null_params(data),
+                             make_cip(encompassing_of(model), data.group_sizes))
+    chains = [p for p in itertools.permutations(range(1, J + 1))
+              if all(p.index(a) < p.index(b) for a, b in model.order)]
+    masses = [posterior_cone_mass(parse_model_spec(_chain(p), J=J), prep).estimate
+              for p in chains]
+    whole = posterior_cone_mass(model, prep).estimate
+    assert None not in masses and whole is not None
+    assert abs(sum(masses) - whole) <= 1e-12 * whole
 
 
 @PROPERTY

@@ -408,3 +408,34 @@ def test_eta_mode_is_right_at_any_separation():
                                         options={"xatol": 1e-12}).x)
             mode = prep.evidence.eta_mode
             assert abs(mode - ref) <= 1e-6 * ref, (spread, seed, mode, ref)
+
+
+@pytest.mark.parametrize("values, k", [
+    ((0.0, 1.0, 2.0), 5),
+    ((0.3, 1.7, 2.9), 5),
+    ((1e8 + 0.1, 1e8 + 0.7, 1e8 + 1.3), 5),
+    # the class means round, so SSW comes out near 3e-32 rather than 0
+    ((0.1, 0.2, 0.7), 7),
+], ids=["integers", "decimals", "offset 1e8", "rounded means"])
+def test_constant_classes_are_refused_since_the_marginal_is_infinite(values, k):
+    data = AnovaData(responses=np.repeat(values, k), groups=np.repeat([1, 2, 3], k))
+    models = [parse_model_spec("mu1 < mu2 < mu3", J=3), parse_model_spec("mu1, mu2, mu3", J=3)]
+    spec = make_cip(encompassing_of(models[1]), data.group_sizes)
+    with pytest.raises(ValueError, match="zero within-class spread"):
+        PreparedIntegrand(data.responses, estimate_null_params(data), spec)
+    with pytest.raises(ValueError, match="zero within-class spread"):
+        compare(data, models)
+    # the null design's one class is not constant, so its integral is finite
+    null_spec = make_cip(encompassing_of(parse_model_spec("mu1 = mu2 = mu3", J=3)),
+                         data.group_sizes)
+    assert np.isfinite(PreparedIntegrand(data.responses, estimate_null_params(data),
+                                         null_spec).evidence.log_marginal)
+
+
+def test_all_singleton_design_is_answered():
+    # n = q: SSW is 0, but the integrand stays finite as eta -> 0
+    data = AnovaData(responses=np.array([0.2, 1.1, 2.5]), groups=np.array([1, 2, 3]))
+    report = compare(data, [parse_model_spec("mu1 < mu2 < mu3", J=3),
+                            parse_model_spec("mu1, mu2, mu3", J=3)])
+    assert all(np.isfinite(b.log_bf_c_vs_0) for b in report.breakdowns)
+    assert sum(report.posterior_probs) == pytest.approx(1.0, abs=1e-12)

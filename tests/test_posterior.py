@@ -31,6 +31,7 @@ from oracles import (
     PosteriorDraws,
     PriorDraws,
     cip_sample,
+    component_masses_reference,
     cone_mass,
     dense_spec,
     eta_log_target,
@@ -516,6 +517,63 @@ def test_equal_models_share_one_read_only_plan():
     assert len(plan) == 1
     arrays = [plan[0].cols] + [a for lv in plan[0].levels for a in (lv.top, lv.parent)]
     assert not any(a.flags.writeable for a in arrays)
+
+
+def _n_order_data():
+    # unbalanced, unequal means: the "N" order's levels mix widths, so the
+    # padded arrays hold pad entries
+    rng = np.random.default_rng(5)
+    sizes = (4, 9, 6, 11)
+    y = np.concatenate([m + rng.standard_normal(n) for m, n in zip((0.3, -0.2, 0.9, 0.4), sizes)])
+    return AnovaData(responses=y, groups=np.repeat([1, 2, 3, 4], sizes))
+
+
+def _kernel_calls(monkeypatch, data, text):
+    """Inputs and outputs of every _component_masses call one exact mass makes."""
+    calls = []
+    kernel = posterior._component_masses
+
+    def spy(comp, mu, s, edges):
+        out = kernel(comp, mu, s, edges)
+        calls.append(((comp, mu, s, edges), out))
+        return out
+
+    monkeypatch.setattr(posterior, "_component_masses", spy)
+    _exact_mass(data, text)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("make_data, text", [
+    (_c07_data, MODEL_STRINGS["M2"]),
+    (_c07_data, MODEL_STRINGS["M3"]),
+    (_j10_data, "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"),
+    (_n_order_data, "mu1 < mu3, mu2 < mu3, mu2 < mu4"),
+], ids=["pop3 M2", "pop3 M3", "j10 split", "N"])
+def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, make_data, text):
+    calls = _kernel_calls(monkeypatch, make_data(), text)
+    assert len(calls) >= 2  # at least two grids
+    for args, out in calls:
+        assert np.array_equal(out, component_masses_reference(*args))
+
+
+@pytest.mark.parametrize("text", [
+    "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
+    "mu1 < mu2 < mu3 < mu4 < mu5 < mu6 < mu7 < mu8 < mu9 < mu10",
+    "{mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9} < mu10",
+], ids=["5-vs-5", "10-chain", "9-vs-1"])
+def test_kernel_peak_memory_is_within_its_row_count(monkeypatch, text):
+    # rows sizes the node chunks and the grid cap, so it must bound what one
+    # call holds: rows arrays of N = nodes x grid floats
+    (comp, mu, s, edges), _ = _kernel_calls(monkeypatch, _j10_data(), text)[-1]
+    N = edges.shape[0] * (edges.shape[1] - 1) * posterior.PANEL_POINTS
+    tracemalloc.start()
+    try:
+        posterior._component_masses(comp, mu, s, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * comp.rows * N
 
 
 def test_region_prob_sides_and_counts():
