@@ -329,7 +329,7 @@ def _check_posterior_cone_mass():
     theta0 = NullParams(alpha0=float(np.mean(y)), sigma0=float(np.std(y)))
     model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
     prep = PreparedIntegrand(y, theta0, make_cip(encompassing_of(model), (8, 8, 8)))
-    eta, log_w, _ = prep.eta_weights
+    eta, log_w = prep.eta_weights
     shrink = 1.0 / (1.0 + 3.0 * eta / prep.n)
     sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 8 + 1.0 / 16))
     gap = y[8:16].mean() - np.concatenate([y[:8], y[16:]]).mean()

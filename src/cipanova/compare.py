@@ -3,11 +3,14 @@
 Each constrained model's Bayes factor against the null composes two factors
 through its encompassing design: evidence of the design against the point
 null, and the posterior-to-prior cone mass ratio of the order constraints.
-Both factors read one prepared design per encompassing design and call, so
-the common prior cancels exactly and the exact posterior cone mass mixes over
-the evidence rule's own Gauss-Jacobi nodes and weights.  Model probabilities
-follow from the Bayes factors and prior model weights through a log-sum-exp
-normalization.
+posterior.py computes the two cone masses alone; _breakdown composes the
+Bayes factor from them and the evidence, with the ratio's standard error or,
+when the posterior mass is unresolved, its upper bound, and bf_k0 refuses an
+order that no prior draw hits.  Both factors read one prepared design per
+encompassing design and call, so the common prior cancels exactly and the
+exact posterior cone mass mixes over the evidence rule's own Gauss-Chebyshev
+nodes and weights.  Model probabilities follow from the Bayes factors and
+prior model weights through a log-sum-exp normalization.
 """
 
 from __future__ import annotations
@@ -23,13 +26,10 @@ from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_logl
 from .gaussian import RandomSource, logsumexp
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
+    InsufficientPriorMassError,
     PosteriorConeMass,
     RegionProbEstimate,
-    below_resolution_bound,
     cached_prior_cone_mass,
-    check_prior_mass,
-    log_bf_constrained_vs_encompassing,
-    log_bf_standard_error,
     posterior_cone_mass,
 )
 
@@ -103,8 +103,13 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
             prepared[design] = PreparedIntegrand(data.responses, theta0,
                                                  make_cip(design, group_sizes))
         if model.has_order:
-            priors[i] = cached_prior_cone_mass(model, prepared[design].sizes, settings.prior_draws)
-            check_prior_mass(priors[i])
+            # a zero-hit estimate stays cached, so a refused order is counted once
+            priors[i] = cached_prior_cone_mass(
+                model, tuple(int(n) for n in prepared[design].sizes), settings.prior_draws)
+            if priors[i].hits == 0:
+                raise InsufficientPriorMassError(
+                    f"no prior draw or sign flip in the constraint region after {priors[i].total} "
+                    "evaluations; increase the prior draw count")
     log_null = null_loglik(data.responses, theta0)
     return tuple(_breakdown(model, name, prepared.get(design), log_null, priors.get(i))
                  for i, (model, name, design) in enumerate(zip(models, names, designs)))
@@ -120,13 +125,19 @@ def _breakdown(model: ConstraintModel, name: str, prep: PreparedIntegrand | None
         return BfBreakdown(model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=0.0,
                            log_bf_c_vs_0=lbf_e0 + 0.0, evidence=ev)
     post_est = posterior_cone_mass(model, prep)
-    lbf_ce = log_bf_constrained_vs_encompassing(prior_est, post_est)
     below = post_est.estimate is None
+    log_prior = np.log(prior_est.estimate)
+    # an unresolved posterior mass gives no log BF, only its upper bound
+    lbf_ce = -np.inf if below else float(np.log(post_est.estimate) - log_prior)
+    # the posterior mass is exact; the sign-flip pairs give the prior hit
+    # fraction variance p(1 - 2p)/total, so its log has variance about
+    # (1 - 2p)/hits, clipped at 0 for the one unpaired draw of an odd total
+    se = float(np.sqrt(max(0.0, 1.0 - 2.0 * prior_est.estimate) / prior_est.hits))
     return BfBreakdown(
         model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=lbf_ce, log_bf_c_vs_0=lbf_e0 + lbf_ce,
-        log_bf_se=None if below else log_bf_standard_error(prior_est), evidence=ev,
+        log_bf_se=None if below else se, evidence=ev,
         prior_region=prior_est, post_region=post_est, below_resolution=below,
-        resolution_bound=below_resolution_bound(prior_est, post_est) if below else None)
+        resolution_bound=float(np.log(post_est.upper_bound) - log_prior) if below else None)
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,9 @@ class PreparedIntegrand:
             nodes, eta, log_w, total = 2 * nodes, fine_eta, fine_log_w, fine_total
 
     @property
-    def eta_weights(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The settled rule's eta nodes, their log weights normalised to sum to 1, and the log integral."""
-        return self._rule[1:4]
+    def eta_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The settled rule's eta nodes and their log weights, normalised to sum to 1."""
+        return self._rule[1:3]
 
     @cached_property
     def evidence(self) -> EvidenceResult:

@@ -19,9 +19,6 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.stream))
 
-    def split(self, k: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream + (int(k),))
-
 
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) over axis, shifted by the maximum so no term overflows.

@@ -1,9 +1,10 @@
-"""Prior and posterior cone masses and constrained-region Bayes factors.
+"""Prior and posterior masses of the constraint cone of an order-constrained model.
 
-The Bayes factor of an order-constrained model against its encompassing model
-is the ratio of posterior to prior mass of the constraint cone.  The cone
-reads only the order of the class means, and under the conditional intrinsic
-prior the class means are independent Gaussians:
+The Bayes factor of such a model against its encompassing model is the ratio
+of the posterior to the prior mass of its cone; compare._breakdown composes it,
+with its error and resolution bound, from the two masses computed here.  The
+cone reads only the order of the class means, and under the conditional
+intrinsic prior the class means are independent Gaussians:
 
 - a priori the class-c mean is alpha0 plus a scale shared by all classes
   times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
@@ -142,20 +143,17 @@ def prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int,
     return RegionProbEstimate(estimate=hits / T, hits=hits, total=T, side="prior")
 
 
-def cached_prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int) -> RegionProbEstimate:
+@lru_cache(maxsize=PRIOR_CACHE_SIZE)
+def cached_prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...],
+                           T: int) -> RegionProbEstimate:
     """prior_cone_mass on the fixed stream default_rng(0), counted once per key and process.
 
     The key is the model (its classes and order; equality ignores the name),
-    the class sizes and T, which is all the mass depends on.  Every call with
-    the same key shares one estimate and so one Monte Carlo error; only a
-    larger T shrinks it.  Processes forked after a key is counted inherit it.
+    the class sizes as a tuple of ints and T, which is all the mass depends
+    on.  Every call with the same key shares one estimate and so one Monte
+    Carlo error; only a larger T shrinks it.  A zero-hit estimate is cached
+    like any other.  Processes forked after a key is counted inherit it.
     """
-    return _fixed_stream_prior_mass(model, tuple(int(n) for n in sizes), T)
-
-
-@lru_cache(maxsize=PRIOR_CACHE_SIZE)
-def _fixed_stream_prior_mass(model: ConstraintModel, sizes: tuple[int, ...],
-                             T: int) -> RegionProbEstimate:
     return prior_cone_mass(model, np.array(sizes, dtype=float), T, np.random.default_rng(0))
 
 
@@ -177,33 +175,20 @@ class PosteriorConeMass:
 
 
 @dataclass(frozen=True)
-class _DownSetLevel:
-    """Down-sets of one size, a row each, with a column per maximal element.
-
-    terms[d] holds the maximal classes of down-set d and, for each, the
-    previous level's down-set without it: the integrand of row d sums one
-    density-times-H product per pair, in this order.  top and parent hold the
-    same pairs as arrays, top[d, k] and parent[d, k]; rows with fewer maximal
-    classes are padded with top = the number of classes, which indexes a zero
-    density in a gathered form, and parent = 0.
-    """
-
-    top: np.ndarray
-    parent: np.ndarray
-    terms: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class _Component:
     """A weak component of the order: its class columns and its down-set levels.
 
-    rows bounds the number of grid-sized arrays per node that _component_masses
-    holds at once: the densities and their mask, the grid points, the
-    product row, and per level the previous H, the integrand and the new H.
+    levels holds the down-sets of each size, one (tops, parents) pair per
+    down-set d: the maximal classes of d and, for each, the previous level's
+    down-set without it, so the integrand of d sums one density-times-H
+    product per pair, in this order.  rows bounds the number of grid-sized
+    arrays per node that _component_masses holds at once: the densities and
+    their mask, the grid points, the product row, and per level the previous
+    H, the integrand and the new H.
     """
 
     cols: np.ndarray
-    levels: tuple[_DownSetLevel, ...]
+    levels: tuple[tuple, ...]
     rows: int
 
 
@@ -212,7 +197,7 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     """Down-set levels of each weak component with at least two classes.
 
     The plan depends on the order alone, so it is built once per model and
-    process (equality ignores the name), and its arrays are read-only.
+    process (equality ignores the name), and its cols array is read-only.
     Raises ValueError when a component has more than MAX_DOWNSETS down-sets.
     """
     comps = []
@@ -231,7 +216,7 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         # grid points and the product row, then per level the previous H,
         # the integrand and the new H
         q = len(members)
-        sizes = [1] + [len(lv.terms) for lv in levels]
+        sizes = [1] + [len(lv) for lv in levels]
         rows = q + -(-q // 8) + 2 + max(prev + 2 * cur for prev, cur in zip(sizes, sizes[1:]))
         cols = np.array([model.columns[r] for r in members])
         cols.flags.writeable = False
@@ -239,7 +224,7 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     return tuple(comps)
 
 
-def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[_DownSetLevel, ...]:
+def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple, ...]:
     """Down-sets as bit masks, size by size; below[j]/above[j] mask the classes below/above j."""
     m = len(below)
     level = {0: 0}
@@ -260,14 +245,7 @@ def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[_Do
         for mask in nxt:
             js = tuple(j for j in range(m) if mask >> j & 1 and above[j] & mask == 0)
             terms.append((js, tuple(level[mask ^ 1 << j] for j in js)))
-        width = max(len(js) for js, _ in terms)
-        top = np.full((len(terms), width), m)
-        parent = np.zeros((len(terms), width), dtype=int)
-        for i, (js, parents) in enumerate(terms):
-            top[i, :len(js)] = js
-            parent[i, :len(js)] = parents
-        top.flags.writeable = parent.flags.writeable = False
-        levels.append(_DownSetLevel(top, parent, tuple(terms)))
+        levels.append(tuple(terms))
         level = nxt
     return tuple(levels)
 
@@ -354,19 +332,19 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
              ).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
-        H = H.reshape(len(lv.terms), -1)
+        H = H.reshape(len(lv), -1)
     return H.reshape(t.shape)[:, -1, -1]
 
 
-def _level_integrand(lv: _DownSetLevel, dens: np.ndarray, H: np.ndarray,
+def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray,
                      term: np.ndarray) -> np.ndarray:
     """Row d: the sum over the maximal classes j of down-set d of f_j times H of d without j.
 
     Each product goes through the reused row term and is added in place, in
-    lv.terms order; the integrand is freed once the caller has integrated it.
+    the order of lv; the integrand is freed once the caller has integrated it.
     """
-    g = np.empty((len(lv.terms), H.shape[1]))
-    for row, (tops, parents) in zip(g, lv.terms):
+    g = np.empty((len(lv), H.shape[1]))
+    for row, (tops, parents) in zip(g, lv):
         np.multiply(dens[tops[0]], H[parents[0]], out=row)
         for j, p in zip(tops[1:], parents[1:]):
             row += np.multiply(dens[j], H[p], out=term)
@@ -437,7 +415,7 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     ValueError, like an order with too many down-sets.
     """
     comps = order_components(model)
-    eta, log_w, _ = prep.eta_weights
+    eta, log_w = prep.eta_weights
     w = np.exp(log_w)
     mu, s = prep.class_mean_moments(eta)
     log_bound = log_w + _log_pair_bound(model, mu, s)
@@ -468,40 +446,3 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
             "settle within the grid cap; its exact mass is too costly")
     return PosteriorConeMass(estimate=mass if resolved else None, doubling_error=float(change),
                              grid=int(grid), upper_bound=upper_bound)
-
-
-def log_bf_constrained_vs_encompassing(prior_est: RegionProbEstimate,
-                                       post_est: PosteriorConeMass) -> float:
-    """Log ratio of posterior to prior cone mass; -inf when the posterior mass is unresolved.
-
-    The prior mass must be checked first (check_prior_mass).
-    """
-    if not isinstance(prior_est, RegionProbEstimate) or prior_est.side != "prior":
-        raise ValueError("pass a prior estimate then a posterior mass")
-    if post_est.estimate is None:
-        return -np.inf
-    return float(np.log(post_est.estimate) - np.log(prior_est.estimate))
-
-
-def check_prior_mass(prior_est: RegionProbEstimate) -> None:
-    """Raise InsufficientPriorMassError when no prior draw hit the cone."""
-    if prior_est.hits == 0:
-        raise InsufficientPriorMassError(
-            f"no prior draw or sign flip in the constraint region after {prior_est.total} "
-            "evaluations; increase the prior draw count")
-
-
-def log_bf_standard_error(prior_est: RegionProbEstimate) -> float:
-    """Delta-method standard error of the log cone-mass ratio, from the prior hit count alone.
-
-    The posterior mass is exact.  The sign-flip pairs of prior_cone_mass give
-    the hit fraction variance p(1 - 2p)/total, so its log has variance about
-    (1 - 2p)/hits: 0 for a two-class order, where every pair hits exactly
-    once.  It is clipped at 0 for the one unpaired draw of an odd total.
-    """
-    return float(np.sqrt(max(0.0, 1.0 - 2.0 * prior_est.estimate) / prior_est.hits))
-
-
-def below_resolution_bound(prior_est: RegionProbEstimate, post_est: PosteriorConeMass) -> float:
-    """Upper bound on the log Bayes factor when the posterior mass is unresolved."""
-    return float(np.log(post_est.upper_bound) - np.log(prior_est.estimate))

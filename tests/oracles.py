@@ -570,21 +570,30 @@ def run_posterior_chain(y: np.ndarray, theta0: NullParams, spec: CipSpec,
 
 def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray,
                                edges: np.ndarray) -> np.ndarray:
-    """P(the component's order | eta) at each node, gathering rows by the padded top/parent arrays."""
+    """P(the component's order | eta) at each node, gathering rows by padded top/parent arrays.
+
+    Each level's (tops, parents) pairs are padded to the level's widest row
+    with top = the number of classes, which indexes a zero density row, and
+    parent = 0.
+    """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
     t = edges[:, :-1, None] + half * (1.0 + x)
     z = (t[None] - mu.T[:, :, None, None]) / s.T[:, :, None, None]
     # each class lives on its own +-SPAN_SD interval; every integrand below
     # holds one density factor, so the panel half-widths are folded in here
-    dens = np.zeros((len(comp.cols) + 1, t.size))  # the last row pads the levels
+    q = len(comp.cols)
+    dens = np.zeros((q + 1, t.size))  # the last row pads the levels
     dens[:-1] = (np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
                  * (half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi)))).reshape(len(z), -1)
     H = np.ones((1, t.size))
     for lv in comp.levels:
-        g = dens[lv.top[:, 0]] * H[lv.parent[:, 0]]
-        for k in range(1, lv.top.shape[1]):
-            g += dens[lv.top[:, k]] * H[lv.parent[:, k]]
+        width = max(len(tops) for tops, _ in lv)
+        top = np.array([tops + (q,) * (width - len(tops)) for tops, _ in lv])
+        parent = np.array([parents + (0,) * (width - len(parents)) for _, parents in lv])
+        g = dens[top[:, 0]] * H[parent[:, 0]]
+        for k in range(1, width):
+            g += dens[top[:, k]] * H[parent[:, k]]
         H = (g.reshape(-1, PANEL_POINTS) @ M.T).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]

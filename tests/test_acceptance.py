@@ -198,9 +198,7 @@ def test_c10_probability_arithmetic():
               parse_model_spec("mu1 < mu2 < mu3", J=3, name="up"),
               parse_model_spec("mu2 < mu1", J=3, name="rev"),
               parse_model_spec("mu1, mu2, mu3", J=3, name="Me")]
-    report = compare(data, models, settings=Settings(prior_draws=30_000,
-                                                     mcmc_iters=10_000, burnin=1_000),
-                     rng=RandomSource(10))
+    report = compare(data, models, settings=Settings(prior_draws=30_000), rng=RandomSource(10))
     sum_dev = abs(sum(report.posterior_probs) - 1.0)
     names = list(report.model_names)
     tele_dev = 0.0

@@ -165,6 +165,28 @@ def test_empty_prior_cone_refuses_before_the_evidence(monkeypatch):
         bf_k0(data, [free, total], estimate_null_params(data), Settings(prior_draws=1000))
 
 
+def test_refused_order_is_counted_once_per_key(monkeypatch):
+    # the zero-hit estimate is cached: a second call on the same key raises
+    # again without redrawing the prior cone mass
+    rng = np.random.default_rng(36)
+    data = AnovaData(responses=rng.normal(size=50), groups=np.repeat(np.arange(1, 11), 5))
+    total = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 11)), J=10)
+    theta0, settings = estimate_null_params(data), Settings(prior_draws=1001)
+    posterior.cached_prior_cone_mass.cache_clear()
+    counted = []
+    count = posterior.prior_cone_mass
+
+    def counting(model, sizes, T, rng):
+        counted.append(T)
+        return count(model, sizes, T, rng)
+
+    monkeypatch.setattr(posterior, "prior_cone_mass", counting)
+    for _ in range(2):
+        with pytest.raises(InsufficientPriorMassError, match="after 1001 evaluations"):
+            bf_k0(data, [total], theta0, settings)
+    assert counted == [1001]
+
+
 def test_report_record_round_trips_through_json():
     data = _increasing_data(seed=5)
     report = compare(data, _models(), settings=FAST, rng=RandomSource(6))
@@ -250,7 +272,7 @@ def test_prior_stream_and_exact_posterior_across_seeds():
 
 
 def test_prior_mass_is_counted_once_per_key(monkeypatch):
-    posterior._fixed_stream_prior_mass.cache_clear()
+    posterior.cached_prior_cone_mass.cache_clear()
     counted = []
     count = posterior.prior_cone_mass
 

@@ -174,8 +174,6 @@ def test_random_source_reproducibility():
     assert not np.array_equal(a, c)
     d = RandomSource(43, (1, 3)).generator().random(8)
     assert not np.array_equal(a, d)
-    # split composes the stream path
-    assert RandomSource(7).split(2).split(5) == RandomSource(7, (2, 5))
 
 
 def test_logsumexp_matches_scipy():

@@ -7,20 +7,14 @@ from scipy import stats
 from scipy.special import logsumexp, roots_jacobi
 
 from cipanova import posterior
-from cipanova.compare import Settings, compare
+from cipanova.compare import Settings, bf_k0, compare
 from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import (
-    InsufficientPriorMassError,
-    PosteriorConeMass,
     RegionProbEstimate,
-    below_resolution_bound,
-    check_prior_mass,
-    log_bf_constrained_vs_encompassing,
-    log_bf_standard_error,
     order_components,
     posterior_cone_mass,
     prior_cone_mass,
@@ -499,7 +493,7 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
 def test_downset_budget_raises(monkeypatch):
     five_vs_five = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
                                     J=10)
-    assert sum(len(lv.top) for lv in order_components(five_vs_five)[0].levels) == 62
+    assert sum(len(lv) for lv in order_components(five_vs_five)[0].levels) == 62
     monkeypatch.setattr(posterior, "MAX_DOWNSETS", 62)
     order_components.cache_clear()  # the plan above was built under the default budget
     with pytest.raises(ValueError, match="down-sets"):
@@ -515,13 +509,13 @@ def test_equal_models_share_one_read_only_plan():
     plan = order_components(parse_model_spec(text, J=10, name="split"))
     assert order_components(parse_model_spec(text, J=10, name="other")) is plan
     assert len(plan) == 1
-    arrays = [plan[0].cols] + [a for lv in plan[0].levels for a in (lv.top, lv.parent)]
-    assert not any(a.flags.writeable for a in arrays)
+    assert not plan[0].cols.flags.writeable
+    assert all(isinstance(lv, tuple) for lv in plan[0].levels)
 
 
 def _n_order_data():
     # unbalanced, unequal means: the "N" order's levels mix widths, so the
-    # padded arrays hold pad entries
+    # reference's padded arrays hold pad entries
     rng = np.random.default_rng(5)
     sizes = (4, 9, 6, 11)
     y = np.concatenate([m + rng.standard_normal(n) for m, n in zip((0.3, -0.2, 0.9, 0.4), sizes)])
@@ -680,7 +674,7 @@ def test_sign_flip_pairs_are_unbiased_with_variance_p_1_minus_2p(text, J, p):
     # binomial value would read 41% high when p = 1/3, and at the 5-chain's
     # ~17 hits the delta method itself reads about 7% low
     log_sd = np.std(np.log(est), ddof=1)
-    reported = np.mean([log_bf_standard_error(c) for c in counts])
+    reported = np.mean([np.sqrt((1.0 - 2.0 * c.estimate) / c.hits) for c in counts])
     assert abs(reported / log_sd - 1.0) < 4.0 / np.sqrt(2 * (seeds - 1))
 
 
@@ -692,24 +686,26 @@ def test_sign_flip_pairs_of_two_classes_always_hit_once():
             for s in range(20)} == {1000}
 
 
-def test_log_bf_from_region_estimates():
-    prior = RegionProbEstimate(estimate=0.1, hits=10, total=100, side="prior")
-    post = PosteriorConeMass(estimate=0.8, doubling_error=1e-12, grid=96, upper_bound=1.0)
-    assert log_bf_constrained_vs_encompassing(prior, post) == pytest.approx(np.log(8.0),
-                                                                            rel=1e-12)
-    with pytest.raises(ValueError):
-        log_bf_constrained_vs_encompassing(post, prior)
-    empty_prior = RegionProbEstimate(estimate=0.0, hits=0, total=100, side="prior")
-    with pytest.raises(InsufficientPriorMassError):
-        check_prior_mass(empty_prior)
-    unresolved = PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=4096,
-                                   upper_bound=1e-20)
-    assert log_bf_constrained_vs_encompassing(prior, unresolved) == -np.inf
-    bound = below_resolution_bound(
-        RegionProbEstimate(estimate=0.25, hits=25, total=100, side="prior"), unresolved)
-    assert bound == pytest.approx(np.log(1e-20) - np.log(0.25), abs=1e-12)
+def test_log_bf_is_composed_from_the_cone_masses():
+    up = parse_model_spec("mu1 < mu2 < mu3", J=3, name="up")
+    settings = Settings(prior_draws=20_000)
+    data = _c10_data()
+    bd = bf_k0(data, [up], estimate_null_params(data), settings)[0]
+    prior, post = bd.prior_region, bd.post_region
+    assert not bd.below_resolution and bd.resolution_bound is None
+    assert bd.log_bf_c_vs_e == np.log(post.estimate) - np.log(prior.estimate)
     # the posterior mass is exact, so only the prior hit count carries error
-    assert log_bf_standard_error(prior) == pytest.approx(np.sqrt(0.8 / 10), rel=1e-12)
+    assert bd.log_bf_se == np.sqrt((1.0 - 2.0 * prior.estimate) / prior.hits)
+    # steeply decreasing means (the data of test_unresolved_mass_is_flagged_with_a_bound):
+    # no log BF, only the bound of the unresolved posterior mass over the prior's
+    rng = np.random.default_rng(33)
+    y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
+    data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
+    bd = bf_k0(data, [up], NullParams(1.5, 1.5), settings)[0]
+    prior, post = bd.prior_region, bd.post_region
+    assert bd.below_resolution and post.estimate is None
+    assert bd.log_bf_c_vs_e == -np.inf and bd.log_bf_se is None
+    assert bd.resolution_bound == np.log(post.upper_bound) - np.log(prior.estimate)
 
 
 def test_estimate_dataclass_validation():

@@ -72,7 +72,7 @@ def test_parallel_matches_sequential(monkeypatch):
 
 
 def test_workers_inherit_the_prior_masses_counted_in_the_parent(monkeypatch):
-    posterior._fixed_stream_prior_mass.cache_clear()
+    posterior.cached_prior_cone_mass.cache_clear()
     parent = os.getpid()
     counted = []
     count = posterior.prior_cone_mass
