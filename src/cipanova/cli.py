@@ -11,12 +11,12 @@ import sys
 import numpy as np
 
 from .compare import Settings, compare
-from .constraints import encompassing_of, model_to_string, parse_model_spec, region_mask
+from .constraints import encompassing_of, model_to_string, parse_model_spec
 from .data import ingest_csv
 from .evidence import PreparedIntegrand
 from .gaussian import LOG_2PI, logsumexp
 from .intrinsic import NullParams, make_cip
-from .posterior import posterior_cone_mass
+from .posterior import posterior_cone_mass, prior_cone_mass
 from .scenarios import MODEL_STRINGS, make_preset, preset_names
 from .simulate import MIN_REPS_PER_WORKER, power_table, run_simulation_study
 
@@ -273,11 +273,15 @@ def _check_notation_roundtrip():
 
 
 def _check_region_cone():
-    model = parse_model_spec(MODEL_STRINGS["M3"], J=5)
-    deltas = np.random.default_rng(5).normal(size=(200, 3)) * 3.0
-    inside = region_mask(model, deltas)
-    for c in (0.1, 7.0):
-        assert np.array_equal(region_mask(model, c * deltas), inside), "cone invariance failed"
+    # the prior count reads only the order of the class means: 16 times the class sizes
+    # scales each mean by exactly 1/4, and a two-class order holds for one of a draw and its flip
+    model = parse_model_spec(MODEL_STRINGS["M3"], J=5)  # classes mu1, mu2, {mu3 = mu5}, mu4
+    hits = [prior_cone_mass(model, k * np.array([25.0, 25.0, 50.0, 25.0]), 2000,
+                            np.random.default_rng(5)).hits for k in (1.0, 16.0)]
+    assert hits[0] == hits[1], f"cone invariance failed: {hits[0]} vs {hits[1]} hits"
+    two = parse_model_spec("{mu1 = mu3} < mu2", J=3)
+    est = prior_cone_mass(two, np.array([16.0, 8.0]), 2000, np.random.default_rng(6))
+    assert est.hits == 1000, f"{est.hits} of 2000 hits on a two-class order"
 
 
 def _check_integrand_dense():

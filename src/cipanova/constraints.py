@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 
 class ParseError(ValueError):
     """Raised when a model string cannot be parsed into a valid model."""
@@ -371,25 +369,3 @@ def encompassing_of(model: ConstraintModel) -> ConstraintModel:
     """The encompassing model: the same equality classes with no order."""
     return ConstraintModel(name="", J=model.J, classes=model.classes, order=frozenset())
 
-
-def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
-    """Membership of each row of a T x (q-1) array of effects in the constraint region.
-
-    Column c - 1 holds class c minus class 0, the class of group 1, which sits
-    at 0.  Comparisons are strict, so the region is an open cone: membership
-    is invariant under scaling a row by any c > 0.  Strict < is transitive on
-    finite values, so testing the pairs of the transitive reduction of the
-    order gives the same mask as testing all of them.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 2 or deltas.shape[1] != model.q - 1:
-        raise ValueError(f"deltas must be T x {model.q - 1}")
-
-    def side(rep):
-        c = model.columns[rep]
-        return deltas[:, c - 1] if c else 0.0
-
-    mask = np.ones(deltas.shape[0], dtype=bool)
-    for a, b in model.order_reduction:
-        mask &= side(a) < side(b)
-    return mask

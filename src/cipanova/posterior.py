@@ -8,8 +8,8 @@ intrinsic prior the class means are independent Gaussians:
 
 - a priori the class-c mean is alpha0 plus a scale shared by all classes
   times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
-  prior mass is the hit fraction of class-mean draws (strict inequalities, no
-  tolerance), each draw counted with its sign flip (antithetic pairs).  It
+  prior mass is the hit fraction of class-mean draws z_c / sqrt(n_c) (strict
+  inequalities, no tolerance), a draw and its sign flip counted as a pair.  It
   depends on nothing but the order, the class sizes and the draw count, so it
   is counted once per process on one fixed stream (cached_prior_cone_mass);
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
@@ -49,8 +49,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .constraints import ConstraintModel, model_to_string, region_mask
+from .constraints import ConstraintModel, model_to_string
 from .evidence import PreparedIntegrand
 from .gaussian import LOG_2PI, logsumexp
 
@@ -119,28 +120,41 @@ def prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int,
     """Prior cone mass from T cone evaluations: ceil(T/2) class-mean draws and their sign flips.
 
     sizes holds the class sizes, class 0, the class of group 1, first.  The
-    centred prior makes effects d and -d equally likely, and a strict order
-    never holds for both, so the hit fraction stays unbiased with variance
-    p(1 - 2p)/T, below the p(1 - p)/T of T independent draws; the last flip
-    is dropped when T is odd.  Each CONE_BLOCK of draws is made class by
-    class (q x rows) into one reused buffer, so no T x q array is held and
-    the effects are formed on contiguous rows.
+    centred prior makes a draw and its sign flip equally likely, and a strict
+    order never holds for both, so the hit fraction stays unbiased with
+    variance p(1 - 2p)/T, below the p(1 - p)/T of T independent draws; the
+    last flip is dropped when T is odd.  Each CONE_BLOCK of draws is made
+    class by class (q x rows) into one reused buffer, negated in place for the
+    flips, so no T x q array is held and each pair compares contiguous rows.
     """
     q = len(sizes)
     pairs, flips = (T + 1) // 2, T // 2
     scale = np.sqrt(np.asarray(sizes, dtype=float))[:, None]
+    lo, hi = _pair_columns(model)
     buf = np.empty(q * min(CONE_BLOCK, pairs))
     hits = 0
     for start in range(0, pairs, CONE_BLOCK):
         rows = min(CONE_BLOCK, pairs - start)
         block = rng.standard_normal(out=buf[:q * rows].reshape(q, rows))
         block /= scale
-        effects = block[1:]
-        effects -= block[0]
-        hits += int(np.count_nonzero(region_mask(model, effects.T)))
-        np.negative(effects, out=effects)
-        hits += int(np.count_nonzero(region_mask(model, effects[:, :flips - start].T)))
+        hits += _cone_hits(block, lo, hi)
+        np.negative(block, out=block)
+        hits += _cone_hits(block[:, :flips - start], lo, hi)
     return RegionProbEstimate(estimate=hits / T, hits=hits, total=T, side="prior")
+
+
+def _pair_columns(model: ConstraintModel) -> tuple[list[int], list[int]]:
+    """Class columns a and b of each pair of the transitive reduction, class a below class b."""
+    pairs = [(model.columns[a], model.columns[b]) for a, b in model.order_reduction]
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _cone_hits(block: np.ndarray, lo: list[int], hi: list[int]) -> int:
+    """Count the columns of a q x rows class-mean block with row lo[k] below row hi[k] for all k."""
+    inside = np.ones(block.shape[1], dtype=bool)
+    for a, b in zip(lo, hi):
+        inside &= block[a] < block[b]
+    return int(np.count_nonzero(inside))
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
@@ -254,22 +268,13 @@ def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tup
 def _lobatto_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending Chebyshev-Lobatto points x on [-1, 1] and the matrix M with (M g)_i ~ int_{-1}^{x_i} g.
 
-    M maps values to Chebyshev coefficients, integrates those exactly and
-    evaluates the antiderivative, which vanishes at -1, at the points.
+    M maps values to Chebyshev coefficients (the inverse of chebvander at x),
+    integrates those exactly from -1 (chebint) and evaluates the antiderivative
+    at the points (chebvander one degree up).
     """
-    theta = np.pi * np.arange(points)[::-1] / (points - 1)
-    x = np.cos(theta)
-    k = np.arange(points)
-    values = np.cos(np.outer(theta, k))  # T_k(x_i)
-    anti = np.empty((points, points))
-    anti[:, 0] = x + 1.0
-    anti[:, 1] = 0.5 * (x * x - 1.0)
-    for j in range(2, points):
-        # int T_j = T_{j+1} / (2(j+1)) - T_{j-1} / (2(j-1)), and T_m(-1) = (-1)^m
-        at = np.cos((j + 1) * theta) / (2 * (j + 1)) - np.cos((j - 1) * theta) / (2 * (j - 1))
-        at_minus_one = (-1) ** (j + 1) * (1.0 / (2 * (j + 1)) - 1.0 / (2 * (j - 1)))
-        anti[:, j] = at - at_minus_one
-    return x, anti @ np.linalg.inv(values)
+    x = np.cos(np.pi * np.arange(points)[::-1] / (points - 1))
+    anti = chebyshev.chebvander(x, points) @ chebyshev.chebint(np.eye(points), lbnd=-1)
+    return x, anti @ np.linalg.inv(chebyshev.chebvander(x, points - 1))
 
 
 def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,14 +295,8 @@ def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _panel_edges(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
     """Per node, the panels + 1 points that split its total need into equal steps."""
-    target = need[:, -1:] * np.linspace(0.0, 1.0, panels + 1)
-    seg = np.minimum(np.sum(need[:, None, :] <= target[:, :, None], axis=2) - 1,
-                     need.shape[1] - 2)
-    lo, hi = np.take_along_axis(need, seg, 1), np.take_along_axis(need, seg + 1, 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(hi > lo, (target - lo) / (hi - lo), 0.0)
-    left = np.take_along_axis(ends, seg, 1)
-    return left + frac * (np.take_along_axis(ends, seg + 1, 1) - left)
+    steps = np.linspace(0.0, 1.0, panels + 1)
+    return np.array([np.interp(steps * n[-1], n, e) for e, n in zip(ends, need)])
 
 
 def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
@@ -357,8 +356,7 @@ def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np
     P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
-    a = np.array([model.columns[p] for p, _ in model.order_reduction])
-    b = np.array([model.columns[p] for _, p in model.order_reduction])
+    a, b = _pair_columns(model)
     z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)

@@ -22,8 +22,12 @@
   sign-flip pairs and its posterior mass is exact.
 - The Gibbs-within-Metropolis posterior chain, with its closed-form
   conditionals.  It targets the same posterior by a third route.
-- `region_contains`, a one-point membership test over the whole transitively
-  closed order, the reference for the vectorized `region_mask`.
+- `region_mask`, the cone membership of rows of effects (each class minus
+  class 0) over the pairs of the transitive reduction: the cone test of the
+  Monte Carlo masses above, and the check on the library's prior count, which
+  compares class means directly.  `region_contains`, a one-point membership
+  test over the whole transitively closed order, is the reference for
+  `region_mask`.
 - `component_masses_reference`, the gathered form of the down-set recursion
   that `posterior._component_masses` evaluates on row views: the same float
   operations in the same order, so the two agree bit for bit.
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from cipanova.constraints import ConstraintModel, region_mask
+from cipanova.constraints import ConstraintModel
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI
 from cipanova.intrinsic import CipSpec, NullParams
@@ -416,6 +420,29 @@ def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.nda
     The normals are drawn class by class, as one block of the library's prior count.
     """
     return rng.standard_normal((spec.q, T)).T / np.sqrt(spec.sizes)
+
+
+def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
+    """Membership of each row of a T x (q-1) array of effects in the constraint region.
+
+    Column c - 1 holds class c minus class 0, the class of group 1, which sits
+    at 0.  Comparisons are strict, so the region is an open cone: membership
+    is invariant under scaling a row by any c > 0.  Strict < is transitive on
+    finite values, so testing the pairs of the transitive reduction of the
+    order gives the same mask as testing all of them.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 2 or deltas.shape[1] != model.q - 1:
+        raise ValueError(f"deltas must be T x {model.q - 1}")
+
+    def side(rep):
+        c = model.columns[rep]
+        return deltas[:, c - 1] if c else 0.0
+
+    mask = np.ones(deltas.shape[0], dtype=bool)
+    for a, b in model.order_reduction:
+        mask &= side(a) < side(b)
+    return mask
 
 
 def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:

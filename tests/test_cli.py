@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cipanova
-from cipanova import simulate
+from cipanova import cli, simulate
 from cipanova.cli import _CONFIG_KEYS, _build_parser, _load_config, main
 
 
@@ -400,3 +400,15 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok -") == 7
     assert "all checks passed" in out
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("mass off by 1")
+
+    monkeypatch.setattr(cli, "_SELFTESTS", [("broken check", broken)])
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL - broken check: mass off by 1" in captured.out
+    assert "all checks passed" not in captured.out
+    assert "1 check(s) failed" in captured.err

@@ -135,6 +135,14 @@ def test_below_resolution_flag_on_contradicted_order():
                      settings=FAST, rng=RandomSource(8))
     assert "posterior mass unresolved" in report.to_text()
     assert sum(report.posterior_probs) == pytest.approx(1.0, abs=1e-12)
+    # the record flags the model and keeps its -inf log BF through JSON
+    record = report.to_record()
+    assert json.loads(json.dumps(record)) == record
+    entry = record["models"][0]
+    assert entry["name"] == "Mup" and entry["below_resolution"] is True
+    assert entry["resolution_bound"] == report.breakdowns[0].resolution_bound
+    assert entry["log_bf_c_vs_e"] == -np.inf and entry["log_bf_se"] is None
+    assert entry["post_region"]["estimate"] is None
 
 
 def test_every_model_below_resolution_raises():
@@ -304,6 +312,9 @@ def test_breakdown_sum_rule_enforced():
 def test_settings_reject_non_integer_counts():
     for bad in (1500.5, "5000", True, None):
         with pytest.raises(ValueError, match="prior_draws must be an integer"):
+            Settings(prior_draws=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="draw counts must be positive"):
             Settings(prior_draws=bad)
     assert Settings(prior_draws=np.int64(3000)).prior_draws == 3000
 

@@ -9,9 +9,8 @@ from cipanova.constraints import (
     encompassing_of,
     model_to_string,
     parse_model_spec,
-    region_mask,
 )
-from oracles import build_design, region_contains
+from oracles import build_design, region_contains, region_mask
 
 MA = "mu2 < mu1 < mu4 < {mu3 = mu5}"
 MB = "{mu1, mu3} > {mu2, mu4, mu5}"
@@ -133,11 +132,15 @@ def _random_model(rng, J):
 
 
 def test_roundtrip_merged_class_in_shared_layer():
-    # not expressible as a single chain clause; printer must fall back
-    text = "{mu1 = mu2} < mu4, mu3 < mu4"
-    model = parse_model_spec(text, J=4)
-    again = parse_model_spec(model_to_string(model), J=4)
-    assert again.classes == model.classes and again.order == model.order
+    # not expressible as a single chain clause; printer must fall back to
+    # one clause per edge: a merged class in a shared layer, the "N" order,
+    # and a chain with a branch off its bottom
+    for text in ("{mu1 = mu2} < mu4, mu3 < mu4",
+                 "mu1 < mu3, mu2 < mu3, mu2 < mu4",
+                 "mu1 < mu2 < mu3, mu1 < mu4"):
+        model = parse_model_spec(text, J=4)
+        again = parse_model_spec(model_to_string(model), J=4)
+        assert again.classes == model.classes and again.order == model.order, text
 
 
 def test_roundtrip_random_models():

@@ -8,7 +8,7 @@ from scipy.special import logsumexp, roots_jacobi
 
 from cipanova import posterior
 from cipanova.compare import Settings, bf_k0, compare
-from cipanova.constraints import encompassing_of, parse_model_spec, region_mask
+from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import RandomSource
@@ -33,6 +33,7 @@ from oracles import (
     inverted_beta_logpdf,
     posterior_class_means,
     prior_class_means,
+    region_mask,
     region_prob,
     run_posterior_chain,
     sample_posterior,
