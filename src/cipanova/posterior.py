@@ -25,21 +25,30 @@ For independent variables the probability of a strict partial order factors over
 components of the order, and within a component it is a recursion over the
 down-sets (order ideals) I:
 
-    H_empty = 1,  H_I(t) = int_{-inf}^t sum_{j maximal in I} f_j(s) H_{I-j}(s) ds,
+    H_empty = 1,  H_I(t) = int_{-inf}^t g_I(s) ds,  g_I = sum_{j maximal in I} f_j H_{I-j},
 
-with the mass H_all(inf).  Each cumulative integral runs on a per-node grid of
-Chebyshev-Lobatto panels over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], panel
-widths scaled to the sd of the narrowest class covering each point.  The class
-densities are formed in place in one buffer, and each level's integrand is
-summed row by row from row views of the densities and the previous level's H,
-so a step holds the densities, the previous H, the integrand and the new H,
+with the mass H_all(inf).  A component R + B whose maximal classes B (two or
+more) each lie above every other class R has the mass
+
+    int g_R(s) prod_{b in B} S_b(s) ds,  S_b(s) = int_s^inf f_b,
+
+so the recursion runs over the down-sets of R alone; a component whose wider
+end layer is at the bottom is reflected first (its order reversed and its
+class means negated, which keeps the mass).  Each cumulative integral runs on a
+per-node grid of Chebyshev-Lobatto panels over [min(mu_c - 10 s_c),
+max(mu_c + 10 s_c)], panel widths scaled to the sd of the narrowest class
+covering each point, and each S_b runs right to left on the same panels.  The
+class densities are formed in place in one buffer, and each level's integrand
+is summed row by row from row views of the densities and the previous level's
+H, so a step holds the densities, the previous H, the integrand and the new H,
 and no gathered copies.  The grid doubles until the mass moves by less than
 POSTERIOR_REL_TOL.  A mass too small for the +-10 sd truncation to be
 negligible is reported as unresolved, with an upper bound instead of a value;
 a larger mass that the grid cap stops before it settles raises ValueError,
 since dropping it would skew the other models' probabilities.  The number of
-down-sets can grow as 2^q (counting linear extensions is #P-complete;
-Brightwell and Winkler 1991, Order), so a component with more than
+down-sets can grow as 2^w for an antichain layer of width w (counting linear
+extensions is #P-complete; Brightwell and Winkler 1991, Order); only a wide
+layer in the middle of a component pays it, and a component with more than
 MAX_DOWNSETS of them is refused the same way.
 """
 
@@ -57,10 +66,10 @@ from .gaussian import LOG_2PI, logsumexp
 
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
-# a component of the order with more down-sets than this is refused; its
-# widest levels would already hold some 5000 arrays per grid point, which
-# leaves MAX_ELEMENTS room for a grid of about 800 points (12 classes below
-# a thirteenth, 4097 down-sets, get 1578)
+# a component of the order with more down-sets than this (outside a wide top
+# layer) is refused; its widest levels would already hold some 5000 arrays per
+# grid point, which leaves MAX_ELEMENTS room for a grid of about 800 points
+# (12 classes between a bottom and a top class, 4098 down-sets, get 1577)
 MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
@@ -190,56 +199,105 @@ class PosteriorConeMass:
 
 @dataclass(frozen=True)
 class _Component:
-    """A weak component of the order: its class columns and its down-set levels.
+    """A weak component of the order: its class columns, its down-set levels and its top layer.
 
-    levels holds the down-sets of each size, one (tops, parents) pair per
-    down-set d: the maximal classes of d and, for each, the previous level's
-    down-set without it, so the integrand of d sums one density-times-H
-    product per pair, in this order.  rows bounds the number of grid-sized
-    arrays per node that _component_masses holds at once: the densities and
-    their mask, the grid points, the product row, and per level the previous
-    H, the integrand and the new H.
+    When the component's maximal classes B are at least two and each lies
+    above every other class, they are its last top columns; otherwise top is
+    0.  levels holds the down-sets of the other classes R (of every class
+    when top is 0) by size, one (tops, parents) pair per down-set d:
+    the maximal classes of d and, for each, the previous level's down-set
+    without it, so the integrand of d sums one density-times-H product per
+    pair, in this order.  sign is -1.0 when the component is held reflected,
+    its order reversed and its class means to be negated, and 1.0 otherwise.
+    rows bounds the number of grid-sized arrays per node that
+    _component_masses holds at once: the densities and their mask, the grid
+    points, the product row (which also holds each S_b), and per level the
+    previous H, the integrand and the new H, except that R's last level keeps
+    its integrand, the row the S_b multiply into, and forms no H.
     """
 
     cols: np.ndarray
     levels: tuple[tuple, ...]
+    top: int
+    sign: float
     rows: int
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
 def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
-    """Down-set levels of each weak component with at least two classes.
+    """Down-set levels and top layer of each weak component with at least two classes.
 
-    The plan depends on the order alone, so it is built once per model and
-    process (equality ignores the name), and its cols array is read-only.
-    Raises ValueError when a component has more than MAX_DOWNSETS down-sets.
+    A component whose bottom layer is an antichain of more classes below all
+    the others than its top layer holds above them is reflected, so that layer
+    becomes its top.  The plan depends on the order alone, so it is built once
+    per model and process (equality ignores the name), and its cols array is
+    read-only.  Raises ValueError, naming the model, when the classes outside
+    a component's top layer have more than MAX_DOWNSETS down-sets.
     """
     comps = []
     for members in model.components:
         if len(members) < 2:
             continue
-        local = {rep: i for i, rep in enumerate(members)}
-        below = [0] * len(members)
-        above = [0] * len(members)
-        for a, b in model.order:
-            if a in local:
-                below[local[b]] |= 1 << local[a]
-                above[local[a]] |= 1 << local[b]
-        levels = _downset_levels(tuple(below), tuple(above))
-        # a density row per class and a bool mask (8 classes to a row), the
-        # grid points and the product row, then per level the previous H,
-        # the integrand and the new H
         q = len(members)
-        sizes = [1] + [len(lv) for lv in levels]
-        rows = q + -(-q // 8) + 2 + max(prev + 2 * cur for prev, cur in zip(sizes, sizes[1:]))
-        cols = np.array([model.columns[r] for r in members])
+        local = {rep: i for i, rep in enumerate(members)}
+        pairs = [(local[a], local[b]) for a, b in model.order if a in local]
+        flipped = [(b, a) for a, b in pairs]
+        top, bottom = _top_layer(pairs, q), _top_layer(flipped, q)
+        sign = 1.0
+        if len(bottom) > len(top):
+            pairs, top, sign = flipped, bottom, -1.0
+        perm = [j for j in range(q) if j not in top] + top
+        at = {j: i for i, j in enumerate(perm)}
+        r = q - len(top)
+        below, above = [0] * r, [0] * r
+        for a, b in pairs:
+            if at[b] < r:
+                below[at[b]] |= 1 << at[a]
+                above[at[a]] |= 1 << at[b]
+        levels = _downset_levels(tuple(below), tuple(above))
+        if levels is None:
+            raise ValueError(
+                f"a component of the order of {model.name or model_to_string(model)} over {q} "
+                f"classes has more than {MAX_DOWNSETS} down-sets; its exact cone mass is too "
+                "costly")
+        cols = np.array([model.columns[members[j]] for j in perm])
         cols.flags.writeable = False
-        comps.append(_Component(cols, levels, rows))
+        comps.append(_Component(cols, levels, len(top), sign, _rows(q, levels, len(top))))
     return tuple(comps)
 
 
-def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Down-sets as bit masks, size by size; below[j]/above[j] mask the classes below/above j."""
+def _top_layer(pairs: list[tuple[int, int]], q: int) -> list[int]:
+    """The maximal classes of an order on q classes if at least two each lie above all others.
+
+    Else [].  pairs is transitively closed, so a maximal class lies above
+    every other class exactly when it heads q - (number of maximal classes)
+    pairs.
+    """
+    top = sorted(set(range(q)) - {a for a, _ in pairs})
+    heads = [b for _, b in pairs]
+    if len(top) < 2 or any(heads.count(b) != q - len(top) for b in top):
+        return []
+    return top
+
+
+def _rows(q: int, levels: tuple[tuple, ...], top: int) -> int:
+    """_Component.rows: the grid-sized arrays per node one component's kernel holds at once."""
+    # a density row per class and a bool mask (8 classes to a row), the grid
+    # points and the product row, then per level the previous H, the
+    # integrand and the new H; with a top layer, R's last level keeps only
+    # its integrand
+    sizes = [1] + [len(lv) for lv in levels]
+    steps = [prev + 2 * cur for prev, cur in zip(sizes, sizes[1:])]
+    if top:
+        steps[-1] = sizes[-2] + 1
+    return q + -(-q // 8) + 2 + max(steps)
+
+
+def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple, ...] | None:
+    """Down-sets as bit masks, size by size; below[j]/above[j] mask the classes below/above j.
+
+    None when there are more than MAX_DOWNSETS of them, counting the empty one.
+    """
     m = len(below)
     level = {0: 0}
     count = 1
@@ -252,9 +310,7 @@ def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tup
                     nxt.setdefault(mask | 1 << j, len(nxt))
         count += len(nxt)
         if count > MAX_DOWNSETS:
-            raise ValueError(
-                f"a component of the order over {m} classes has more than {MAX_DOWNSETS} "
-                "down-sets; its exact cone mass is too costly")
+            return None
         terms = []
         for mask in nxt:
             js = tuple(j for j in range(m) if mask >> j & 1 and above[j] & mask == 0)
@@ -305,7 +361,9 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
 
     The densities are formed in place in one buffer, and each integrand row
     is summed from row views of the densities and the previous H through one
-    reused product row, so no step gathers rows into a copy.
+    reused product row, so no step gathers rows into a copy.  With a top
+    layer the mass is the whole-grid integral of R's last integrand times
+    every S_b of the top classes.
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
@@ -326,13 +384,28 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     z[outside] = 0.0
     H = np.ones((1, t.size))
     term = np.empty(t.size)
-    for lv in comp.levels:
+    for lv in comp.levels[:-1] if comp.top else comp.levels:
         H = (_level_integrand(lv, dens, H, term).reshape(-1, PANEL_POINTS) @ M.T
              ).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
         H = H.reshape(len(lv), -1)
-    return H.reshape(t.shape)[:, -1, -1]
+    if not comp.top:
+        return H.reshape(t.shape)[:, -1, -1]
+    # g_R times each S_b, S_b integrated right to left in the product row: the
+    # flipped Lobatto matrix within a panel, and the panels to the right
+    # added as reversed cumulative totals; H is freed first, so this holds no
+    # more rows than R's last level did
+    g = _level_integrand(comp.levels[-1], dens, H, term).reshape(t.shape)
+    del H
+    S = term.reshape(t.shape)
+    for f in dens[-comp.top:]:
+        np.matmul(f.reshape(-1, PANEL_POINTS), M[::-1, ::-1].T,
+                  out=term.reshape(-1, PANEL_POINTS))
+        totals = S[..., 0]
+        S += (np.cumsum(totals[:, ::-1], axis=-1)[:, ::-1] - totals)[..., None]
+        g *= S
+    return (g @ M[-1]).sum(axis=-1)
 
 
 def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray,
@@ -374,8 +447,8 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     components too wide for MAX_ELEMENTS); the mass and the level are nan when
     even the starting grid and its double exceed the cap.
     """
-    layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
-               for c in comps]
+    layouts = [(c, c.sign * mu[:, c.cols], s[:, c.cols])
+               + _resolution_need(c.sign * mu[:, c.cols], s[:, c.cols]) for c in comps]
     cap = min(MAX_GRID, MAX_ELEMENTS // max(c.rows for c in comps))
     least = min(MIN_PANELS, cap // (2 * PANEL_POINTS))
     base = [max(least, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]

@@ -31,6 +31,9 @@
 - `component_masses_reference`, the gathered form of the down-set recursion
   that `posterior._component_masses` evaluates on row views: the same float
   operations in the same order, so the two agree bit for bit.
+- `full_downset_plan`, the down-set recursion over every class of each weak
+  component, with no top-layer form and no reflection: the reference for the
+  one-pass integral of a wide top or bottom layer.
 """
 
 from __future__ import annotations
@@ -45,7 +48,15 @@ from cipanova.constraints import ConstraintModel
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI
 from cipanova.intrinsic import CipSpec, NullParams
-from cipanova.posterior import PANEL_POINTS, SPAN_SD, RegionProbEstimate, _lobatto_rule
+from cipanova.posterior import (
+    PANEL_POINTS,
+    SPAN_SD,
+    RegionProbEstimate,
+    _Component,
+    _downset_levels,
+    _lobatto_rule,
+    _rows,
+)
 
 POSTERIOR_DRAWS = 50_000
 
@@ -626,3 +637,22 @@ def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray,
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
         H = H.reshape(len(g), -1)
     return H.reshape(t.shape)[:, -1, -1]
+
+
+def full_downset_plan(model: ConstraintModel) -> tuple[_Component, ...]:
+    """Each weak component of at least two classes as one down-set recursion over all of them."""
+    comps = []
+    for members in model.components:
+        if len(members) < 2:
+            continue
+        local = {rep: i for i, rep in enumerate(members)}
+        below = [0] * len(members)
+        above = [0] * len(members)
+        for a, b in model.order:
+            if a in local:
+                below[local[b]] |= 1 << local[a]
+                above[local[a]] |= 1 << local[b]
+        levels = _downset_levels(tuple(below), tuple(above))
+        cols = np.array([model.columns[r] for r in members])
+        comps.append(_Component(cols, levels, 0, 1.0, _rows(len(members), levels, 0)))
+    return tuple(comps)

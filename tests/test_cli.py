@@ -112,6 +112,21 @@ def test_compare_refuses_constant_groups(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: the responses are constant within every class")
 
 
+def test_compare_refusal_names_the_model(capsys, tmp_path):
+    # a 13-antichain between two classes has 8194 down-sets, past the budget;
+    # the control order before it is answered
+    rng = np.random.default_rng(15)
+    p = tmp_path / "wide.csv"
+    p.write_text("group,response\n" + "".join(
+        f"{j},{v:.6f}\n" for j, v in zip(np.repeat(np.arange(1, 16), 20), rng.normal(size=300))))
+    treated = "{" + ",".join(f"mu{j}" for j in range(2, 16)) + "}"
+    middle = "{" + ",".join(f"mu{j}" for j in range(2, 15)) + "}"
+    assert main(["compare", str(p), "--model", f"ctl=mu1<{treated}",
+                 "--model", f"mid=mu1<{middle}<mu15", "--prior-draws", "2000"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: a component of the order of mid over 15 classes has more than 8192 down-sets")
+
+
 def test_compare_group_recode_note(capsys, tmp_path):
     p = tmp_path / "lab.csv"
     rows = ["group,response"]

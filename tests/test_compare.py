@@ -447,7 +447,7 @@ def test_each_design_is_prepared_once_per_call(monkeypatch):
     assert counts == {"prepared": 0, "mode": 0, "quadrature": 0}
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(st.sampled_from([0, 1]), st.permutations(range(5)), st.integers(min_value=1, max_value=5))
 def test_breakdown_does_not_depend_on_the_other_models(which, order, size):
     # the prepared designs are keyed by design within one call: sharing one

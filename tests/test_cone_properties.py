@@ -1,5 +1,6 @@
-"""Property tests of the cone masses with J = 2-5 groups: the exact posterior mass on random
-data, and the prior mass's sign-flip count."""
+"""Property tests of the cone masses: the exact posterior mass on random data with J = 2-5
+groups, its one-pass form of a wide end layer against the full down-set recursion with J up
+to 11, and the prior mass's sign-flip count."""
 
 import itertools
 
@@ -8,12 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipanova.constraints import encompassing_of, parse_model_spec
+from cipanova.constraints import ConstraintModel, encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import estimate_null_params, make_cip
-from cipanova.posterior import POSTERIOR_REL_TOL, posterior_cone_mass, prior_cone_mass
+from cipanova.posterior import (
+    POSTERIOR_REL_TOL,
+    _converged_mass,
+    order_components,
+    posterior_cone_mass,
+    prior_cone_mass,
+)
+from oracles import full_downset_plan
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -108,6 +116,39 @@ def test_partial_order_mass_is_the_sum_of_its_linear_extensions(text, J, seed):
     whole = posterior_cone_mass(model, prep).estimate
     assert None not in masses and whole is not None
     assert abs(sum(masses) - whole) <= 1e-12 * whole
+
+
+@st.composite
+def end_layer_orders(draw):
+    """An order over R plus an antichain of two or more classes above (or below) all of R."""
+    r = draw(st.integers(1, 6))
+    w = draw(st.integers(2, 11 - r))
+    free = draw(st.integers(0, 11 - r - w))
+    J = r + w + free
+    # a random order on R, then the layer above it; labels shuffled
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r) if draw(st.booleans())]
+    pairs += [(i, r + k) for i in range(r) for k in range(w)]
+    if draw(st.booleans()):
+        pairs = [(b, a) for a, b in pairs]
+    label = draw(st.permutations(range(1, J + 1)))
+    return ConstraintModel.create(J, [(j,) for j in range(1, J + 1)],
+                                  [(label[a], label[b]) for a, b in pairs])
+
+
+@PROPERTY
+@given(end_layer_orders(), st.integers(0, 2**32 - 1))
+def test_end_layer_form_matches_the_full_downset_recursion(model, seed):
+    # three eta nodes of unequal class means and unbalanced class sizes
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 40, size=model.J)
+    s = rng.uniform(0.5, 2.0, size=(3, 1)) / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(3, model.J))
+    w = np.array([0.2, 0.5, 0.3])
+    comps = order_components(model)
+    assert len(comps) == 1 and comps[0].top >= 2
+    mass, *_ = _converged_mass(comps, mu, s, w)
+    full, *_ = _converged_mass(full_downset_plan(model), mu, s, w)
+    assert abs(mass - full) <= 1e-12 * full
 
 
 @PROPERTY

@@ -492,17 +492,55 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
 
 
 def test_downset_budget_raises(monkeypatch):
-    five_vs_five = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
-                                    J=10)
-    assert sum(len(lv) for lv in order_components(five_vs_five)[0].levels) == 62
-    monkeypatch.setattr(posterior, "MAX_DOWNSETS", 62)
+    # a wide middle layer is the one the recursion enumerates: 34 down-sets
+    # counting the empty one
+    middle = parse_model_spec("mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7", J=10)
+    assert sum(len(lv) for lv in order_components(middle)[0].levels) == 33
+    monkeypatch.setattr(posterior, "MAX_DOWNSETS", 33)
     order_components.cache_clear()  # the plan above was built under the default budget
     with pytest.raises(ValueError, match="down-sets"):
-        order_components(five_vs_five)
+        order_components(middle)
     # free classes and separate components do not count against one budget
     monkeypatch.setattr(posterior, "MAX_DOWNSETS", 4)
     comps = order_components(parse_model_spec("mu1 < mu2 < mu3, mu4 < mu5", J=6))
     assert [sorted(c.cols) for c in comps] == [[0, 1, 2], [3, 4]]
+
+
+def _layer(first, last):
+    return "{" + ", ".join(f"mu{j}" for j in range(first, last + 1)) + "}"
+
+
+@pytest.mark.parametrize("text, J, exact", [
+    (f"{_layer(1, 5)} < {_layer(6, 10)}", 10, 1.0 / 252.0),
+    (f"{_layer(1, 3)} < {_layer(4, 7)}", 7, 1.0 / 35.0),
+    *[(f"mu1 < {_layer(2, J)}", J, 1.0 / J) for J in (5, 14, 20)],
+    *[(f"{_layer(1, J - 1)} < mu{J}", J, 1.0 / J) for J in (5, 14, 20)],
+], ids=["5-vs-5", "3-vs-4", "1-vs-4", "1-vs-13", "1-vs-19", "4-vs-1", "13-vs-1", "19-vs-1"])
+def test_end_layer_form_gives_exact_iid_masses(text, J, exact):
+    # identical classes: every linear extension is equally likely, so the mass
+    # is their share of the J! orders; a wide bottom layer is reflected
+    comps = order_components(parse_model_spec(text, J=J))
+    assert len(comps) == 1 and comps[0].top >= 4
+    assert comps[0].sign == (-1.0 if text.endswith(f"< mu{J}") else 1.0)
+    mass, *_ = posterior._converged_mass(comps, np.zeros((1, J)), np.ones((1, J)), np.array([1.0]))
+    assert mass == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_wide_end_layers_are_answered_and_a_wide_middle_is_refused_by_name(monkeypatch):
+    rng = np.random.default_rng(14)
+    for J in (14, 16, 20):
+        data = AnovaData(responses=rng.normal(np.repeat(0.05 * np.arange(J), 20)),
+                         groups=np.repeat(np.arange(1, J + 1), 20))
+        for text in (f"mu1 < {_layer(2, J)}", f"{_layer(1, J - 1)} < mu{J}"):
+            post = _exact_mass(data, text)
+            assert post.estimate is not None and post.estimate > 0.0, text
+    # a 13-antichain between two classes: 8194 down-sets
+    data = AnovaData(responses=rng.normal(size=15 * 20), groups=np.repeat(np.arange(1, 16), 20))
+    models = [parse_model_spec(f"mu1 < {_layer(2, 15)}", J=15, name="ctl"),
+              parse_model_spec(f"mu1 < {_layer(2, 14)} < mu15", J=15, name="mid")]
+    with pytest.raises(ValueError,
+                       match=r"order of mid over 15 classes has more than 8192 down-sets"):
+        compare(data, models, settings=Settings(prior_draws=2000))
 
 
 def test_equal_models_share_one_read_only_plan():
@@ -542,9 +580,9 @@ def _kernel_calls(monkeypatch, data, text):
 @pytest.mark.parametrize("make_data, text", [
     (_c07_data, MODEL_STRINGS["M2"]),
     (_c07_data, MODEL_STRINGS["M3"]),
-    (_j10_data, "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"),
+    (_j10_data, "mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7"),
     (_n_order_data, "mu1 < mu3, mu2 < mu3, mu2 < mu4"),
-], ids=["pop3 M2", "pop3 M3", "j10 split", "N"])
+], ids=["pop3 M2", "pop3 M3", "j10 middle", "N"])
 def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, make_data, text):
     calls = _kernel_calls(monkeypatch, make_data(), text)
     assert len(calls) >= 2  # at least two grids
