@@ -20,14 +20,14 @@ class RandomSource:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.stream))
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) over axis, shifted by the maximum so no term overflows.
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every entry, shifted by the maximum so no term overflows.
 
-    A slice whose entries are all -inf gives -inf.
+    All entries -inf give -inf; an entry +inf gives +inf and a nan gives nan.
     """
     a = np.asarray(a, dtype=float)
-    peak = np.max(a, axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        total = np.log(np.sum(np.exp(a - peak), axis=axis))
-    return total + np.squeeze(peak, axis=axis)
+    peak = a.max()
+    if not np.isfinite(peak):
+        peak = 0.0
+    total = np.exp(a - peak).sum()
+    return -np.inf if total == 0.0 else np.log(total) + peak

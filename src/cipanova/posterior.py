@@ -37,19 +37,20 @@ end layer is at the bottom is reflected first (its order reversed and its
 class means negated, which keeps the mass).  Each cumulative integral runs on a
 per-node grid of Chebyshev-Lobatto panels over [min(mu_c - 10 s_c),
 max(mu_c + 10 s_c)], panel widths scaled to the sd of the narrowest class
-covering each point, and each S_b runs right to left on the same panels.  The
-class densities are formed in place in one buffer, and each level's integrand
-is summed row by row from row views of the densities and the previous level's
-H, so a step holds the densities, the previous H, the integrand and the new H,
-and no gathered copies.  The grid doubles until the mass moves by less than
-POSTERIOR_REL_TOL.  A mass too small for the +-10 sd truncation to be
-negligible is reported as unresolved, with an upper bound instead of a value;
-a larger mass that the grid cap stops before it settles raises ValueError,
-since dropping it would skew the other models' probabilities.  The number of
-down-sets can grow as 2^w for an antichain layer of width w (counting linear
-extensions is #P-complete; Brightwell and Winkler 1991, Order); only a wide
-layer in the middle of a component pays it, and a component with more than
-MAX_DOWNSETS of them is refused the same way.
+covering each point, and each S_b runs right to left on the same panels; the
+last level, the whole component or R, is integrated (times every S_b) in one
+step.  The class densities are formed in place in one buffer, and each level's
+integrand is summed row by row from row views of the densities and the
+previous level's H, so a step holds the densities, the previous H, the
+integrand and the new H, and no gathered copies.  The grid doubles, splitting
+every panel in two, until the mass moves by less than POSTERIOR_REL_TOL.  A
+mass too small for the +-10 sd truncation to be negligible is reported as
+unresolved, with an upper bound instead of a value; a larger mass that the
+grid cap stops before it settles raises ValueError, since dropping it would
+skew the other models' probabilities.  The number of down-sets can grow as 2^w
+for an antichain layer of width w (counting linear extensions is #P-complete;
+Brightwell and Winkler 1991, Order); only a wide layer in the middle of a
+component pays it, and one with more than MAX_DOWNSETS is refused the same way.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ from .gaussian import LOG_2PI, logsumexp
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
 # a component of the order with more down-sets than this (outside a wide top
-# layer) is refused; its widest levels would already hold some 5000 arrays per
-# grid point, which leaves MAX_ELEMENTS room for a grid of about 800 points
-# (12 classes between a bottom and a top class, 4098 down-sets, get 1577)
+# layer) is refused; its widest levels would hold some 5000 arrays per grid
+# point, room for about 800 (12 classes between two, 4098 down-sets, get 1577)
 MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
@@ -209,11 +209,7 @@ class _Component:
     without it, so the integrand of d sums one density-times-H product per
     pair, in this order.  sign is -1.0 when the component is held reflected,
     its order reversed and its class means to be negated, and 1.0 otherwise.
-    rows bounds the number of grid-sized arrays per node that
-    _component_masses holds at once: the densities and their mask, the grid
-    points, the product row (which also holds each S_b), and per level the
-    previous H, the integrand and the new H, except that R's last level keeps
-    its integrand, the row the S_b multiply into, and forms no H.
+    rows bounds the grid-sized arrays per node _component_masses holds at once.
     """
 
     cols: np.ndarray
@@ -262,7 +258,7 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
                 "costly")
         cols = np.array([model.columns[members[j]] for j in perm])
         cols.flags.writeable = False
-        comps.append(_Component(cols, levels, len(top), sign, _rows(q, levels, len(top))))
+        comps.append(_Component(cols, levels, len(top), sign, _rows(q, levels)))
     return tuple(comps)
 
 
@@ -280,17 +276,15 @@ def _top_layer(pairs: list[tuple[int, int]], q: int) -> list[int]:
     return top
 
 
-def _rows(q: int, levels: tuple[tuple, ...], top: int) -> int:
+def _rows(q: int, levels: tuple[tuple, ...]) -> int:
     """_Component.rows: the grid-sized arrays per node one component's kernel holds at once."""
-    # a density row per class and a bool mask (8 classes to a row), the grid
-    # points and the product row, then per level the previous H, the
-    # integrand and the new H; with a top layer, R's last level keeps only
-    # its integrand
+    # a density row per class, their bool mask (8 classes to a row), the grid
+    # points, the product row (also each S_b) and numpy's ufunc buffer (8192
+    # elements, at most a row); per level the previous H, the integrand and the
+    # new H, but the last level keeps only its integrand, which the S_b multiply
     sizes = [1] + [len(lv) for lv in levels]
-    steps = [prev + 2 * cur for prev, cur in zip(sizes, sizes[1:])]
-    if top:
-        steps[-1] = sizes[-2] + 1
-    return q + -(-q // 8) + 2 + max(steps)
+    steps = [prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1]
+    return q + -(-q // 8) + 3 + max(steps)
 
 
 def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple, ...] | None:
@@ -350,9 +344,17 @@ def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _panel_edges(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
-    """Per node, the panels + 1 points that split its total need into equal steps."""
-    steps = np.linspace(0.0, 1.0, panels + 1)
-    return np.array([np.interp(steps * n[-1], n, e) for e, n in zip(ends, need)])
+    """Per node, the panels + 1 points that split its total need into equal steps.
+
+    np.interp on all nodes at once, bit for bit: a step below the total takes
+    interp's slope * (x - x0) + y0 from the last need at or below it (over
+    plateaus), the total the last end; 2 * panels gives these as even columns.
+    """
+    x = np.linspace(0.0, 1.0, panels + 1)[:-1] * need[:, -1:]
+    j = sum(col[:, None] <= x for col in need.T[1:])  # the segment of each step
+    r = np.arange(len(need))[:, None]
+    x0, x1, y0, y1 = need[r, j], need[r, j + 1], ends[r, j], ends[r, j + 1]
+    return np.concatenate([(y1 - y0) / (x1 - x0) * (x - x0) + y0, ends[:, -1:]], axis=1)
 
 
 def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
@@ -361,9 +363,9 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
 
     The densities are formed in place in one buffer, and each integrand row
     is summed from row views of the densities and the previous H through one
-    reused product row, so no step gathers rows into a copy.  With a top
-    layer the mass is the whole-grid integral of R's last integrand times
-    every S_b of the top classes.
+    reused product row, so no step gathers rows into a copy.  The mass is the
+    whole-grid integral of the last level's integrand (the whole component's,
+    or R's times every S_b of the top classes), which forms no H.
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
@@ -381,25 +383,22 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     # every integrand below holds one density factor, so the panel
     # half-widths are folded in here
     z *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
-    z[outside] = 0.0
+    np.copyto(z, 0.0, where=outside)
     H = np.ones((1, t.size))
     term = np.empty(t.size)
-    for lv in comp.levels[:-1] if comp.top else comp.levels:
+    for lv in comp.levels[:-1]:
         H = (_level_integrand(lv, dens, H, term).reshape(-1, PANEL_POINTS) @ M.T
              ).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
         H = H.reshape(len(lv), -1)
-    if not comp.top:
-        return H.reshape(t.shape)[:, -1, -1]
-    # g_R times each S_b, S_b integrated right to left in the product row: the
-    # flipped Lobatto matrix within a panel, and the panels to the right
-    # added as reversed cumulative totals; H is freed first, so this holds no
-    # more rows than R's last level did
+    # g times each S_b, integrated right to left in the product row (the
+    # flipped Lobatto matrix within a panel, the panels to the right as
+    # reversed cumulative totals); H is freed first, as _rows counts
     g = _level_integrand(comp.levels[-1], dens, H, term).reshape(t.shape)
     del H
     S = term.reshape(t.shape)
-    for f in dens[-comp.top:]:
+    for f in dens[len(dens) - comp.top:]:
         np.matmul(f.reshape(-1, PANEL_POINTS), M[::-1, ::-1].T,
                   out=term.reshape(-1, PANEL_POINTS))
         totals = S[..., 0]
@@ -453,21 +452,22 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     least = min(MIN_PANELS, cap // (2 * PANEL_POINTS))
     base = [max(least, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
 
-    def mass_at(scale):
+    def mass_at(edges):
         node = np.ones(len(w))
-        for (comp, cmu, cs, ends, need), p in zip(layouts, base):
-            edges = _panel_edges(ends, need, p * scale)
-            step = max(1, MAX_ELEMENTS // (comp.rows * p * scale * PANEL_POINTS))
-            node *= np.concatenate([
-                _component_masses(comp, cmu[i:i + step], cs[i:i + step], edges[i:i + step])
-                for i in range(0, len(w), step)])
+        for (comp, cmu, cs, *_), e in zip(layouts, edges):
+            step = max(1, MAX_ELEMENTS // (comp.rows * (e.shape[1] - 1) * PANEL_POINTS))
+            for k in (slice(i, i + step) for i in range(0, len(w), step)):
+                node[k] *= _component_masses(comp, cmu[k], cs[k], e[k])
         return float(w @ node)
 
     if 2 * max(base) * PANEL_POINTS > cap:
         return np.nan, np.inf, 0, np.nan
-    prev, scale = mass_at(1), 2
+    prev, scale = None, 2
     while True:
-        mass = mass_at(scale)
+        edges = [_panel_edges(ends, need, p * scale) for (*_, ends, need), p in zip(layouts, base)]
+        if prev is None:  # the starting grid's edges are the even columns of its double's
+            prev = mass_at([e[:, ::2] for e in edges])
+        mass = mass_at(edges)
         grid = max(base) * scale * PANEL_POINTS
         change = abs(mass - prev) / mass if mass > 0.0 else np.inf
         if change < POSTERIOR_REL_TOL or not np.isfinite(change) or 2 * grid > cap:

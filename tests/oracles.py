@@ -30,7 +30,11 @@
   `region_mask`.
 - `component_masses_reference`, the gathered form of the down-set recursion
   that `posterior._component_masses` evaluates on row views: the same float
-  operations in the same order, so the two agree bit for bit.
+  operations in the same order, so the two agree bit for bit.  It also keeps
+  the full integration of the last level, the form the kernel's one final
+  step replaces.
+- `panel_edges_reference`, the per-node `np.interp` loop that
+  `posterior._panel_edges` evaluates on all nodes at once, bit for bit.
 - `full_downset_plan`, the down-set recursion over every class of each weak
   component, with no top-layer form and no reflection: the reference for the
   one-pass integral of a wide top or bottom layer.
@@ -606,13 +610,16 @@ def run_posterior_chain(y: np.ndarray, theta0: NullParams, spec: CipSpec,
                       acceptance_rate=accepted / iters, burnin=burnin)
 
 
-def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray,
-                               edges: np.ndarray) -> np.ndarray:
+def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray, edges: np.ndarray,
+                               full_last_level: bool = False) -> np.ndarray:
     """P(the component's order | eta) at each node, gathering rows by padded top/parent arrays.
 
     Each level's (tops, parents) pairs are padded to the level's widest row
     with top = the number of classes, which indexes a zero density row, and
-    parent = 0.
+    parent = 0.  The last level's integrand is integrated over the whole grid
+    in one step, as the kernel does; with full_last_level it is integrated
+    into its cumulative H like every other level and the mass read at the
+    last point.  A plain component only (no top layer).
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
@@ -625,18 +632,26 @@ def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray,
     dens[:-1] = (np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
                  * (half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi)))).reshape(len(z), -1)
     H = np.ones((1, t.size))
-    for lv in comp.levels:
+    for k, lv in enumerate(comp.levels):
         width = max(len(tops) for tops, _ in lv)
         top = np.array([tops + (q,) * (width - len(tops)) for tops, _ in lv])
         parent = np.array([parents + (0,) * (width - len(parents)) for _, parents in lv])
         g = dens[top[:, 0]] * H[parent[:, 0]]
-        for k in range(1, width):
-            g += dens[top[:, k]] * H[parent[:, k]]
+        for j in range(1, width):
+            g += dens[top[:, j]] * H[parent[:, j]]
+        if k == len(comp.levels) - 1 and not full_last_level:
+            return (g.reshape(t.shape) @ M[-1]).sum(axis=-1)
         H = (g.reshape(-1, PANEL_POINTS) @ M.T).reshape((-1,) + t.shape)
         totals = H[..., -1]
         H += (np.cumsum(totals, axis=-1) - totals)[..., None]
         H = H.reshape(len(g), -1)
     return H.reshape(t.shape)[:, -1, -1]
+
+
+def panel_edges_reference(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
+    """posterior._panel_edges node by node: one np.interp of the equal need steps per node."""
+    steps = np.linspace(0.0, 1.0, panels + 1)
+    return np.array([np.interp(steps * n[-1], n, e) for e, n in zip(ends, need)])
 
 
 def full_downset_plan(model: ConstraintModel) -> tuple[_Component, ...]:
@@ -654,5 +669,5 @@ def full_downset_plan(model: ConstraintModel) -> tuple[_Component, ...]:
                 above[local[a]] |= 1 << local[b]
         levels = _downset_levels(tuple(below), tuple(above))
         cols = np.array([model.columns[r] for r in members])
-        comps.append(_Component(cols, levels, 0, 1.0, _rows(len(members), levels, 0)))
+        comps.append(_Component(cols, levels, 0, 1.0, _rows(len(members), levels)))
     return tuple(comps)

@@ -1,6 +1,7 @@
 """Property tests of the cone masses: the exact posterior mass on random data with J = 2-5
 groups, its one-pass form of a wide end layer against the full down-set recursion with J up
-to 11, and the prior mass's sign-flip count."""
+to 11, its panel edges against per-node np.interp, its one final step against the full
+integration of the last level, and the prior mass's sign-flip count."""
 
 import itertools
 
@@ -15,13 +16,21 @@ from cipanova.evidence import PreparedIntegrand
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import estimate_null_params, make_cip
 from cipanova.posterior import (
+    MAX_GRID,
+    MIN_PANELS,
+    PANEL_POINTS,
+    PANEL_SD,
     POSTERIOR_REL_TOL,
+    SPAN_SD,
+    _component_masses,
     _converged_mass,
+    _panel_edges,
+    _resolution_need,
     order_components,
     posterior_cone_mass,
     prior_cone_mass,
 )
-from oracles import full_downset_plan
+from oracles import component_masses_reference, full_downset_plan, panel_edges_reference
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -162,3 +171,75 @@ def test_total_orders_partition_the_prior_evaluations(sizes, T, seed):
         spec = make_cip(encompassing_of(model), sizes)
         hits += prior_cone_mass(model, spec.sizes, T, RandomSource(seed).generator()).hits
     assert hits == T
+
+
+@st.composite
+def class_layouts(draw):
+    """Class means and sds at a few eta nodes, with gaps no class covers and identical classes.
+
+    A wide gap puts more than 2 SPAN_SD sd between two neighbouring classes, so
+    the cumulative need has a plateau there; a copied class makes coincident
+    interval ends, at the top end of the grid when the copied class reaches
+    furthest right.
+    """
+    q = draw(st.integers(2, 10))
+    nodes = draw(st.integers(1, 4))
+    wide = np.array(draw(st.lists(st.booleans(), min_size=q - 1, max_size=q - 1)))
+    copy = draw(st.sampled_from(["none", "any", "last"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.exp(rng.uniform(-4.0, 4.0, size=(nodes, q)))
+    gap = rng.uniform(0.0, 3.0, size=(nodes, q - 1)) * s[:, 1:]
+    gap += wide * rng.uniform(2.0, 4.0, size=(nodes, q - 1)) * SPAN_SD * (s[:, 1:] + s[:, :-1])
+    mu = rng.normal(scale=100.0) + np.concatenate([np.zeros((nodes, 1)), np.cumsum(gap, axis=1)],
+                                                  axis=1)
+    if copy != "none":
+        a = int(np.argmax(mu[0] + SPAN_SD * s[0])) if copy == "last" else int(rng.integers(q))
+        b = (a + 1 + int(rng.integers(q - 1))) % q
+        mu[:, b], s[:, b] = mu[:, a], s[:, a]
+    return mu, s
+
+
+@PROPERTY
+@given(class_layouts(), st.integers(1, MAX_GRID // PANEL_POINTS))
+def test_panel_edges_match_per_node_interp_bit_for_bit(layout, panels):
+    ends, need = _resolution_need(*layout)
+    got = _panel_edges(ends, need, panels)
+    assert got.shape == (len(ends), panels + 1)
+    assert got.tobytes() == panel_edges_reference(ends, need, panels).tobytes()
+    # the doubling reads a grid's edges off those of the next: every panel
+    # count it can reach is the even columns of its double, bit for bit
+    for p in range(1, MAX_GRID // PANEL_POINTS // 2 + 1):
+        assert _panel_edges(ends, need, p).tobytes() == \
+            np.ascontiguousarray(_panel_edges(ends, need, 2 * p)[:, ::2]).tobytes()
+
+
+@st.composite
+def plain_orders(draw):
+    """A random order on up to 8 classes, class 1 below class 2 at least; labels shuffled."""
+    J = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(J) for j in range(i + 1, J)
+             if (i, j) == (0, 1) or draw(st.booleans())]
+    label = draw(st.permutations(range(1, J + 1)))
+    return ConstraintModel.create(J, [(j,) for j in range(1, J + 1)],
+                                  [(label[a], label[b]) for a, b in pairs])
+
+
+@PROPERTY
+@given(plain_orders(), st.integers(0, 2**32 - 1))
+def test_final_step_matches_the_full_last_level_integration(model, seed):
+    # the kernel integrates the last level's integrand over the whole grid in
+    # one step instead of forming its cumulative integral; the two sum the
+    # same panel integrals in another order, on the grids the doubling uses
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 40, size=model.J)
+    s = rng.uniform(0.5, 2.0, size=(3, 1)) / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(3, model.J))
+    for comp in full_downset_plan(model):
+        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        ends, need = _resolution_need(cmu, cs)
+        base = max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD)))
+        for panels in (base, 2 * base):
+            edges = _panel_edges(ends, need, panels)
+            got = _component_masses(comp, cmu, cs, edges)
+            full = component_masses_reference(comp, cmu, cs, edges, full_last_level=True)
+            assert np.all(np.abs(got - full) <= 1e-15 * full)

@@ -183,11 +183,5 @@ def test_logsumexp_matches_scipy():
         a[1, 4] = a[3, 0] = -np.inf
         a[5, :] = -np.inf
         assert logsumexp(a) == pytest.approx(scipy_logsumexp(a), rel=1e-14)
-        for axis in (0, 1):
-            got, want = logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
-            assert got.shape == want.shape
-            assert np.array_equal(np.isinf(got), np.isinf(want))
-            finite = np.isfinite(want)
-            assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
     assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
     assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + np.log(2.0), rel=1e-15)
