@@ -81,7 +81,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     power_p.set_defaults(func=_cmd_power)
 
     for p in (compare_p, simulate_p):
-        p.add_argument("--prior-draws", type=int, default=Settings.prior_draws)
+        p.add_argument("--prior-draws", type=int, default=Settings.prior_draws,
+                       help="refuse an order whose exact prior cone mass is below "
+                            "1/PRIOR_DRAWS; answered results do not depend on it")
         p.add_argument("--config", help="JSON file of defaults for this subcommand's flags")
     for p in (compare_p, simulate_p, power_p):
         p.add_argument("--output", choices=("text", "records"), default="text")
@@ -272,16 +274,18 @@ def _check_notation_roundtrip():
         assert again == model, f"{name} did not round-trip"
 
 
-def _check_region_cone():
-    # the prior count reads only the order of the class means: 16 times the class sizes
-    # scales each mean by exactly 1/4, and a two-class order holds for one of a draw and its flip
-    model = parse_model_spec(MODEL_STRINGS["M3"], J=5)  # classes mu1, mu2, {mu3 = mu5}, mu4
-    hits = [prior_cone_mass(model, k * np.array([25.0, 25.0, 50.0, 25.0]), 2000,
-                            np.random.default_rng(5)).hits for k in (1.0, 16.0)]
-    assert hits[0] == hits[1], f"cone invariance failed: {hits[0]} vs {hits[1]} hits"
-    two = parse_model_spec("{mu1 = mu3} < mu2", J=3)
-    est = prior_cone_mass(two, np.array([16.0, 8.0]), 2000, np.random.default_rng(6))
-    assert est.hits == 1000, f"{est.hits} of 2000 hits on a two-class order"
+def _check_prior_cone_mass():
+    # every order of three equal classes is equally likely, and pop3's M3 is a
+    # chain whose three successive differences are a trivariate normal with
+    # correlations -1/2, -1/sqrt(3) and 0, whose positive orthant has mass
+    # 1/8 + (sum of their arcsines) / (4 pi)
+    chain = parse_model_spec("mu1 < mu2 < mu3", J=3)
+    got = prior_cone_mass(chain, (6, 6, 6)).estimate
+    assert abs(got - 1.0 / 6.0) < 1e-12 / 6.0, f"{got} vs 1/3!"
+    m3 = parse_model_spec(MODEL_STRINGS["M3"], J=5)  # classes mu1, mu2, {mu3 = mu5}, mu4
+    want = 1.0 / 12.0 - math.asin(1.0 / math.sqrt(3.0)) / (4.0 * math.pi)
+    got = prior_cone_mass(m3, (25, 25, 50, 25)).estimate
+    assert abs(got - want) < 1e-12 * want, f"{got} vs orthant mass {want}"
 
 
 def _check_integrand_dense():
@@ -371,7 +375,7 @@ def _check_pmp_normalization():
 
 _SELFTESTS = [
     ("model notation round-trip", _check_notation_roundtrip),
-    ("constraint region is a cone", _check_region_cone),
+    ("prior cone mass matches closed form", _check_prior_cone_mass),
     ("evidence integrand matches dense density", _check_integrand_dense),
     ("quadrature converges under node doubling", _check_quadrature_converges),
     ("posterior cone mass matches closed form", _check_posterior_cone_mass),

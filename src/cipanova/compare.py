@@ -3,14 +3,13 @@
 Each constrained model's Bayes factor against the null composes two factors
 through its encompassing design: evidence of the design against the point
 null, and the posterior-to-prior cone mass ratio of the order constraints.
-posterior.py computes the two cone masses alone; _breakdown composes the
-Bayes factor from them and the evidence, with the ratio's standard error or,
-when the posterior mass is unresolved, its upper bound, and bf_k0 refuses an
-order that no prior draw hits.  Both factors read one prepared design per
-encompassing design and call, so the common prior cancels exactly and the
-exact posterior cone mass mixes over the evidence rule's own Gauss-Chebyshev
-nodes and weights.  Model probabilities follow from the Bayes factors and
-prior model weights through a log-sum-exp normalization.
+posterior.py computes the two cone masses exactly; _breakdown composes the
+Bayes factor, or the upper bound of an unresolved one, from them and the
+evidence.  Both factors read one prepared design per encompassing design and
+call, so the common prior cancels exactly and the posterior cone mass mixes
+over the evidence rule's own Gauss-Chebyshev nodes and weights.  Model
+probabilities follow from the Bayes factors and prior model weights through a
+log-sum-exp normalization.
 """
 
 from __future__ import annotations
@@ -26,17 +25,18 @@ from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_logl
 from .gaussian import RandomSource, logsumexp
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
+    ConeMass,
     InsufficientPriorMassError,
     PosteriorConeMass,
-    RegionProbEstimate,
-    cached_prior_cone_mass,
     posterior_cone_mass,
+    prior_cone_mass,
+    truncation_floor,
 )
 
 
 @dataclass(frozen=True)
 class Settings:
-    """Prior cone evaluations; the default suits desk-scale studies."""
+    """An order whose prior cone mass is below 1/prior_draws is refused; answers do not use it."""
 
     prior_draws: int = 100_000
     # Ignored: the posterior is drawn exactly, with no chain.  The two retired
@@ -56,13 +56,9 @@ class Settings:
 class BfBreakdown:
     """Log Bayes factor of one model against the null, split into its factors.
 
-    log_bf_se is the Monte Carlo standard error of log_bf_c_vs_e from the
-    prior cone-mass hit count (the posterior mass is exact): 0 for a model
-    without an order, None when the posterior mass is unresolved.  The prior
-    mass is prior_draws cone evaluations from ceil(prior_draws/2) draws and
-    their sign flips, whose delta-method error sqrt((1 - 2p)/hits) is 0 for
-    a two-class order.  It is counted once per order, class sizes and
-    prior_draws on a fixed stream, so every call with that key shares it.
+    prior_region and post_region are the cone masses of an ordered model.  An
+    unresolved posterior mass gives log_bf_c_vs_e -inf and resolution_bound,
+    the log BF its upper bound would give.
     """
 
     model: str
@@ -70,11 +66,10 @@ class BfBreakdown:
     log_bf_c_vs_e: float
     log_bf_c_vs_0: float
     evidence: EvidenceResult | None = None
-    prior_region: RegionProbEstimate | None = None
+    prior_region: ConeMass | None = None
     post_region: PosteriorConeMass | None = None
     below_resolution: bool = False
     resolution_bound: float | None = None
-    log_bf_se: float | None = 0.0
 
     def __post_init__(self) -> None:
         if self.log_bf_c_vs_0 != self.log_bf_e_vs_0 + self.log_bf_c_vs_e:
@@ -87,7 +82,8 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
 
     Models on one encompassing design share its PreparedIntegrand, so each
     design's class statistics, evidence and eta nodes are computed once per
-    call.  The prior masses alone decide a refusal, so all are checked first.
+    call.  The prior masses alone decide a refusal, so all are checked first:
+    one below 1/prior_draws or the truncation floor is refused.
     """
     names = [m.name or model_to_string(m) for m in models]
     if len(set(names)) != len(names):
@@ -103,41 +99,35 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
             prepared[design] = PreparedIntegrand(data.responses, theta0,
                                                  make_cip(design, group_sizes))
         if model.has_order:
-            # a zero-hit estimate stays cached, so a refused order is counted once
-            priors[i] = cached_prior_cone_mass(
-                model, tuple(int(n) for n in prepared[design].sizes), settings.prior_draws)
-            if priors[i].hits == 0:
+            priors[i] = prior_cone_mass(model, tuple(int(n) for n in prepared[design].sizes))
+            least = max(1.0 / settings.prior_draws, truncation_floor(model))
+            if priors[i].estimate < least:
                 raise InsufficientPriorMassError(
-                    f"no prior draw or sign flip in the constraint region after {priors[i].total} "
-                    "evaluations; increase the prior draw count")
+                    f"the prior cone mass of {names[i]}, {priors[i].estimate:.3g}, is below "
+                    f"{least:.3g}, the larger of 1/prior_draws and the truncation floor")
     log_null = null_loglik(data.responses, theta0)
     return tuple(_breakdown(model, name, prepared.get(design), log_null, priors.get(i))
                  for i, (model, name, design) in enumerate(zip(models, names, designs)))
 
 
 def _breakdown(model: ConstraintModel, name: str, prep: PreparedIntegrand | None,
-               log_null: float, prior_est: RegionProbEstimate | None) -> BfBreakdown:
+               log_null: float, prior: ConeMass | None) -> BfBreakdown:
     if prep is None:
         return BfBreakdown(model=name, log_bf_e_vs_0=0.0, log_bf_c_vs_e=0.0, log_bf_c_vs_0=0.0)
     ev = prep.evidence
     lbf_e0 = ev.log_marginal - log_null
-    if prior_est is None:
+    if prior is None:
         return BfBreakdown(model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=0.0,
                            log_bf_c_vs_0=lbf_e0 + 0.0, evidence=ev)
-    post_est = posterior_cone_mass(model, prep)
-    below = post_est.estimate is None
-    log_prior = np.log(prior_est.estimate)
+    post = posterior_cone_mass(model, prep)
+    below = post.estimate is None
+    log_prior = np.log(prior.estimate)
     # an unresolved posterior mass gives no log BF, only its upper bound
-    lbf_ce = -np.inf if below else float(np.log(post_est.estimate) - log_prior)
-    # the posterior mass is exact; the sign-flip pairs give the prior hit
-    # fraction variance p(1 - 2p)/total, so its log has variance about
-    # (1 - 2p)/hits, clipped at 0 for the one unpaired draw of an odd total
-    se = float(np.sqrt(max(0.0, 1.0 - 2.0 * prior_est.estimate) / prior_est.hits))
+    lbf_ce = -np.inf if below else float(np.log(post.estimate) - log_prior)
     return BfBreakdown(
         model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=lbf_ce, log_bf_c_vs_0=lbf_e0 + lbf_ce,
-        log_bf_se=None if below else se, evidence=ev,
-        prior_region=prior_est, post_region=post_est, below_resolution=below,
-        resolution_bound=float(np.log(post_est.upper_bound) - log_prior) if below else None)
+        evidence=ev, prior_region=prior, post_region=post, below_resolution=below,
+        resolution_bound=float(np.log(post.upper_bound) - log_prior) if below else None)
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,6 @@ class ComparisonReport:
                 "log_bf_e_vs_0": bd.log_bf_e_vs_0,
                 "log_bf_c_vs_e": bd.log_bf_c_vs_e,
                 "log_bf_c_vs_0": bd.log_bf_c_vs_0,
-                "log_bf_se": bd.log_bf_se,
                 "prior_prob": prior_p,
                 "posterior_prob": pmp,
                 "display_bf": dbf,
@@ -171,7 +160,7 @@ class ComparisonReport:
                 entry["evidence"] = asdict(bd.evidence)
             if bd.prior_region is not None:
                 entry["prior_region"] = asdict(bd.prior_region)
-                entry["post_region"] = {**asdict(bd.post_region), "side": "posterior"}
+                entry["post_region"] = asdict(bd.post_region)
             if bd.below_resolution:
                 entry["below_resolution"] = True
                 entry["resolution_bound"] = bd.resolution_bound
@@ -212,10 +201,8 @@ def compare(data: AnovaData, models: list[ConstraintModel],
             theta0: NullParams | None = None) -> ComparisonReport:
     """Compare the models on one dataset under a shared null fit.
 
-    The results depend on no seed: the evidence and the posterior cone masses
-    draw nothing, and the prior cone masses are counted on a fixed stream
-    (posterior.cached_prior_cone_mass).  rng is accepted and ignored, so
-    existing callers keep working.
+    The results depend on no seed: the evidence and both cone masses draw
+    nothing.  rng is accepted and ignored, so existing callers keep working.
     """
     if settings is None:
         settings = Settings()
@@ -258,12 +245,3 @@ def compare(data: AnovaData, models: list[ConstraintModel],
         reference=reference,
     )
 
-
-def pairwise_bf(report: ComparisonReport, name_k: str, name_l: str) -> float:
-    """Bayes factor of model k against model l from their shared-null factors."""
-    by_name = {bd.model: bd for bd in report.breakdowns}
-    try:
-        k, l = by_name[name_k], by_name[name_l]
-    except KeyError as exc:
-        raise ValueError(f"unknown model name {exc.args[0]!r}") from None
-    return float(np.exp(k.log_bf_c_vs_0 - l.log_bf_c_vs_0))

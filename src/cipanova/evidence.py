@@ -60,7 +60,9 @@ class PreparedIntegrand:
     With SSW = 0 and n > q the integrand grows like eta^-((n - q)/2) as eta
     -> 0, so the marginal is infinite and ValueError is raised.  Constant
     classes leave in SSW only the rounding error of their means, under
-    (n eps)^2 B, so SSW up to twice that bound counts as 0.
+    (n eps)^2 B, so SSW up to twice that bound counts as 0.  B or SSW
+    overflowing, with alpha0 some 1e150 or more from the data, raises
+    ValueError too.
     """
 
     def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int = 64) -> None:
@@ -69,20 +71,24 @@ class PreparedIntegrand:
         y = np.asarray(y, dtype=float)
         if y.shape != (spec.n,) or not np.all(np.isfinite(y)):
             raise ValueError("y must be a finite vector matching the design rows")
-        r = y - theta0.alpha0
         starts = np.cumsum((0,) + spec.group_sizes[:-1])
-        sums = np.bincount(spec.class_index, weights=np.add.reduceat(r, starts),
-                           minlength=spec.q)
         self.nodes = nodes
         self.n = spec.n
         self.q = spec.q
         self.k = spec.n / (spec.q + 1)
         self.s0sq = theta0.sigma0**2
         self.sizes = spec.sizes
-        self.rbar = sums / spec.sizes
-        self.B = float(sums @ self.rbar)
-        within = r - np.repeat(self.rbar[spec.class_index], spec.group_sizes)
-        self.ssw = float(within @ within)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            r = y - theta0.alpha0
+            sums = np.bincount(spec.class_index, weights=np.add.reduceat(r, starts),
+                               minlength=spec.q)
+            self.rbar = sums / spec.sizes
+            self.B = float(sums @ self.rbar)
+            within = r - np.repeat(self.rbar[spec.class_index], spec.group_sizes)
+            self.ssw = float(within @ within)
+        if not np.isfinite(self.B) or not np.isfinite(self.ssw):
+            raise ValueError(f"the sums of squares of the responses about alpha0 = "
+                             f"{theta0.alpha0:g} overflow")
         if spec.n > spec.q and self.ssw <= (2 * spec.n * np.finfo(float).eps) ** 2 * self.B:
             raise ValueError("the responses are constant within every class (zero within-class "
                              "spread), so the marginal likelihood of this design is infinite")

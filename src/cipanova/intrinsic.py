@@ -26,8 +26,14 @@ class NullParams:
     sigma0: float
 
     def __post_init__(self) -> None:
-        if not self.sigma0 > 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not np.isfinite(self.alpha0):
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        # the evidence divides by sigma0^2, so it must be a normal float
+        if not np.finfo(float).tiny <= self.sigma0 * self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 = {self.sigma0:g} is out of range: its square "
+                             f"{'overflows' if self.sigma0 > 1.0 else 'underflows'}")
 
 
 @dataclass(frozen=True, eq=False)

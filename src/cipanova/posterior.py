@@ -2,24 +2,22 @@
 
 The Bayes factor of such a model against its encompassing model is the ratio
 of the posterior to the prior mass of its cone; compare._breakdown composes it,
-with its error and resolution bound, from the two masses computed here.  The
-cone reads only the order of the class means, and under the conditional
-intrinsic prior the class means are independent Gaussians:
+with its resolution bound, from the two masses computed here.  The cone reads
+only the order of the class means, and under the conditional intrinsic prior
+the class means are independent Gaussians:
 
 - a priori the class-c mean is alpha0 plus a scale shared by all classes
   times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
-  prior mass is the hit fraction of class-mean draws z_c / sqrt(n_c) (strict
-  inequalities, no tolerance), a draw and its sign flip counted as a pair.  It
-  depends on nothing but the order, the class sizes and the draw count, so it
-  is counted once per process on one fixed stream (cached_prior_cone_mass);
+  prior mass is P(order) for independent N(0, 1/n_c) class means;
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
   alpha0 is Gaussian too (PreparedIntegrand.class_mean_moments).
 
-The posterior mass is exact: the evidence-weighted mixture, over the eta nodes
-and weights of the evidence's settled Gauss-Chebyshev rule, of P(order | eta).
-That rule doubles until the evidence settles, so a narrow eta posterior at
-large n still spans many nodes; the mixture is not itself checked against a
-finer rule in eta.
+Both masses are exact and draw nothing: the prior mass is the recursion below
+at one node, mu = 0 and s_c = 1/sqrt(n_c), and the posterior mass is the
+evidence-weighted mixture, over the eta nodes and weights of the evidence's
+settled Gauss-Chebyshev rule, of P(order | eta).  That rule doubles until the
+evidence settles, so a narrow eta posterior at large n still spans many nodes;
+the mixture is not itself checked against a finer rule in eta.
 
 For independent variables the probability of a strict partial order factors over the weak
 components of the order, and within a component it is a recursion over the
@@ -39,18 +37,21 @@ per-node grid of Chebyshev-Lobatto panels over [min(mu_c - 10 s_c),
 max(mu_c + 10 s_c)], panel widths scaled to the sd of the narrowest class
 covering each point, and each S_b runs right to left on the same panels; the
 last level, the whole component or R, is integrated (times every S_b) in one
-step.  The class densities are formed in place in one buffer, and each level's
-integrand is summed row by row from row views of the densities and the
-previous level's H, so a step holds the densities, the previous H, the
-integrand and the new H, and no gathered copies.  The grid doubles, splitting
+step.  The class densities and every level's H and integrand are rows of one
+workspace per call, and each level's integrand is summed row by row from row
+views of the densities and the previous level's H, so a step holds the
+densities, the previous H, the integrand and the new H, and no gathered
+copies.  The grid doubles, splitting
 every panel in two, until the mass moves by less than POSTERIOR_REL_TOL.  A
-mass too small for the +-10 sd truncation to be negligible is reported as
-unresolved, with an upper bound instead of a value; a larger mass that the
-grid cap stops before it settles raises ValueError, since dropping it would
-skew the other models' probabilities.  The number of down-sets can grow as 2^w
-for an antichain layer of width w (counting linear extensions is #P-complete;
-Brightwell and Winkler 1991, Order); only a wide layer in the middle of a
-component pays it, and one with more than MAX_DOWNSETS is refused the same way.
+posterior mass too small for the +-10 sd truncation to be negligible
+(truncation_floor) is reported as unresolved, with an upper bound instead of a
+value, and compare.bf_k0 refuses an order whose prior mass is below that floor;
+a larger mass that the grid cap stops before it settles raises ValueError,
+since dropping it would skew the other models' probabilities.  The number of
+down-sets can grow as 2^w for an antichain layer of width w (counting linear
+extensions is #P-complete; Brightwell and Winkler 1991, Order); only a wide
+layer in the middle of a component pays it, and one with more than
+MAX_DOWNSETS is refused the same way.
 """
 
 from __future__ import annotations
@@ -97,104 +98,59 @@ MAX_ELEMENTS = 2**22
 # at most PRUNE_REL times the mass of the nodes kept
 PRUNE_WEIGHT = 1e-18
 PRUNE_REL = 1e-10
-# class-mean rows drawn and counted at a time by the prior cone mass
-CONE_BLOCK = 2**14
-# prior cone masses kept per process, one per (order, class sizes, draw count),
-# and down-set plans, one per order
+# prior cone masses kept per process, one per (order, class sizes), and
+# down-set plans, one per order
 PRIOR_CACHE_SIZE = 256
 
 
 class InsufficientPriorMassError(RuntimeError):
-    """Raised when no prior draw lands in the constraint region."""
+    """Raised when an order's prior cone mass is below the resolution asked for."""
 
 
 @dataclass(frozen=True)
-class RegionProbEstimate:
-    """Hit fraction of the constraint cone among prior or posterior draws."""
+class ConeMass:
+    """Exact cone mass (None when a posterior mass is unresolved) with its diagnostics.
 
-    estimate: float
-    hits: int
-    total: int
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in ("prior", "posterior"):
-            raise ValueError(f"side must be 'prior' or 'posterior', got {self.side!r}")
-        if self.estimate != self.hits / self.total:
-            raise ValueError("estimate must equal hits/total")
-
-
-def prior_cone_mass(model: ConstraintModel, sizes: np.ndarray, T: int,
-                    rng: np.random.Generator) -> RegionProbEstimate:
-    """Prior cone mass from T cone evaluations: ceil(T/2) class-mean draws and their sign flips.
-
-    sizes holds the class sizes, class 0, the class of group 1, first.  The
-    centred prior makes a draw and its sign flip equally likely, and a strict
-    order never holds for both, so the hit fraction stays unbiased with
-    variance p(1 - 2p)/T, below the p(1 - p)/T of T independent draws; the
-    last flip is dropped when T is odd.  Each CONE_BLOCK of draws is made
-    class by class (q x rows) into one reused buffer, negated in place for the
-    flips, so no T x q array is held and each pair compares contiguous rows.
-    """
-    q = len(sizes)
-    pairs, flips = (T + 1) // 2, T // 2
-    scale = np.sqrt(np.asarray(sizes, dtype=float))[:, None]
-    lo, hi = _pair_columns(model)
-    buf = np.empty(q * min(CONE_BLOCK, pairs))
-    hits = 0
-    for start in range(0, pairs, CONE_BLOCK):
-        rows = min(CONE_BLOCK, pairs - start)
-        block = rng.standard_normal(out=buf[:q * rows].reshape(q, rows))
-        block /= scale
-        hits += _cone_hits(block, lo, hi)
-        np.negative(block, out=block)
-        hits += _cone_hits(block[:, :flips - start], lo, hi)
-    return RegionProbEstimate(estimate=hits / T, hits=hits, total=T, side="prior")
-
-
-def _pair_columns(model: ConstraintModel) -> tuple[list[int], list[int]]:
-    """Class columns a and b of each pair of the transitive reduction, class a below class b."""
-    pairs = [(model.columns[a], model.columns[b]) for a, b in model.order_reduction]
-    return [a for a, _ in pairs], [b for _, b in pairs]
-
-
-def _cone_hits(block: np.ndarray, lo: list[int], hi: list[int]) -> int:
-    """Count the columns of a q x rows class-mean block with row lo[k] below row hi[k] for all k."""
-    inside = np.ones(block.shape[1], dtype=bool)
-    for a, b in zip(lo, hi):
-        inside &= block[a] < block[b]
-    return int(np.count_nonzero(inside))
-
-
-@lru_cache(maxsize=PRIOR_CACHE_SIZE)
-def cached_prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...],
-                           T: int) -> RegionProbEstimate:
-    """prior_cone_mass on the fixed stream default_rng(0), counted once per key and process.
-
-    The key is the model (its classes and order; equality ignores the name),
-    the class sizes as a tuple of ints and T, which is all the mass depends
-    on.  Every call with the same key shares one estimate and so one Monte
-    Carlo error; only a larger T shrinks it.  A zero-hit estimate is cached
-    like any other.  Processes forked after a key is counted inherit it.
-    """
-    return prior_cone_mass(model, np.array(sizes, dtype=float), T, np.random.default_rng(0))
-
-
-@dataclass(frozen=True)
-class PosteriorConeMass:
-    """Exact posterior mass of the constraint cone with its convergence diagnostics.
-
-    estimate is None when the mass is unresolved.  doubling_error is the
-    relative change of the mass over the last grid doubling (inf when the mass
-    is not positive or no grid was evaluated), grid the number of points per
-    node and per component of the finest grid used (0 when the bound alone
-    shows the mass negligible), and upper_bound a closed-form bound on the mass.
+    doubling_error is the relative change of the mass over the last grid
+    doubling (inf when the mass is not positive or no grid was evaluated), and
+    grid the points per node and component of the finest grid used (0 if none).
     """
 
     estimate: float | None
     doubling_error: float
     grid: int
+
+
+@dataclass(frozen=True)
+class PosteriorConeMass(ConeMass):
+    """A posterior cone mass, with upper_bound a closed-form bound on it."""
+
     upper_bound: float
+
+
+def truncation_floor(model: ConstraintModel) -> float:
+    """Least mass resolved to POSTERIOR_REL_TOL, as the truncation drops up to _TAIL_PER_CLASS
+    per ordered class."""
+    return (_TAIL_PER_CLASS * sum(len(c.cols) for c in order_components(model))
+            / POSTERIOR_REL_TOL)
+
+
+@lru_cache(maxsize=PRIOR_CACHE_SIZE)
+def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
+    """Exact prior cone mass: the down-set recursion at one node, mu = 0 and s_c = 1/sqrt(n_c).
+
+    sizes holds the class sizes as ints, class 0 first.  Computed once per key
+    and process (equality ignores the model's name) and returned however
+    small; raises ValueError, naming the model, when its grid does not settle.
+    """
+    s = 1.0 / np.sqrt(np.array([sizes], dtype=float))
+    mass, change, grid, _ = _converged_mass(order_components(model), np.zeros_like(s), s,
+                                            np.ones(1))
+    if not change < POSTERIOR_REL_TOL:
+        raise ValueError(
+            f"the prior cone mass of {model.name or model_to_string(model)} did not settle "
+            "within the grid cap; its exact mass is too costly")
+    return ConeMass(estimate=mass, doubling_error=float(change), grid=int(grid))
 
 
 @dataclass(frozen=True)
@@ -279,12 +235,16 @@ def _top_layer(pairs: list[tuple[int, int]], q: int) -> list[int]:
 def _rows(q: int, levels: tuple[tuple, ...]) -> int:
     """_Component.rows: the grid-sized arrays per node one component's kernel holds at once."""
     # a density row per class, their bool mask (8 classes to a row), the grid
-    # points, the product row (also each S_b) and numpy's ufunc buffer (8192
-    # elements, at most a row); per level the previous H, the integrand and the
-    # new H, but the last level keeps only its integrand, which the S_b multiply
+    # points, the product row (also each S_b), numpy's ufunc buffer (8192
+    # elements, at most a row) and the level rows
+    return q + -(-q // 8) + 3 + _level_rows(levels)
+
+
+def _level_rows(levels: tuple[tuple, ...]) -> int:
+    """Most H and integrand rows a step holds: the previous H, the integrand and the new H."""
+    # the last level keeps only its integrand, which the S_b multiply
     sizes = [1] + [len(lv) for lv in levels]
-    steps = [prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1]
-    return q + -(-q // 8) + 3 + max(steps)
+    return max([prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1])
 
 
 def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple, ...] | None:
@@ -361,16 +321,21 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
                       edges: np.ndarray) -> np.ndarray:
     """P(the component's order | eta) at each node, on the given panel edges per node.
 
-    The densities are formed in place in one buffer, and each integrand row
-    is summed from row views of the densities and the previous H through one
-    reused product row, so no step gathers rows into a copy.  The mass is the
-    whole-grid integral of the last level's integrand (the whole component's,
-    or R's times every S_b of the top classes), which forms no H.
+    The densities, the product row and each level's H and integrand are rows
+    of one workspace, the previous H at one end of the level rows and the
+    integrand and new H at the other.  One block per call is reused by the
+    allocator; fresh per-level arrays made glibc's malloc hand memory back
+    after every call (some 320 page faults per j10 5-vs-5 mass).  Integrand
+    rows are summed from row views through the product row, so no step gathers
+    rows into a copy.  The mass is the whole-grid integral of the last level's
+    integrand (the whole component's, or R's times every S_b), which forms no H.
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
     t = edges[:, :-1, None] + half * (1.0 + x)
-    dens = np.empty((len(comp.cols), t.size))
+    q = len(comp.cols)
+    work = np.empty((q + 1 + _level_rows(comp.levels), t.size))
+    dens, term, block = work[:q], work[q], work[q + 1:]
     z = dens.reshape((-1,) + t.shape)
     np.subtract(t, mu.T[:, :, None, None], out=z)
     z /= s.T[:, :, None, None]
@@ -384,19 +349,22 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     # half-widths are folded in here
     z *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
     np.copyto(z, 0.0, where=outside)
-    H = np.ones((1, t.size))
-    term = np.empty(t.size)
+    H, front = block[:1], True  # front: H holds the first rows of the block
+    H.fill(1.0)
     for lv in comp.levels[:-1]:
-        H = (_level_integrand(lv, dens, H, term).reshape(-1, PANEL_POINTS) @ M.T
-             ).reshape((-1,) + t.shape)
-        totals = H[..., -1]
-        H += (np.cumsum(totals, axis=-1) - totals)[..., None]
-        H = H.reshape(len(lv), -1)
+        n = len(lv)
+        g, new = (block[-2 * n:-n], block[-n:]) if front else (block[n:2 * n], block[:n])
+        np.matmul(_level_integrand(lv, dens, H, term, g).reshape(-1, PANEL_POINTS), M.T,
+                  out=new.reshape(-1, PANEL_POINTS))
+        H, front = new, not front
+        panels = H.reshape((-1,) + t.shape)
+        totals = panels[..., -1]
+        panels += (np.cumsum(totals, axis=-1) - totals)[..., None]
     # g times each S_b, integrated right to left in the product row (the
     # flipped Lobatto matrix within a panel, the panels to the right as
-    # reversed cumulative totals); H is freed first, as _rows counts
-    g = _level_integrand(comp.levels[-1], dens, H, term).reshape(t.shape)
-    del H
+    # reversed cumulative totals)
+    g = _level_integrand(comp.levels[-1], dens, H, term,
+                         block[-1:] if front else block[:1]).reshape(t.shape)
     S = term.reshape(t.shape)
     for f in dens[len(dens) - comp.top:]:
         np.matmul(f.reshape(-1, PANEL_POINTS), M[::-1, ::-1].T,
@@ -407,14 +375,13 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     return (g @ M[-1]).sum(axis=-1)
 
 
-def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray,
-                     term: np.ndarray) -> np.ndarray:
-    """Row d: the sum over the maximal classes j of down-set d of f_j times H of d without j.
+def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """g, its row d the sum over the maximal classes j of down-set d of f_j times H of d - j.
 
     Each product goes through the reused row term and is added in place, in
-    the order of lv; the integrand is freed once the caller has integrated it.
+    the order of lv.
     """
-    g = np.empty((len(lv), H.shape[1]))
     for row, (tops, parents) in zip(g, lv):
         np.multiply(dens[tops[0]], H[parents[0]], out=row)
         for j, p in zip(tops[1:], parents[1:]):
@@ -428,7 +395,7 @@ def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np
     P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
-    a, b = _pair_columns(model)
+    a, b = np.array([(model.columns[a], model.columns[b]) for a, b in model.order_reduction]).T
     z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)
@@ -492,9 +459,7 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     log_bound = log_w + _log_pair_bound(model, mu, s)
     bound = np.exp(log_bound)
     upper_bound = float(np.exp(logsumexp(log_bound)))
-    # the +-SPAN_SD truncation may drop up to this much mass at every node, so
-    # a mass below the floor cannot be told from the truncation error
-    floor = _TAIL_PER_CLASS * sum(len(c.cols) for c in comps) / POSTERIOR_REL_TOL
+    floor = truncation_floor(model)
     if upper_bound <= floor:
         return PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=0,
                                  upper_bound=upper_bound)

@@ -13,19 +13,17 @@
   (`inverted_beta_logpdf`).
 - Full joint draws of (gamma, eta) from the prior (`cip_sample`) and from the
   exact posterior on the evidence rule's nodes (`sample_posterior`), with
-  their cone hit fraction (`region_prob`).  The library counts prior cone
-  hits on class-mean draws instead; these give the same masses by the longer
+  their cone hit fraction (`region_prob`, a `RegionProbEstimate`).  The
+  library computes both cone masses exactly; these give them by the longer
   route.
-- Monte Carlo class-mean draws from the prior (`prior_class_means`) and the
-  posterior (`posterior_class_means`), with their cone hit fraction
-  (`cone_mass`): T independent draws, where the library's prior mass counts
-  sign-flip pairs and its posterior mass is exact.
+- Monte Carlo class-mean draws from the posterior (`posterior_class_means`),
+  with their cone hit fraction (`cone_mass`): T independent draws, where the
+  library's mass is exact.
 - The Gibbs-within-Metropolis posterior chain, with its closed-form
   conditionals.  It targets the same posterior by a third route.
 - `region_mask`, the cone membership of rows of effects (each class minus
   class 0) over the pairs of the transitive reduction: the cone test of the
-  Monte Carlo masses above, and the check on the library's prior count, which
-  compares class means directly.  `region_contains`, a one-point membership
+  Monte Carlo masses above.  `region_contains`, a one-point membership
   test over the whole transitively closed order, is the reference for
   `region_mask`.
 - `component_masses_reference`, the gathered form of the down-set recursion
@@ -55,7 +53,6 @@ from cipanova.intrinsic import CipSpec, NullParams
 from cipanova.posterior import (
     PANEL_POINTS,
     SPAN_SD,
-    RegionProbEstimate,
     _Component,
     _downset_levels,
     _lobatto_rule,
@@ -429,14 +426,6 @@ def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, node
     return eta_nodes[idx], means
 
 
-def prior_class_means(spec: CipSpec, T: int, rng: np.random.Generator) -> np.ndarray:
-    """T x q prior draws of the class means, up to a location and a positive scale per row.
-
-    The normals are drawn class by class, as one block of the library's prior count.
-    """
-    return rng.standard_normal((spec.q, T)).T / np.sqrt(spec.sizes)
-
-
 def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
     """Membership of each row of a T x (q-1) array of effects in the constraint region.
 
@@ -458,6 +447,22 @@ def region_mask(model: ConstraintModel, deltas: np.ndarray) -> np.ndarray:
     for a, b in model.order_reduction:
         mask &= side(a) < side(b)
     return mask
+
+
+@dataclass(frozen=True)
+class RegionProbEstimate:
+    """Hit fraction of the constraint cone among prior or posterior draws."""
+
+    estimate: float
+    hits: int
+    total: int
+    side: str
+
+    def __post_init__(self) -> None:
+        if self.side not in ("prior", "posterior"):
+            raise ValueError(f"side must be 'prior' or 'posterior', got {self.side!r}")
+        if self.estimate != self.hits / self.total:
+            raise ValueError("estimate must equal hits/total")
 
 
 def cone_mass(model: ConstraintModel, means: np.ndarray, side: str) -> RegionProbEstimate:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,22 @@ def test_theta0_flag(capsys, data_csv):
     assert main(["compare", str(data_csv), "--model", "Me=mu1,mu2,mu3",
                  "--theta0", "0.5"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("theta0, message", [
+    ("nan,1", "alpha0 must be finite, got nan"),
+    ("0,inf", "sigma0 must be positive and finite, got inf"),
+    ("0,1e-170", "sigma0 = 1e-170 is out of range: its square underflows"),
+    ("0,1e200", "sigma0 = 1e+200 is out of range: its square overflows"),
+    ("1e308,1", "the sums of squares of the responses about alpha0 = 1e+308 overflow"),
+])
+def test_theta0_the_evidence_cannot_use_is_refused(capsys, data_csv, theta0, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused with a message, not a numpy warning
+        assert main(["compare", str(data_csv), "--model", "up=mu1<mu2<mu3",
+                     f"--theta0={theta0}", *FAST_FLAGS]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {message}\n"
 
 
 def test_simulate_records_stream(capsys):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipanova import evidence, posterior
-from cipanova.compare import ComparisonReport, Settings, bf_k0, compare, pairwise_bf
+from cipanova.compare import ComparisonReport, Settings, bf_k0, compare
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
-from cipanova.posterior import InsufficientPriorMassError, PosteriorConeMass
+from cipanova.posterior import ConeMass, InsufficientPriorMassError, PosteriorConeMass
 from cipanova.scenarios import generate_scenario, make_preset
 from oracles import log_marginal_trapezoid
 
@@ -50,7 +50,6 @@ def test_unordered_model_skips_region_step():
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0
     assert bd.evidence is not None
     assert bd.prior_region is None and bd.post_region is None
-    assert bd.log_bf_se == 0.0
 
 
 def test_ordered_model_composes_factors():
@@ -58,7 +57,8 @@ def test_ordered_model_composes_factors():
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3)
     bd = bf_k0(data, [mup], NullParams(0.7, 1.2), FAST)[0]
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0 + bd.log_bf_c_vs_e
-    assert bd.prior_region.side == "prior"
+    assert type(bd.prior_region) is ConeMass
+    assert bd.prior_region.estimate == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert isinstance(bd.post_region, PosteriorConeMass)
     # increasing data: the posterior concentrates on the increasing cone
     assert bd.post_region.estimate > bd.prior_region.estimate
@@ -83,19 +83,6 @@ def test_pmp_matches_hand_normalization():
         assert report.posterior_probs[k] == pytest.approx(1.0 / denom, rel=1e-12)
     assert sum(report.posterior_probs) == pytest.approx(1.0, abs=1e-12)
     assert report.prior_probs == pytest.approx((0.97, 0.01, 0.02))
-
-
-def test_pairwise_bf_telescopes():
-    data = _increasing_data(seed=9)
-    report = compare(data, _models(), settings=FAST, rng=RandomSource(12))
-    b_01 = pairwise_bf(report, "M0", "Mup")
-    b_12 = pairwise_bf(report, "Mup", "Me")
-    b_02 = pairwise_bf(report, "M0", "Me")
-    assert np.log(b_01) + np.log(b_12) == pytest.approx(np.log(b_02), abs=1e-12)
-    assert pairwise_bf(report, "Mup", "M0") == pytest.approx(1.0 / b_01, rel=1e-12)
-    assert pairwise_bf(report, "M0", "M0") == 1.0
-    with pytest.raises(ValueError):
-        pairwise_bf(report, "M0", "nope")
 
 
 def test_identical_models_get_identical_pmp():
@@ -130,7 +117,6 @@ def test_below_resolution_flag_on_contradicted_order():
     assert bd.below_resolution
     assert bd.log_bf_c_vs_0 == -np.inf
     assert bd.resolution_bound is not None and np.isfinite(bd.resolution_bound)
-    assert bd.log_bf_se is None
     report = compare(data, [mup, parse_model_spec("mu1, mu2, mu3", J=3, name="Me")],
                      settings=FAST, rng=RandomSource(8))
     assert "posterior mass unresolved" in report.to_text()
@@ -141,7 +127,7 @@ def test_below_resolution_flag_on_contradicted_order():
     entry = record["models"][0]
     assert entry["name"] == "Mup" and entry["below_resolution"] is True
     assert entry["resolution_bound"] == report.breakdowns[0].resolution_bound
-    assert entry["log_bf_c_vs_e"] == -np.inf and entry["log_bf_se"] is None
+    assert entry["log_bf_c_vs_e"] == -np.inf
     assert entry["post_region"]["estimate"] is None
 
 
@@ -173,26 +159,20 @@ def test_empty_prior_cone_refuses_before_the_evidence(monkeypatch):
         bf_k0(data, [free, total], estimate_null_params(data), Settings(prior_draws=1000))
 
 
-def test_refused_order_is_counted_once_per_key(monkeypatch):
-    # the zero-hit estimate is cached: a second call on the same key raises
-    # again without redrawing the prior cone mass
+def test_refused_order_is_counted_once_per_key():
+    # the refused order's mass is cached like any other: a second call on the
+    # same key raises again without computing it again
     rng = np.random.default_rng(36)
     data = AnovaData(responses=rng.normal(size=50), groups=np.repeat(np.arange(1, 11), 5))
-    total = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 11)), J=10)
+    total = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 11)), J=10, name="total")
     theta0, settings = estimate_null_params(data), Settings(prior_draws=1001)
-    posterior.cached_prior_cone_mass.cache_clear()
-    counted = []
-    count = posterior.prior_cone_mass
-
-    def counting(model, sizes, T, rng):
-        counted.append(T)
-        return count(model, sizes, T, rng)
-
-    monkeypatch.setattr(posterior, "prior_cone_mass", counting)
+    posterior.prior_cone_mass.cache_clear()
     for _ in range(2):
-        with pytest.raises(InsufficientPriorMassError, match="after 1001 evaluations"):
+        with pytest.raises(InsufficientPriorMassError,
+                           match=r"prior cone mass of total, 2\.76e-07, is below 0\.000999"):
             bf_k0(data, [total], theta0, settings)
-    assert counted == [1001]
+    info = posterior.prior_cone_mass.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_report_record_round_trips_through_json():
@@ -203,11 +183,9 @@ def test_report_record_round_trips_through_json():
     assert back["reference"] == "Me"
     assert len(back["models"]) == 3
     up = next(m for m in back["models"] if m["name"] == "Mup")
-    assert up["prior_region"]["side"] == "prior"
+    assert up["prior_region"]["estimate"] == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert up["log_bf_c_vs_0"] == pytest.approx(up["log_bf_e_vs_0"] + up["log_bf_c_vs_e"])
-    prior = up["prior_region"]
-    assert up["log_bf_se"] == pytest.approx(
-        np.sqrt((1.0 - 2.0 * prior["estimate"]) / prior["hits"]))
+    assert "log_bf_se" not in up
     text = report.to_text()
     assert text.splitlines()[0].startswith("null fit:")
     assert "post prob" in text
@@ -261,46 +239,63 @@ def _c10_report(seed):
     return compare(data, models, settings=FAST, rng=RandomSource(seed)).to_record()["models"]
 
 
-def test_prior_stream_and_exact_posterior_across_seeds():
+def test_exact_cone_masses_across_seeds():
     a, b = _c10_report(10), _c10_report(11)
-    # the prior draws come from the fixed stream default_rng(0): these hit
-    # counts pin its 10 000 sign-flip pairs; a two-class order such as rev
-    # has exactly one hit per pair, so its estimate carries no error
-    assert [m.get("prior_region") for m in a] == [
-        None,
-        {"estimate": 0.16435, "hits": 3287, "total": 20_000, "side": "prior"},
-        {"estimate": 0.5, "hits": 10_000, "total": 20_000, "side": "prior"},
-        None]
-    assert a[2]["log_bf_se"] == 0.0
+    # both masses are exact: 1/3! for the chain, 1/2 for any two-class order
+    prior = [m.get("prior_region") for m in a]
+    assert prior[0] is None and prior[3] is None
+    assert prior[1]["estimate"] == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert prior[2]["estimate"] == pytest.approx(0.5, rel=1e-12)
+    for region in prior[1:3]:
+        assert set(region) == {"estimate", "doubling_error", "grid"}
+        assert region["doubling_error"] < 1e-9 and region["grid"] > 0
     # neither mass depends on the seed
     assert a == b
     up = a[1]["post_region"]
-    assert set(up) == {"estimate", "side", "doubling_error", "grid", "upper_bound"}
+    assert set(up) == {"estimate", "doubling_error", "grid", "upper_bound"}
     assert up["doubling_error"] < 1e-9 and up["grid"] > 0
 
 
-def test_prior_mass_is_counted_once_per_key(monkeypatch):
-    posterior.cached_prior_cone_mass.cache_clear()
-    counted = []
-    count = posterior.prior_cone_mass
-
-    def counting(model, sizes, T, rng):
-        counted.append((model.order, tuple(sizes), T))
-        return count(model, sizes, T, rng)
-
-    monkeypatch.setattr(posterior, "prior_cone_mass", counting)
+def test_prior_mass_is_counted_once_per_key():
+    posterior.prior_cone_mass.cache_clear()
     data = _increasing_data(seed=20)
     first = compare(data, _models(), settings=FAST, rng=RandomSource(1))
     renamed = [parse_model_spec("mu1 < mu2 < mu3", J=3, name="trend"),
                parse_model_spec("mu1, mu2, mu3", J=3, name="free")]
     again = compare(data, renamed, settings=FAST, rng=RandomSource(2))
-    assert len(counted) == 1
+    assert posterior.prior_cone_mass.cache_info().misses == 1
     assert again.breakdowns[0].prior_region == first.breakdowns[1].prior_region
-    # other class sizes or another draw count make another key
+    # other class sizes make another key; another draw count does not
     compare(_increasing_data(seed=20, n_per_group=11), renamed, settings=FAST)
     compare(data, renamed, settings=Settings(prior_draws=10_000))
-    assert [T for *_, T in counted] == [20_000, 20_000, 10_000]
-    assert [sizes for _, sizes, _ in counted] == [(10, 10, 10), (11, 11, 11), (10, 10, 10)]
+    info = posterior.prior_cone_mass.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_answered_record_does_not_depend_on_the_prior_draw_count():
+    data = _increasing_data(seed=22)
+    records = [compare(data, _models(), settings=Settings(prior_draws=T)).to_record()
+               for T in (2_000, 100_000)]
+    assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
+
+
+def test_prior_draws_set_the_refusal_boundary():
+    # the 5-chain's prior mass is 1/120: refused below 120 draws, answered above
+    rng = np.random.default_rng(37)
+    data = AnovaData(responses=rng.normal(size=50), groups=np.repeat(np.arange(1, 6), 10))
+    chain = parse_model_spec("mu1 < mu2 < mu3 < mu4 < mu5", J=5, name="chain")
+    theta0 = estimate_null_params(data)
+    with pytest.raises(InsufficientPriorMassError, match=r"chain, 0\.00833, is below 0\.0084"):
+        bf_k0(data, [chain], theta0, Settings(prior_draws=119))
+    bd = bf_k0(data, [chain], theta0, Settings(prior_draws=121))[0]
+    assert bd.prior_region.estimate == pytest.approx(1.0 / 120.0, rel=1e-12)
+    # the truncation floor, 16 * 1.6e-14, refuses 1/16! = 4.8e-14 at any draw count
+    rng = np.random.default_rng(38)
+    data = AnovaData(responses=rng.normal(size=64), groups=np.repeat(np.arange(1, 17), 4))
+    chain = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 17)), J=16, name="chain16")
+    with pytest.raises(InsufficientPriorMassError,
+                       match=r"chain16, 4\.78e-14, is below 2\.56e-13"):
+        bf_k0(data, [chain], estimate_null_params(data), Settings(prior_draws=10**15))
 
 
 def test_breakdown_sum_rule_enforced():
@@ -338,7 +333,9 @@ def test_large_offset_leaves_order_bf_unchanged():
         data = AnovaData(responses=y + shift, groups=np.repeat([1, 2, 3], 20))
         bds.append(bf_k0(data, [up], estimate_null_params(data), Settings())[0])
     base, moved = bds
-    assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 3.0 * base.log_bf_se
+    # both masses are exact, so only the data's rounding at the offset, up to
+    # 7.5e-9 per value against the 1e-3 spread, moves the log BF (1.7e-7 nat)
+    assert abs(moved.log_bf_c_vs_e - base.log_bf_c_vs_e) < 1e-5
 
 
 def _large_unbalanced(step=0.02, seed=5):

@@ -1,6 +1,7 @@
 """Each cipanova module uses only the public names of the others."""
 
 import ast
+import re
 from pathlib import Path
 
 import cipanova
@@ -56,3 +57,78 @@ def test_the_check_sees_each_form_of_private_use(tmp_path):
     assert _private_uses(path) == ["mod.py:1 imports _weak_components",
                                    "mod.py:2 imports _lobatto_rule",
                                    "mod.py:6 reads evidence._eta_mode"]
+
+
+ROOT = PACKAGE.parent.parent
+# public top-level names of src/cipanova that nothing outside their own
+# definition uses; each entry is dead code waiting for its removal
+UNREFERENCED_ALLOWED: set[str] = set()
+
+
+def _defined_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The public names a module defines at its top level, with their defining statements."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in targets if not name.startswith("_"))
+    return out
+
+
+def _used_names(tree: ast.Module, skip: ast.stmt | None = None) -> set[str]:
+    """Names a module reads, imports or reaches as attributes, outside the statement skip."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return used
+
+
+def _unreferenced(package: Path, elsewhere: list[Path], texts: list[str]) -> list[str]:
+    """module.name for each public top-level name of the package that nothing else uses.
+
+    A use is a name, attribute or import in another module of the package or
+    in the elsewhere files, one in its own module outside its defining
+    statement, or the name as a word in one of the texts.
+    """
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    outside = set().union(*(_used_names(ast.parse(p.read_text(encoding="utf-8")))
+                            for p in elsewhere))
+    found = []
+    for path, tree in trees.items():
+        others = set().union(*(_used_names(t) for p, t in trees.items() if p != path))
+        for name, node in _defined_names(tree).items():
+            if name in others | outside | _used_names(tree, skip=node):
+                continue
+            if any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
+                continue
+            found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    perfbench = sorted((ROOT / "perfbench").rglob("*.py"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert set(_unreferenced(PACKAGE, perfbench, [readme])) == UNREFERENCED_ALLOWED
+
+
+def test_the_dead_code_check_sees_an_unused_name(tmp_path):
+    (tmp_path / "mod.py").write_text("LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
+                                     "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+                                     "def documented():\n    pass\n\n\nclass Kept:\n    pass\n")
+    (tmp_path / "other.py").write_text("from .mod import used\n")
+    script = tmp_path / "script.py"
+    script.write_text("import mod\nmod.Kept()\n")
+    assert _unreferenced(tmp_path, [script], ["call `documented()`"]) == ["mod.recursive"]

@@ -13,17 +13,13 @@ from cipanova.data import AnovaData
 from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
-from cipanova.posterior import (
-    RegionProbEstimate,
-    order_components,
-    posterior_cone_mass,
-    prior_cone_mass,
-)
+from cipanova.posterior import order_components, posterior_cone_mass, prior_cone_mass
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from oracles import (
     ChainDraws,
     PosteriorDraws,
     PriorDraws,
+    RegionProbEstimate,
     cip_sample,
     component_masses_reference,
     cone_mass,
@@ -32,7 +28,6 @@ from oracles import (
     gamma_full_conditional,
     inverted_beta_logpdf,
     posterior_class_means,
-    prior_class_means,
     region_mask,
     region_prob,
     run_posterior_chain,
@@ -453,13 +448,21 @@ def test_grid_cap_refuses_a_mass_that_is_not_negligible(monkeypatch):
     data = _c10_data()
     whole = _exact_mass(data, "mu1 < mu2 < mu3")
     assert whole.estimate > 0.1
+    models = [parse_model_spec(t, J=3) for t in ("mu1 = mu2 = mu3", "mu1 < mu2 < mu3")]
+    compare(data, models)  # the prior mass is cached from here on
     # stopped one doubling before it settles, the mass is refused, not dropped
     monkeypatch.setattr(posterior, "MAX_GRID", whole.grid // 2)
     with pytest.raises(ValueError, match="did not settle"):
         _exact_mass(data, "mu1 < mu2 < mu3")
-    models = [parse_model_spec(t, J=3) for t in ("mu1 = mu2 = mu3", "mu1 < mu2 < mu3")]
-    with pytest.raises(ValueError, match="did not settle"):
+    with pytest.raises(ValueError, match="posterior cone mass of mu1 < mu2 < mu3 did not settle"):
         compare(data, models, settings=Settings(prior_draws=2000), rng=RandomSource(4))
+    # so is a prior mass whose grid cannot start, and the refusal is not cached
+    posterior.prior_cone_mass.cache_clear()
+    monkeypatch.setattr(posterior, "MAX_GRID", 100)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="prior cone mass of mu1 < mu2 < mu3 did not settle"):
+            compare(data, models)
+    assert posterior.prior_cone_mass.cache_info().currsize == 0
 
 
 def test_skipped_nodes_are_restored_when_their_bound_matters(monkeypatch):
@@ -641,88 +644,61 @@ def test_prior_region_symmetry_and_completeness():
     assert total == draws.T  # ties have measure zero
 
 
-@pytest.mark.parametrize("text, J, exact", [
-    ("mu1 < mu2 < mu3 < mu4 < mu5", 5, 1.0 / 120.0),
-    ("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}", 10, 1.0 / 252.0),
-    # class sizes 25/25/50/25; value from 1-D quadrature over the class means
-    (MODEL_STRINGS["M3"], 5, 0.0343550143),
-], ids=["5-chain", "5-vs-5", "pop3 M3"])
-def test_prior_cone_mass_matches_exact_value(text, J, exact):
-    model = parse_model_spec(text, J=J)
-    spec = make_cip(encompassing_of(model), (25,) * J)
-    T = 100_000
-    est = prior_cone_mass(model, spec.sizes, T, RandomSource(80).generator())
-    assert est.total == T
-    assert abs(est.estimate - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / T)
+def _chain(q):
+    return " < ".join(f"mu{j}" for j in range(1, q + 1))
 
 
-@pytest.mark.parametrize("T", [1, 2, 2001, 100_000])
-def test_prior_cone_mass_counts_sign_flip_pairs(T):
-    model = parse_model_spec(MODEL_STRINGS["M3"], J=5)
-    spec = make_cip(encompassing_of(model), (25, 25, 50, 25, 25))
-    rng = RandomSource(81).generator()
-    est = prior_cone_mass(model, spec.sizes, T, rng)
-    assert est.total == T and est.side == "prior"
-    # the same stream, block by block: ceil(T/2) rows, each counted with its
-    # sign flip, the last flip dropped when T is odd
-    ref = RandomSource(81).generator()
-    pairs = (T + 1) // 2
-    means = np.concatenate([prior_class_means(spec, min(posterior.CONE_BLOCK, pairs - start), ref)
-                            for start in range(0, pairs, posterior.CONE_BLOCK)])
-    effects = means[:, 1:] - means[:, :1]
-    assert est.hits == (np.count_nonzero(region_mask(model, effects))
-                        + np.count_nonzero(region_mask(model, -effects[:T // 2])))
-    # and no row more: both generators stand at the same point of the stream
-    assert rng.random() == ref.random()
+def _orthant_3(sizes):
+    """P(X1 < X2 < X3) for independent N(0, 1/n_c): the quadrant mass of the two differences."""
+    v = 1.0 / np.asarray(sizes, dtype=float)
+    rho = -v[1] / np.sqrt((v[0] + v[1]) * (v[1] + v[2]))
+    return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
 
-def test_prior_cone_mass_holds_one_block():
-    # the 5-vs-5 order at J=10: all 100k rows at once took 9.3 MB
-    model = parse_model_spec("{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}", J=10)
-    spec = make_cip(encompassing_of(model), (20,) * 10)
-    rng = RandomSource(82).generator()
-    tracemalloc.start()
-    try:
-        est = prior_cone_mass(model, spec.sizes, 100_000, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert est.hits > 0
-    assert peak < 3 * 2**20
+@pytest.mark.parametrize("text, sizes, exact", [
+    (_chain(5), (25,) * 5, 1.0 / 120.0),
+    (f"{_layer(1, 5)} < {_layer(6, 10)}", (25,) * 10, 1.0 / 252.0),
+    # class sizes 25/25/50/25: the chain's three differences are trivariate
+    # normal with correlations -1/2, -1/sqrt(3) and 0, so the orthant mass is
+    # 1/8 + (sum of their arcsines) / (4 pi)
+    (MODEL_STRINGS["M3"], (25,) * 5,
+     1.0 / 12.0 - math.asin(1.0 / math.sqrt(3.0)) / (4.0 * math.pi)),
+    *[(_chain(q), (25,) * q, 1.0 / math.factorial(q)) for q in range(3, 17)],
+    (f"{_layer(1, 8)} < {_layer(9, 16)}", (20,) * 16, 1.0 / 12_870.0),
+    # the "N" order a < c > b < d has 5 of the 24 linear extensions
+    ("mu1 < mu3, mu2 < mu3, mu2 < mu4", (25,) * 4, 5.0 / 24.0),
+    ("mu1 < mu2 < mu3, mu4 < mu5", (25,) * 5, 1.0 / 12.0),
+    (f"mu1 < {_layer(2, 5)}", (3, 9, 1, 20, 7), None),
+    (f"{_layer(1, 4)} < mu5", (3, 9, 1, 20, 7), None),
+    (_chain(3), (3, 40, 7), _orthant_3((3, 40, 7))),
+], ids=["5-chain", "5-vs-5", "pop3 M3", *[f"chain-{q}" for q in range(3, 17)], "8-vs-8", "N",
+        "two components", "lowest of 5", "highest of 5", "3-chain unbalanced"])
+def test_prior_cone_mass_matches_exact_value(text, sizes, exact):
+    model = parse_model_spec(text, J=len(sizes))
+    spec = make_cip(encompassing_of(model), sizes)
+    got = prior_cone_mass(model, tuple(int(n) for n in spec.sizes))
+    if exact is None:
+        # one class below (or above) four unequal others: the top layer in one
+        # pass, reflected when it is at the bottom
+        exact = _extreme_share(spec.sizes, low=text.startswith("mu1 <"))
+    assert abs(got.estimate - exact) <= 1e-12 * exact
+    assert got.doubling_error < posterior.POSTERIOR_REL_TOL
 
 
-@pytest.mark.parametrize("text, J, p", [
-    ("mu1 < mu2 < mu3 < mu4 < mu5", 5, 1.0 / 120.0),
-    ("mu1 < mu2, mu1 < mu3", 3, 1.0 / 3.0),
-], ids=["5-chain", "lowest of 3"])
-def test_sign_flip_pairs_are_unbiased_with_variance_p_1_minus_2p(text, J, p):
-    model = parse_model_spec(text, J=J)
-    spec = make_cip(encompassing_of(model), (25,) * J)
-    T, seeds = 2000, 400
-    counts = [prior_cone_mass(model, spec.sizes, T, RandomSource(s).generator())
-              for s in range(seeds)]
-    est = np.array([c.estimate for c in counts])
-    paired_sd = np.sqrt(p * (1.0 - 2.0 * p) / T)
-    assert abs(est.mean() - p) < 4.0 * paired_sd / np.sqrt(seeds)
-    # the sample sd of 400 estimates is off its true value by about
-    # 1/sqrt(2 * 399) = 3.5% of it; the paired sd is below the binomial
-    # sd of T independent draws, by 0.4% for the 5-chain and 29% when p = 1/3
-    sd = np.std(est, ddof=1)
-    assert abs(sd / paired_sd - 1.0) < 4.0 / np.sqrt(2 * (seeds - 1))
-    # the reported error of log p-hat follows the paired variance too; the
-    # binomial value would read 41% high when p = 1/3, and at the 5-chain's
-    # ~17 hits the delta method itself reads about 7% low
-    log_sd = np.std(np.log(est), ddof=1)
-    reported = np.mean([np.sqrt((1.0 - 2.0 * c.estimate) / c.hits) for c in counts])
-    assert abs(reported / log_sd - 1.0) < 4.0 / np.sqrt(2 * (seeds - 1))
+def _extreme_share(sizes, low):
+    """P(class 0 is the lowest, or the last class the highest) of independent N(0, 1/n_c) means.
 
-
-def test_sign_flip_pairs_of_two_classes_always_hit_once():
-    # p = 1/2 with any class sizes: exactly one of d and -d is in the cone
-    model = parse_model_spec("mu1 < mu2", J=2)
-    spec = make_cip(encompassing_of(model), (3, 40))
-    assert {prior_cone_mass(model, spec.sizes, 2000, RandomSource(s).generator()).hits
-            for s in range(20)} == {1000}
+    Both are int f(x) prod_r P(X_r > x) dx over that class's density f, the
+    second by the symmetry of centred normals: a trapezoid sum over +-12 sd,
+    which converges geometrically for a smooth integrand that vanishes at both
+    ends.
+    """
+    s = 1.0 / np.sqrt(sizes)
+    me, rest = (s[0], s[1:]) if low else (s[-1], s[:-1])
+    x = np.linspace(-12.0, 12.0, 4001) * me
+    f = np.exp(-0.5 * (x / me) ** 2) / (me * np.sqrt(2.0 * np.pi))
+    tail = np.prod([stats.norm.sf(x / r) for r in rest], axis=0)
+    return float(np.sum(f * tail) * (x[1] - x[0]))
 
 
 def test_log_bf_is_composed_from_the_cone_masses():
@@ -733,8 +709,6 @@ def test_log_bf_is_composed_from_the_cone_masses():
     prior, post = bd.prior_region, bd.post_region
     assert not bd.below_resolution and bd.resolution_bound is None
     assert bd.log_bf_c_vs_e == np.log(post.estimate) - np.log(prior.estimate)
-    # the posterior mass is exact, so only the prior hit count carries error
-    assert bd.log_bf_se == np.sqrt((1.0 - 2.0 * prior.estimate) / prior.hits)
     # steeply decreasing means (the data of test_unresolved_mass_is_flagged_with_a_bound):
     # no log BF, only the bound of the unresolved posterior mass over the prior's
     rng = np.random.default_rng(33)
@@ -743,7 +717,7 @@ def test_log_bf_is_composed_from_the_cone_masses():
     bd = bf_k0(data, [up], NullParams(1.5, 1.5), settings)[0]
     prior, post = bd.prior_region, bd.post_region
     assert bd.below_resolution and post.estimate is None
-    assert bd.log_bf_c_vs_e == -np.inf and bd.log_bf_se is None
+    assert bd.log_bf_c_vs_e == -np.inf
     assert bd.resolution_bound == np.log(post.upper_bound) - np.log(prior.estimate)
 
 

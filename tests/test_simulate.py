@@ -1,3 +1,4 @@
+import importlib
 import os
 import time
 
@@ -72,25 +73,26 @@ def test_parallel_matches_sequential(monkeypatch):
 
 
 def test_workers_inherit_the_prior_masses_counted_in_the_parent(monkeypatch):
-    posterior.cached_prior_cone_mass.cache_clear()
+    posterior.prior_cone_mass.cache_clear()
     parent = os.getpid()
-    counted = []
-    count = posterior.prior_cone_mass
+    mass = posterior.prior_cone_mass
 
-    def parent_only(model, sizes, T, rng):
-        if os.getpid() != parent:
-            raise AssertionError("a worker counted a prior cone mass")
-        counted.append(model.order)
-        return count(model, sizes, T, rng)
+    def parent_only(model, sizes):
+        misses = mass.cache_info().misses
+        found = mass(model, sizes)
+        if os.getpid() != parent and mass.cache_info().misses != misses:
+            raise AssertionError("a worker computed a prior cone mass")
+        return found
 
-    monkeypatch.setattr(posterior, "prior_cone_mass", parent_only)
+    monkeypatch.setattr(importlib.import_module("cipanova.compare"), "prior_cone_mass",
+                        parent_only)
     monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)  # pool these 4 replications
     scenario, models = make_preset("pop3", n_per_group=8, reps=4, base_seed=13)
     parallel, serial = [], []
     run_simulation_study(scenario, models, settings=TINY, jobs=2, record_sink=parallel.append)
-    assert len(counted) == sum(m.has_order for m in models)
+    assert mass.cache_info().misses == sum(m.has_order for m in models)
     run_simulation_study(scenario, models, settings=TINY, jobs=1, record_sink=serial.append)
-    assert len(counted) == sum(m.has_order for m in models)
+    assert mass.cache_info().misses == sum(m.has_order for m in models)
     assert parallel == serial
 
 
