@@ -25,18 +25,22 @@ down-sets (order ideals) I:
 
     H_empty = 1,  H_I(t) = int_{-inf}^t g_I(s) ds,  g_I = sum_{j maximal in I} f_j H_{I-j},
 
-with the mass H_all(inf).  A component R + B whose maximal classes B (two or
-more) each lie above every other class R has the mass
+with the mass H_all(inf).  A component A + R + B whose minimal classes A
+(two or more) each lie below every other class, and whose maximal classes B
+(two or more) each lie above every other class, has the mass
 
     int g_R(s) prod_{b in B} S_b(s) ds,  S_b(s) = int_s^inf f_b,
 
-so the recursion runs over the down-sets of R alone; a component whose wider
-end layer is at the bottom is reflected first (its order reversed and its
-class means negated, which keeps the mass).  Each cumulative integral runs on a
-per-node grid of Chebyshev-Lobatto panels over [min(mu_c - 10 s_c),
-max(mu_c + 10 s_c)], panel widths scaled to the sd of the narrowest class
-covering each point, and each S_b runs right to left on the same panels; the
-last level, the whole component or R, is integrated (times every S_b) in one
+where g_R is the last integrand of the recursion over the down-sets of R
+alone, started from H_empty = prod_{a in A} F_a, F_a(t) = int_{-inf}^t f_a.
+With R empty, g_R is d/dt prod_a F_a = sum_a f_a prod_{a' != a} F_a'.  Either
+layer may be missing (A or B empty: H_empty = 1, or no S_b).
+
+Each cumulative integral runs on a per-node grid of Chebyshev-Lobatto panels
+over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], panel widths scaled to the sd
+of the narrowest class covering each point; each F_a runs left to right and
+each S_b right to left on the same panels, so neither is formed as one minus
+the other, and the last integrand is integrated (times every S_b) in one
 step.  The class densities and every level's H and integrand are rows of one
 workspace per call, and each level's integrand is summed row by row from row
 views of the densities and the previous level's H, so a step holds the
@@ -50,8 +54,8 @@ a larger mass that the grid cap stops before it settles raises ValueError,
 since dropping it would skew the other models' probabilities.  The number of
 down-sets can grow as 2^w for an antichain layer of width w (counting linear
 extensions is #P-complete; Brightwell and Winkler 1991, Order); only a wide
-layer in the middle of a component pays it, and one with more than
-MAX_DOWNSETS is refused the same way.
+layer in R pays it, and an R with more than MAX_DOWNSETS is refused the same
+way.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ from .gaussian import LOG_2PI, logsumexp
 
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
-# a component of the order with more down-sets than this (outside a wide top
-# layer) is refused; its widest levels would hold some 5000 arrays per grid
+# a component of the order with more down-sets than this (between its wide end
+# layers) is refused; its widest levels would hold some 5000 arrays per grid
 # point, room for about 800 (12 classes between two, 4098 down-sets, get 1577)
 MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
@@ -155,36 +159,35 @@ def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
 
 @dataclass(frozen=True)
 class _Component:
-    """A weak component of the order: its class columns, its down-set levels and its top layer.
+    """A weak component of the order: its class columns, its end layers and its middle's down-sets.
 
-    When the component's maximal classes B are at least two and each lies
-    above every other class, they are its last top columns; otherwise top is
-    0.  levels holds the down-sets of the other classes R (of every class
-    when top is 0) by size, one (tops, parents) pair per down-set d:
-    the maximal classes of d and, for each, the previous level's down-set
-    without it, so the integrand of d sums one density-times-H product per
-    pair, in this order.  sign is -1.0 when the component is held reflected,
-    its order reversed and its class means to be negated, and 1.0 otherwise.
-    rows bounds the grid-sized arrays per node _component_masses holds at once.
+    When the component's minimal classes A are at least two and each lies
+    below every other class, they are its first bottom columns; when its
+    maximal classes B are at least two and each lies above every other class,
+    they are its last top columns; otherwise bottom or top is 0.  The other
+    classes R, the middle, sit between them.  levels holds the down-sets of R
+    by size (empty when R is), one (tops, parents) pair per down-set d: the
+    maximal classes of d and, for each, the previous level's down-set without
+    it, so the integrand of d sums one density-times-H product per pair, in
+    this order.  rows bounds the grid-sized arrays per node _component_masses
+    holds at once.
     """
 
     cols: np.ndarray
     levels: tuple[tuple, ...]
+    bottom: int
     top: int
-    sign: float
     rows: int
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
 def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
-    """Down-set levels and top layer of each weak component with at least two classes.
+    """Bottom layer, middle down-set levels and top layer of each weak component of 2+ classes.
 
-    A component whose bottom layer is an antichain of more classes below all
-    the others than its top layer holds above them is reflected, so that layer
-    becomes its top.  The plan depends on the order alone, so it is built once
-    per model and process (equality ignores the name), and its cols array is
-    read-only.  Raises ValueError, naming the model, when the classes outside
-    a component's top layer have more than MAX_DOWNSETS down-sets.
+    The plan depends on the order alone, so it is built once per model and
+    process (equality ignores the name), and its cols array is read-only.
+    Raises ValueError, naming the model, when a component's middle has more
+    than MAX_DOWNSETS down-sets.
     """
     comps = []
     for members in model.components:
@@ -193,17 +196,12 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         q = len(members)
         local = {rep: i for i, rep in enumerate(members)}
         pairs = [(local[a], local[b]) for a, b in model.order if a in local]
-        flipped = [(b, a) for a, b in pairs]
-        top, bottom = _top_layer(pairs, q), _top_layer(flipped, q)
-        sign = 1.0
-        if len(bottom) > len(top):
-            pairs, top, sign = flipped, bottom, -1.0
-        perm = [j for j in range(q) if j not in top] + top
-        at = {j: i for i, j in enumerate(perm)}
-        r = q - len(top)
-        below, above = [0] * r, [0] * r
+        top = _top_layer(pairs, q)
+        bottom = _top_layer([(b, a) for a, b in pairs], q)
+        at = {j: i for i, j in enumerate(j for j in range(q) if j not in top + bottom)}
+        below, above = [0] * len(at), [0] * len(at)
         for a, b in pairs:
-            if at[b] < r:
+            if a in at and b in at:
                 below[at[b]] |= 1 << at[a]
                 above[at[a]] |= 1 << at[b]
         levels = _downset_levels(tuple(below), tuple(above))
@@ -212,9 +210,9 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
                 f"a component of the order of {model.name or model_to_string(model)} over {q} "
                 f"classes has more than {MAX_DOWNSETS} down-sets; its exact cone mass is too "
                 "costly")
-        cols = np.array([model.columns[members[j]] for j in perm])
+        cols = np.array([model.columns[members[j]] for j in bottom + list(at) + top])
         cols.flags.writeable = False
-        comps.append(_Component(cols, levels, len(top), sign, _rows(q, levels)))
+        comps.append(_Component(cols, levels, len(bottom), len(top), _rows(q, levels)))
     return tuple(comps)
 
 
@@ -235,14 +233,18 @@ def _top_layer(pairs: list[tuple[int, int]], q: int) -> list[int]:
 def _rows(q: int, levels: tuple[tuple, ...]) -> int:
     """_Component.rows: the grid-sized arrays per node one component's kernel holds at once."""
     # a density row per class, their bool mask (8 classes to a row), the grid
-    # points, the product row (also each S_b), numpy's ufunc buffer (8192
-    # elements, at most a row) and the level rows
+    # points, the product row (also each F_a and S_b), numpy's ufunc buffer
+    # (8192 elements, at most a row) and the level rows
     return q + -(-q // 8) + 3 + _level_rows(levels)
 
 
 def _level_rows(levels: tuple[tuple, ...]) -> int:
     """Most H and integrand rows a step holds: the previous H, the integrand and the new H."""
-    # the last level keeps only its integrand, which the S_b multiply
+    # the last level keeps only its integrand, which the S_b multiply; with no
+    # middle the block holds the bottom layer's product of F_a alone, and its
+    # derivative takes the first bottom density's row
+    if not levels:
+        return 1
     sizes = [1] + [len(lv) for lv in levels]
     return max([prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1])
 
@@ -327,8 +329,11 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     allocator; fresh per-level arrays made glibc's malloc hand memory back
     after every call (some 320 page faults per j10 5-vs-5 mass).  Integrand
     rows are summed from row views through the product row, so no step gathers
-    rows into a copy.  The mass is the whole-grid integral of the last level's
-    integrand (the whole component's, or R's times every S_b), which forms no H.
+    rows into a copy.  The middle's recursion starts from the bottom layer's
+    product of F_a; with no middle, the last integrand is that product's
+    derivative, summed into the first bottom density's row by the product rule
+    (G <- G F_a + f_a P, P <- P F_a).  The mass is the whole-grid integral of
+    the last integrand times every S_b of the top layer, which forms no H.
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
@@ -350,29 +355,48 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     z *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
     np.copyto(z, 0.0, where=outside)
     H, front = block[:1], True  # front: H holds the first rows of the block
-    H.fill(1.0)
+    if comp.bottom:
+        g = dens[0]
+        _cumulate(g, H, t.shape, M)
+        for f in dens[1:comp.bottom]:
+            _cumulate(f, term, t.shape, M)
+            if not comp.levels:
+                g *= term
+                g += np.multiply(f, H[0], out=f)
+            H *= term
+    else:
+        H.fill(1.0)
+    middle = dens[comp.bottom:]
     for lv in comp.levels[:-1]:
         n = len(lv)
         g, new = (block[-2 * n:-n], block[-n:]) if front else (block[n:2 * n], block[:n])
-        np.matmul(_level_integrand(lv, dens, H, term, g).reshape(-1, PANEL_POINTS), M.T,
-                  out=new.reshape(-1, PANEL_POINTS))
+        _cumulate(_level_integrand(lv, middle, H, term, g), new, t.shape, M)
         H, front = new, not front
-        panels = H.reshape((-1,) + t.shape)
-        totals = panels[..., -1]
-        panels += (np.cumsum(totals, axis=-1) - totals)[..., None]
+    if comp.levels:
+        g = _level_integrand(comp.levels[-1], middle, H, term, block[-1:] if front else block[:1])
     # g times each S_b, integrated right to left in the product row (the
     # flipped Lobatto matrix within a panel, the panels to the right as
     # reversed cumulative totals)
-    g = _level_integrand(comp.levels[-1], dens, H, term,
-                         block[-1:] if front else block[:1]).reshape(t.shape)
-    S = term.reshape(t.shape)
-    for f in dens[len(dens) - comp.top:]:
+    g, S = g.reshape(t.shape), term.reshape(t.shape)
+    for f in dens[q - comp.top:]:
         np.matmul(f.reshape(-1, PANEL_POINTS), M[::-1, ::-1].T,
                   out=term.reshape(-1, PANEL_POINTS))
         totals = S[..., 0]
         S += (np.cumsum(totals[:, ::-1], axis=-1)[:, ::-1] - totals)[..., None]
         g *= S
     return (g @ M[-1]).sum(axis=-1)
+
+
+def _cumulate(g: np.ndarray, out: np.ndarray, shape: tuple[int, ...], M: np.ndarray) -> None:
+    """Each row of out, the cumulative integral of that row of g on a grid of the given shape.
+
+    M integrates within each panel; the totals of the panels to the left are
+    added after.
+    """
+    np.matmul(g.reshape(-1, PANEL_POINTS), M.T, out=out.reshape(-1, PANEL_POINTS))
+    panels = out.reshape((-1,) + shape)
+    totals = panels[..., -1]
+    panels += (np.cumsum(totals, axis=-1) - totals)[..., None]
 
 
 def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarray,
@@ -413,8 +437,8 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     components too wide for MAX_ELEMENTS); the mass and the level are nan when
     even the starting grid and its double exceed the cap.
     """
-    layouts = [(c, c.sign * mu[:, c.cols], s[:, c.cols])
-               + _resolution_need(c.sign * mu[:, c.cols], s[:, c.cols]) for c in comps]
+    layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
+               for c in comps]
     cap = min(MAX_GRID, MAX_ELEMENTS // max(c.rows for c in comps))
     least = min(MIN_PANELS, cap // (2 * PANEL_POINTS))
     base = [max(least, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]

@@ -34,8 +34,8 @@
 - `panel_edges_reference`, the per-node `np.interp` loop that
   `posterior._panel_edges` evaluates on all nodes at once, bit for bit.
 - `full_downset_plan`, the down-set recursion over every class of each weak
-  component, with no top-layer form and no reflection: the reference for the
-  one-pass integral of a wide top or bottom layer.
+  component, with no end-layer form: the reference for the one-pass
+  integrals of a wide top and a wide bottom layer.
 """
 
 from __future__ import annotations
@@ -624,7 +624,7 @@ def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray, edges: np.nd
     parent = 0.  The last level's integrand is integrated over the whole grid
     in one step, as the kernel does; with full_last_level it is integrated
     into its cumulative H like every other level and the mass read at the
-    last point.  A plain component only (no top layer).
+    last point.  A plain component only (no end layer).
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
@@ -674,5 +674,5 @@ def full_downset_plan(model: ConstraintModel) -> tuple[_Component, ...]:
                 above[local[a]] |= 1 << local[b]
         levels = _downset_levels(tuple(below), tuple(above))
         cols = np.array([model.columns[r] for r in members])
-        comps.append(_Component(cols, levels, 0, 1.0, _rows(len(members), levels)))
+        comps.append(_Component(cols, levels, 0, 0, _rows(len(members), levels)))
     return tuple(comps)

@@ -380,6 +380,10 @@ def test_theta0_flag(capsys, data_csv):
     ("0,1e-170", "sigma0 = 1e-170 is out of range: its square underflows"),
     ("0,1e200", "sigma0 = 1e+200 is out of range: its square overflows"),
     ("1e308,1", "the sums of squares of the responses about alpha0 = 1e+308 overflow"),
+    # the mode's starting eta rounds to 1: from about 1e-8 times the spread
+    *[(f"0,{s0}", f"sigma0 = {float(s0):g} is too small for the within-class spread of the "
+                  "responses: the error variance's posterior sits where eta rounds to 1")
+      for s0 in ("1e-9", "1e-150")],
 ])
 def test_theta0_the_evidence_cannot_use_is_refused(capsys, data_csv, theta0, message):
     with warnings.catch_warnings():

@@ -1,5 +1,5 @@
 """Property tests of the cone masses: the exact posterior mass on random data with J = 2-5
-groups, its one-pass form of a wide end layer against the full down-set recursion with J up
+groups, its one-pass form of wide end layers against the full down-set recursion with J up
 to 11, its panel edges against per-node np.interp, its one final step against the full
 integration of the last level, and the exact prior mass over the total orders."""
 
@@ -128,32 +128,41 @@ def test_partial_order_mass_is_the_sum_of_its_linear_extensions(text, J, seed):
 
 @st.composite
 def end_layer_orders(draw):
-    """An order over R plus an antichain of two or more classes above (or below) all of R."""
-    r = draw(st.integers(1, 6))
-    w = draw(st.integers(2, 11 - r))
-    free = draw(st.integers(0, 11 - r - w))
-    J = r + w + free
-    # a random order on R, then the layer above it; labels shuffled
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r) if draw(st.booleans())]
-    pairs += [(i, r + k) for i in range(r) for k in range(w)]
-    if draw(st.booleans()):
-        pairs = [(b, a) for a, b in pairs]
+    """A bottom antichain A, a middle R and a top antichain B, each of A and B absent or wide.
+
+    Every class of A lies below all others and every class of B above, with a
+    random order on R; R may be empty when both layers are there.  Free
+    classes pad the order to J <= 11 groups, and the labels are shuffled.
+    """
+    a = draw(st.sampled_from([0, 2, 3, 4, 5]))
+    b = draw(st.sampled_from([0, 2, 3, 4, 5]) if a else st.integers(2, 5))
+    r = draw(st.integers(0 if a and b else 1, min(6, 11 - a - b)))
+    free = draw(st.integers(0, 11 - a - r - b))
+    J = a + r + b + free
+    mid, top = range(a, a + r), range(a + r, a + r + b)
+    pairs = [(i, j) for i in mid for j in mid if i < j and draw(st.booleans())]
+    pairs += [(i, j) for i in range(a) for j in (*mid, *top)]
+    pairs += [(i, j) for i in mid for j in top]
     label = draw(st.permutations(range(1, J + 1)))
-    return ConstraintModel.create(J, [(j,) for j in range(1, J + 1)],
-                                  [(label[a], label[b]) for a, b in pairs])
+    order = ConstraintModel.create(J, [(j,) for j in range(1, J + 1)],
+                                   [(label[i], label[j]) for i, j in pairs])
+    return order, a, b
 
 
 @PROPERTY
 @given(end_layer_orders(), st.integers(0, 2**32 - 1))
-def test_end_layer_form_matches_the_full_downset_recursion(model, seed):
+def test_end_layer_form_matches_the_full_downset_recursion(drawn, seed):
     # three eta nodes of unequal class means and unbalanced class sizes
+    model, a, b = drawn
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
     s = rng.uniform(0.5, 2.0, size=(3, 1)) / np.sqrt(sizes)
     mu = rng.normal(scale=0.3, size=(3, model.J))
     w = np.array([0.2, 0.5, 0.3])
     comps = order_components(model)
-    assert len(comps) == 1 and comps[0].top >= 2
+    # a missing layer may be found in the middle: its lowest (highest) classes
+    # when they are two or more and lie below (above) all others
+    assert len(comps) == 1 and comps[0].bottom >= a and comps[0].top >= b
     mass, *_ = _converged_mass(comps, mu, s, w)
     full, *_ = _converged_mass(full_downset_plan(model), mu, s, w)
     assert abs(mass - full) <= 1e-12 * full

@@ -513,18 +513,24 @@ def _layer(first, last):
     return "{" + ", ".join(f"mu{j}" for j in range(first, last + 1)) + "}"
 
 
-@pytest.mark.parametrize("text, J, exact", [
-    (f"{_layer(1, 5)} < {_layer(6, 10)}", 10, 1.0 / 252.0),
-    (f"{_layer(1, 3)} < {_layer(4, 7)}", 7, 1.0 / 35.0),
-    *[(f"mu1 < {_layer(2, J)}", J, 1.0 / J) for J in (5, 14, 20)],
-    *[(f"{_layer(1, J - 1)} < mu{J}", J, 1.0 / J) for J in (5, 14, 20)],
-], ids=["5-vs-5", "3-vs-4", "1-vs-4", "1-vs-13", "1-vs-19", "4-vs-1", "13-vs-1", "19-vs-1"])
-def test_end_layer_form_gives_exact_iid_masses(text, J, exact):
+@pytest.mark.parametrize("text, J, exact, middle", [
+    (f"{_layer(1, 5)} < {_layer(6, 10)}", 10, 1.0 / 252.0, 0),
+    (f"{_layer(1, 3)} < {_layer(4, 7)}", 7, 1.0 / 35.0, 0),
+    (f"{_layer(1, 8)} < {_layer(9, 16)}", 16, 1.0 / math.comb(16, 8), 0),
+    (f"{_layer(1, 10)} < {_layer(11, 20)}", 20, 1.0 / math.comb(20, 10), 0),
+    # 3! x 1 x 3! of the 7! orders
+    (f"{_layer(1, 3)} < mu4 < {_layer(5, 7)}", 7, 36.0 / 5040.0, 1),
+    *[(f"mu1 < {_layer(2, J)}", J, 1.0 / J, 1) for J in (5, 14, 20)],
+    *[(f"{_layer(1, J - 1)} < mu{J}", J, 1.0 / J, 1) for J in (5, 14, 20)],
+], ids=["5-vs-5", "3-vs-4", "8-vs-8", "10-vs-10", "3-vs-1-vs-3", "1-vs-4", "1-vs-13", "1-vs-19",
+        "4-vs-1", "13-vs-1", "19-vs-1"])
+def test_end_layer_form_gives_exact_iid_masses(text, J, exact, middle):
     # identical classes: every linear extension is equally likely, so the mass
-    # is their share of the J! orders; a wide bottom layer is reflected
+    # is their share of the J! orders; both end layers take one pass each, and
+    # the recursion runs over the classes between them alone
     comps = order_components(parse_model_spec(text, J=J))
-    assert len(comps) == 1 and comps[0].top >= 4
-    assert comps[0].sign == (-1.0 if text.endswith(f"< mu{J}") else 1.0)
+    assert len(comps) == 1 and len(comps[0].levels) == middle
+    assert comps[0].bottom + comps[0].top == J - middle
     mass, *_ = posterior._converged_mass(comps, np.zeros((1, J)), np.ones((1, J)), np.array([1.0]))
     assert mass == pytest.approx(exact, rel=1e-12, abs=0.0)
 
@@ -544,6 +550,21 @@ def test_wide_end_layers_are_answered_and_a_wide_middle_is_refused_by_name(monke
     with pytest.raises(ValueError,
                        match=r"order of mid over 15 classes has more than 8192 down-sets"):
         compare(data, models, settings=Settings(prior_draws=2000))
+
+
+def test_ten_vs_ten_block_order_is_answered():
+    # 20 groups, the lower ten below the upper ten: no down-set is enumerated,
+    # and the prior mass 1/184 756 clears 1/prior_draws
+    rng = np.random.default_rng(20)
+    data = AnovaData(responses=rng.normal(np.repeat(0.05 * np.arange(20), 20)),
+                     groups=np.repeat(np.arange(1, 21), 20))
+    model = parse_model_spec(f"{_layer(1, 10)} < {_layer(11, 20)}", J=20, name="blocks")
+    report = compare(data, [model, parse_model_spec(_layer(1, 20)[1:-1], J=20, name="free")],
+                     settings=Settings(prior_draws=200_000))
+    bd = report.breakdowns[0]
+    assert bd.prior_region.estimate == pytest.approx(1.0 / math.comb(20, 10), rel=1e-12, abs=0.0)
+    assert bd.post_region.estimate > 0.0 and np.isfinite(bd.log_bf_c_vs_e)
+    assert not bd.below_resolution
 
 
 def test_equal_models_share_one_read_only_plan():
@@ -597,7 +618,8 @@ def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, m
     "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
     "mu1 < mu2 < mu3 < mu4 < mu5 < mu6 < mu7 < mu8 < mu9 < mu10",
     "{mu1, mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9} < mu10",
-], ids=["5-vs-5", "10-chain", "9-vs-1"])
+    "{mu1, mu2, mu3} < mu4 < mu5 < {mu6, mu7, mu8, mu9, mu10}",
+], ids=["5-vs-5", "10-chain", "9-vs-1", "3-vs-1-vs-1-vs-5"])
 def test_kernel_peak_memory_is_within_its_row_count(monkeypatch, text):
     # rows sizes the node chunks and the grid cap, so it must bound what one
     # call holds: rows arrays of N = nodes x grid floats
@@ -678,8 +700,8 @@ def test_prior_cone_mass_matches_exact_value(text, sizes, exact):
     spec = make_cip(encompassing_of(model), sizes)
     got = prior_cone_mass(model, tuple(int(n) for n in spec.sizes))
     if exact is None:
-        # one class below (or above) four unequal others: the top layer in one
-        # pass, reflected when it is at the bottom
+        # one class below (or above) four unequal others: the top (or bottom)
+        # layer in one pass
         exact = _extreme_share(spec.sizes, low=text.startswith("mu1 <"))
     assert abs(got.estimate - exact) <= 1e-12 * exact
     assert got.doubling_error < posterior.POSTERIOR_REL_TOL
