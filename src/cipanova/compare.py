@@ -8,8 +8,8 @@ Bayes factor, or the upper bound of an unresolved one, from them and the
 evidence.  Both factors read one prepared design per encompassing design and
 call, so the common prior cancels exactly and the posterior cone mass mixes
 over the evidence rule's own Gauss-Chebyshev nodes and weights.  Model
-probabilities follow from the Bayes factors and prior model weights through a
-log-sum-exp normalization.
+probabilities follow from the Bayes factors and prior model weights: each
+exp(log posterior weight - the largest) over the sum of them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .constraints import ConstraintModel, encompassing_of, model_to_string
 from .data import AnovaData
 from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_loglik
-from .gaussian import RandomSource, logsumexp
+from .gaussian import RandomSource
 from .intrinsic import NullParams, estimate_null_params, make_cip
 from .posterior import (
     ConeMass,
@@ -127,7 +127,7 @@ def _breakdown(model: ConstraintModel, name: str, prep: PreparedIntegrand | None
     return BfBreakdown(
         model=name, log_bf_e_vs_0=lbf_e0, log_bf_c_vs_e=lbf_ce, log_bf_c_vs_0=lbf_e0 + lbf_ce,
         evidence=ev, prior_region=prior, post_region=post, below_resolution=below,
-        resolution_bound=float(np.log(post.upper_bound) - log_prior) if below else None)
+        resolution_bound=float(post.log_upper_bound - log_prior) if below else None)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,10 @@ class ComparisonReport:
                 entry["evidence"] = asdict(bd.evidence)
             if bd.prior_region is not None:
                 entry["prior_region"] = asdict(bd.prior_region)
-                entry["post_region"] = asdict(bd.post_region)
+                post = asdict(bd.post_region)
+                del post["log_upper_bound"]  # the record keeps the bound itself
+                post["upper_bound"] = bd.post_region.upper_bound
+                entry["post_region"] = post
             if bd.below_resolution:
                 entry["below_resolution"] = True
                 entry["resolution_bound"] = bd.resolution_bound
@@ -185,9 +188,15 @@ class ComparisonReport:
                 notes.append(
                     f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
             note = "".join("  " + n for n in notes)
-            lines.append(f"{name:<14}{bd.log_bf_c_vs_0:>16.4f}{_format_bf(dbf):>18}{pmp:>12.4f}"
-                         f"{note}")
+            lines.append(f"{name:<14}{_format_log_bf(bd.log_bf_c_vs_0):>16}{_format_bf(dbf):>18}"
+                         f"{pmp:>12.4f}{note}")
         return "\n".join(lines)
+
+
+def _format_log_bf(value: float) -> str:
+    """Fixed point while it leaves the 16-character column a space to spare; else exponent."""
+    text = f"{value:.4f}"
+    return text if len(text) < 16 else f"{value:.4e}"
 
 
 def _format_bf(bf: float) -> str:
@@ -226,7 +235,9 @@ def compare(data: AnovaData, models: list[ConstraintModel],
             "no model has a resolved posterior cone mass, so every Bayes factor is "
             "below resolution and the model probabilities are undefined")
     log_post = np.log(weights) + log_bf
-    pmp = np.exp(log_post - logsumexp(log_post))
+    # normalized by their own sum, so they sum to 1 however large the log BFs
+    pmp = np.exp(log_post - np.max(log_post))
+    pmp /= pmp.sum()
 
     ref_idx = next((i for i, m in enumerate(models) if m.is_encompassing), None)
     if ref_idx is None:

@@ -160,6 +160,34 @@ class ConstraintModel:
             left -= comp
         return tuple(comps)
 
+    @cached_property
+    def layers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per weak component, its finest split into layers L_1 < ... < L_k.
+
+        Every class of L_i lies below every class of L_(i+1), and no finer
+        split has that property (the ordinal-sum decomposition of the
+        component's order).  Each layer holds sorted class representatives.
+        The classes, ranked by their number of predecessors, are cut where
+        every class so far lies below every class after it.
+        """
+        preds = {cls[0]: 0 for cls in self.classes}
+        for _, b in self.order:
+            preds[b] += 1
+        layers = []
+        for comp in self.components:
+            ranked = sorted(comp, key=lambda r: (preds[r], r))
+            split, start = [], 0
+            for end in range(1, len(ranked) + 1):
+                if all((a, b) in self.order for a in ranked[start:end] for b in ranked[end:]):
+                    split.append(tuple(sorted(ranked[start:end])))
+                    start = end
+            layers.append(tuple(split))
+        return tuple(layers)
+
+    def is_antichain(self, reps: tuple[int, ...]) -> bool:
+        """Whether no class of the given representatives lies below another."""
+        return not any((a, b) in self.order for a in reps for b in reps)
+
 
 def parse_model_spec(text: str, J: int, name: str = "") -> ConstraintModel:
     """Parse the text notation into a ConstraintModel over groups 1..J."""
@@ -298,59 +326,30 @@ def _fold_equalities(terms, ops):
 def model_to_string(model: ConstraintModel) -> str:
     """Print a model in the text notation; parsing the result recovers it.
 
-    Components whose order is a clean chain of antichain layers print as one
-    chain clause; anything else falls back to one clause per edge of the
-    transitive reduction, which parses back to the same closure.
+    A component whose layers are all antichains, each a single class or
+    singletons only, prints as one chain clause; any other prints one clause
+    per pair of the transitive reduction, which parses back to the same
+    closure.
     """
     by_rep = {cls[0]: cls for cls in model.classes}
-    pred: dict[int, set[int]] = {r: set() for r in by_rep}
-    for a, b in model.order:
-        pred[b].add(a)
     clauses = []
-    for comp in model.components:
+    for comp, layers in zip(model.components, model.layers):
         if len(comp) == 1:
             clauses.append(_format_layer([by_rep[comp[0]]], bare_ok=True))
-            continue
-        chain = _chain_clause(comp, pred, model.order, by_rep)
-        if chain is not None:
-            clauses.append(chain)
-            continue
-        comp_pairs = {(a, b) for a, b in model.order if a in comp}
-        for a, b in sorted(_transitive_reduction(comp_pairs)):
-            clauses.append(f"{_format_layer([by_rep[a]])} < {_format_layer([by_rep[b]])}")
+        elif all(len(layer) == 1 or (model.is_antichain(layer)
+                                     and all(len(by_rep[r]) == 1 for r in layer))
+                 for layer in layers):
+            clauses.append(" < ".join(_format_layer([by_rep[r] for r in layer])
+                                      for layer in layers))
+        else:
+            clauses += [f"{_format_layer([by_rep[a]])} < {_format_layer([by_rep[b]])}"
+                        for a, b in model.order_reduction if a in comp]
     return ", ".join(clauses)
-
-
-def _chain_clause(comp, pred, order, by_rep):
-    try:
-        layers = _layer_decomposition(comp, pred, order)
-        return " < ".join(_format_layer([by_rep[r] for r in layer]) for layer in layers)
-    except ValueError:
-        return None
 
 
 def _transitive_reduction(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return {(a, b) for a, b in pairs
             if not any((a, c) in pairs and (c, b) in pairs for c, _ in pairs)}
-
-
-def _layer_decomposition(comp, pred, order):
-    # Valid only for orders that are complete between consecutive antichain
-    # layers, which is every order the chain notation can express.
-    by_count: dict[int, list[int]] = {}
-    for r in comp:
-        by_count.setdefault(len(pred[r] & set(comp)), []).append(r)
-    layers = [sorted(by_count[c]) for c in sorted(by_count)]
-    flat_pairs = set()
-    for i, lo in enumerate(layers):
-        for hi in layers[i + 1:]:
-            for a in lo:
-                for b in hi:
-                    flat_pairs.add((a, b))
-    comp_pairs = {(a, b) for a, b in order if a in comp and b in comp}
-    if flat_pairs != comp_pairs:
-        raise ValueError("order is not expressible in chain notation")
-    return layers
 
 
 def _format_layer(classes, bare_ok: bool = False) -> str:
@@ -360,8 +359,6 @@ def _format_layer(classes, bare_ok: bool = False) -> str:
             return f"mu{cls[0]}"
         body = " = ".join(f"mu{g}" for g in cls)
         return body if bare_ok else "{" + body + "}"
-    if any(len(cls) > 1 for cls in classes):
-        raise ValueError("a layer with several classes must contain only singletons")
     return "{" + ", ".join(f"mu{cls[0]}" for cls in classes) + "}"
 
 

@@ -151,7 +151,8 @@ def _eta_mode(prep: PreparedIntegrand) -> float:
     or at 1/2 when SSW is 0 (PreparedIntegrand refuses a start that rounds
     to 1).  It keeps to a bracket in (0, 1), which each slope's sign narrows;
     a step that leaves the bracket, or one where the integrand is not
-    concave, bisects it instead.
+    concave, bisects it instead.  The search stops when no float lies
+    strictly inside the bracket, as when the mode rounds to eta = 1.
     """
     n, q, k, B = prep.n, prep.q, prep.k, prep.B
     x = prep.ssw / ((n - q) * prep.s0sq) if prep.ssw > 0.0 else 0.0
@@ -169,7 +170,10 @@ def _eta_mode(prep: PreparedIntegrand) -> float:
         if abs(step) < 1e-12:
             return e
         new = e / (e + (1.0 - e) * math.exp(-step)) if step > -700.0 else math.nan
-        e = new if lo < new < hi else 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float lies strictly inside the bracket
+            return e
+        e = new if lo < new < hi else mid
     return e
 
 

@@ -25,9 +25,10 @@ down-sets (order ideals) I:
 
     H_empty = 1,  H_I(t) = int_{-inf}^t g_I(s) ds,  g_I = sum_{j maximal in I} f_j H_{I-j},
 
-with the mass H_all(inf).  A component A + R + B whose minimal classes A
-(two or more) each lie below every other class, and whose maximal classes B
-(two or more) each lie above every other class, has the mass
+with the mass H_all(inf).  A component splits into layers, each class of one
+below every class of the next (ConstraintModel.layers).  When its first layer
+A and its last layer B are antichains of two or more classes, with R the
+classes between them, the component A + R + B has the mass
 
     int g_R(s) prod_{b in B} S_b(s) ds,  S_b(s) = int_s^inf f_b,
 
@@ -127,9 +128,13 @@ class ConeMass:
 
 @dataclass(frozen=True)
 class PosteriorConeMass(ConeMass):
-    """A posterior cone mass, with upper_bound a closed-form bound on it."""
+    """A posterior cone mass, with log_upper_bound the log of a closed-form bound on it."""
 
-    upper_bound: float
+    log_upper_bound: float
+
+    @property
+    def upper_bound(self) -> float:
+        return float(np.exp(self.log_upper_bound))
 
 
 def truncation_floor(model: ConstraintModel) -> float:
@@ -161,16 +166,15 @@ def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
 class _Component:
     """A weak component of the order: its class columns, its end layers and its middle's down-sets.
 
-    When the component's minimal classes A are at least two and each lies
-    below every other class, they are its first bottom columns; when its
-    maximal classes B are at least two and each lies above every other class,
-    they are its last top columns; otherwise bottom or top is 0.  The other
-    classes R, the middle, sit between them.  levels holds the down-sets of R
-    by size (empty when R is), one (tops, parents) pair per down-set d: the
-    maximal classes of d and, for each, the previous level's down-set without
-    it, so the integrand of d sums one density-times-H product per pair, in
-    this order.  rows bounds the grid-sized arrays per node _component_masses
-    holds at once.
+    The end layers are the first and last layers of ConstraintModel.layers
+    when that layer is an antichain of two or more classes: the first, A,
+    gives the bottom columns, the last, B, the top columns; otherwise bottom
+    or top is 0.  The other classes R, the middle, sit between them in member
+    order.  levels holds the down-sets of R by size (empty when R is), one
+    (tops, parents) pair per down-set d: the maximal classes of d and, for
+    each, the previous level's down-set without it, so the integrand of d
+    sums one density-times-H product per pair, in this order.  rows bounds
+    the grid-sized arrays per node _component_masses holds at once.
     """
 
     cols: np.ndarray
@@ -190,44 +194,27 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     than MAX_DOWNSETS down-sets.
     """
     comps = []
-    for members in model.components:
+    for members, layers in zip(model.components, model.layers):
         if len(members) < 2:
             continue
-        q = len(members)
-        local = {rep: i for i, rep in enumerate(members)}
-        pairs = [(local[a], local[b]) for a, b in model.order if a in local]
-        top = _top_layer(pairs, q)
-        bottom = _top_layer([(b, a) for a, b in pairs], q)
-        at = {j: i for i, j in enumerate(j for j in range(q) if j not in top + bottom)}
+        bottom, top = (layer if len(layer) > 1 and model.is_antichain(layer) else ()
+                       for layer in (layers[0], layers[-1]))
+        at = {r: i for i, r in enumerate(r for r in members if r not in bottom + top)}
         below, above = [0] * len(at), [0] * len(at)
-        for a, b in pairs:
+        for a, b in model.order:
             if a in at and b in at:
                 below[at[b]] |= 1 << at[a]
                 above[at[a]] |= 1 << at[b]
         levels = _downset_levels(tuple(below), tuple(above))
         if levels is None:
             raise ValueError(
-                f"a component of the order of {model.name or model_to_string(model)} over {q} "
-                f"classes has more than {MAX_DOWNSETS} down-sets; its exact cone mass is too "
-                "costly")
-        cols = np.array([model.columns[members[j]] for j in bottom + list(at) + top])
+                f"a component of the order of {model.name or model_to_string(model)} over "
+                f"{len(members)} classes has more than {MAX_DOWNSETS} down-sets; its exact cone "
+                "mass is too costly")
+        cols = np.array([model.columns[r] for r in bottom + tuple(at) + top])
         cols.flags.writeable = False
-        comps.append(_Component(cols, levels, len(bottom), len(top), _rows(q, levels)))
+        comps.append(_Component(cols, levels, len(bottom), len(top), _rows(len(members), levels)))
     return tuple(comps)
-
-
-def _top_layer(pairs: list[tuple[int, int]], q: int) -> list[int]:
-    """The maximal classes of an order on q classes if at least two each lie above all others.
-
-    Else [].  pairs is transitively closed, so a maximal class lies above
-    every other class exactly when it heads q - (number of maximal classes)
-    pairs.
-    """
-    top = sorted(set(range(q)) - {a for a, _ in pairs})
-    heads = [b for _, b in pairs]
-    if len(top) < 2 or any(heads.count(b) != q - len(top) for b in top):
-        return []
-    return top
 
 
 def _rows(q: int, levels: tuple[tuple, ...]) -> int:
@@ -482,11 +469,11 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     mu, s = prep.class_mean_moments(eta)
     log_bound = log_w + _log_pair_bound(model, mu, s)
     bound = np.exp(log_bound)
-    upper_bound = float(np.exp(logsumexp(log_bound)))
+    log_upper_bound = float(logsumexp(log_bound))
     floor = truncation_floor(model)
-    if upper_bound <= floor:
+    if np.exp(log_upper_bound) <= floor:
         return PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=0,
-                                 upper_bound=upper_bound)
+                                 log_upper_bound=log_upper_bound)
 
     def settle(keep):
         mass, change, grid, level = _converged_mass(comps, mu[keep], s[keep], w[keep])
@@ -505,4 +492,4 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
             f"the posterior cone mass of {model.name or model_to_string(model)} did not "
             "settle within the grid cap; its exact mass is too costly")
     return PosteriorConeMass(estimate=mass if resolved else None, doubling_error=float(change),
-                             grid=int(grid), upper_bound=upper_bound)
+                             grid=int(grid), log_upper_bound=log_upper_bound)

@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cipanova import evidence, posterior
@@ -129,6 +130,54 @@ def test_below_resolution_flag_on_contradicted_order():
     assert entry["resolution_bound"] == report.breakdowns[0].resolution_bound
     assert entry["log_bf_c_vs_e"] == -np.inf
     assert entry["post_region"]["estimate"] is None
+
+
+@st.composite
+def _extreme_cases(draw):
+    """Three groups of 1-5 units at a spread of 1e-3 to 1e3 and an offset up to 1e6 from 0,
+    against a null fit with sigma0 from 1e-9 to 1e3 times the spread."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    spread = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = offset + spread * (rng.standard_normal(sum(sizes)) + np.repeat(rng.normal(size=3), sizes))
+    theta0 = NullParams(offset + spread * draw(st.floats(-3.0, 3.0)),
+                        spread * 10.0 ** draw(st.floats(-9.0, 3.0)))
+    return AnovaData(responses=y, groups=np.repeat([1, 2, 3], sizes)), theta0
+
+
+def _two_per_group(seed):
+    y = np.random.default_rng(seed).normal(size=6)
+    return AnovaData(responses=y, groups=np.repeat([1, 2, 3], 2)), NullParams(0.0, 1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+# sigma0 = 1e-8 against a spread of about 1: the eta mode rounds to 1 (seed
+# 2), the unresolved chain's upper bound underflows to 0 (seed 0), and the
+# log BFs near 1e16 print too wide for fixed point
+@example(_two_per_group(2))
+@example(_two_per_group(0))
+@given(_extreme_cases())
+def test_extreme_scales_answer_or_refuse_with_a_message(case):
+    data, theta0 = case
+    models = [parse_model_spec("mu1 < mu2 < mu3", J=3, name="up"),
+              parse_model_spec("mu3 < {mu1, mu2}", J=3, name="low3"),
+              parse_model_spec("mu1 = mu2 = mu3", J=3, name="null"),
+              parse_model_spec("mu1, mu2, mu3", J=3, name="free")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = compare(data, models, theta0=theta0)
+        except ValueError as err:
+            assert str(err)
+            return
+        text = report.to_text()
+    assert abs(sum(report.posterior_probs) - 1.0) <= 1e-12
+    for bd, line in zip(report.breakdowns, text.splitlines()[3:]):
+        assert not bd.below_resolution or np.isfinite(bd.resolution_bound)
+        # the log BF fits its 16-character column, with a space before it
+        assert line[14] == " " and line[30] == " "
+        assert float(line[14:30]) == pytest.approx(bd.log_bf_c_vs_0, rel=1e-4, abs=1e-4)
 
 
 def test_every_model_below_resolution_raises():

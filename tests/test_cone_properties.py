@@ -149,6 +149,18 @@ def end_layer_orders(draw):
     return order, a, b
 
 
+def _end_layer_sizes(model):
+    """Brute force: the number of minimal (maximal) ordered classes when they are two or more
+    and each lies below (above) every other ordered class, else 0."""
+    ordered = {r for pair in model.order for r in pair}
+    minimal = ordered - {b for _, b in model.order}
+    maximal = ordered - {a for a, _ in model.order}
+    bottom = all((a, b) in model.order for a in minimal for b in ordered - minimal)
+    top = all((a, b) in model.order for a in ordered - maximal for b in maximal)
+    return (len(minimal) if len(minimal) > 1 and bottom else 0,
+            len(maximal) if len(maximal) > 1 and top else 0)
+
+
 @PROPERTY
 @given(end_layer_orders(), st.integers(0, 2**32 - 1))
 def test_end_layer_form_matches_the_full_downset_recursion(drawn, seed):
@@ -162,7 +174,9 @@ def test_end_layer_form_matches_the_full_downset_recursion(drawn, seed):
     comps = order_components(model)
     # a missing layer may be found in the middle: its lowest (highest) classes
     # when they are two or more and lie below (above) all others
-    assert len(comps) == 1 and comps[0].bottom >= a and comps[0].top >= b
+    assert len(comps) == 1
+    assert (comps[0].bottom, comps[0].top) == _end_layer_sizes(model)
+    assert comps[0].bottom >= a and comps[0].top >= b
     mass, *_ = _converged_mass(comps, mu, s, w)
     full, *_ = _converged_mass(full_downset_plan(model), mu, s, w)
     assert abs(mass - full) <= 1e-12 * full

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipanova.constraints import (
     ConstraintModel,
@@ -152,6 +154,52 @@ def test_roundtrip_random_models():
         again = parse_model_spec(text, J=J)
         assert again.classes == model.classes, text
         assert again.order == model.order, text
+
+
+@st.composite
+def merged_orders(draw):
+    """Random orders on J <= 8 groups with merged classes, blocks of classes often stacked.
+
+    The classes are cut from a shuffled labelling and put in a random
+    sequence of blocks.  Pairs inside a block are random; pairs across blocks
+    are all there when the blocks are stacked, else random, so components
+    range from one layer to a chain of them.
+    """
+    J = draw(st.integers(2, 8))
+    label = draw(st.permutations(range(1, J + 1)))
+    merge = draw(st.lists(st.integers(0, 3), min_size=J - 1, max_size=J - 1))
+    classes = [[label[0]]]
+    for g, m in zip(label[1:], merge):
+        if m:  # one group in four joins the class before it
+            classes.append([])
+        classes[-1].append(g)
+    q = len(classes)
+    block = np.cumsum([0] + draw(st.lists(st.booleans(), min_size=q - 1, max_size=q - 1)))
+    stacked = draw(st.booleans())
+    pairs = [(min(classes[i]), min(classes[j])) for i in range(q) for j in range(i + 1, q)
+             if (stacked and block[i] < block[j]) or draw(st.booleans())]
+    return ConstraintModel.create(J, classes, pairs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(merged_orders())
+def test_layers_are_the_finest_split_of_each_component(model):
+    below = model.order
+    assert len(model.layers) == len(model.components)
+    for comp, layers in zip(model.components, model.layers):
+        # the layers partition the component, each layer sorted
+        assert sorted(r for layer in layers for r in layer) == list(comp)
+        assert all(layer and list(layer) == sorted(layer) for layer in layers)
+        # every class of a layer lies below every class of each later layer
+        for i, lo in enumerate(layers):
+            for hi in layers[i + 1:]:
+                assert all((a, b) in below for a in lo for b in hi), (model, layers)
+        # no cut inside a layer puts every class on one side below the other
+        for layer in layers:
+            for k in range(1, len(layer)):
+                for part in itertools.combinations(layer, k):
+                    rest = [b for b in layer if b not in part]
+                    assert not all((a, b) in below for a in part for b in rest), (model, layers)
 
 
 def test_region_contains_ma_hand_cases():

@@ -740,7 +740,7 @@ def test_log_bf_is_composed_from_the_cone_masses():
     prior, post = bd.prior_region, bd.post_region
     assert bd.below_resolution and post.estimate is None
     assert bd.log_bf_c_vs_e == -np.inf
-    assert bd.resolution_bound == np.log(post.upper_bound) - np.log(prior.estimate)
+    assert bd.resolution_bound == post.log_upper_bound - np.log(prior.estimate)
 
 
 def test_estimate_dataclass_validation():
