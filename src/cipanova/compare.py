@@ -175,7 +175,9 @@ class ComparisonReport:
         }
 
     def to_text(self) -> str:
-        header = f"{'model':<14}{'log BF vs null':>16}{'BF vs ' + self.reference:>18}{'post prob':>12}"
+        width = max([14, *map(len, self.model_names)])
+        header = (f"{'model':<{width}}{'log BF vs null':>16}{'BF vs ' + self.reference:>18}"
+                  f"{'post prob':>12}")
         lines = [
             f"null fit: alpha0={self.theta0.alpha0:.6g} sigma0={self.theta0.sigma0:.6g}",
             header,
@@ -188,8 +190,8 @@ class ComparisonReport:
                 notes.append(
                     f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
             note = "".join("  " + n for n in notes)
-            lines.append(f"{name:<14}{_format_log_bf(bd.log_bf_c_vs_0):>16}{_format_bf(dbf):>18}"
-                         f"{pmp:>12.4f}{note}")
+            lines.append(f"{name:<{width}}{_format_log_bf(bd.log_bf_c_vs_0):>16}"
+                         f"{_format_bf(dbf):>18}{pmp:>12.4f}{note}")
         return "\n".join(lines)
 
 

@@ -25,24 +25,8 @@ class ParseError(ValueError):
     """Raised when a model string cannot be parsed into a valid model."""
 
 
-_TOKEN = re.compile(r"(mu\d+|[<>={},])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"malformed token at position {pos}: {text[pos:pos + 12]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise ParseError("empty model string")
-    return tokens
+# One token after any whitespace; group 2 takes a character that starts none.
+_TOKEN = re.compile(r"\s*(?:(mu\d+|[<>={},])|(\S))")
 
 
 def _transitive_closure(pairs: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -191,136 +175,89 @@ class ConstraintModel:
 
 def parse_model_spec(text: str, J: int, name: str = "") -> ConstraintModel:
     """Parse the text notation into a ConstraintModel over groups 1..J."""
-    tokens = _tokenize(text)
-    clauses = _split_clauses(tokens)
+    if not text.strip():
+        raise ParseError("empty model string")
     class_of: dict[int, tuple[int, ...]] = {}
-    relations: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for clause in clauses:
-        terms, ops = _parse_clause(clause)
-        terms, ops = _fold_equalities(terms, ops)
-        directions = set(ops)
-        if directions == {">"}:
-            terms = terms[::-1]
-        elif directions and directions != {"<"}:
-            raise ParseError("mixed '<' and '>' directions in one chain")
-        for term in terms:
-            for c in term:
-                _claim(class_of, c, J)
-        for lo, hi in zip(terms, terms[1:]):
-            for a in lo:
-                for b in hi:
-                    relations.add((a, b))
-    for g in range(1, J + 1):
-        if g not in class_of:
-            class_of[g] = (g,)
-    classes = sorted(set(class_of.values()))
-    rep_pairs = {(a[0], b[0]) for a, b in relations}
-    return ConstraintModel.create(J, classes, rep_pairs, name=name)
-
-
-def _claim(class_of: dict[int, tuple[int, ...]], cls: tuple[int, ...], J: int) -> None:
-    for g in cls:
-        if g < 1 or g > J:
-            raise ParseError(f"group index {g} out of range 1..{J}")
-        prev = class_of.get(g)
-        if prev is not None and prev != cls:
-            raise ParseError(f"group {g} appears in two equality classes")
-        class_of[g] = cls
-
-
-def _split_clauses(tokens: list[str]) -> list[list[str]]:
-    clauses: list[list[str]] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok == "{":
-            depth += 1
-        elif tok == "}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced '}'")
-        if tok == "," and depth == 0:
-            clauses.append([])
-        else:
-            clauses[-1].append(tok)
-    if depth != 0:
-        raise ParseError("unbalanced '{'")
-    if any(not c for c in clauses):
-        raise ParseError("empty clause")
-    return clauses
-
-
-def _parse_clause(tokens: list[str]) -> tuple[list[list[tuple[int, ...]]], list[str]]:
-    # A term is a list of classes: a plain mu or an equality brace gives one
-    # class, a comma brace gives one singleton class per member.
+    relations: set[tuple[int, int]] = set()
+    # The clause so far: its terms, each a list of classes (a mean or an
+    # equality brace gives one class, a comma brace one singleton class per
+    # member), and the operators between them.  `members` is an open brace.
     terms: list[list[tuple[int, ...]]] = []
     ops: list[str] = []
-    i = 0
-    want_term = True
-    while i < len(tokens):
-        tok = tokens[i]
-        if want_term:
-            if tok.startswith("mu"):
+    members: list[int] | None = None
+    sep = None
+    want = True  # a mean or brace group comes next; inside braces, a mean
+    for m in _TOKEN.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            pos = m.start(2)
+            raise ParseError(f"malformed token at position {pos}: {text[pos:pos + 12]!r}")
+        if members is not None:
+            if want:
+                if not tok.startswith("mu"):
+                    raise ParseError(f"expected a mean inside braces, got {tok!r}")
+                members.append(int(tok[2:]))
+                want = False
+            elif tok == "}":  # the group is a term, and an operator comes next
+                terms.append([tuple(sorted(set(members)))] if sep == "=" else
+                             [(g,) for g in members])
+                members = None
+            elif tok in ("=", ","):
+                if sep not in (None, tok):
+                    raise ParseError("brace group mixes '=' and ',' separators")
+                sep, want = tok, True
+            else:
+                raise ParseError(f"unexpected {tok!r} inside braces")
+        elif tok == "}":
+            raise ParseError("unbalanced '}'")
+        elif tok == ",":
+            _add_clause(terms, ops, class_of, relations, J)
+            terms, ops, want = [], [], True
+        elif want:
+            if tok == "{":
+                members, sep = [], None
+            elif tok.startswith("mu"):
                 terms.append([(int(tok[2:]),)])
-                i += 1
-            elif tok == "{":
-                term, i = _parse_brace(tokens, i)
-                terms.append(term)
+                want = False
             else:
                 raise ParseError(f"expected a mean or brace group, got {tok!r}")
-            want_term = False
+        elif tok in ("<", ">", "="):
+            ops.append(tok)
+            want = True
         else:
-            if tok in ("<", ">", "="):
-                ops.append(tok)
-                i += 1
-                want_term = True
-            else:
-                raise ParseError(f"expected an operator, got {tok!r}")
-    if want_term:
-        raise ParseError("dangling operator at end of chain")
-    return terms, ops
+            raise ParseError(f"expected an operator, got {tok!r}")
+    if members is not None:
+        raise ParseError("unbalanced '{'")
+    _add_clause(terms, ops, class_of, relations, J)
+    classes = set(class_of.values()) | {(g,) for g in range(1, J + 1) if g not in class_of}
+    return ConstraintModel.create(J, classes, relations, name=name)
 
 
-def _parse_brace(tokens: list[str], i: int) -> tuple[list[tuple[int, ...]], int]:
-    i += 1
-    members: list[int] = []
-    sep = None
-    want_mu = True
-    while i < len(tokens):
-        tok = tokens[i]
-        if want_mu:
-            if not tok.startswith("mu"):
-                raise ParseError(f"expected a mean inside braces, got {tok!r}")
-            members.append(int(tok[2:]))
-            want_mu = False
-        elif tok == "}":
-            if sep == "=":
-                return [tuple(sorted(set(members)))], i + 1
-            return [(g,) for g in members], i + 1
-        elif tok in ("=", ","):
-            if sep is None:
-                sep = tok
-            elif sep != tok:
-                raise ParseError("brace group mixes '=' and ',' separators")
-            want_mu = True
-        else:
-            raise ParseError(f"unexpected {tok!r} inside braces")
-        i += 1
-    raise ParseError("unterminated brace group")
-
-
-def _fold_equalities(terms, ops):
-    folded = [terms[0]]
-    kept_ops = []
+def _add_clause(terms, ops, class_of, relations, J) -> None:
+    """Fold a clause's '=' terms, orient its chain, claim its classes, add its relations."""
+    if len(ops) == len(terms):
+        raise ParseError("dangling operator at end of chain" if terms else "empty clause")
+    chain = [terms[0]]
     for op, term in zip(ops, terms[1:]):
-        if op == "=":
-            prev = folded[-1]
-            if len(prev) != 1 or len(term) != 1:
-                raise ParseError("'=' joins single means or equality groups only")
-            folded[-1] = [tuple(sorted(set(prev[0]) | set(term[0])))]
+        if op != "=":
+            chain.append(term)
+        elif len(chain[-1]) == 1 and len(term) == 1:
+            chain[-1] = [tuple(sorted(set(chain[-1][0] + term[0])))]
         else:
-            kept_ops.append(op)
-            folded.append(term)
-    return folded, kept_ops
+            raise ParseError("'=' joins single means or equality groups only")
+    if ">" in ops:
+        if "<" in ops:
+            raise ParseError("mixed '<' and '>' directions in one chain")
+        chain.reverse()
+    for term in chain:
+        for cls in term:
+            for g in cls:
+                if not 1 <= g <= J:
+                    raise ParseError(f"group index {g} out of range 1..{J}")
+                if class_of.setdefault(g, cls) != cls:
+                    raise ParseError(f"group {g} appears in two equality classes")
+    for lo, hi in zip(chain, chain[1:]):
+        relations.update((a[0], b[0]) for a in lo for b in hi)
 
 
 def model_to_string(model: ConstraintModel) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,9 +55,11 @@ class AnovaData:
 def ingest_csv(path) -> AnovaData:
     """Read `group,response` rows; group labels are recoded to contiguous 1..J.
 
-    Labels are ordered numerically when they all parse as numbers, otherwise
-    lexicographically; a warning reports the recoding whenever the original
-    labels were not already 1..J.
+    Labels are ordered by value when every one parses as a finite number,
+    with labels of equal value (`1`, `1.0`) ordered by their text; otherwise
+    they are ordered by their text.  A warning reports the recoding whenever
+    the original labels were not already 1..J.  A response that does not
+    parse as a finite number is refused with its file and line.
     """
     labels: list[str] = []
     values: list[float] = []
@@ -74,14 +77,21 @@ def ingest_csv(path) -> AnovaData:
             if not raw_group or not raw_resp:
                 raise ValueError(f"{path}: line {lineno}: missing group or response")
             try:
-                values.append(float(raw_resp))
+                value = float(raw_resp)
             except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad response value {raw_resp!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: bad response value {raw_resp!r}")
+            values.append(value)
             labels.append(raw_group)
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    unique = sorted(set(labels), key=_label_key(labels))
+    unique = sorted(set(labels))
+    try:
+        if all(math.isfinite(float(lab)) for lab in unique):
+            unique.sort(key=float)  # stable, so equal values keep their text order
+    except ValueError:
+        pass
     code = {lab: j for j, lab in enumerate(unique, start=1)}
     if [str(j) for j in range(1, len(unique) + 1)] != unique:
         mapping = ", ".join(f"{lab!r}->{code[lab]}" for lab in unique)
@@ -90,10 +100,3 @@ def ingest_csv(path) -> AnovaData:
     return AnovaData(responses=np.array(values), groups=groups,
                      group_labels=tuple(unique))
 
-
-def _label_key(labels):
-    try:
-        keys = {lab: float(lab) for lab in labels}
-    except ValueError:
-        return lambda lab: lab
-    return lambda lab: keys[lab]

@@ -443,6 +443,20 @@ def test_text_bf_column_keeps_its_width():
     assert rows[1][30:48].strip() == f"{report.display_bf[1]:.4f}"
 
 
+def test_text_name_column_fits_the_longest_name():
+    # a name past the 14-character default widens the column for every row,
+    # so the numbers stay under their headings
+    models = _models()
+    models[1] = parse_model_spec("mu1 < mu2 < mu3", J=3, name="averyveryverylongname")
+    report = compare(_increasing_data(), models, settings=FAST)
+    header, rule, *rows = report.to_text().splitlines()[1:]
+    assert header.startswith("model" + " " * 16 + "  log BF vs null")
+    assert len(rule) == len(header)
+    for row, name, bd in zip(rows, report.model_names, report.breakdowns):
+        assert len(row) == len(header) and row[:21].rstrip() == name
+        assert float(row[21:37]) == pytest.approx(bd.log_bf_c_vs_0, abs=1e-4)
+
+
 def _pop3(base_seed=2026):
     scenario, models = make_preset("pop3", n_per_group=25, reps=1, base_seed=base_seed)
     return generate_scenario(scenario, 0), models

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -53,9 +54,11 @@ def test_unmentioned_groups_are_free_singletons():
 
 
 def test_parse_inline_equality_group():
-    m = parse_model_spec("{mu1 = mu2} < mu3", J=3)
-    assert m.classes == ((1, 2), (3,))
-    assert m.order == frozenset({(1, 3)})
+    # a tied class is written the same way in every clause that names it
+    for text in ("{mu1 = mu2} < mu3", "mu1 = mu2, {mu2 = mu1} < mu3"):
+        m = parse_model_spec(text, J=3)
+        assert m.classes == ((1, 2), (3,))
+        assert m.order == frozenset({(1, 3)})
 
 
 def test_parse_reversed_chain_normalizes():
@@ -88,6 +91,110 @@ def test_parse_errors():
         parse_model_spec("mu1,,mu2", J=2)  # empty clause
     with pytest.raises(ParseError):
         parse_model_spec("{mu1, mu2} = mu3", J=3)  # '=' onto a comma set
+
+
+@st.composite
+def written_models(draw):
+    """A model on J <= 12 groups written as text, with the classes and closed order it means.
+
+    Tied classes are cut from a shuffled labelling and stacked in a random
+    sequence; each clause is a chain up (`<`) or down (`>`) that sequence,
+    whose terms are a tied class (bare `a = b` or braced `{a = b}`) or a
+    comma group `{a, b}` of free means.  A tied class in no chain gets a
+    clause of its own.
+    """
+    J = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(1, J + 1)))
+    merge = draw(st.lists(st.integers(0, 3), min_size=J - 1, max_size=J - 1))
+    stack = [[label[0]]]
+    for g, m in zip(label[1:], merge):
+        if m:  # one group in four joins the class before it
+            stack.append([])
+        stack[-1].append(g)
+    space = st.sampled_from(["", " ", "  ", "\t"])
+
+    def tied(cls, braced):
+        body = f"{draw(space)}={draw(space)}".join(f"mu{g}" for g in draw(st.permutations(cls)))
+        return "{" + body + "}" if braced else body
+
+    clauses, pairs, written = [], set(), set()
+    for _ in range(draw(st.integers(0, 4))):
+        picks = sorted(draw(st.sets(st.integers(0, len(stack) - 1), min_size=1)))
+        terms, cut = [], 0
+        while cut < len(picks):  # a run of free means can share a comma group
+            end = cut + 1
+            while (end < len(picks) and len(stack[picks[end]]) == 1
+                   and len(stack[picks[cut]]) == 1 and draw(st.booleans())):
+                end += 1
+            terms.append([stack[i] for i in picks[cut:end]])
+            cut = end
+        words = []
+        for term in terms:
+            if len(term) == 1:
+                words.append(tied(term[0], braced=draw(st.booleans())))
+            else:
+                words.append("{" + ", ".join(f"mu{cls[0]}" for cls in term) + "}")
+            written.update(tuple(cls) for cls in term)
+        for i, lo in enumerate(terms):
+            pairs |= {(min(a), min(b)) for hi in terms[i + 1:] for a in lo for b in hi}
+        up = draw(st.booleans())
+        clauses.append(f"{draw(space)}{'<' if up else '>'}{draw(space)}".join(
+            words if up else words[::-1]))
+    clauses += [tied(cls, draw(st.booleans())) for cls in map(tuple, stack)
+                if len(cls) > 1 and cls not in written]
+    if not clauses:
+        clauses = [f"mu{label[0]}"]
+    order = set(pairs)
+    while extra := {(a, d) for a, b in order for c, d in order if b == c} - order:
+        order |= extra
+    classes = tuple(sorted(tuple(sorted(cls)) for cls in stack))
+    return J, f",{draw(space)}".join(clauses), classes, frozenset(order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(written_models())
+def test_parse_gives_the_written_model(case):
+    J, text, classes, order = case
+    model = parse_model_spec(text, J=J)
+    assert (model.classes, model.order) == (classes, order), text
+
+
+_SOUP = ["mu0", "mu1", "mu2", "mu3", "mu4", "mu13", "mu01", "{", "}", "<", ">", "=", ",",
+         " ", "\t", "&", "mu", "m"]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_SOUP), max_size=14).map("".join))
+def test_parse_accepts_or_raises_parse_error(text):
+    try:
+        model = parse_model_spec(text, J=4)
+    except ParseError:
+        return
+    assert parse_model_spec(model_to_string(model), J=4) == model
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty model string"),
+    (" \t", "empty model string"),
+    ("mu1 & mu2", "malformed token at position 4: '& mu2'"),
+    ("mu1 < mu2}", "unbalanced '}'"),
+    ("{mu1, mu2", "unbalanced '{'"),
+    ("mu1,,mu2", "empty clause"),
+    ("mu1 <", "dangling operator at end of chain"),
+    ("< mu1", "expected a mean or brace group, got '<'"),
+    ("mu1 mu2", "expected an operator, got 'mu2'"),
+    ("{mu1,} < mu2", "expected a mean inside braces, got '}'"),
+    ("{mu1 < mu2}", "unexpected '<' inside braces"),
+    ("{mu1 = mu2, mu3}", "brace group mixes '=' and ',' separators"),
+    ("{mu1, mu2} = mu3", "'=' joins single means or equality groups only"),
+    ("mu1 < mu2 > mu3", "mixed '<' and '>' directions in one chain"),
+    ("mu0 < mu1", "group index 0 out of range 1..3"),
+    ("mu1 = mu2, mu1 < mu3", "group 1 appears in two equality classes"),
+    ("mu1 < mu2 < mu1", "cycle in order relation"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_model_spec(text, J=3)
 
 
 def test_print_fixed_forms():

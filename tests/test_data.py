@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cipanova
 from cipanova.data import AnovaData, ingest_csv
 from cipanova.scenarios import make_preset, generate_scenario, preset_names
 
@@ -88,6 +94,28 @@ def test_csv_numeric_label_order(tmp_path):
     assert np.array_equal(data.responses, [2.0, 1.0, 3.0])
 
 
+def test_csv_label_order_does_not_depend_on_the_hash_seed(tmp_path):
+    # labels tying as numbers sort by their text; a label that is no finite
+    # number sorts every label as text.  Sorting a set by a key with ties or
+    # NaN gave a coding that changed with PYTHONHASHSEED.
+    tied, with_nan = tmp_path / "tied.csv", tmp_path / "nan.csv"
+    tied.write_text("group,response\n2,1.0\n1.0,2.0\n1,3.0\n")
+    with_nan.write_text("group,response\nnan,1.0\n3,2.0\n2,3.0\n10,4.0\n")
+    env = dict(os.environ)
+    src = str(Path(cipanova.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, warnings; from cipanova.data import ingest_csv; "
+            "warnings.simplefilter('ignore'); "
+            "print([ingest_csv(p).group_labels for p in sys.argv[1:]])")
+    codings = set()
+    for seed in range(6):
+        env["PYTHONHASHSEED"] = str(seed)
+        codings.add(subprocess.run([sys.executable, "-c", code, str(tied), str(with_nan)],
+                                   env=env, capture_output=True, text=True, timeout=120,
+                                   check=True).stdout.strip())
+    assert codings == {"[('1', '1.0', '2'), ('10', '2', '3', 'nan')]"}
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("group,response\n1,0.5\n2,oops\n")
@@ -96,6 +124,10 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     p.write_text("group,response\n1,\n")
     with pytest.raises(ValueError, match="line 2"):
         ingest_csv(p)
+    for value in ("nan", "inf", "-Infinity"):
+        p.write_text(f"group,response\n1,0.5\n2,{value}\n")
+        with pytest.raises(ValueError, match=f"bad.csv: line 3: bad response value '{value}'"):
+            ingest_csv(p)
     p.write_text("grp,resp\n1,0.5\n")
     with pytest.raises(ValueError, match="header"):
         ingest_csv(p)
