@@ -176,15 +176,16 @@ def _cmd_compare(args) -> int:
         probs = _split(probs, "--prior-probs")
     theta0 = _parse_theta0(args.theta0)
     report = compare(data, models, prior_probs=probs, settings=settings, theta0=theta0)
+    if list(data.group_labels) != [str(j) for j in range(1, data.J + 1)]:
+        # on stderr beside records, so stdout stays one JSON line
+        print("group coding: " + ", ".join(
+            f"{lab}->{j}" for j, lab in enumerate(data.group_labels, start=1)),
+            file=sys.stderr if args.output == "records" else sys.stdout)
     if args.output == "records":
         record = report.to_record()
         record.update(type="comparison", settings=_settings_dict(settings))
         print(json.dumps(record, sort_keys=True))
     else:
-        if data.group_labels is not None and list(data.group_labels) != [
-                str(j) for j in range(1, data.J + 1)]:
-            print("group coding: " + ", ".join(
-                f"{lab}->{j}" for j, lab in enumerate(data.group_labels, start=1)))
         print(report.to_text())
     return 0
 

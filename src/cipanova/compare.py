@@ -14,6 +14,7 @@ exp(log posterior weight - the largest) over the sum of them.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -132,15 +133,21 @@ def _breakdown(model: ConstraintModel, name: str, prep: PreparedIntegrand | None
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-model breakdowns, display Bayes factors and model probabilities."""
+    """Per-model breakdowns, log Bayes factors against the reference and model probabilities."""
 
     theta0: NullParams
     model_names: tuple[str, ...]
     breakdowns: tuple[BfBreakdown, ...]
     prior_probs: tuple[float, ...]
     posterior_probs: tuple[float, ...]
-    display_bf: tuple[float, ...]
+    log_display_bf: tuple[float, ...]
     reference: str
+
+    @property
+    def display_bf(self) -> tuple[float, ...]:
+        """Bayes factors against the reference: inf or 0.0 past the float range."""
+        with np.errstate(over="ignore"):
+            return tuple(float(b) for b in np.exp(np.array(self.log_display_bf)))
 
     def to_record(self) -> dict:
         models = []
@@ -183,15 +190,16 @@ class ComparisonReport:
             header,
             "-" * len(header),
         ]
-        for name, bd, pmp, dbf in zip(self.model_names, self.breakdowns,
-                                      self.posterior_probs, self.display_bf):
+        for name, bd, pmp, dbf, log_dbf in zip(self.model_names, self.breakdowns,
+                                               self.posterior_probs, self.display_bf,
+                                               self.log_display_bf):
             notes = ["(posterior mass unresolved)"] if bd.below_resolution else []
             if bd.evidence is not None and bd.evidence.node_doubling_delta >= EVIDENCE_TOL:
                 notes.append(
                     f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
             note = "".join("  " + n for n in notes)
             lines.append(f"{name:<{width}}{_format_log_bf(bd.log_bf_c_vs_0):>16}"
-                         f"{_format_bf(dbf):>18}{pmp:>12.4f}{note}")
+                         f"{_format_bf(dbf, log_dbf):>18}{pmp:>12.4f}{note}")
         return "\n".join(lines)
 
 
@@ -201,9 +209,19 @@ def _format_log_bf(value: float) -> str:
     return text if len(text) < 16 else f"{value:.4e}"
 
 
-def _format_bf(bf: float) -> str:
-    """Fixed point inside [1e-4, 1e12], where it fits the column and keeps digits; else exponent."""
-    return f"{bf:.4f}" if 1e-4 <= bf <= 1e12 else f"{bf:.4e}"
+def _format_bf(bf: float, log_bf: float) -> str:
+    """Fixed point inside [1e-4, 1e12], where it fits the column and keeps digits; else exponent.
+
+    Where bf is past the float range, inf or 0.0, the exponent form comes from
+    log_bf while it leaves the 18-character column a space to spare.
+    """
+    text = f"{bf:.4f}" if 1e-4 <= bf <= 1e12 else f"{bf:.4e}"
+    if 0.0 < bf < math.inf or log_bf == -math.inf:  # -inf: an unresolved model
+        return text
+    exponent, frac = divmod(log_bf / math.log(10.0), 1.0)
+    mantissa, carry = f"{10.0 ** frac:.4e}".split("e")  # carry is 1 where it rounds to 10
+    wide = f"{mantissa}e{int(exponent) + int(carry):+03d}"
+    return wide if len(wide) < 18 else text
 
 
 def compare(data: AnovaData, models: list[ConstraintModel],
@@ -215,6 +233,8 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     The results depend on no seed: the evidence and both cone masses draw
     nothing.  rng is accepted and ignored, so existing callers keep working.
     """
+    if not models:
+        raise ValueError("no models given")
     if settings is None:
         settings = Settings()
     if prior_probs is None:
@@ -242,19 +262,15 @@ def compare(data: AnovaData, models: list[ConstraintModel],
     pmp /= pmp.sum()
 
     ref_idx = next((i for i, m in enumerate(models) if m.is_encompassing), None)
-    if ref_idx is None:
-        reference = "null"
-        display = np.exp(log_bf)
-    else:
-        reference = names[ref_idx]
-        display = np.exp(log_bf - log_bf[ref_idx])
+    reference = "null" if ref_idx is None else names[ref_idx]
+    log_display = log_bf if ref_idx is None else log_bf - log_bf[ref_idx]
     return ComparisonReport(
         theta0=theta0,
         model_names=tuple(names),
         breakdowns=breakdowns,
         prior_probs=tuple(float(w) for w in weights),
         posterior_probs=tuple(float(p) for p in pmp),
-        display_bf=tuple(float(b) for b in display),
+        log_display_bf=tuple(float(b) for b in log_display),
         reference=reference,
     )
 

@@ -29,22 +29,16 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\s*(?:(mu\d+|[<>={},])|(\S))")
 
 
-def _transitive_closure(pairs: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+def _transitive_closure(pairs) -> frozenset[tuple[int, int]]:
+    """Warshall's update over successor sets: each node's successors join every set holding it."""
     succ: dict[int, set[int]] = {}
     for a, b in pairs:
         succ.setdefault(a, set()).add(b)
-    closed = set()
-    for start in succ:
-        stack = list(succ[start])
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            closed.add((start, node))
-            stack.extend(succ.get(node, ()))
-    return frozenset(closed)
+    for k, via in succ.items():
+        for s in succ.values():
+            if k in s:
+                s |= via
+    return frozenset((a, b) for a, s in succ.items() for b in s)
 
 
 @dataclass(frozen=True)
@@ -83,19 +77,16 @@ class ConstraintModel:
                 raise ValueError(f"order pair ({a}, {b}) does not name class representatives")
             if a == b:
                 raise ValueError("cycle in order relation")
-        for a, b in self.order:
-            for c, d in self.order:
-                if b == c and (a, d) not in self.order:
-                    raise ValueError("order relation is not transitively closed")
+        if _transitive_closure(self.order) != self.order:
+            raise ValueError("order relation is not transitively closed")
 
     @classmethod
     def create(cls, J: int, classes, order, name: str = "") -> "ConstraintModel":
         """Normalize (sort, transitively close) and validate the pieces."""
         norm = tuple(sorted(tuple(sorted(c)) for c in classes))
         closed = _transitive_closure({(int(a), int(b)) for a, b in order})
-        for a, b in closed:
-            if a == b:
-                raise ParseError("cycle in order relation")
+        if any(a == b for a, b in closed):
+            raise ParseError("cycle in order relation")
         return cls(name=name, J=J, classes=norm, order=closed)
 
     @property
@@ -127,22 +118,12 @@ class ConstraintModel:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weak components of the order as sorted class representatives, by least member."""
-        adj: dict[int, set[int]] = {cls[0]: set() for cls in self.classes}
+        comp = {cls[0]: {cls[0]} for cls in self.classes}
         for a, b in self.order:
-            adj[a].add(b)
-            adj[b].add(a)
-        comps = []
-        left = set(adj)
-        while left:
-            stack, comp = [min(left)], set()
-            while stack:
-                node = stack.pop()
-                if node not in comp:
-                    comp.add(node)
-                    stack.extend(adj[node] - comp)
-            comps.append(tuple(sorted(comp)))
-            left -= comp
-        return tuple(comps)
+            if comp[a] is not comp[b]:
+                merged = comp[a] | comp[b]
+                comp.update(dict.fromkeys(merged, merged))
+        return tuple(sorted({tuple(sorted(c)) for c in comp.values()}))
 
     @cached_property
     def layers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +56,9 @@ def ingest_csv(path) -> AnovaData:
 
     Labels are ordered by value when every one parses as a finite number,
     with labels of equal value (`1`, `1.0`) ordered by their text; otherwise
-    they are ordered by their text.  A warning reports the recoding whenever
-    the original labels were not already 1..J.  A response that does not
-    parse as a finite number is refused with its file and line.
+    they are ordered by their text.  group_labels keeps the coding: label
+    group_labels[j - 1] is group j.  A response that does not parse as a
+    finite number is refused with its file and line.
     """
     labels: list[str] = []
     values: list[float] = []
@@ -93,9 +92,6 @@ def ingest_csv(path) -> AnovaData:
     except ValueError:
         pass
     code = {lab: j for j, lab in enumerate(unique, start=1)}
-    if [str(j) for j in range(1, len(unique) + 1)] != unique:
-        mapping = ", ".join(f"{lab!r}->{code[lab]}" for lab in unique)
-        warnings.warn(f"group labels recoded to 1..{len(unique)}: {mapping}")
     groups = np.array([code[lab] for lab in labels], dtype=int)
     return AnovaData(responses=np.array(values), groups=groups,
                      group_labels=tuple(unique))

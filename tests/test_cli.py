@@ -136,11 +136,18 @@ def test_compare_group_recode_note(capsys, tmp_path):
         for v in rng.normal(mu, 1.0, size=6):
             rows.append(f"{lab},{v:.4f}")
     p.write_text("\n".join(rows) + "\n")
-    with pytest.warns(UserWarning):
-        code = main(["compare", str(p), "--model", "mu1<mu2", *FAST_FLAGS])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "group coding: ctl->1, trt->2" in out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported once, by the CLI, not as a warning
+        assert main(["compare", str(p), "--model", "mu1<mu2", *FAST_FLAGS]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("group coding: ctl->1, trt->2\nnull fit:") and not err
+        assert out.count("group coding") == 1
+        # beside records the line goes to stderr, so stdout stays one JSON line
+        assert main(["compare", str(p), "--model", "mu1<mu2", "--output", "records",
+                     *FAST_FLAGS]) == 0
+    out, err = capsys.readouterr()
+    assert err == "group coding: ctl->1, trt->2\n"
+    assert json.loads(out)["type"] == "comparison" and out.count("\n") == 1
 
 
 def test_compare_errors(capsys, data_csv, tmp_path):

@@ -443,6 +443,36 @@ def test_text_bf_column_keeps_its_width():
     assert rows[1][30:48].strip() == f"{report.display_bf[1]:.4f}"
 
 
+def test_text_bf_column_past_the_float_range():
+    # means 4 sd apart on 400 rows a group put up's BF against the null near
+    # 1e643 and the null's against free near 1e-643: exp overflows and
+    # underflows, so the column reads the exponent from the log BF
+    rng = np.random.default_rng(0)
+    y = np.concatenate([rng.normal(m, 1.0, 400) for m in (0.0, 4.0, 8.0)])
+    data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 400))
+    up = parse_model_spec("mu1 < mu2 < mu3", J=3, name="up")
+    null = parse_model_spec("mu1 = mu2 = mu3", J=3, name="null")
+    free = parse_model_spec("mu1, mu2, mu3", J=3, name="free")
+    for models, row, record_bf in (([up, null], 0, np.inf), ([up, null, free], 1, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare(data, models)
+            text = report.to_text()
+            assert report.display_bf[row] == record_bf
+            assert report.to_record()["models"][row]["display_bf"] == record_bf
+        log10_bf = report.log_display_bf[row] / np.log(10.0)
+        assert abs(log10_bf) > 600
+        mantissa, exponent = text.splitlines()[3 + row][30:48].split("e")
+        assert int(exponent) == np.floor(log10_bf)
+        assert float(mantissa) == pytest.approx(10.0 ** (log10_bf - np.floor(log10_bf)),
+                                                abs=5e-5)
+
+
+def test_compare_refuses_an_empty_model_list():
+    with pytest.raises(ValueError, match="^no models given$"):
+        compare(_increasing_data(), [])
+
+
 def test_text_name_column_fits_the_longest_name():
     # a name past the 14-character default widens the column for every row,
     # so the numbers stay under their headings

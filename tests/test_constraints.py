@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cipanova.constraints import (
     ConstraintModel,
     ParseError,
+    _transitive_closure,
     encompassing_of,
     model_to_string,
     parse_model_spec,
@@ -463,3 +464,66 @@ def test_model_validation_rejects_bad_pieces():
                         order=frozenset({(1, 2), (2, 3)}))  # not closed
     with pytest.raises(ParseError):
         ConstraintModel.create(2, [(1,), (2,)], [(1, 2), (2, 1)])  # cycle
+
+
+@pytest.mark.parametrize("J, classes, order, message", [
+    (2, ((1,), ()), (), "class () must be a sorted nonempty tuple"),
+    (2, ((2, 1),), (), "class (2, 1) must be a sorted nonempty tuple"),
+    (2, ((1, 2), (2,)), (), "classes are not disjoint"),
+    (3, ((1, 2),), (), "classes do not partition 1..3"),
+    (3, ((2,), (1, 3)), (), "classes must be sorted by representative"),
+    (3, ((1, 3), (2,)), ((1, 3),), "order pair (1, 3) does not name class representatives"),
+    (2, ((1,), (2,)), ((2, 2),), "cycle in order relation"),
+    (3, ((1,), (2,), (3,)), ((1, 2), (2, 3)), "order relation is not transitively closed"),
+    (2, ((1,), (2,)), ((1, 2), (2, 1)), "order relation is not transitively closed"),
+])
+def test_direct_construction_refusals(J, classes, order, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConstraintModel(name="", J=J, classes=classes, order=frozenset(order))
+
+
+@st.composite
+def pair_sets(draw):
+    """Pairs over 1..J, J <= 9, cycles and self-pairs allowed, and a partition with merged classes."""
+    J = draw(st.integers(1, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(1, J), st.integers(1, J)), max_size=3 * J))
+    label = draw(st.permutations(range(1, J + 1)))
+    merge = draw(st.lists(st.integers(0, 3), min_size=J - 1, max_size=J - 1))
+    classes = [[label[0]]]
+    for g, m in zip(label[1:], merge):
+        if m:  # one group in four joins the class before it
+            classes.append([])
+        classes[-1].append(g)
+    return J, pairs, classes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pair_sets())
+def test_closure_and_components_match_brute_force(case):
+    J, pairs, classes = case
+    # reachability in one step or more: a pair reaches J steps at most
+    reach = set(pairs)
+    for _ in range(J):
+        reach |= {(a, d) for a, b in reach for c, d in pairs if b == c}
+    assert _transitive_closure(pairs) == reach
+    # the same pairs between the classes' representatives, and a union-find over them
+    rep = {g: min(cls) for cls in classes for g in cls}
+    between = {(rep[a], rep[b]) for a, b in pairs}
+    try:
+        model = ConstraintModel.create(J, classes, between)
+    except ParseError:
+        assert any(a == b for a, b in _transitive_closure(between))
+        return
+    root = {r: r for r in rep.values()}
+
+    def find(r):
+        while root[r] != r:
+            r = root[r]
+        return r
+
+    for a, b in between:
+        root[find(a)] = find(b)
+    comps: dict[int, list[int]] = {}
+    for r in sorted(root):
+        comps.setdefault(find(r), []).append(r)
+    assert model.components == tuple(sorted(map(tuple, comps.values())))

@@ -99,6 +99,19 @@ def test_integrand_dense_small_oracle():
     assert integrand_log(eta, y, theta0, spec) == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("change", [
+    lambda y: y[:-1],
+    lambda y: np.append(y, 0.0),
+    lambda y: y.reshape(1, -1),
+    lambda y: np.where(np.arange(y.size) == 3, np.nan, y),
+    lambda y: np.where(np.arange(y.size) == 0, -np.inf, y),
+], ids=["short", "long", "matrix", "nan", "inf"])
+def test_prepared_integrand_refuses_a_response_vector_off_the_design(change):
+    y, theta0, spec = _dataset()
+    with pytest.raises(ValueError, match="^y must be a finite vector matching the design rows$"):
+        PreparedIntegrand(change(y), theta0, spec)
+
+
 def test_integrand_domain():
     y, theta0, spec = _dataset()
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.stats import norm
 
 from cipanova import posterior, simulate
 from cipanova.compare import Settings
-from cipanova.scenarios import make_preset
+from cipanova.scenarios import SimScenario, make_preset
 from cipanova.simulate import power_table, run_simulation_study, summarize_records
 
 TINY = Settings(prior_draws=8_000)
@@ -167,6 +168,19 @@ def test_study_validation():
     without_true = [m for m in models if m.name != "M3"]
     with pytest.raises(ValueError, match="true model"):
         run_simulation_study(scenario, without_true, settings=TINY)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sds": (1.0, 1.0)}, "means and sds must have equal length"),
+    ({"sds": (1.0, 0.0, 1.0)}, "group scales must be positive"),
+    ({"n_per_group": 1}, "need n_per_group >= 2 and reps >= 1"),
+    ({"reps": 0}, "need n_per_group >= 2 and reps >= 1"),
+])
+def test_scenario_refusals(change, message):
+    fields = dict(name="s", means=(0.0, 0.5, 1.0), sds=(1.0, 1.0, 1.0), n_per_group=5,
+                  true_model="M2", reps=1, base_seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimScenario(**{**fields, **change})
 
 
 def test_summarize_records_and_text():
