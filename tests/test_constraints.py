@@ -484,7 +484,7 @@ def test_direct_construction_refusals(J, classes, order, message):
 
 @st.composite
 def pair_sets(draw):
-    """Pairs over 1..J, J <= 9, cycles and self-pairs allowed, and a partition with merged classes."""
+    """Pairs over 1..J, J <= 9, cycles and self-pairs allowed, and a partition of 1..J."""
     J = draw(st.integers(1, 9))
     pairs = draw(st.sets(st.tuples(st.integers(1, J), st.integers(1, J)), max_size=3 * J))
     label = draw(st.permutations(range(1, J + 1)))
