@@ -43,11 +43,11 @@ of the narrowest class covering each point; each F_a runs left to right and
 each S_b right to left on the same panels, so neither is formed as one minus
 the other, and the last integrand is integrated (times every S_b) in one
 step.  The class densities and every level's H and integrand are rows of one
-workspace per call, and each level's integrand is summed row by row from row
-views of the densities and the previous level's H, so a step holds the
-densities, the previous H, the integrand and the new H, and no gathered
-copies.  The grid doubles, splitting
-every panel in two, until the mass moves by less than POSTERIOR_REL_TOL.  A
+workspace per call, each row the Lobatto points by the panels of every node
+(on the starting grid and its double together); a level's integrand is summed
+from row views of the densities and the previous H, so no step gathers copies.
+The grid doubles, splitting every panel in two, until the mass moves by less
+than POSTERIOR_REL_TOL.  A
 posterior mass too small for the +-10 sd truncation to be negligible
 (truncation_floor) is reported as unresolved, with an upper bound instead of a
 value, and compare.bf_k0 refuses an order whose prior mass is below that floor;
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, pairwise
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -213,16 +214,17 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
                 "mass is too costly")
         cols = np.array([model.columns[r] for r in bottom + tuple(at) + top])
         cols.flags.writeable = False
-        comps.append(_Component(cols, levels, len(bottom), len(top), _rows(len(members), levels)))
+        comps.append(_Component(cols, levels, len(bottom), len(top),
+                                _rows(len(members), levels, max(len(bottom), len(top)))))
     return tuple(comps)
 
 
-def _rows(q: int, levels: tuple[tuple, ...]) -> int:
+def _rows(q: int, levels: tuple[tuple, ...], ends: int = 0) -> int:
     """_Component.rows: the grid-sized arrays per node one component's kernel holds at once."""
-    # a density row per class, their bool mask (8 classes to a row), the grid
-    # points, the product row (also each F_a and S_b), numpy's ufunc buffer
-    # (8192 elements, at most a row) and the level rows
-    return q + -(-q // 8) + 3 + _level_rows(levels)
+    # a density row per class, their bool mask and per class and cell its mu, s and half-width
+    # factor (8 classes to a row each), the grid points, the product row, numpy's ufunc buffer
+    # (8192 elements, at most a row), the level rows and the wider end layer's F_a or S_b
+    return q + 2 * -(-q // 8) + 3 + _level_rows(levels) + ends
 
 
 def _level_rows(levels: tuple[tuple, ...]) -> int:
@@ -299,91 +301,98 @@ def _panel_edges(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
     interp's slope * (x - x0) + y0 from the last need at or below it (over
     plateaus), the total the last end; 2 * panels gives these as even columns.
     """
-    x = np.linspace(0.0, 1.0, panels + 1)[:-1] * need[:, -1:]
-    j = sum(col[:, None] <= x for col in need.T[1:])  # the segment of each step
-    r = np.arange(len(need))[:, None]
-    x0, x1, y0, y1 = need[r, j], need[r, j + 1], ends[r, j], ends[r, j + 1]
+    x = np.arange(panels) * (1.0 / panels) * need[:, -1:]  # np.linspace's steps, bit for bit
+    j = np.count_nonzero(need[:, None, 1:] <= x[..., None], axis=2)  # the segment of each step,
+    j += np.arange(0, need.size, need.shape[1])[:, None]  # as a flat index into need and ends
+    x0, x1, y0, y1 = need.take(j), need.take(j + 1), ends.take(j), ends.take(j + 1)
     return np.concatenate([(y1 - y0) / (x1 - x0) * (x - x0) + y0, ends[:, -1:]], axis=1)
 
 
 def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
-                      edges: np.ndarray) -> np.ndarray:
-    """P(the component's order | eta) at each node, on the given panel edges per node.
+                      grids: list[np.ndarray]) -> list[np.ndarray]:
+    """P(the component's order | eta) at each node, on each grid of panel edges per node.
 
-    The densities, the product row and each level's H and integrand are rows
-    of one workspace, the previous H at one end of the level rows and the
-    integrand and new H at the other.  One block per call is reused by the
-    allocator; fresh per-level arrays made glibc's malloc hand memory back
-    after every call (some 320 page faults per j10 5-vs-5 mass).  Integrand
-    rows are summed from row views through the product row, so no step gathers
-    rows into a copy.  The middle's recursion starts from the bottom layer's
-    product of F_a; with no middle, the last integrand is that product's
-    derivative, summed into the first bottom density's row by the product rule
-    (G <- G F_a + f_a P, P <- P F_a).  The mass is the whole-grid integral of
-    the last integrand times every S_b of the top layer, which forms no H.
+    Each row of one workspace (a density, the product row, a level's H or
+    integrand, an F_a or S_b) is the Lobatto points by the cells, every node's
+    panels on each grid in turn, padded to a multiple of 8 (OpenBLAS sums a
+    ragged tail in another order): all grids go through in one pass, and a
+    row integrates within its panels as M @ row.  The previous H sits at one
+    end of the level rows and the new H at the other, integrands summed from
+    row views through the product row; one block per call is reused by the
+    allocator (fresh arrays per level made malloc hand memory back after
+    every call).  With no middle, the last integrand is the bottom layer's
+    product of F_a differentiated by the product rule, G <- G F_a + f_a P and
+    P <- P F_a; the mass integrates it times every S_b.
     """
     x, M = _lobatto_rule(PANEL_POINTS)
-    half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
-    t = edges[:, :-1, None] + half * (1.0 + x)
-    q = len(comp.cols)
-    work = np.empty((q + 1 + _level_rows(comp.levels), t.size))
-    dens, term, block = work[:q], work[q], work[q + 1:]
-    z = dens.reshape((-1,) + t.shape)
-    np.subtract(t, mu.T[:, :, None, None], out=z)
-    z /= s.T[:, :, None, None]
+    q, n = len(comp.cols), len(mu)
+    left = np.concatenate([e[:, :-1] for e in grids], axis=1)
+    half = 0.5 * np.concatenate([np.diff(e, axis=1) for e in grids], axis=1).ravel()
+    t = left.ravel() + half * (1.0 + x)[:, None]
+    cells, bounds = t.shape[1], accumulate((e.shape[1] - 1 for e in grids), initial=0)
+    cuts = [slice(*ab) for ab in pairwise(bounds)]  # each grid's panels of a node
+    rows = _level_rows(comp.levels)
+    work = np.empty((q + 1 + rows + max(comp.bottom, comp.top), PANEL_POINTS, -(-cells // 8) * 8))
+    dens, term, block, F = work[:q], work[q], work[q + 1:q + 1 + rows], work[q + 1 + rows:]
+    z = dens[..., :cells]
+    sd = np.repeat(s.T, left.shape[1], axis=1)  # per class and cell
+    np.subtract(t, np.repeat(mu.T, left.shape[1], axis=1)[:, None], out=z)
+    z /= sd[:, None]
     z *= z
-    # each class lives on its own +-SPAN_SD interval; z*z > SPAN_SD**2 is
-    # |z| > SPAN_SD exactly, since SPAN_SD**2 is exact in floating point
-    outside = z > SPAN_SD * SPAN_SD
+    # each class lives on its own +-SPAN_SD interval; z*z <= SPAN_SD**2 is
+    # |z| <= SPAN_SD exactly, since SPAN_SD**2 is exact in floating point
+    inside = z <= SPAN_SD * SPAN_SD
     z *= -0.5
     np.exp(z, out=z)
     # every integrand below holds one density factor, so the panel
     # half-widths are folded in here
-    z *= half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi))
-    np.copyto(z, 0.0, where=outside)
+    z *= (half / (sd * np.sqrt(2.0 * np.pi)))[:, None]
+    z *= inside  # a product, not a masked copy: the mask changes every few cells
+    dens[..., cells:] = 0.0
     H, front = block[:1], True  # front: H holds the first rows of the block
     if comp.bottom:
-        g = dens[0]
-        _cumulate(g, H, t.shape, M)
-        for f in dens[1:comp.bottom]:
-            _cumulate(f, term, t.shape, M)
+        _cumulate(dens[:comp.bottom], F[:comp.bottom], M, n, cuts)
+        g, H = dens[0], F[:1]
+        for f, Fa in zip(dens[1:comp.bottom], F[1:comp.bottom]):
             if not comp.levels:
-                g *= term
+                g *= Fa
                 g += np.multiply(f, H[0], out=f)
-            H *= term
+            H *= Fa
     else:
         H.fill(1.0)
     middle = dens[comp.bottom:]
     for lv in comp.levels[:-1]:
-        n = len(lv)
-        g, new = (block[-2 * n:-n], block[-n:]) if front else (block[n:2 * n], block[:n])
-        _cumulate(_level_integrand(lv, middle, H, term, g), new, t.shape, M)
+        k = len(lv)
+        g, new = (block[-2 * k:-k], block[-k:]) if front else (block[k:2 * k], block[:k])
+        _cumulate(_level_integrand(lv, middle, H, term, g), new, M, n, cuts)
         H, front = new, not front
     if comp.levels:
         g = _level_integrand(comp.levels[-1], middle, H, term, block[-1:] if front else block[:1])
-    # g times each S_b, integrated right to left in the product row (the
-    # flipped Lobatto matrix within a panel, the panels to the right as
-    # reversed cumulative totals)
-    g, S = g.reshape(t.shape), term.reshape(t.shape)
-    for f in dens[q - comp.top:]:
-        np.matmul(f.reshape(-1, PANEL_POINTS), M[::-1, ::-1].T,
-                  out=term.reshape(-1, PANEL_POINTS))
-        totals = S[..., 0]
-        S += (np.cumsum(totals[:, ::-1], axis=-1)[:, ::-1] - totals)[..., None]
-        g *= S
-    return (g @ M[-1]).sum(axis=-1)
+    if comp.top:  # g times each S_b, integrated right to left
+        _cumulate(dens[q - comp.top:], F[:comp.top], M, n, cuts, leftward=True)
+        for Sb in F[:comp.top]:
+            g *= Sb
+    # one dot product per cell, node by node on a (cells, points) copy, as in
+    # component_masses_reference: OpenBLAS sums a ragged tail of rows in another order
+    g = np.ascontiguousarray(g.reshape(term.shape).T)[:cells].reshape(n, -1, PANEL_POINTS)
+    return [(g[:, cut] @ M[-1]).sum(axis=-1) for cut in cuts]
 
 
-def _cumulate(g: np.ndarray, out: np.ndarray, shape: tuple[int, ...], M: np.ndarray) -> None:
-    """Each row of out, the cumulative integral of that row of g on a grid of the given shape.
+def _cumulate(g: np.ndarray, out: np.ndarray, M: np.ndarray, n: int, cuts: list[slice],
+              leftward: bool = False) -> None:
+    """Each row of out, the cumulative integral of that row of g over n nodes' cells, grid by grid.
 
-    M integrates within each panel; the totals of the panels to the left are
-    added after.
+    M integrates within each panel, flipped from its right end when leftward;
+    the totals of the panels to the left (right) at that node and grid follow.
     """
-    np.matmul(g.reshape(-1, PANEL_POINTS), M.T, out=out.reshape(-1, PANEL_POINTS))
-    panels = out.reshape((-1,) + shape)
-    totals = panels[..., -1]
-    panels += (np.cumsum(totals, axis=-1) - totals)[..., None]
+    out = out.reshape((-1,) + M.shape[:1] + out.shape[-1:])
+    np.matmul(M[::-1, ::-1] if leftward else M, g.reshape(out.shape), out=out)
+    cells, step = n * cuts[-1].stop, -1 if leftward else 1
+    totals = out[:, 0 if leftward else -1, :cells].reshape(len(out), n, -1)
+    parts = [totals[..., cut][..., ::step] for cut in cuts]
+    offsets = np.concatenate([(np.cumsum(p, axis=-1) - p)[..., ::step] for p in parts], axis=-1)
+    panels = out[..., :cells]
+    panels += offsets.reshape(len(out), 1, -1)
 
 
 def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarray,
@@ -400,13 +409,19 @@ def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarra
     return g
 
 
+@lru_cache(maxsize=PRIOR_CACHE_SIZE)
+def _reduction_columns(model: ConstraintModel) -> np.ndarray:
+    """The columns (a, b) of each covering pair of the order, a 2 x pairs array."""
+    return np.array([(model.columns[a], model.columns[b]) for a, b in model.order_reduction]).T
+
+
 def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per node, log of min over order pairs (a, b) of a closed-form bound on P(X_a < X_b).
 
     P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
-    a, b = np.array([(model.columns[a], model.columns[b]) for a, b in model.order_reduction]).T
+    a, b = _reduction_columns(model)
     z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)
@@ -430,13 +445,17 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     least = min(MIN_PANELS, cap // (2 * PANEL_POINTS))
     base = [max(least, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
 
-    def mass_at(edges):
-        node = np.ones(len(w))
-        for (comp, cmu, cs, *_), e in zip(layouts, edges):
-            step = max(1, MAX_ELEMENTS // (comp.rows * (e.shape[1] - 1) * PANEL_POINTS))
-            for k in (slice(i, i + step) for i in range(0, len(w), step)):
-                node[k] *= _component_masses(comp, cmu[k], cs[k], e[k])
-        return float(w @ node)
+    def masses_at(grids):  # per component, its edges on each grid; one mass per grid
+        node = np.ones((len(grids[0]), len(w)))
+        for (comp, cmu, cs, *_), edges in zip(layouts, grids):
+            size = [comp.rows * (e.shape[1] - 1) * PANEL_POINTS for e in edges]  # per node
+            together = sum(size) <= MAX_ELEMENTS  # or one grid per call
+            for group in [range(len(edges))] if together else [[i] for i in range(len(edges))]:
+                step = max(1, MAX_ELEMENTS // sum(size[i] for i in group))
+                for k in (slice(j, j + step) for j in range(0, len(w), step)):
+                    node[list(group), k] *= _component_masses(comp, cmu[k], cs[k],
+                                                              [edges[i][k] for i in group])
+        return [float(w @ row) for row in node]
 
     if 2 * max(base) * PANEL_POINTS > cap:
         return np.nan, np.inf, 0, np.nan
@@ -444,8 +463,9 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     while True:
         edges = [_panel_edges(ends, need, p * scale) for (*_, ends, need), p in zip(layouts, base)]
         if prev is None:  # the starting grid's edges are the even columns of its double's
-            prev = mass_at([e[:, ::2] for e in edges])
-        mass = mass_at(edges)
+            prev, mass = masses_at([[e[:, ::2], e] for e in edges])
+        else:
+            mass, = masses_at([[e] for e in edges])
         grid = max(base) * scale * PANEL_POINTS
         change = abs(mass - prev) / mass if mass > 0.0 else np.inf
         if change < POSTERIOR_REL_TOL or not np.isfinite(change) or 2 * grid > cap:

@@ -258,6 +258,45 @@ def test_final_step_matches_the_full_last_level_integration(model, seed):
         base = max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD)))
         for panels in (base, 2 * base):
             edges = _panel_edges(ends, need, panels)
-            got = _component_masses(comp, cmu, cs, edges)
+            got, = _component_masses(comp, cmu, cs, [edges])
             full = component_masses_reference(comp, cmu, cs, edges, full_last_level=True)
             assert np.all(np.abs(got - full) <= 1e-15 * full)
+
+
+def _layered(*layers):
+    """The order L_1 < L_2 < ... on classes 1, 2, ... numbered layer by layer."""
+    J = sum(layers)
+    starts = np.cumsum((0,) + layers)
+    pairs = [(a + 1, b + 1) for lo, mid, hi in zip(starts, starts[1:], starts[2:])
+             for a in range(lo, mid) for b in range(mid, hi)]
+    return ConstraintModel.create(J, [(j,) for j in range(1, J + 1)], pairs)
+
+
+kernel_orders = st.one_of(
+    st.integers(2, 8).map(lambda q: _layered(*[1] * q)),  # chains
+    end_layer_orders().map(lambda drawn: drawn[0]),
+    st.integers(2, 6).map(lambda w: _layered(1, w, 1)),  # a wide middle
+    st.just(ConstraintModel.create(4, [(j,) for j in range(1, 5)], [(1, 3), (2, 3), (2, 4)])),
+)
+
+
+@PROPERTY
+@given(kernel_orders, st.integers(1, 25), st.integers(0, 2**32 - 1))
+def test_one_call_on_several_grids_matches_one_call_per_grid(model, nodes, seed):
+    # a mass sends its starting grid and the double through one kernel call;
+    # each grid must come out as it does alone
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 40, size=model.J)
+    s = rng.uniform(0.5, 2.0, size=(nodes, 1)) / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(nodes, model.J))
+    for comp in order_components(model):
+        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        ends, need = _resolution_need(cmu, cs)
+        base = max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD)))
+        double = _panel_edges(ends, need, 2 * base)
+        grids = [double[:, ::2], double]
+        together = _component_masses(comp, cmu, cs, grids)
+        assert len(together) == 2
+        for edges, got in zip(grids, together):
+            alone, = _component_masses(comp, cmu, cs, [edges])
+            np.testing.assert_array_max_ulp(got, alone, maxulp=2)

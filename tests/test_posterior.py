@@ -405,7 +405,7 @@ def test_mass_settles_on_the_second_grid_across_datasets(monkeypatch):
     grids = []
     component_masses = posterior._component_masses
     monkeypatch.setattr(posterior, "_component_masses",
-                        lambda *a: grids.append(a[-1].shape[1]) or component_masses(*a))
+                        lambda *a: grids.extend(e.shape[1] for e in a[-1]) or component_masses(*a))
     text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
     first = set()
     for seed in range(1, 13):
@@ -488,6 +488,12 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
     chunked = _exact_mass(data, text)
     assert chunked.estimate == pytest.approx(whole.estimate, rel=1e-13, abs=0.0)
     assert chunked.grid == whole.grid
+    # room for one node on the finest grid but not on it and the starting grid
+    # together: the two grids go through one call each
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid)
+    split = _exact_mass(data, text)
+    assert split.estimate == pytest.approx(whole.estimate, rel=1e-13, abs=0.0)
+    assert split.grid == whole.grid
     # room for less than the grid the mass needs: refused, not a larger array
     monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid // 2)
     with pytest.raises(ValueError, match="did not settle"):
@@ -585,14 +591,22 @@ def _n_order_data():
     return AnovaData(responses=y, groups=np.repeat([1, 2, 3, 4], sizes))
 
 
+def _spread_data():
+    # classes 25 sd apart: the starting grid takes 14 panels, so a node's cells
+    # are not a multiple of the BLAS kernels' 4 or 8 rows
+    rng = np.random.default_rng(8)
+    y = np.concatenate([rng.normal(m, 1.0, size=10) for m in (0.0, 8.0, 16.0)])
+    return AnovaData(responses=y, groups=np.repeat([1, 2, 3], 10))
+
+
 def _kernel_calls(monkeypatch, data, text):
     """Inputs and outputs of every _component_masses call one exact mass makes."""
     calls = []
     kernel = posterior._component_masses
 
-    def spy(comp, mu, s, edges):
-        out = kernel(comp, mu, s, edges)
-        calls.append(((comp, mu, s, edges), out))
+    def spy(comp, mu, s, grids):
+        out = kernel(comp, mu, s, grids)
+        calls.append(((comp, mu, s, grids), out))
         return out
 
     monkeypatch.setattr(posterior, "_component_masses", spy)
@@ -606,12 +620,14 @@ def _kernel_calls(monkeypatch, data, text):
     (_c07_data, MODEL_STRINGS["M3"]),
     (_j10_data, "mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7"),
     (_n_order_data, "mu1 < mu3, mu2 < mu3, mu2 < mu4"),
-], ids=["pop3 M2", "pop3 M3", "j10 middle", "N"])
+    (_spread_data, "mu1 < mu2 < mu3"),
+], ids=["pop3 M2", "pop3 M3", "j10 middle", "N", "spread"])
 def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, make_data, text):
     calls = _kernel_calls(monkeypatch, make_data(), text)
-    assert len(calls) >= 2  # at least two grids
-    for args, out in calls:
-        assert np.array_equal(out, component_masses_reference(*args))
+    assert sum(len(grids) for (*_, grids), _ in calls) >= 2  # at least two grids
+    for (comp, mu, s, grids), out in calls:
+        for edges, masses in zip(grids, out, strict=True):
+            assert np.array_equal(masses, component_masses_reference(comp, mu, s, edges))
 
 
 @pytest.mark.parametrize("text", [
@@ -623,11 +639,11 @@ def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, m
 def test_kernel_peak_memory_is_within_its_row_count(monkeypatch, text):
     # rows sizes the node chunks and the grid cap, so it must bound what one
     # call holds: rows arrays of N = nodes x grid floats
-    (comp, mu, s, edges), _ = _kernel_calls(monkeypatch, _j10_data(), text)[-1]
-    N = edges.shape[0] * (edges.shape[1] - 1) * posterior.PANEL_POINTS
+    (comp, mu, s, grids), _ = _kernel_calls(monkeypatch, _j10_data(), text)[-1]
+    N = sum(e.shape[0] * (e.shape[1] - 1) for e in grids) * posterior.PANEL_POINTS
     tracemalloc.start()
     try:
-        posterior._component_masses(comp, mu, s, edges)
+        posterior._component_masses(comp, mu, s, grids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
