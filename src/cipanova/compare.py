@@ -183,23 +183,23 @@ class ComparisonReport:
 
     def to_text(self) -> str:
         width = max([14, *map(len, self.model_names)])
-        header = (f"{'model':<{width}}{'log BF vs null':>16}{'BF vs ' + self.reference:>18}"
-                  f"{'post prob':>12}")
+        bf_head = "BF vs " + self.reference
+        bfs = [_format_bf(*bf) for bf in zip(self.display_bf, self.log_display_bf)]
+        bf_width = max([18] + [len(text) + 1 for text in [bf_head, *bfs]])
+        header = f"{'model':<{width}}{'log BF vs null':>16}{bf_head:>{bf_width}}{'post prob':>12}"
         lines = [
             f"null fit: alpha0={self.theta0.alpha0:.6g} sigma0={self.theta0.sigma0:.6g}",
             header,
             "-" * len(header),
         ]
-        for name, bd, pmp, dbf, log_dbf in zip(self.model_names, self.breakdowns,
-                                               self.posterior_probs, self.display_bf,
-                                               self.log_display_bf):
+        for name, bd, pmp, bf in zip(self.model_names, self.breakdowns, self.posterior_probs, bfs):
             notes = ["(posterior mass unresolved)"] if bd.below_resolution else []
             if bd.evidence is not None and bd.evidence.node_doubling_delta >= EVIDENCE_TOL:
                 notes.append(
                     f"(evidence unconverged: delta={bd.evidence.node_doubling_delta:.2g} nat)")
             note = "".join("  " + n for n in notes)
             lines.append(f"{name:<{width}}{_format_log_bf(bd.log_bf_c_vs_0):>16}"
-                         f"{_format_bf(dbf, log_dbf):>18}{pmp:>12.4f}{note}")
+                         f"{bf:>{bf_width}}{pmp:>12.4f}{note}")
         return "\n".join(lines)
 
 

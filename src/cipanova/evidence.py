@@ -94,10 +94,11 @@ class PreparedIntegrand:
         if spec.n > spec.q and self.ssw <= (2 * spec.n * np.finfo(float).eps) ** 2 * self.B:
             raise ValueError("the responses are constant within every class (zero within-class "
                              "spread), so the marginal likelihood of this design is infinite")
-        # the mode search starts where s0^2 eta/(1 - eta) is SSW/(n - q); when
-        # that eta rounds to 1 no rule can place a node near the mode
+        # the mode search starts where s0^2 eta/(1 - eta) is SSW/(n - q), or at 1/2
+        # when SSW is 0; when that eta rounds to 1 no rule can place a node near the mode
         x = self.ssw / ((spec.n - spec.q) * self.s0sq) if spec.n > spec.q else 0.0
-        if not x / (1.0 + x) < 1.0:
+        self.eta_start = x / (1.0 + x) if x > 0.0 else 0.5
+        if not self.eta_start < 1.0:
             raise ValueError(f"sigma0 = {theta0.sigma0:g} is too small for the within-class "
                              "spread of the responses: the error variance's posterior sits "
                              "where eta rounds to 1")
@@ -146,18 +147,16 @@ class PreparedIntegrand:
 def _eta_mode(prep: PreparedIntegrand) -> float:
     """Mode of the integrand in eta: Newton in t = logit eta on closed-form derivatives.
 
-    It starts where the error variance a = s0^2 eta/(1 - eta) is the
-    within-class estimate SSW/(n - q), the mode when the class term is flat,
-    or at 1/2 when SSW is 0 (PreparedIntegrand refuses a start that rounds
-    to 1).  It keeps to a bracket in (0, 1), which each slope's sign narrows;
-    a step that leaves the bracket, or one where the integrand is not
+    It starts at prep.eta_start, where the error variance a = s0^2 eta/(1 - eta)
+    is the within-class estimate SSW/(n - q), the mode when the class term is
+    flat, or at 1/2 when SSW is 0 (PreparedIntegrand refuses a start that
+    rounds to 1).  It keeps to a bracket in (0, 1), which each slope's sign
+    narrows; a step that leaves the bracket, or one where the integrand is not
     concave, bisects it instead.  The search stops when no float lies
     strictly inside the bracket, as when the mode rounds to eta = 1.
     """
     n, q, k, B = prep.n, prep.q, prep.k, prep.B
-    x = prep.ssw / ((n - q) * prep.s0sq) if prep.ssw > 0.0 else 0.0
-    e = x / (1.0 + x)
-    lo, e, hi = 0.0, e if e > 0.0 else 0.5, 1.0
+    lo, e, hi = 0.0, prep.eta_start, 1.0
     for _ in range(100):
         # first and second derivatives in t of -2 loglik; d eta/dt = eta (1 - eta)
         a, v, c = prep.s0sq * e / (1.0 - e), e * (1.0 - e), k / (e + k)

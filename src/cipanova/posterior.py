@@ -76,7 +76,7 @@ from .gaussian import LOG_2PI, logsumexp
 POSTERIOR_REL_TOL = 1e-9
 # a component of the order with more down-sets than this (between its wide end
 # layers) is refused; its widest levels would hold some 5000 arrays per grid
-# point, room for about 800 (12 classes between two, 4098 down-sets, get 1577)
+# point, room for about 800 (12 classes between two, 4098 down-sets, get 1576)
 MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
@@ -165,24 +165,34 @@ def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
 
 @dataclass(frozen=True)
 class _Component:
-    """A weak component of the order: its class columns, its end layers and its middle's down-sets.
+    """A weak component of the order: its class columns, covering pairs, end layers and middle.
 
     The end layers are the first and last layers of ConstraintModel.layers
     when that layer is an antichain of two or more classes: the first, A,
     gives the bottom columns, the last, B, the top columns; otherwise bottom
     or top is 0.  The other classes R, the middle, sit between them in member
-    order.  levels holds the down-sets of R by size (empty when R is), one
-    (tops, parents) pair per down-set d: the maximal classes of d and, for
-    each, the previous level's down-set without it, so the integrand of d
-    sums one density-times-H product per pair, in this order.  rows bounds
-    the grid-sized arrays per node _component_masses holds at once.
+    order.  pairs holds the columns (a, b) of the covering pairs among the
+    members, read-only and 2 x pairs, for _log_pair_bound.  levels holds the
+    down-sets of R by size (empty when R is), one (tops, parents) pair per
+    down-set d: the maximal classes of d and, for each, the previous level's
+    down-set without it, so the integrand of d sums one density-times-H
+    product per pair, in this order.  rows, derived from the other fields,
+    bounds the grid-sized arrays per node _component_masses holds at once.
     """
 
     cols: np.ndarray
+    pairs: np.ndarray
     levels: tuple[tuple, ...]
     bottom: int
     top: int
-    rows: int
+
+    @property
+    def rows(self) -> int:
+        # a density row per class, their bool mask and per class and cell its mu, s and half-width
+        # factor (8 to a row each), the grid points, the product row, numpy's ufunc buffer (8192
+        # elements, at most a row), the level rows and the wider end layer's F_a or S_b
+        q = len(self.cols)
+        return q + 2 * -(-q // 8) + 3 + _level_rows(self.levels) + max(self.bottom, self.top)
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
@@ -190,7 +200,7 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     """Bottom layer, middle down-set levels and top layer of each weak component of 2+ classes.
 
     The plan depends on the order alone, so it is built once per model and
-    process (equality ignores the name), and its cols array is read-only.
+    process (equality ignores the name), and its arrays are read-only.
     Raises ValueError, naming the model, when a component's middle has more
     than MAX_DOWNSETS down-sets.
     """
@@ -200,31 +210,19 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
             continue
         bottom, top = (layer if len(layer) > 1 and model.is_antichain(layer) else ()
                        for layer in (layers[0], layers[-1]))
-        at = {r: i for i, r in enumerate(r for r in members if r not in bottom + top)}
-        below, above = [0] * len(at), [0] * len(at)
-        for a, b in model.order:
-            if a in at and b in at:
-                below[at[b]] |= 1 << at[a]
-                above[at[a]] |= 1 << at[b]
-        levels = _downset_levels(tuple(below), tuple(above))
+        middle = tuple(r for r in members if r not in bottom + top)
+        levels = _downset_levels(middle, model.order)
         if levels is None:
             raise ValueError(
                 f"a component of the order of {model.name or model_to_string(model)} over "
                 f"{len(members)} classes has more than {MAX_DOWNSETS} down-sets; its exact cone "
                 "mass is too costly")
-        cols = np.array([model.columns[r] for r in bottom + tuple(at) + top])
-        cols.flags.writeable = False
-        comps.append(_Component(cols, levels, len(bottom), len(top),
-                                _rows(len(members), levels, max(len(bottom), len(top)))))
+        cols = np.array([model.columns[r] for r in bottom + middle + top])
+        pairs = np.array([(model.columns[a], model.columns[b])
+                          for a, b in model.order_reduction if a in members]).T
+        cols.flags.writeable = pairs.flags.writeable = False
+        comps.append(_Component(cols, pairs, levels, len(bottom), len(top)))
     return tuple(comps)
-
-
-def _rows(q: int, levels: tuple[tuple, ...], ends: int = 0) -> int:
-    """_Component.rows: the grid-sized arrays per node one component's kernel holds at once."""
-    # a density row per class, their bool mask and per class and cell its mu, s and half-width
-    # factor (8 classes to a row each), the grid points, the product row, numpy's ufunc buffer
-    # (8192 elements, at most a row), the level rows and the wider end layer's F_a or S_b
-    return q + 2 * -(-q // 8) + 3 + _level_rows(levels) + ends
 
 
 def _level_rows(levels: tuple[tuple, ...]) -> int:
@@ -238,12 +236,17 @@ def _level_rows(levels: tuple[tuple, ...]) -> int:
     return max([prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1])
 
 
-def _downset_levels(below: tuple[int, ...], above: tuple[int, ...]) -> tuple[tuple, ...] | None:
-    """Down-sets as bit masks, size by size; below[j]/above[j] mask the classes below/above j.
+def _downset_levels(members: tuple[int, ...], order: frozenset) -> tuple[tuple, ...] | None:
+    """Down-sets of the members under the order, as bit masks (bit j for members[j]), by size.
 
     None when there are more than MAX_DOWNSETS of them, counting the empty one.
     """
-    m = len(below)
+    m, at = len(members), {r: j for j, r in enumerate(members)}
+    below, above = [0] * m, [0] * m  # the members below and above each
+    for a, b in order:
+        if a in at and b in at:
+            below[at[b]] |= 1 << at[a]
+            above[at[a]] |= 1 << at[b]
     level = {0: 0}
     count = 1
     levels = []
@@ -409,19 +412,13 @@ def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarra
     return g
 
 
-@lru_cache(maxsize=PRIOR_CACHE_SIZE)
-def _reduction_columns(model: ConstraintModel) -> np.ndarray:
-    """The columns (a, b) of each covering pair of the order, a 2 x pairs array."""
-    return np.array([(model.columns[a], model.columns[b]) for a, b in model.order_reduction]).T
-
-
-def _log_pair_bound(model: ConstraintModel, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per node, log of min over order pairs (a, b) of a closed-form bound on P(X_a < X_b).
+def _log_pair_bound(comps, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per node, log of min over covering pairs (a, b) of a closed-form bound on P(X_a < X_b).
 
     P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
-    a, b = _reduction_columns(model)
+    a, b = np.concatenate([c.pairs for c in comps], axis=1)
     z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)
@@ -487,7 +484,7 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     eta, log_w = prep.eta_weights
     w = np.exp(log_w)
     mu, s = prep.class_mean_moments(eta)
-    log_bound = log_w + _log_pair_bound(model, mu, s)
+    log_bound = log_w + _log_pair_bound(comps, mu, s)
     bound = np.exp(log_bound)
     log_upper_bound = float(logsumexp(log_bound))
     floor = truncation_floor(model)

@@ -56,8 +56,10 @@ class SummaryTable:
 
     def to_text(self) -> str:
         head = f"scenario {self.scenario}  ({self.reps} replications)"
-        cols = "".join(f"{name:>10}" for name in self.model_names)
-        shares = "".join(f"{100.0 * self.top_share[name]:>10.1f}" for name in self.model_names)
+        widths = [max(10, len(name) + 1) for name in self.model_names]
+        cols = "".join(f"{name:>{w}}" for name, w in zip(self.model_names, widths))
+        shares = "".join(f"{100.0 * self.top_share[name]:>{w}.1f}"
+                         for name, w in zip(self.model_names, widths))
         return "\n".join([
             head,
             f"{'top model %':<14}{cols}",

@@ -41,7 +41,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -56,7 +56,7 @@ from cipanova.posterior import (
     _Component,
     _downset_levels,
     _lobatto_rule,
-    _rows,
+    order_components,
 )
 
 POSTERIOR_DRAWS = 50_000
@@ -661,18 +661,7 @@ def panel_edges_reference(ends: np.ndarray, need: np.ndarray, panels: int) -> np
 
 def full_downset_plan(model: ConstraintModel) -> tuple[_Component, ...]:
     """Each weak component of at least two classes as one down-set recursion over all of them."""
-    comps = []
-    for members in model.components:
-        if len(members) < 2:
-            continue
-        local = {rep: i for i, rep in enumerate(members)}
-        below = [0] * len(members)
-        above = [0] * len(members)
-        for a, b in model.order:
-            if a in local:
-                below[local[b]] |= 1 << local[a]
-                above[local[a]] |= 1 << local[b]
-        levels = _downset_levels(tuple(below), tuple(above))
-        cols = np.array([model.columns[r] for r in members])
-        comps.append(_Component(cols, levels, 0, 0, _rows(len(members), levels)))
-    return tuple(comps)
+    members = [m for m in model.components if len(m) > 1]
+    return tuple(replace(comp, cols=np.array([model.columns[r] for r in m]), bottom=0, top=0,
+                         levels=_downset_levels(m, model.order))
+                 for m, comp in zip(members, order_components(model)))

@@ -57,6 +57,15 @@ def test_power_text_and_records(capsys):
     assert rec["power"] == pytest.approx(0.1051, abs=5e-5)
 
 
+def test_interrupt_prints_a_note_and_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_power", interrupted)
+    assert main(["power"]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
 def test_compare_text_output(capsys, data_csv):
     code = main(["compare", str(data_csv), "--model", "M0=mu1=mu2=mu3",
                  "--model", "up=mu1<mu2<mu3", "--model", "Me=mu1,mu2,mu3", *FAST_FLAGS])

@@ -487,6 +487,26 @@ def test_text_name_column_fits_the_longest_name():
         assert float(row[21:37]) == pytest.approx(bd.log_bf_c_vs_0, abs=1e-4)
 
 
+def test_text_bf_column_fits_a_long_reference_name():
+    # the BF column widens past its 18 characters to one more than its heading
+    # or its widest cell, so each BF stays under its heading
+    data = _increasing_data()
+    short = compare(data, _models(), settings=FAST)
+    header = short.to_text().splitlines()[1]
+    assert header == f"{'model':<14}{'log BF vs null':>16}{'BF vs Me':>18}{'post prob':>12}"
+    models = _models()
+    models[2] = parse_model_spec("mu1, mu2, mu3", J=3, name="unconstrained_means_model")
+    report = compare(data, models, settings=FAST)
+    header, rule, *rows = report.to_text().splitlines()[1:]
+    start, end = 25 + 16, 25 + 16 + 32
+    assert header[start:end] == " BF vs unconstrained_means_model"
+    assert len(rule) == len(header)
+    for row, dbf in zip(rows, report.display_bf):
+        assert len(row) == len(header)
+        assert row[start] == " " and float(row[start:end]) == pytest.approx(dbf, rel=1e-4)
+        assert row[start - 1] != " " and row[end] == " "
+
+
 def _pop3(base_seed=2026):
     scenario, models = make_preset("pop3", n_per_group=25, reps=1, base_seed=base_seed)
     return generate_scenario(scenario, 0), models

@@ -65,8 +65,8 @@ ROOT = PACKAGE.parent.parent
 UNREFERENCED_ALLOWED: set[str] = set()
 
 
-def _defined_names(tree: ast.Module) -> dict[str, ast.stmt]:
-    """The public names a module defines at its top level, with their defining statements."""
+def _defined_names(tree: ast.Module, private: bool = False) -> dict[str, ast.stmt]:
+    """The public (or private) names a module defines at its top level, with their statements."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -76,7 +76,8 @@ def _defined_names(tree: ast.Module) -> dict[str, ast.stmt]:
                        if isinstance(t, ast.Name)]
         else:
             continue
-        out.update((name, node) for name in targets if not name.startswith("_"))
+        out.update((name, node) for name in targets
+                   if (_is_private(name) if private else not name.startswith("_")))
     return out
 
 
@@ -96,8 +97,9 @@ def _used_names(tree: ast.Module, skip: ast.stmt | None = None) -> set[str]:
     return used
 
 
-def _unreferenced(package: Path, elsewhere: list[Path], texts: list[str]) -> list[str]:
-    """module.name for each public top-level name of the package that nothing else uses.
+def _unreferenced(package: Path, elsewhere: list[Path], texts: list[str],
+                  private: bool = False) -> list[str]:
+    """module.name for each public (or private) top-level name of the package that nothing uses.
 
     A use is a name, attribute or import in another module of the package or
     in the elsewhere files, one in its own module outside its defining
@@ -109,7 +111,7 @@ def _unreferenced(package: Path, elsewhere: list[Path], texts: list[str]) -> lis
     found = []
     for path, tree in trees.items():
         others = set().union(*(_used_names(t) for p, t in trees.items() if p != path))
-        for name, node in _defined_names(tree).items():
+        for name, node in _defined_names(tree, private).items():
             if name in others | outside | _used_names(tree, skip=node):
                 continue
             if any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
@@ -132,3 +134,16 @@ def test_the_dead_code_check_sees_an_unused_name(tmp_path):
     script = tmp_path / "script.py"
     script.write_text("import mod\nmod.Kept()\n")
     assert _unreferenced(tmp_path, [script], ["call `documented()`"]) == ["mod.recursive"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # tests do not count: a helper only a test reads has outlived its last caller
+    assert _unreferenced(PACKAGE, [], [], private=True) == []
+
+
+def test_the_dead_code_check_sees_an_unused_private_helper(tmp_path):
+    (tmp_path / "mod.py").write_text("_LIMIT = 3\n\n\ndef run():\n    return _used(_LIMIT)\n\n\n"
+                                     "def _used(n):\n    return n\n\n\n"
+                                     "def _recursive(n):\n    return _recursive(n - 1)\n\n\n"
+                                     "def _dead():\n    pass\n\n\n__all__ = ['run']\n")
+    assert _unreferenced(tmp_path, [], [], private=True) == ["mod._recursive", "mod._dead"]

@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from cipanova import posterior, simulate
 from cipanova.compare import Settings
+from cipanova.constraints import parse_model_spec
 from cipanova.scenarios import SimScenario, make_preset
 from cipanova.simulate import power_table, run_simulation_study, summarize_records
 
@@ -196,3 +197,21 @@ def test_summarize_records_and_text():
     text = table.to_text()
     assert "pop3" in text and "3 replications" in text
     assert "66.7" in text and "median true-model posterior prob: 0.6000" in text
+    # preset names fit the 10-wide columns, which keep their layout
+    assert text.splitlines()[1:3] == ["top model %           M0        M2        M3        Me",
+                                      "                    33.3       0.0      66.7       0.0"]
+
+
+def test_summary_columns_fit_long_model_names():
+    # a column is max(10, len(name) + 1) wide, so long names keep a space
+    # between them and each share sits under its name
+    scenario = SimScenario(name="trend", means=(0.0, 0.5, 1.0), sds=(1.0, 1.0, 1.0),
+                           n_per_group=5, true_model="increasing_trend", reps=2, base_seed=0)
+    models = [parse_model_spec("mu1 = mu2 = mu3", J=3, name="all_means_equal"),
+              parse_model_spec("mu1 < mu2 < mu3", J=3, name="increasing_trend"),
+              parse_model_spec("mu1, mu2, mu3", J=3, name="M")]
+    records = [{"top_model": "increasing_trend", "pmp": {"increasing_trend": 0.9}},
+               {"top_model": "all_means_equal", "pmp": {"increasing_trend": 0.2}}]
+    _, names, shares, _ = summarize_records(scenario, models, records).to_text().splitlines()
+    assert names == "top model %" + "   " + " all_means_equal" + " increasing_trend" + " " * 9 + "M"
+    assert shares == " " * 14 + " " * 12 + "50.0" + " " * 13 + "50.0" + " " * 7 + "0.0"
