@@ -12,7 +12,7 @@ import numpy as np
 
 from .compare import Settings, compare
 from .constraints import encompassing_of, model_to_string, parse_model_spec
-from .data import ingest_csv
+from .data import GroupStats, ingest_csv
 from .evidence import PreparedIntegrand
 from .gaussian import LOG_2PI, logsumexp
 from .intrinsic import NullParams, make_cip
@@ -299,7 +299,7 @@ def _check_integrand_dense():
     spec = make_cip(design, group_sizes)
     theta0 = NullParams(alpha0=0.3, sigma0=1.2)
     y = theta0.alpha0 + rng.normal(size=spec.n)
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = PreparedIntegrand(GroupStats.of(y, group_sizes), theta0, spec)
     rows = np.repeat([design.columns[j] for j in range(1, 5)], group_sizes)
     onehot = (rows[:, None] == np.unique(rows)[None, :]).astype(float)
     proj = (onehot / onehot.sum(axis=0)) @ onehot.T
@@ -321,7 +321,8 @@ def _check_quadrature_converges():
     rng = np.random.default_rng(12)
     spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), (4, 4, 4))
     theta0 = NullParams(alpha0=0.2, sigma0=1.1)
-    prep = PreparedIntegrand(theta0.alpha0 + rng.normal(size=spec.n), theta0, spec)
+    y = theta0.alpha0 + rng.normal(size=spec.n)
+    prep = PreparedIntegrand(GroupStats.of(y, spec.group_sizes), theta0, spec)
     res = prep.evidence
     assert res.node_doubling_delta < 1e-8, f"node-doubling delta {res.node_doubling_delta}"
     u = np.linspace(0.0, 1.0, 2001)[1:-1]
@@ -337,7 +338,8 @@ def _check_posterior_cone_mass():
     y = rng.normal(size=24) + np.repeat([0.0, 0.4, 0.1], 8)
     theta0 = NullParams(alpha0=float(np.mean(y)), sigma0=float(np.std(y)))
     model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
-    prep = PreparedIntegrand(y, theta0, make_cip(encompassing_of(model), (8, 8, 8)))
+    prep = PreparedIntegrand(GroupStats.of(y, (8, 8, 8)), theta0,
+                             make_cip(encompassing_of(model), (8, 8, 8)))
     eta, log_w = prep.eta_weights
     shrink = 1.0 / (1.0 + 3.0 * eta / prep.n)
     sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 8 + 1.0 / 16))
@@ -350,8 +352,9 @@ def _check_posterior_cone_mass():
     y = np.tile(rng.normal(size=6), 3)
     chain = parse_model_spec("mu1 < mu2 < mu3", J=3)
     spec = make_cip(encompassing_of(chain), (6, 6, 6))
-    got = posterior_cone_mass(chain, PreparedIntegrand(y, NullParams(float(np.mean(y)), 1.0),
-                                                       spec)).estimate
+    prep = PreparedIntegrand(GroupStats.of(y, (6, 6, 6)), NullParams(float(np.mean(y)), 1.0),
+                             spec)
+    got = posterior_cone_mass(chain, prep).estimate
     assert got is not None and abs(got - 1.0 / 6.0) < 1e-12, f"{got} vs 1/3!"
 
 

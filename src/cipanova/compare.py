@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constraints import ConstraintModel, encompassing_of, model_to_string
-from .data import AnovaData
-from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_loglik
+from .data import AnovaData, GroupStats
+from .evidence import EVIDENCE_TOL, EvidenceResult, PreparedIntegrand, null_log_density
 from .gaussian import RandomSource
-from .intrinsic import NullParams, estimate_null_params, make_cip
+from .intrinsic import NullParams, make_cip, null_fit
 from .posterior import (
     ConeMass,
     InsufficientPriorMassError,
@@ -77,9 +77,9 @@ class BfBreakdown:
             raise ValueError("total must be the exact sum of the two factors")
 
 
-def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
+def bf_k0(stats: GroupStats, models: list[ConstraintModel], theta0: NullParams,
           settings: Settings) -> tuple[BfBreakdown, ...]:
-    """Bayes factor breakdown of each model against the null on one dataset.
+    """Bayes factor breakdown of each model against the null on one dataset's group statistics.
 
     Models on one encompassing design share its PreparedIntegrand, so each
     design's class statistics, evidence and eta nodes are computed once per
@@ -89,16 +89,14 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
     names = [m.name or model_to_string(m) for m in models]
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names")
-    group_sizes = data.group_sizes
     designs = [encompassing_of(m) for m in models]
     prepared: dict[ConstraintModel, PreparedIntegrand] = {}
     priors = {}
     for i, (model, design) in enumerate(zip(models, designs)):
-        if model.J != data.J:
-            raise ValueError(f"model is over {model.J} groups, data has {data.J}")
+        if model.J != len(stats.sizes):
+            raise ValueError(f"model is over {model.J} groups, data has {len(stats.sizes)}")
         if not model.is_null and design not in prepared:
-            prepared[design] = PreparedIntegrand(data.responses, theta0,
-                                                 make_cip(design, group_sizes))
+            prepared[design] = PreparedIntegrand(stats, theta0, make_cip(design, stats.sizes))
         if model.has_order:
             priors[i] = prior_cone_mass(model, tuple(int(n) for n in prepared[design].sizes))
             least = max(1.0 / settings.prior_draws, truncation_floor(model))
@@ -106,7 +104,7 @@ def bf_k0(data: AnovaData, models: list[ConstraintModel], theta0: NullParams,
                 raise InsufficientPriorMassError(
                     f"the prior cone mass of {names[i]}, {priors[i].estimate:.3g}, is below "
                     f"{least:.3g}, the larger of 1/prior_draws and the truncation floor")
-    log_null = null_loglik(data.responses, theta0)
+    log_null = null_log_density(stats, theta0)
     return tuple(_breakdown(model, name, prepared.get(design), log_null, priors.get(i))
                  for i, (model, name, design) in enumerate(zip(models, names, designs)))
 
@@ -230,8 +228,8 @@ def compare(data: AnovaData, models: list[ConstraintModel],
             theta0: NullParams | None = None) -> ComparisonReport:
     """Compare the models on one dataset under a shared null fit.
 
-    The results depend on no seed: the evidence and both cone masses draw
-    nothing.  rng is accepted and ignored, so existing callers keep working.
+    The responses are read once, into the group statistics every factor
+    reads.  The results depend on no seed, and rng is accepted and ignored.
     """
     if not models:
         raise ValueError("no models given")
@@ -246,10 +244,11 @@ def compare(data: AnovaData, models: list[ConstraintModel],
         if not np.all(np.isfinite(weights) & (weights > 0.0)):
             raise ValueError("prior probabilities must be finite and positive")
         weights = weights / weights.sum()
+    stats = GroupStats.of(data.responses, data.group_sizes)
     if theta0 is None:
-        theta0 = estimate_null_params(data)
+        theta0 = null_fit(stats)
 
-    breakdowns = bf_k0(data, models, theta0, settings)
+    breakdowns = bf_k0(stats, models, theta0, settings)
     names = [bd.model for bd in breakdowns]
     log_bf = np.array([bd.log_bf_c_vs_0 for bd in breakdowns])
     if np.all(log_bf == -np.inf):

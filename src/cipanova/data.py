@@ -48,7 +48,51 @@ class AnovaData:
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.groups, minlength=self.J + 1)[1:].tolist())
+        # the rows are sorted by group, so each group starts where its code does
+        return tuple(np.diff(np.searchsorted(self.groups, np.arange(1, self.J + 2))).tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class GroupStats:
+    """Group sizes, means and within-group sums of squares: all the normal model reads of y.
+
+    Group j's mean is anchors[j] + offsets[j], anchors[j] its first response.
+    Centring each group on its own response (Chan, Golub & LeVeque 1983)
+    keeps ss and each difference of means exact to a few eps of its size, and
+    gives constant responses ss and offsets of exactly 0.
+    """
+
+    sizes: tuple[int, ...]
+    anchors: np.ndarray
+    offsets: np.ndarray
+    ss: np.ndarray
+
+    @classmethod
+    def of(cls, y, group_sizes) -> GroupStats:
+        """One O(n) pass over responses stored group by group, group_sizes[j] rows for group j+1."""
+        y, sizes = np.asarray(y, dtype=float), np.asarray(group_sizes)
+        if y.shape != (sizes.sum(),) or not np.all(np.isfinite(y)):
+            raise ValueError("y must be a finite vector matching the design rows")
+        starts = np.cumsum(sizes) - sizes
+        r = np.repeat(y[starts], sizes)
+        np.subtract(y, r, out=r)
+        offsets = np.add.reduceat(r, starts) / sizes
+        r -= np.repeat(offsets, sizes)
+        r *= r
+        return cls(tuple(sizes.tolist()), y[starts], offsets, np.add.reduceat(r, starts))
+
+    def pooled(self, class_index: np.ndarray, about: float) -> tuple[np.ndarray, float]:
+        """Class means less `about` and the within-class sum of squares, in O(J).
+
+        class_index[j] is group j+1's class, numbered from 0.  Each class is
+        centred on one of its groups' anchors, so its sum of squares stays exact.
+        """
+        sizes, anchor = np.array(self.sizes, dtype=float), np.empty(class_index.max() + 1)
+        anchor[class_index] = self.anchors
+        dev = self.anchors - anchor[class_index] + self.offsets
+        mean = np.bincount(class_index, sizes * dev) / np.bincount(class_index, sizes)
+        dev -= mean[class_index]
+        return anchor - about + mean, float(self.ss.sum() + sizes @ (dev * dev))
 
 
 def ingest_csv(path) -> AnovaData:

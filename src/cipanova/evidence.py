@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .data import GroupStats
 from .gaussian import LOG_2PI, logsumexp
 from .intrinsic import CipSpec, NullParams
 
@@ -51,29 +52,29 @@ class PreparedIntegrand:
     With k = n/(q+1), Winv = k (Z'Z)^{-1}, so Z Winv Z' is k times the
     projection onto the class indicators and the integrand reads r = y - alpha0
     only through the class means rbar of r, B = sum_c n_c rbar_c^2 and the
-    within-class sum of squares SSW = sum (r - rbar_class)^2.  Its quadratic
-    form r'r - k B/(eta + k) is taken as SSW + B eta/(eta + k): r'r - B
-    cancels once the class means are many sds apart, and SSW, summed in a
-    second pass, does not.  The evidence and its eta nodes are computed on
+    within-class sum of squares SSW = sum (r - rbar_class)^2, all taken from
+    the group statistics in O(J).  Its quadratic form r'r - k B/(eta + k) is
+    taken as SSW + B eta/(eta + k): r'r - B cancels once the class means are
+    many sds apart, and SSW, summed as each group's ss plus its groups'
+    centred spread, does not.  The evidence and its eta nodes are computed on
     first use, once for every model on the design.
 
     With SSW = 0 and n > q the integrand grows like eta^-((n - q)/2) as eta
-    -> 0, so the marginal is infinite and ValueError is raised.  Constant
-    classes leave in SSW only the rounding error of their means, under
-    (n eps)^2 B, so SSW up to twice that bound counts as 0.  B or SSW
-    overflowing, with alpha0 some 1e150 or more from the data, raises
+    -> 0, so the marginal is infinite and ValueError is raised.  The centred
+    sums give constant classes an SSW of exactly 0, and SSW up to
+    (2 n eps)^2 B, the rounding level of the class means, counts as 0 too.  B
+    or SSW overflowing, with alpha0 some 1e150 or more from the data, raises
     ValueError too, and so does a sigma0 so far below the within-class spread
     that the mode's starting eta, SSW/((n - q) s0^2) mapped to eta, rounds
     to 1.
     """
 
-    def __init__(self, y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: int = 64) -> None:
+    def __init__(self, stats: GroupStats, theta0: NullParams, spec: CipSpec,
+                 nodes: int = 64) -> None:
         if nodes < 8:
             raise ValueError(f"need at least 8 nodes, got {nodes}")
-        y = np.asarray(y, dtype=float)
-        if y.shape != (spec.n,) or not np.all(np.isfinite(y)):
-            raise ValueError("y must be a finite vector matching the design rows")
-        starts = np.cumsum((0,) + spec.group_sizes[:-1])
+        if stats.sizes != spec.group_sizes:
+            raise ValueError("the group statistics do not match the design's group sizes")
         self.nodes = nodes
         self.n = spec.n
         self.q = spec.q
@@ -81,13 +82,8 @@ class PreparedIntegrand:
         self.s0sq = theta0.sigma0**2
         self.sizes = spec.sizes
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            r = y - theta0.alpha0
-            sums = np.bincount(spec.class_index, weights=np.add.reduceat(r, starts),
-                               minlength=spec.q)
-            self.rbar = sums / spec.sizes
-            self.B = float(sums @ self.rbar)
-            within = r - np.repeat(self.rbar[spec.class_index], spec.group_sizes)
-            self.ssw = float(within @ within)
+            self.rbar, self.ssw = stats.pooled(spec.class_index, theta0.alpha0)
+            self.B = float(spec.sizes * self.rbar @ self.rbar)
         if not np.isfinite(self.B) or not np.isfinite(self.ssw):
             raise ValueError(f"the sums of squares of the responses about alpha0 = "
                              f"{theta0.alpha0:g} overflow")
@@ -198,14 +194,18 @@ def quadrature_log_weights(prep: PreparedIntegrand,
 
 def log_marginal_quadrature(y: np.ndarray, theta0: NullParams, spec: CipSpec,
                             nodes: int = 64) -> EvidenceResult:
-    """Log marginal on the Gauss-Chebyshev rule that settles doubling from `nodes` nodes."""
-    return PreparedIntegrand(y, theta0, spec, nodes).evidence
+    """Log marginal of responses stored group by group, on the rule settled from `nodes` nodes."""
+    return PreparedIntegrand(GroupStats.of(y, spec.group_sizes), theta0, spec, nodes).evidence
 
 
 def null_loglik(y: np.ndarray, theta0: NullParams) -> float:
-    """Log density of the data under the fixed null parameters."""
+    """Log density of the responses y, read as one group, under the fixed null parameters."""
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    rr = float(np.sum((y - theta0.alpha0) ** 2))
-    s0sq = theta0.sigma0**2
-    return -0.5 * (n * (LOG_2PI + np.log(s0sq)) + rr / s0sq)
+    return null_log_density(GroupStats.of(y, (y.size,)), theta0)
+
+
+def null_log_density(stats: GroupStats, theta0: NullParams) -> float:
+    """Log density of the data under the fixed null parameters, in O(J)."""
+    n, s0sq = sum(stats.sizes), theta0.sigma0**2
+    mean, ss = stats.pooled(np.zeros(len(stats.sizes), int), theta0.alpha0)
+    return -0.5 * (n * (LOG_2PI + np.log(s0sq)) + (ss + n * mean[0] ** 2) / s0sq)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintModel
+from .data import GroupStats
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,19 @@ class CipSpec:
 
 
 def estimate_null_params(data) -> NullParams:
-    """Null-model maximum likelihood fit: grand mean and rms deviation (divisor n)."""
-    y = np.asarray(data.responses, dtype=float)
-    if y.size < 2:
+    """Null-model maximum likelihood fit of an AnovaData; see null_fit."""
+    return null_fit(GroupStats.of(data.responses, data.group_sizes))
+
+
+def null_fit(stats: GroupStats) -> NullParams:
+    """Null-model maximum likelihood fit: grand mean and rms deviation (divisor n), in O(J)."""
+    n = sum(stats.sizes)
+    if n < 2:
         raise ValueError("need at least two observations")
-    alpha0 = float(np.mean(y))
-    sigma0 = float(np.sqrt(np.mean((y - alpha0) ** 2)))
-    if sigma0 <= 0.0:
+    mean, ss = stats.pooled(np.zeros(len(stats.sizes), int), 0.0)
+    if ss == 0.0:  # exactly so for constant responses, by the centred sums
         raise ValueError("responses are constant; null residual scale is zero")
-    return NullParams(alpha0=alpha0, sigma0=sigma0)
+    return NullParams(alpha0=float(mean[0]), sigma0=float(np.sqrt(ss / n)))
 
 
 def make_cip(design: ConstraintModel, group_sizes) -> CipSpec:

@@ -42,11 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
 
 from cipanova.constraints import ConstraintModel
+from cipanova.data import GroupStats
 from cipanova.evidence import PreparedIntegrand, _eta_mode, quadrature_log_weights
 from cipanova.gaussian import LOG_2PI
 from cipanova.intrinsic import CipSpec, NullParams
@@ -60,6 +62,16 @@ from cipanova.posterior import (
 )
 
 POSTERIOR_DRAWS = 50_000
+
+
+def prepared(y, theta0: NullParams, spec: CipSpec, nodes: int = 64) -> PreparedIntegrand:
+    """The design's PreparedIntegrand on raw responses stored group by group."""
+    return PreparedIntegrand(GroupStats.of(y, spec.group_sizes), theta0, spec, nodes)
+
+
+def group_stats(data) -> GroupStats:
+    """An AnovaData's group statistics, as compare reads them."""
+    return GroupStats.of(data.responses, data.group_sizes)
 
 
 def build_design(design: ConstraintModel, group_sizes) -> np.ndarray:
@@ -191,6 +203,21 @@ def lowrank_logpdf(r: np.ndarray, g: LowRankGaussian) -> float:
     return -0.5 * (n * LOG_2PI + logdet + quad)
 
 
+def exact_class_sums(y: np.ndarray, spec: CipSpec,
+                     alpha0: float) -> tuple[float, float, list[float]]:
+    """SSW, B about alpha0 and the class means, in exact rational arithmetic on the float y.
+
+    The rows of y are stored group by group, and spec.class_index gives each
+    group's class; each result is rounded to a float once, at the end.
+    """
+    rows = np.repeat(spec.class_index, spec.group_sizes)
+    classes = [[Fraction(v) for v in np.asarray(y, dtype=float)[rows == c]] for c in range(spec.q)]
+    means = [sum(c, Fraction(0)) / len(c) for c in classes]
+    ssw = sum(((v - m) ** 2 for c, m in zip(classes, means) for v in c), Fraction(0))
+    B = sum((len(c) * (m - Fraction(alpha0)) ** 2 for c, m in zip(classes, means)), Fraction(0))
+    return float(ssw), float(B), [float(m) for m in means]
+
+
 def integrand_log(eta: float, y: np.ndarray, theta0: NullParams, spec: CipSpec) -> float:
     """Log of the gamma-integrated data density at a single eta in (0, 1)."""
     if not 0.0 < eta < 1.0:
@@ -261,7 +288,7 @@ def log_marginal_chib(y: np.ndarray, theta0: NullParams, spec: CipSpec,
     """
     if N < 1000:
         raise ValueError(f"need N >= 1000 chain iterations, got {N}")
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     mode = _interior_eta_mode(prep)
     ll_star = float(prep.loglik(mode))
 
@@ -389,7 +416,7 @@ def sample_posterior(y: np.ndarray, theta0: NullParams, spec: CipSpec, nodes: in
     gamma - alpha0 e ~ N(beta_r / (1 + c eta), s2 / (1 + c eta) (Z'Z)^{-1}),
     with s2 = sigma0^2 eta / (1 - eta) and beta_r = (Z'Z)^{-1} Z'(y - alpha0).
     """
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     eta_nodes, log_w = quadrature_log_weights(prep, nodes)
     idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
     d = dense_spec(spec)
@@ -413,7 +440,7 @@ def posterior_class_means(y: np.ndarray, theta0: NullParams, spec: CipSpec, node
     independent: mean - alpha0 ~ N(rbar_c / (1 + c eta), s2 / ((1 + c eta) n_c)),
     with s2 = sigma0^2 eta / (1 - eta).
     """
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     eta_nodes, log_w = quadrature_log_weights(prep, nodes)
     idx = rng.choice(nodes, size=T, p=np.exp(log_w - logsumexp(log_w)))
     c = (spec.q + 1) / spec.n

@@ -13,12 +13,12 @@ import pytest
 from cipanova.compare import Settings, compare
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
-from cipanova.evidence import PreparedIntegrand, log_marginal_quadrature
+from cipanova.evidence import log_marginal_quadrature
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from cipanova.simulate import power_table, run_simulation_study
-from oracles import (cip_sample, inverted_beta_logpdf, log_marginal_chib,
+from oracles import (cip_sample, inverted_beta_logpdf, log_marginal_chib, prepared,
                      run_posterior_chain)
 
 
@@ -111,7 +111,7 @@ def test_c05_chain_matches_exact_eta_posterior():
     chain = run_posterior_chain(data.responses, theta0, spec, iters=55_000,
                                 burnin=5_000, rng=RandomSource(7, (5,)).generator())
     assert chain.kept == 50_000
-    prep = PreparedIntegrand(data.responses, theta0, spec)
+    prep = prepared(data.responses, theta0, spec)
     u = np.linspace(1e-7, 1.0 - 1e-7, 400_001)
     ll = prep.loglik(np.sin(0.5 * np.pi * u) ** 2)
     cdf = np.cumsum(np.exp(ll - ll.max()))

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from cipanova import evidence, posterior
 from cipanova.compare import ComparisonReport, Settings, bf_k0, compare
 from cipanova.constraints import encompassing_of, parse_model_spec
-from cipanova.data import AnovaData
+from cipanova.data import AnovaData, GroupStats
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import ConeMass, InsufficientPriorMassError, PosteriorConeMass
 from cipanova.scenarios import generate_scenario, make_preset
-from oracles import log_marginal_trapezoid
+from oracles import group_stats, log_marginal_trapezoid, prepared
 
 FAST = Settings(prior_draws=20_000)
 
@@ -36,7 +36,7 @@ def _models():
 def test_null_breakdown_is_identity():
     data = _increasing_data()
     m0 = parse_model_spec("mu1 = mu2 = mu3", J=3)
-    bd = bf_k0(data, [m0], NullParams(0.5, 1.0), FAST)[0]
+    bd = bf_k0(group_stats(data), [m0], NullParams(0.5, 1.0), FAST)[0]
     assert bd.log_bf_e_vs_0 == 0.0
     assert bd.log_bf_c_vs_e == 0.0
     assert bd.log_bf_c_vs_0 == 0.0
@@ -46,7 +46,7 @@ def test_null_breakdown_is_identity():
 def test_unordered_model_skips_region_step():
     data = _increasing_data()
     me = parse_model_spec("mu1, mu2, mu3", J=3)
-    bd = bf_k0(data, [me], NullParams(0.5, 1.0), FAST)[0]
+    bd = bf_k0(group_stats(data), [me], NullParams(0.5, 1.0), FAST)[0]
     assert bd.log_bf_c_vs_e == 0.0
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0
     assert bd.evidence is not None
@@ -56,7 +56,7 @@ def test_unordered_model_skips_region_step():
 def test_ordered_model_composes_factors():
     data = _increasing_data()
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3)
-    bd = bf_k0(data, [mup], NullParams(0.7, 1.2), FAST)[0]
+    bd = bf_k0(group_stats(data), [mup], NullParams(0.7, 1.2), FAST)[0]
     assert bd.log_bf_c_vs_0 == bd.log_bf_e_vs_0 + bd.log_bf_c_vs_e
     assert type(bd.prior_region) is ConeMass
     assert bd.prior_region.estimate == pytest.approx(1.0 / 6.0, rel=1e-12)
@@ -69,7 +69,7 @@ def test_ordered_model_composes_factors():
 def test_bf_k0_rejects_group_mismatch():
     data = _increasing_data()
     with pytest.raises(ValueError):
-        bf_k0(data, [parse_model_spec("mu1 < mu2", J=2)], NullParams(0.0, 1.0), FAST)
+        bf_k0(group_stats(data), [parse_model_spec("mu1 < mu2", J=2)], NullParams(0.0, 1.0), FAST)
 
 
 def test_pmp_matches_hand_normalization():
@@ -114,7 +114,7 @@ def test_below_resolution_flag_on_contradicted_order():
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
     mup = parse_model_spec("mu1 < mu2 < mu3", J=3, name="Mup")
-    bd = bf_k0(data, [mup], NullParams(1.5, 1.5), FAST)[0]
+    bd = bf_k0(group_stats(data), [mup], NullParams(1.5, 1.5), FAST)[0]
     assert bd.below_resolution
     assert bd.log_bf_c_vs_0 == -np.inf
     assert bd.resolution_bound is not None and np.isfinite(bd.resolution_bound)
@@ -205,7 +205,8 @@ def test_empty_prior_cone_refuses_before_the_evidence(monkeypatch):
     # the evidence, its eta nodes and its mode search all evaluate loglik
     monkeypatch.setattr(evidence.PreparedIntegrand, "loglik", no_evidence)
     with pytest.raises(InsufficientPriorMassError):
-        bf_k0(data, [free, total], estimate_null_params(data), Settings(prior_draws=1000))
+        bf_k0(group_stats(data), [free, total], estimate_null_params(data),
+              Settings(prior_draws=1000))
 
 
 def test_refused_order_is_counted_once_per_key():
@@ -219,7 +220,7 @@ def test_refused_order_is_counted_once_per_key():
     for _ in range(2):
         with pytest.raises(InsufficientPriorMassError,
                            match=r"prior cone mass of total, 2\.76e-07, is below 0\.000999"):
-            bf_k0(data, [total], theta0, settings)
+            bf_k0(group_stats(data), [total], theta0, settings)
     info = posterior.prior_cone_mass.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -335,8 +336,8 @@ def test_prior_draws_set_the_refusal_boundary():
     chain = parse_model_spec("mu1 < mu2 < mu3 < mu4 < mu5", J=5, name="chain")
     theta0 = estimate_null_params(data)
     with pytest.raises(InsufficientPriorMassError, match=r"chain, 0\.00833, is below 0\.0084"):
-        bf_k0(data, [chain], theta0, Settings(prior_draws=119))
-    bd = bf_k0(data, [chain], theta0, Settings(prior_draws=121))[0]
+        bf_k0(group_stats(data), [chain], theta0, Settings(prior_draws=119))
+    bd = bf_k0(group_stats(data), [chain], theta0, Settings(prior_draws=121))[0]
     assert bd.prior_region.estimate == pytest.approx(1.0 / 120.0, rel=1e-12)
     # the truncation floor, 16 * 1.6e-14, refuses 1/16! = 4.8e-14 at any draw count
     rng = np.random.default_rng(38)
@@ -344,7 +345,7 @@ def test_prior_draws_set_the_refusal_boundary():
     chain = parse_model_spec(" < ".join(f"mu{j}" for j in range(1, 17)), J=16, name="chain16")
     with pytest.raises(InsufficientPriorMassError,
                        match=r"chain16, 4\.78e-14, is below 2\.56e-13"):
-        bf_k0(data, [chain], estimate_null_params(data), Settings(prior_draws=10**15))
+        bf_k0(group_stats(data), [chain], estimate_null_params(data), Settings(prior_draws=10**15))
 
 
 def test_breakdown_sum_rule_enforced():
@@ -380,7 +381,7 @@ def test_large_offset_leaves_order_bf_unchanged():
     bds = []
     for shift in (0.0, 1e8):
         data = AnovaData(responses=y + shift, groups=np.repeat([1, 2, 3], 20))
-        bds.append(bf_k0(data, [up], estimate_null_params(data), Settings())[0])
+        bds.append(bf_k0(group_stats(data), [up], estimate_null_params(data), Settings())[0])
     base, moved = bds
     # both masses are exact, so only the data's rounding at the offset, up to
     # 7.5e-9 per value against the 1e-3 spread, moves the log BF (1.7e-7 nat)
@@ -430,8 +431,8 @@ def test_text_bf_column_keeps_its_width():
     data = _large_unbalanced(step=0.0175, seed=6)
     report = compare(data, models, settings=FAST, rng=RandomSource(3))
     # the brute-force evidence puts the true BF past 1e12 as well
-    prep = evidence.PreparedIntegrand(data.responses, report.theta0,
-                                      make_cip(encompassing_of(free), data.group_sizes))
+    prep = prepared(data.responses, report.theta0,
+                    make_cip(encompassing_of(free), data.group_sizes))
     log_null = evidence.null_loglik(data.responses, report.theta0)
     assert log_null - log_marginal_trapezoid(prep) > np.log(1e12)
     rows = report.to_text().splitlines()[3:]
@@ -549,12 +550,39 @@ def test_each_design_is_prepared_once_per_call(monkeypatch):
     assert counts == {"prepared": 1, "mode": 1, "quadrature": 2}
 
     up = models[1]
-    prep = evidence.PreparedIntegrand(data.responses, estimate_null_params(data),
-                                      make_cip(encompassing_of(up), data.group_sizes))
+    prep = prepared(data.responses, estimate_null_params(data),
+                    make_cip(encompassing_of(up), data.group_sizes))
     _ = prep.evidence  # compare computes the evidence before any cone mass
     counts.update(prepared=0, mode=0, quadrature=0)
     posterior.posterior_cone_mass(up, prep)
     assert counts == {"prepared": 0, "mode": 0, "quadrature": 0}
+
+
+@pytest.mark.parametrize("designs", [1, 2, 4])
+def test_one_call_reads_the_responses_once(monkeypatch, designs):
+    # compare builds the group statistics once, and no design or null
+    # quantity reads the n responses again
+    null, free = _j10_null_and_free()
+    merged = [parse_model_spec(text, J=10, name=f"merged{i}") for i, text in enumerate((
+        "mu1 = mu2, mu3, mu4, mu5, mu6, mu7, mu8, mu9, mu10",
+        "mu1 = mu2 = mu3 = mu4 = mu5, mu6, mu7, mu8, mu9, mu10",
+        "mu1, mu2, mu3, mu4, mu5 = mu6 = mu7 = mu8 = mu9 = mu10"))]
+    # the order shares the free model's design
+    models = [null, free, parse_model_spec("mu1 < mu2 < mu3", J=10, name="up"),
+              *merged[:designs - 1]]
+    data = _large_unbalanced()
+    builds, prepared_args = [], []
+    of = GroupStats.of.__func__
+    monkeypatch.setattr(GroupStats, "of", classmethod(
+        lambda cls, *args: builds.append(args) or of(cls, *args)))
+    init = evidence.PreparedIntegrand.__init__
+    monkeypatch.setattr(evidence.PreparedIntegrand, "__init__",
+                        lambda self, *args: prepared_args.append(args) or init(self, *args))
+    compare(data, models, settings=FAST)
+    assert len(builds) == 1
+    assert len(prepared_args) == designs
+    assert not any(isinstance(a, np.ndarray) and a.size >= data.n
+                   for args in prepared_args for a in args)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -568,12 +596,12 @@ def test_breakdown_does_not_depend_on_the_other_models(which, order, size):
         models = models + [parse_model_spec("mu5 < mu4 < mu3 < mu2 < mu1", J=5, name="down")]
         theta0 = estimate_null_params(data)
         cases.append((data, models, theta0,
-                      [repr(bf_k0(data, [m], theta0, FAST)[0]) for m in models]))
+                      [repr(bf_k0(group_stats(data), [m], theta0, FAST)[0]) for m in models]))
     # no design outlives its call: the second dataset's models read its own data
     assert all(a != b for a, b in zip(cases[0][3][1:], cases[1][3][1:]))
     data, models, theta0, alone = cases[which]
     chosen = order[:size]
-    shared = bf_k0(data, [models[i] for i in chosen], theta0, FAST)
+    shared = bf_k0(group_stats(data), [models[i] for i in chosen], theta0, FAST)
     assert [repr(bd) for bd in shared] == [alone[i] for i in chosen]
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cipanova.constraints import ConstraintModel, encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
-from cipanova.evidence import PreparedIntegrand
 from cipanova.intrinsic import estimate_null_params, make_cip
 from cipanova.posterior import (
     MAX_GRID,
@@ -29,7 +28,8 @@ from cipanova.posterior import (
     posterior_cone_mass,
     prior_cone_mass,
 )
-from oracles import component_masses_reference, full_downset_plan, panel_edges_reference
+from oracles import (component_masses_reference, full_downset_plan, panel_edges_reference,
+                     prepared)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -47,7 +47,7 @@ def datasets(draw):
 def _mass(data, text):
     model = parse_model_spec(text, J=data.J)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    prep = PreparedIntegrand(data.responses, estimate_null_params(data), spec)
+    prep = prepared(data.responses, estimate_null_params(data), spec)
     return posterior_cone_mass(model, prep)
 
 
@@ -115,8 +115,8 @@ def test_partial_order_mass_is_the_sum_of_its_linear_extensions(text, J, seed):
     y = np.concatenate([m + rng.standard_normal(n) for m, n in zip(rng.normal(size=J), sizes)])
     data = AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
     model = parse_model_spec(text, J=J)
-    prep = PreparedIntegrand(data.responses, estimate_null_params(data),
-                             make_cip(encompassing_of(model), data.group_sizes))
+    prep = prepared(data.responses, estimate_null_params(data),
+                    make_cip(encompassing_of(model), data.group_sizes))
     chains = [p for p in itertools.permutations(range(1, J + 1))
               if all(p.index(a) < p.index(b) for a, b in model.order)]
     masses = [posterior_cone_mass(parse_model_spec(_chain(p), J=J), prep).estimate

@@ -6,10 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cipanova
-from cipanova.data import AnovaData, ingest_csv
+from cipanova.constraints import ConstraintModel, encompassing_of
+from cipanova.data import AnovaData, GroupStats, ingest_csv
+from cipanova.intrinsic import make_cip, null_fit
 from cipanova.scenarios import make_preset, generate_scenario, preset_names
+from oracles import exact_class_sums, prepared
 
 
 def test_rows_are_grouped_and_sized():
@@ -21,6 +26,56 @@ def test_rows_are_grouped_and_sized():
     assert np.array_equal(data.groups, [1, 1, 1, 2, 2])
     # stable sort keeps within-group input order
     assert np.array_equal(data.responses, [2.0, 4.0, 5.0, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_group_sizes_match_a_count_of_the_codes(seed):
+    # unbalanced codes in random order, with singleton groups
+    rng = np.random.default_rng(seed)
+    J = int(rng.integers(2, 30))
+    sizes = rng.integers(1, 50, J)
+    sizes[rng.choice(J, 2, replace=False)] = 1
+    codes = rng.permutation(np.repeat(np.arange(1, J + 1), sizes))
+    data = AnovaData(responses=rng.normal(size=codes.size), groups=codes)
+    assert data.group_sizes == tuple(np.bincount(codes, minlength=J + 1)[1:].tolist())
+
+
+@st.composite
+def _grouped_cases(draw):
+    """J = 2-8 groups of 1-40, merged into classes, at any offset and scale."""
+    J = draw(st.integers(2, 8))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=J, max_size=J))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, J - 1))] = 1
+    labels = draw(st.lists(st.integers(0, J - 1), min_size=J, max_size=J))
+    classes = [[j + 1 for j in range(J) if labels[j] == c] for c in set(labels)]
+    spread = draw(st.sampled_from([0.0, 1e8]) | st.floats(1e-3, 1e8))  # in noise sds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.concatenate([m + rng.standard_normal(n) for m, n in zip(spread * rng.random(J), sizes)])
+    y = 10.0 ** draw(st.floats(-3, 3)) * z + draw(st.floats(-1e8, 1e8))
+    return y, tuple(sizes), ConstraintModel.create(J, classes, [])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_grouped_cases())
+def test_group_statistics_match_exact_sums(case):
+    # the null fit, SSW and B, read from the group statistics alone, against
+    # rational arithmetic on the float responses, rounded once
+    y, sizes, model = case
+    n = y.size
+    theta0 = null_fit(GroupStats.of(y, sizes))
+    null_ss, _, (mean,) = exact_class_sums(y, make_cip(ConstraintModel.create(
+        len(sizes), [range(1, len(sizes) + 1)], []), sizes), 0.0)
+    # the mean may cancel to near 0, so its error is taken against the responses' size
+    assert abs(theta0.alpha0 - mean) <= 1e-13 * np.max(np.abs(y))
+    assert theta0.sigma0 == pytest.approx(np.sqrt(null_ss / n), rel=1e-13)
+    spec = make_cip(encompassing_of(model), sizes)
+    ssw, B, _ = exact_class_sums(y, spec, theta0.alpha0)
+    prep = prepared(y, theta0, spec)
+    assert prep.ssw == pytest.approx(ssw, rel=1e-13, abs=0.0)
+    # B alone may cancel to rounding, as on a one-class design; the
+    # integrand reads it beside SSW, so its error is taken against SSW + B
+    assert abs(prep.B - B) <= 1e-13 * (ssw + B)
 
 
 def test_container_validation():

@@ -16,7 +16,6 @@ from cipanova.data import AnovaData
 from cipanova.evidence import (
     EVIDENCE_TOL,
     EvidenceResult,
-    PreparedIntegrand,
     gauss_chebyshev,
     log_marginal_quadrature,
     null_loglik,
@@ -27,9 +26,11 @@ from cipanova.scenarios import MODEL_STRINGS, generate_scenario, make_preset
 from oracles import (
     cip_sample,
     dense_spec,
+    exact_class_sums,
     integrand_log,
     log_marginal_chib,
     log_marginal_trapezoid,
+    prepared,
 )
 
 
@@ -62,7 +63,7 @@ def _sized_case(sizes, text, offset=0.0, seed=4, step=0.3):
 ], ids=["balanced-24", "merged-singleton-7858", "tie-125", "balanced-2000", "offset-1e8"])
 def test_prepared_integrand_matches_direct_form(make_case):
     y, theta0, spec = make_case()
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     for eta in np.linspace(0.02, 0.98, 25):
         direct = integrand_log(float(eta), y, theta0, spec)
         cached = float(prep.loglik(float(eta)))
@@ -109,7 +110,7 @@ def test_integrand_dense_small_oracle():
 def test_prepared_integrand_refuses_a_response_vector_off_the_design(change):
     y, theta0, spec = _dataset()
     with pytest.raises(ValueError, match="^y must be a finite vector matching the design rows$"):
-        PreparedIntegrand(change(y), theta0, spec)
+        prepared(change(y), theta0, spec)
 
 
 def test_integrand_domain():
@@ -118,7 +119,7 @@ def test_integrand_domain():
         integrand_log(0.0, y, theta0, spec)
     with pytest.raises(ValueError):
         integrand_log(1.0, y, theta0, spec)
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     with pytest.raises(ValueError):
         prep.loglik(np.array([0.5, 1.0]))
 
@@ -132,7 +133,7 @@ def test_quadrature_against_trapezoid_oracle():
     theta0 = estimate_null_params(data)
     m0 = parse_model_spec("mu1 = mu2 = mu3", J=3)
     spec = make_cip(encompassing_of(m0), data.group_sizes)
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     u = np.linspace(1e-7, 1.0 - 1e-7, 1_000_001)
     eta = np.sin(0.5 * np.pi * u) ** 2
     ll = prep.loglik(eta)
@@ -161,7 +162,7 @@ FREE5 = "mu1, mu2, mu3, mu4, mu5"
 def test_evidence_matches_trapezoid_reference_at_any_n(make_case):
     # the settled rule against a brute-force trapezoid in logit eta; the
     # near-separated case puts the integrand's peak at eta ~ 1e-4
-    prep = PreparedIntegrand(*make_case())
+    prep = prepared(*make_case())
     ev = prep.evidence
     assert ev.node_doubling_delta < EVIDENCE_TOL
     assert abs(ev.log_marginal - log_marginal_trapezoid(prep)) < EVIDENCE_TOL
@@ -211,7 +212,7 @@ def test_marginal_shift_invariance():
 def test_eta_mode_beats_grid():
     y, theta0, spec = _dataset(seed=2, n_per_group=20)
     res = log_marginal_quadrature(y, theta0, spec)
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     grid = np.linspace(0.0, 1.0, 131)[1:-1]
     assert float(prep.loglik(res.eta_mode)) >= float(np.max(prep.loglik(grid))) - 1e-9
     assert 0.0 < res.eta_mode < 1.0
@@ -243,7 +244,7 @@ def test_eta_mode_matches_bounded_minimizer(make_case):
     data, text = make_case()
     theta0 = estimate_null_params(data)
     spec = make_cip(encompassing_of(parse_model_spec(text, J=data.J)), data.group_sizes)
-    prep = PreparedIntegrand(data.responses, theta0, spec)
+    prep = prepared(data.responses, theta0, spec)
     mode = log_marginal_quadrature(data.responses, theta0, spec).eta_mode
     ref = minimize_scalar(lambda e: -float(prep.loglik(e)), bounds=(1e-6, 1.0 - 1e-6),
                           method="bounded", options={"xatol": 1e-12}).x
@@ -387,17 +388,14 @@ def _separated_case(seed, spread):
 @pytest.mark.parametrize("spread", [1e5, 1e6, 1e7, 1e8])
 def test_loglik_reads_a_directly_summed_within_class_sum_of_squares(spread):
     # r'r - B, the within-class sum of squares, cancels once the means are far
-    # apart; the integrand must match the closed form on a two-pass SSW
+    # apart; the integrand must match the closed form on SSW and B summed
+    # exactly, since rounding y - alpha0 would move each response
     for seed in range(5):
         y, theta0, spec = _separated_case(seed, spread)
-        r = y - theta0.alpha0
-        groups = np.split(r, np.cumsum(spec.group_sizes)[:-1])
-        means = [math.fsum(g) / g.size for g in groups]
-        ssw = math.fsum(math.fsum((g - m) ** 2) for g, m in zip(groups, means))
-        B = math.fsum(g.size * m * m for g, m in zip(groups, means))
+        ssw, B, _ = exact_class_sums(y, spec, theta0.alpha0)
         n, q, s0sq = spec.n, spec.q, theta0.sigma0**2
         k = n / (q + 1)
-        prep = PreparedIntegrand(y, theta0, spec)
+        prep = prepared(y, theta0, spec)
         x = ssw / ((n - q) * s0sq)
         for eta in np.array([0.5, 1.0, 2.0]) * x / (1.0 + x):  # around the mode
             a = s0sq * eta / (1.0 - eta)
@@ -413,7 +411,7 @@ def test_eta_mode_is_right_at_any_separation():
     for spread in np.logspace(4, 8, 7):
         for seed in range(15):
             y, theta0, spec = _separated_case(seed, spread)
-            prep = PreparedIntegrand(y, theta0, spec)
+            prep = prepared(y, theta0, spec)
             t = np.linspace(-80.0, 30.0, 11_001)
             i = int(np.argmax(prep.loglik(expit(t))))
             ref = expit(minimize_scalar(lambda u: -float(prep.loglik(expit(u))),
@@ -435,14 +433,14 @@ def test_constant_classes_are_refused_since_the_marginal_is_infinite(values, k):
     models = [parse_model_spec("mu1 < mu2 < mu3", J=3), parse_model_spec("mu1, mu2, mu3", J=3)]
     spec = make_cip(encompassing_of(models[1]), data.group_sizes)
     with pytest.raises(ValueError, match="zero within-class spread"):
-        PreparedIntegrand(data.responses, estimate_null_params(data), spec)
+        prepared(data.responses, estimate_null_params(data), spec)
     with pytest.raises(ValueError, match="zero within-class spread"):
         compare(data, models)
     # the null design's one class is not constant, so its integral is finite
     null_spec = make_cip(encompassing_of(parse_model_spec("mu1 = mu2 = mu3", J=3)),
                          data.group_sizes)
-    assert np.isfinite(PreparedIntegrand(data.responses, estimate_null_params(data),
-                                         null_spec).evidence.log_marginal)
+    assert np.isfinite(prepared(data.responses, estimate_null_params(data),
+                                null_spec).evidence.log_marginal)
 
 
 def test_all_singleton_design_is_answered():

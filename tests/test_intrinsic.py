@@ -1,12 +1,13 @@
 import itertools
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from cipanova.compare import compare
 from cipanova.constraints import encompassing_of, parse_model_spec
+from cipanova.data import AnovaData
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from oracles import cip_logpdf, cip_sample, dense_spec
@@ -22,8 +23,12 @@ def _null_spec(n):
     return make_cip(encompassing_of(m0), (n - n // 2, n // 2))
 
 
+def _one_group(y):
+    return AnovaData(responses=y, groups=np.ones(len(y), dtype=int))
+
+
 def test_estimate_null_params_hand_case():
-    data = SimpleNamespace(responses=np.array([1.0, 3.0]))
+    data = _one_group(np.array([1.0, 3.0]))
     fit = estimate_null_params(data)
     assert fit.alpha0 == pytest.approx(2.0)
     assert fit.sigma0 == pytest.approx(1.0)  # MLE divisor n = 2
@@ -32,19 +37,32 @@ def test_estimate_null_params_hand_case():
 def test_estimate_null_params_shift_equivariance():
     rng = np.random.default_rng(3)
     y = rng.normal(size=40)
-    base = estimate_null_params(SimpleNamespace(responses=y))
-    shifted = estimate_null_params(SimpleNamespace(responses=y + 5.0))
+    base = estimate_null_params(_one_group(y))
+    shifted = estimate_null_params(_one_group(y + 5.0))
     assert shifted.alpha0 == pytest.approx(base.alpha0 + 5.0)
     assert shifted.sigma0 == pytest.approx(base.sigma0)
 
 
 def test_estimate_null_params_errors():
     with pytest.raises(ValueError):
-        estimate_null_params(SimpleNamespace(responses=np.array([1.0])))
+        estimate_null_params(_one_group(np.array([1.0])))
     with pytest.raises(ValueError):
-        estimate_null_params(SimpleNamespace(responses=np.full(10, 3.3)))
+        estimate_null_params(_one_group(np.full(10, 3.3)))
     with pytest.raises(ValueError):
         NullParams(alpha0=0.0, sigma0=0.0)
+
+
+@pytest.mark.parametrize("value, k", [(0.1, 21), (1e8 + 0.1, 15), (0.3, 9), (2.0, 12)])
+def test_constant_responses_are_refused_exactly(value, k):
+    # the float mean of 21 copies of 0.1, or 15 of 1e8 + 0.1, is not the
+    # value itself, so a residual taken about it is rounding, not spread
+    data = AnovaData(responses=np.full(k, value), groups=np.repeat([1, 2, 3], k // 3))
+    message = "^responses are constant; null residual scale is zero$"
+    with pytest.raises(ValueError, match=message):
+        estimate_null_params(data)
+    with pytest.raises(ValueError, match=message):
+        compare(data, [parse_model_spec("mu1 < mu2 < mu3", J=3),
+                       parse_model_spec("mu1, mu2, mu3", J=3)])
 
 
 def test_make_cip_two_group_hand_inverse():

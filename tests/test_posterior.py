@@ -10,7 +10,7 @@ from cipanova import posterior
 from cipanova.compare import Settings, bf_k0, compare
 from cipanova.constraints import encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
-from cipanova.evidence import PreparedIntegrand, quadrature_log_weights
+from cipanova.evidence import quadrature_log_weights
 from cipanova.gaussian import RandomSource
 from cipanova.intrinsic import NullParams, estimate_null_params, make_cip
 from cipanova.posterior import order_components, posterior_cone_mass, prior_cone_mass
@@ -26,8 +26,10 @@ from oracles import (
     dense_spec,
     eta_log_target,
     gamma_full_conditional,
+    group_stats,
     inverted_beta_logpdf,
     posterior_class_means,
+    prepared,
     region_mask,
     region_prob,
     run_posterior_chain,
@@ -172,7 +174,7 @@ def test_chain_is_deterministic_and_validates():
 def test_chain_mean_matches_quadrature_mixture():
     # E[gamma | y] via Gauss-Jacobi over eta against the chain average
     y, theta0, spec = _three_group(seed=30)
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     x, w = roots_jacobi(96, -0.5, -0.5)
     etas = 0.5 * (x + 1.0)
     ll = prep.loglik(etas)
@@ -196,7 +198,7 @@ def test_chain_eta_ks_against_quadrature_density():
     # small single-factor fit: compare chain eta draws with the normalized
     # 1-d posterior computed on a fine grid
     y, theta0, spec = _pooled(seed=40, n=12)
-    prep = PreparedIntegrand(y, theta0, spec)
+    prep = prepared(y, theta0, spec)
     u = np.linspace(1e-7, 1.0 - 1e-7, 200_001)
     etas = np.sin(0.5 * np.pi * u) ** 2
     dens = np.exp(prep.loglik(etas) - np.max(prep.loglik(etas)))
@@ -265,7 +267,7 @@ def test_sampler_cone_mass_matches_node_mixture():
     model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
     y, theta0 = data.responses, estimate_null_params(data)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    eta, log_w = quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 64)
+    eta, log_w = quadrature_log_weights(prepared(y, theta0, spec), 64)
     shrink = 1.0 / (1.0 + 3.0 * eta / spec.n)
     sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 12 + 1.0 / 24))
     r = y - theta0.alpha0
@@ -282,7 +284,7 @@ def test_sampler_gamma_given_eta_matches_full_conditional():
     y, theta0, spec = _three_group(seed=31, n_per_group=10)
     etas, means = posterior_class_means(y, theta0, spec, 8, RandomSource(73).generator(),
                                         T=400_000)
-    assert np.all(np.isin(etas, quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 8)[0]))
+    assert np.all(np.isin(etas, quadrature_log_weights(prepared(y, theta0, spec), 8)[0]))
     # gamma: the baseline class mean, then each other class's effect against it
     gamma = np.column_stack([means[:, 0] + theta0.alpha0, means[:, 1:] - means[:, :1]])
     checked = 0
@@ -311,7 +313,7 @@ def _zero_mean_data(J, n=7, seed=0):
 def _exact_mass(data, text):
     model = parse_model_spec(text, J=data.J)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    prep = PreparedIntegrand(data.responses, estimate_null_params(data), spec)
+    prep = prepared(data.responses, estimate_null_params(data), spec)
     return posterior_cone_mass(model, prep)
 
 
@@ -341,13 +343,13 @@ def test_exact_mass_matches_node_mixture():
     model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
     y, theta0 = data.responses, estimate_null_params(data)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    eta, log_w = quadrature_log_weights(PreparedIntegrand(y, theta0, spec), 64)
+    eta, log_w = quadrature_log_weights(prepared(y, theta0, spec), 64)
     shrink = 1.0 / (1.0 + 3.0 * eta / spec.n)
     sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 12 + 1.0 / 24))
     r = y - theta0.alpha0
     gap = r[data.groups == 2].mean() - r[data.groups != 2].mean()
     exact = float(np.exp(log_w - logsumexp(log_w)) @ stats.norm.cdf(shrink * gap / sd))
-    post = posterior_cone_mass(model, PreparedIntegrand(y, theta0, spec))
+    post = posterior_cone_mass(model, prepared(y, theta0, spec))
     assert abs(post.estimate - exact) < 1e-12
 
 
@@ -360,8 +362,8 @@ def test_exact_mass_at_large_n_matches_a_fine_node_rule():
     theta0 = estimate_null_params(data)
     model = parse_model_spec(MODEL_STRINGS["M2"], J=5)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    prep = PreparedIntegrand(data.responses, theta0, spec)
-    fine = PreparedIntegrand(data.responses, theta0, spec, nodes=4096)
+    prep = prepared(data.responses, theta0, spec)
+    fine = prepared(data.responses, theta0, spec, nodes=4096)
     got = posterior_cone_mass(model, prep).estimate
     want = posterior_cone_mass(model, fine).estimate
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
@@ -386,7 +388,7 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
     model = parse_model_spec(text, J=data.J)
     y, theta0 = data.responses, estimate_null_params(data)
     spec = make_cip(encompassing_of(model), data.group_sizes)
-    post = posterior_cone_mass(model, PreparedIntegrand(y, theta0, spec))
+    post = posterior_cone_mass(model, prepared(y, theta0, spec))
     rng = RandomSource(75).generator()
     T, hits = 0, 0
     for _ in range(10):  # 2M draws in chunks of 200k
@@ -425,7 +427,7 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     model = parse_model_spec("mu1 < mu2 < mu3", J=3)
     spec = make_cip(encompassing_of(model), (12, 12, 12))
-    post = posterior_cone_mass(model, PreparedIntegrand(y, NullParams(1.5, 1.5), spec))
+    post = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
     assert post.estimate is None and post.grid == 0
     assert 0.0 < post.upper_bound < 1e-10
     # wider groups: the bound is loose, and the grid settles on a mass under the
@@ -435,12 +437,12 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.9, size=30) for m in (3.0, 1.5, 0.0)])
     spec = make_cip(encompassing_of(model), (30, 30, 30))
-    settled = posterior_cone_mass(model, PreparedIntegrand(y, NullParams(1.5, 1.5), spec))
+    settled = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
     assert settled.estimate is None and settled.doubling_error < posterior.POSTERIOR_REL_TOL
     assert settled.upper_bound > 1e-12
     # a grid cap that stops such a mass before it settles still leaves it unresolved
     monkeypatch.setattr(posterior, "MAX_GRID", settled.grid // 2)
-    capped = posterior_cone_mass(model, PreparedIntegrand(y, NullParams(1.5, 1.5), spec))
+    capped = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
     assert capped.estimate is None and capped.doubling_error >= posterior.POSTERIOR_REL_TOL
 
 
@@ -743,7 +745,7 @@ def test_log_bf_is_composed_from_the_cone_masses():
     up = parse_model_spec("mu1 < mu2 < mu3", J=3, name="up")
     settings = Settings(prior_draws=20_000)
     data = _c10_data()
-    bd = bf_k0(data, [up], estimate_null_params(data), settings)[0]
+    bd = bf_k0(group_stats(data), [up], estimate_null_params(data), settings)[0]
     prior, post = bd.prior_region, bd.post_region
     assert not bd.below_resolution and bd.resolution_bound is None
     assert bd.log_bf_c_vs_e == np.log(post.estimate) - np.log(prior.estimate)
@@ -752,7 +754,7 @@ def test_log_bf_is_composed_from_the_cone_masses():
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.3, size=12) for m in (3.0, 1.5, 0.0)])
     data = AnovaData(responses=y, groups=np.repeat([1, 2, 3], 12))
-    bd = bf_k0(data, [up], NullParams(1.5, 1.5), settings)[0]
+    bd = bf_k0(group_stats(data), [up], NullParams(1.5, 1.5), settings)[0]
     prior, post = bd.prior_region, bd.post_region
     assert bd.below_resolution and post.estimate is None
     assert bd.log_bf_c_vs_e == -np.inf
