@@ -200,8 +200,7 @@ def log_marginal_quadrature(y: np.ndarray, theta0: NullParams, spec: CipSpec,
 
 def null_loglik(y: np.ndarray, theta0: NullParams) -> float:
     """Log density of the responses y, read as one group, under the fixed null parameters."""
-    y = np.asarray(y, dtype=float)
-    return null_log_density(GroupStats.of(y, (y.size,)), theta0)
+    return null_log_density(GroupStats.of(y, (len(y),)), theta0)
 
 
 def null_log_density(stats: GroupStats, theta0: NullParams) -> float:

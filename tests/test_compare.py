@@ -581,8 +581,9 @@ def test_one_call_reads_the_responses_once(monkeypatch, designs):
     compare(data, models, settings=FAST)
     assert len(builds) == 1
     assert len(prepared_args) == designs
-    assert not any(isinstance(a, np.ndarray) and a.size >= data.n
-                   for args in prepared_args for a in args)
+    # the arguments, and the arrays they hold, are all O(J)
+    held = [v for args in prepared_args for a in args for v in (a, *vars(a).values())]
+    assert not any(isinstance(v, np.ndarray) and v.size >= data.n for v in held)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
