@@ -3,21 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
 import sys
 
-import numpy as np
-
 from .compare import Settings, compare
-from .constraints import encompassing_of, model_to_string, parse_model_spec
-from .data import GroupStats, ingest_csv
-from .evidence import PreparedIntegrand
-from .gaussian import LOG_2PI, logsumexp
-from .intrinsic import NullParams, make_cip
-from .posterior import posterior_cone_mass, prior_cone_mass
-from .scenarios import MODEL_STRINGS, make_preset, preset_names
+from .constraints import model_to_string, parse_model_spec
+from .data import ingest_csv
+from .intrinsic import NullParams
+from .scenarios import MODEL_STRINGS, SimScenario, generate_scenario, make_preset, preset_names
 from .simulate import MIN_REPS_PER_WORKER, power_table, run_simulation_study
 
 _NAMED_MODEL = re.compile(r"^(?!mu\d)([A-Za-z_][\w.-]*)=(.+)$")
@@ -268,123 +264,53 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+def _expect(ok: bool, message: str) -> None:
+    """Fail a check; unlike assert, this holds under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_notation_roundtrip():
     for name, text in MODEL_STRINGS.items():
         model = parse_model_spec(text, J=5, name=name)
         again = parse_model_spec(model_to_string(model), J=5, name=name)
-        assert again == model, f"{name} did not round-trip"
+        _expect(again == model, f"{name} did not round-trip")
 
 
-def _check_prior_cone_mass():
-    # every order of three equal classes is equally likely, and pop3's M3 is a
-    # chain whose three successive differences are a trivariate normal with
-    # correlations -1/2, -1/sqrt(3) and 0, whose positive orthant has mass
+def _check_orthant_mass():
+    # pop3's M3 is a chain over classes of sizes (25, 25, 50, 25) whose three
+    # successive differences are a trivariate normal with correlations -1/2,
+    # -1/sqrt(3) and 0, whose positive orthant has mass
     # 1/8 + (sum of their arcsines) / (4 pi)
-    chain = parse_model_spec("mu1 < mu2 < mu3", J=3)
-    got = prior_cone_mass(chain, (6, 6, 6)).estimate
-    assert abs(got - 1.0 / 6.0) < 1e-12 / 6.0, f"{got} vs 1/3!"
-    m3 = parse_model_spec(MODEL_STRINGS["M3"], J=5)  # classes mu1, mu2, {mu3 = mu5}, mu4
+    scenario, models = make_preset("pop3", n_per_group=25, reps=1)
+    report = compare(generate_scenario(scenario, 0), models)
+    got = report.breakdowns[report.model_names.index("M3")].prior_region.estimate
     want = 1.0 / 12.0 - math.asin(1.0 / math.sqrt(3.0)) / (4.0 * math.pi)
-    got = prior_cone_mass(m3, (25, 25, 50, 25)).estimate
-    assert abs(got - want) < 1e-12 * want, f"{got} vs orthant mass {want}"
+    _expect(abs(got - want) < 1e-12 * want, f"{got} vs orthant mass {want}")
 
 
-def _check_integrand_dense():
-    # the evidence integrand at eta is the N(alpha0, a I + b k P) density of y,
-    # with a = s0^2 eta / (1 - eta), b = s0^2 / (1 - eta), k = n / (q + 1) and
-    # P the projection onto the class indicators, built here row by row
-    rng = np.random.default_rng(11)
-    design = encompassing_of(parse_model_spec("mu1 = mu3, mu2, mu4", J=4))
-    group_sizes = (2, 3, 2, 1)
-    spec = make_cip(design, group_sizes)
-    theta0 = NullParams(alpha0=0.3, sigma0=1.2)
-    y = theta0.alpha0 + rng.normal(size=spec.n)
-    prep = PreparedIntegrand(GroupStats.of(y, group_sizes), theta0, spec)
-    rows = np.repeat([design.columns[j] for j in range(1, 5)], group_sizes)
-    onehot = (rows[:, None] == np.unique(rows)[None, :]).astype(float)
-    proj = (onehot / onehot.sum(axis=0)) @ onehot.T
-    k = spec.n / (spec.q + 1)
-    s0sq = theta0.sigma0**2
-    r = y - theta0.alpha0
-    for eta in (0.2, 0.7):
-        dense = s0sq * eta / (1.0 - eta) * np.eye(spec.n) + s0sq / (1.0 - eta) * k * proj
-        logdet = np.linalg.slogdet(dense)[1]
-        want = -0.5 * (spec.n * LOG_2PI + logdet + float(r @ np.linalg.solve(dense, r)))
-        got = float(prep.loglik(eta))
-        assert abs(got - want) < 1e-10, f"{got} vs {want}"
-
-
-def _check_quadrature_converges():
-    # the evidence rule settles under node doubling and agrees with a dense
-    # trapezoid rule in u, where eta = sin^2(pi u / 2) turns the Beta(1/2, 1/2)
-    # weight into du and the integrand vanishes at both ends
-    rng = np.random.default_rng(12)
-    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2, mu3", J=3)), (4, 4, 4))
-    theta0 = NullParams(alpha0=0.2, sigma0=1.1)
-    y = theta0.alpha0 + rng.normal(size=spec.n)
-    prep = PreparedIntegrand(GroupStats.of(y, spec.group_sizes), theta0, spec)
-    res = prep.evidence
-    assert res.node_doubling_delta < 1e-8, f"node-doubling delta {res.node_doubling_delta}"
-    u = np.linspace(0.0, 1.0, 2001)[1:-1]
-    ll = prep.loglik(np.sin(0.5 * np.pi * u) ** 2)
-    dense = float(logsumexp(ll) + np.log(u[1] - u[0]))
-    assert abs(res.log_marginal - dense) < 1e-8, f"{res.log_marginal} vs dense {dense}"
-
-
-def _check_posterior_cone_mass():
-    # two classes, class 0 (group 1's) merged: given eta the cone is one normal
-    # tail, so the mass is a node mixture of Phi
-    rng = np.random.default_rng(13)
-    y = rng.normal(size=24) + np.repeat([0.0, 0.4, 0.1], 8)
-    theta0 = NullParams(alpha0=float(np.mean(y)), sigma0=float(np.std(y)))
-    model = parse_model_spec("{mu1 = mu3} < mu2", J=3)
-    prep = PreparedIntegrand(GroupStats.of(y, (8, 8, 8)), theta0,
-                             make_cip(encompassing_of(model), (8, 8, 8)))
-    eta, log_w = prep.eta_weights
-    shrink = 1.0 / (1.0 + 3.0 * eta / prep.n)
-    sd = np.sqrt(theta0.sigma0**2 * eta / (1.0 - eta) * shrink * (1.0 / 8 + 1.0 / 16))
-    gap = y[8:16].mean() - np.concatenate([y[:8], y[16:]]).mean()
-    phi = [0.5 * math.erfc(-g / math.sqrt(2.0)) for g in shrink * gap / sd]
-    want = float(np.exp(log_w) @ phi)
-    got = posterior_cone_mass(model, prep).estimate
-    assert got is not None and abs(got - want) < 1e-12, f"{got} vs Phi mixture {want}"
-    # equal groups with equal means: every order of three is equally likely
-    y = np.tile(rng.normal(size=6), 3)
-    chain = parse_model_spec("mu1 < mu2 < mu3", J=3)
-    spec = make_cip(encompassing_of(chain), (6, 6, 6))
-    prep = PreparedIntegrand(GroupStats.of(y, (6, 6, 6)), NullParams(float(np.mean(y)), 1.0),
-                             spec)
-    got = posterior_cone_mass(chain, prep).estimate
-    assert got is not None and abs(got - 1.0 / 6.0) < 1e-12, f"{got} vs 1/3!"
-
-
-def _check_power_values():
-    rows = power_table()
-    got = [round(r.power, 2) for r in rows]
-    want = [0.10, 0.17, 0.18, 0.32, 0.29, 0.52]
-    assert all(abs(g - w) <= 0.011 for g, w in zip(got, want)), got
-
-
-def _check_pmp_normalization():
-    from .scenarios import generate_scenario, SimScenario
+def _check_total_orders():
+    # the 3! total orders of three groups partition the space, and on equal
+    # groups each has prior mass 1/3!
     scenario = SimScenario(name="check", means=(0.0, 0.5, 1.0), sds=(1.0, 1.0, 1.0),
                            n_per_group=10, true_model="M2", reps=1, base_seed=3)
-    data = generate_scenario(scenario, 0)
-    models = [parse_model_spec("mu1 = mu2 = mu3", J=3, name="M0"),
-              parse_model_spec("mu1 < mu2 < mu3", J=3, name="M2"),
-              parse_model_spec("mu1, mu2, mu3", J=3, name="Me")]
-    report = compare(data, models)
-    assert abs(sum(report.posterior_probs) - 1.0) < 1e-12
+    orders = [parse_model_spec(" < ".join(f"mu{j}" for j in perm), J=3)
+              for perm in itertools.permutations((1, 2, 3))]
+    report = compare(generate_scenario(scenario, 0),
+                     [parse_model_spec("mu1 = mu2 = mu3", J=3), *orders])
+    for name, bd in zip(report.model_names[1:], report.breakdowns[1:]):
+        got = bd.prior_region.estimate
+        _expect(abs(got - 1.0 / 6.0) < 1e-12, f"prior mass of {name}: {got} vs 1/3!")
+    post = sum(bd.post_region.estimate for bd in report.breakdowns[1:])
+    _expect(abs(post - 1.0) < 1e-12, f"posterior masses sum to {post}")
+    total = sum(report.posterior_probs)
+    _expect(abs(total - 1.0) < 1e-12, f"model probabilities sum to {total}")
 
 
 _SELFTESTS = [
     ("model notation round-trip", _check_notation_roundtrip),
-    ("prior cone mass matches closed form", _check_prior_cone_mass),
-    ("evidence integrand matches dense density", _check_integrand_dense),
-    ("quadrature converges under node doubling", _check_quadrature_converges),
-    ("posterior cone mass matches closed form", _check_posterior_cone_mass),
-    ("power table reference values", _check_power_values),
-    ("model probabilities normalize", _check_pmp_normalization),
+    ("pop3 M3 prior cone mass matches its orthant mass", _check_orthant_mass),
+    ("total orders partition the prior and the posterior", _check_total_orders),
 ]
 
 

@@ -89,24 +89,26 @@ def bf_k0(stats: GroupStats, models: list[ConstraintModel], theta0: NullParams,
     names = [m.name or model_to_string(m) for m in models]
     if len(set(names)) != len(names):
         raise ValueError("duplicate model names")
-    designs = [encompassing_of(m) for m in models]
-    prepared: dict[ConstraintModel, PreparedIntegrand] = {}
+    # keyed by the equality classes, which are the encompassing design, so
+    # each design is built once, when its classes are first met
+    prepared: dict[tuple[tuple[int, ...], ...], PreparedIntegrand] = {}
     priors = {}
-    for i, (model, design) in enumerate(zip(models, designs)):
+    for i, model in enumerate(models):
         if model.J != len(stats.sizes):
             raise ValueError(f"model is over {model.J} groups, data has {len(stats.sizes)}")
-        if not model.is_null and design not in prepared:
-            prepared[design] = PreparedIntegrand(stats, theta0, make_cip(design, stats.sizes))
+        if not model.is_null and model.classes not in prepared:
+            prepared[model.classes] = PreparedIntegrand(
+                stats, theta0, make_cip(encompassing_of(model), stats.sizes))
         if model.has_order:
-            priors[i] = prior_cone_mass(model, tuple(int(n) for n in prepared[design].sizes))
+            priors[i] = prior_cone_mass(model, tuple(int(n) for n in prepared[model.classes].sizes))
             least = max(1.0 / settings.prior_draws, truncation_floor(model))
             if priors[i].estimate < least:
                 raise InsufficientPriorMassError(
                     f"the prior cone mass of {names[i]}, {priors[i].estimate:.3g}, is below "
                     f"{least:.3g}, the larger of 1/prior_draws and the truncation floor")
     log_null = null_log_density(stats, theta0)
-    return tuple(_breakdown(model, name, prepared.get(design), log_null, priors.get(i))
-                 for i, (model, name, design) in enumerate(zip(models, names, designs)))
+    return tuple(_breakdown(model, name, prepared.get(model.classes), log_null, priors.get(i))
+                 for i, (model, name) in enumerate(zip(models, names)))
 
 
 def _breakdown(model: ConstraintModel, name: str, prep: PreparedIntegrand | None,

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -196,11 +197,15 @@ def test_import_loads_no_scipy():
     env = dict(os.environ)
     src = str(Path(cipanova.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, cipanova, cipanova.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    # the install check runs there too, and under -O, which strips assert
+    code = ("import sys, cipanova, cipanova.cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = scipy()\n"
+            "code = cipanova.cli.main(['selftest'])\n"
+            "print(loaded, code, scipy())")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[] 0 []"
 
 
 def test_config_file_merging(capsys, data_csv, tmp_path):
@@ -449,9 +454,17 @@ def test_simulate_text_and_errors(capsys):
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok -") == 7
+    out = capsys.readouterr().out.splitlines()
+    assert len(cli._SELFTESTS) >= 3
+    for name, _ in cli._SELFTESTS:
+        assert f"ok - {name}" in out
     assert "all checks passed" in out
+
+
+def test_selftest_uses_no_assert_statement():
+    # python -O strips assert, which would let a failing check print ok
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_selftest_reports_a_failing_check(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import warnings
 
@@ -534,10 +535,15 @@ def test_each_design_is_prepared_once_per_call(monkeypatch):
     # pop3's M2 and Me share the free design and M3 has its own; the null has
     # none.  Each design takes one build, one mode search and the 64- and
     # 128-node rules; the posterior masses add no quadrature of their own.
+    # Each design is also built once, not once per model that shares it.
     data, models = _pop3()
     counts = _count_evidence_work(monkeypatch)
+    designs = []
+    monkeypatch.setattr(importlib.import_module("cipanova.compare"), "encompassing_of",
+                        lambda model: designs.append(model) or encompassing_of(model))
     compare(data, models, settings=FAST)
     assert counts == {"prepared": 2, "mode": 2, "quadrature": 4}
+    assert len(designs) == 2
 
     rng = np.random.default_rng(5)
     j10 = AnovaData(responses=rng.normal(np.repeat(0.1 * np.arange(10), 20)),
