@@ -55,8 +55,9 @@ a larger mass that the grid cap stops before it settles raises ValueError,
 since dropping it would skew the other models' probabilities.  The number of
 down-sets can grow as 2^w for an antichain layer of width w (counting linear
 extensions is #P-complete; Brightwell and Winkler 1991, Order); only a wide
-layer in R pays it, and an R with more than MAX_DOWNSETS is refused the same
-way.
+layer in R pays it, and a component whose rows leave MAX_ELEMENTS no room for
+one node's starting grid and its double is refused the same way (between two
+classes, an antichain of 15 or more).
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ from .gaussian import LOG_2PI, logsumexp
 
 # a posterior mass is accepted when doubling the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
-# a component of the order with more down-sets than this (between its wide end
-# layers) is refused; its widest levels would hold some 5000 arrays per grid
-# point, room for about 800 (12 classes between two, 4098 down-sets, get 1576)
-MAX_DOWNSETS = 2**13
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
 SPAN_SD = 10.0
@@ -201,9 +198,11 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
 
     The plan depends on the order alone, so it is built once per model and
     process (equality ignores the name), and its arrays are read-only.
-    Raises ValueError, naming the model, when a component's middle has more
-    than MAX_DOWNSETS down-sets.
+    Raises ValueError, naming the model, when a component's rows exceed the
+    memory budget: MAX_ELEMENTS has no room for one node on the starting grid
+    of MIN_PANELS panels and its double, so _converged_mass could not start it.
     """
+    room = MAX_ELEMENTS // (2 * MIN_PANELS * PANEL_POINTS)
     comps = []
     for members, layers in zip(model.components, model.layers):
         if len(members) < 2:
@@ -211,17 +210,18 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         bottom, top = (layer if len(layer) > 1 and model.is_antichain(layer) else ()
                        for layer in (layers[0], layers[-1]))
         middle = tuple(r for r in members if r not in bottom + top)
-        levels = _downset_levels(middle, model.order)
-        if levels is None:
-            raise ValueError(
-                f"a component of the order of {model.name or model_to_string(model)} over "
-                f"{len(members)} classes has more than {MAX_DOWNSETS} down-sets; its exact cone "
-                "mass is too costly")
+        levels = _downset_levels(middle, model.order, room)
         cols = np.array([model.columns[r] for r in bottom + middle + top])
         pairs = np.array([(model.columns[a], model.columns[b])
                           for a, b in model.order_reduction if a in members]).T
         cols.flags.writeable = pairs.flags.writeable = False
-        comps.append(_Component(cols, pairs, levels, len(bottom), len(top)))
+        if levels is not None:
+            comps.append(_Component(cols, pairs, levels, len(bottom), len(top)))
+        if levels is None or comps[-1].rows > room:
+            raise ValueError(
+                f"a component of the order of {model.name or model_to_string(model)} over "
+                f"{len(members)} classes needs more than {room} rows per grid point; its exact "
+                "cone mass exceeds the memory budget")
     return tuple(comps)
 
 
@@ -236,10 +236,11 @@ def _level_rows(levels: tuple[tuple, ...]) -> int:
     return max([prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1])
 
 
-def _downset_levels(members: tuple[int, ...], order: frozenset) -> tuple[tuple, ...] | None:
+def _downset_levels(members: tuple[int, ...], order: frozenset, room: float) -> tuple | None:
     """Down-sets of the members under the order, as bit masks (bit j for members[j]), by size.
 
-    None when there are more than MAX_DOWNSETS of them, counting the empty one.
+    None, as soon as it is known, when one step of the recursion would hold
+    more than room H and integrand rows (the previous level and twice the new).
     """
     m, at = len(members), {r: j for j, r in enumerate(members)}
     below, above = [0] * m, [0] * m  # the members below and above each
@@ -248,7 +249,6 @@ def _downset_levels(members: tuple[int, ...], order: frozenset) -> tuple[tuple, 
             below[at[b]] |= 1 << at[a]
             above[at[a]] |= 1 << at[b]
     level = {0: 0}
-    count = 1
     levels = []
     for _ in range(m):
         nxt: dict[int, int] = {}
@@ -256,9 +256,8 @@ def _downset_levels(members: tuple[int, ...], order: frozenset) -> tuple[tuple, 
             for j in range(m):
                 if not mask >> j & 1 and below[j] & ~mask == 0:
                     nxt.setdefault(mask | 1 << j, len(nxt))
-        count += len(nxt)
-        if count > MAX_DOWNSETS:
-            return None
+            if len(level) + 2 * len(nxt) > room:
+                return None
         terms = []
         for mask in nxt:
             js = tuple(j for j in range(m) if mask >> j & 1 and above[j] & mask == 0)
@@ -439,8 +438,7 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
     layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
                for c in comps]
     cap = min(MAX_GRID, MAX_ELEMENTS // max(c.rows for c in comps))
-    least = min(MIN_PANELS, cap // (2 * PANEL_POINTS))
-    base = [max(least, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
+    base = [max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
 
     def masses_at(grids):  # per component, its edges on each grid; one mass per grid
         node = np.ones((len(grids[0]), len(w)))
@@ -478,7 +476,7 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     heaviest skipped nodes are added until it does.  A mass that does not
     settle is unresolved only when it is negligible, i.e. the bound or the
     last two grids put it within the truncation floor; otherwise it raises
-    ValueError, like an order with too many down-sets.
+    ValueError, like an order whose rows exceed the memory budget.
     """
     comps = order_components(model)
     eta, log_w = prep.eta_weights

@@ -36,6 +36,10 @@
 - `full_downset_plan`, the down-set recursion over every class of each weak
   component, with no end-layer form: the reference for the one-pass
   integrals of a wide top and a wide bottom layer.
+- `between_two_mass`, P(X_0 < {X_1, ..., X_w} < X_last) for independent
+  Gaussians as scipy's adaptive 2-D quadrature over the two end classes:
+  the reference for a wide middle antichain, which the library reaches
+  through its 2^w down-sets.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.integrate import dblquad
+from scipy.special import logsumexp, ndtr
 
 from cipanova.constraints import ConstraintModel
 from cipanova.data import GroupStats
@@ -690,5 +695,25 @@ def full_downset_plan(model: ConstraintModel) -> tuple[_Component, ...]:
     """Each weak component of at least two classes as one down-set recursion over all of them."""
     members = [m for m in model.components if len(m) > 1]
     return tuple(replace(comp, cols=np.array([model.columns[r] for r in m]), bottom=0, top=0,
-                         levels=_downset_levels(m, model.order))
+                         levels=_downset_levels(m, model.order, math.inf))
                  for m, comp in zip(members, order_components(model)))
+
+
+def between_two_mass(mu: np.ndarray, s: np.ndarray) -> float:
+    """P(X_0 < every X_j < X_last), the X_c independent N(mu_c, s_c^2), by 2-D quadrature.
+
+    The double integral over u < v of f_0(u) f_last(v) prod_j (F_j(v) - F_j(u)),
+    the product over the classes between taken as one array operation; each
+    end class spans mu_c +- 12 s_c.
+    """
+    mu, s = np.asarray(mu, dtype=float), np.asarray(s, dtype=float)
+    lo, hi = mu - 12.0 * s, mu + 12.0 * s
+    m, sd = mu[1:-1], s[1:-1]
+    scale = 1.0 / (2.0 * math.pi * s[0] * s[-1])
+
+    def integrand(u, v):
+        ends = ((u - mu[0]) / s[0]) ** 2 + ((v - mu[-1]) / s[-1]) ** 2
+        return scale * math.exp(-0.5 * ends) * (ndtr((v - m) / sd) - ndtr((u - m) / sd)).prod()
+
+    return dblquad(integrand, lo[-1], hi[-1], lo[0], lambda v: min(max(v, lo[0]), hi[0]),
+                   epsabs=0.0, epsrel=1e-13)[0]

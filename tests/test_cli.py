@@ -124,18 +124,19 @@ def test_compare_refuses_constant_groups(capsys, tmp_path):
 
 
 def test_compare_refusal_names_the_model(capsys, tmp_path):
-    # a 13-antichain between two classes has 8194 down-sets, past the budget;
-    # the control order before it is answered
+    # a 15-antichain between two classes needs more rows than the memory budget
+    # holds; the control order before it is answered
     rng = np.random.default_rng(15)
     p = tmp_path / "wide.csv"
     p.write_text("group,response\n" + "".join(
-        f"{j},{v:.6f}\n" for j, v in zip(np.repeat(np.arange(1, 16), 20), rng.normal(size=300))))
-    treated = "{" + ",".join(f"mu{j}" for j in range(2, 16)) + "}"
-    middle = "{" + ",".join(f"mu{j}" for j in range(2, 15)) + "}"
+        f"{j},{v:.6f}\n" for j, v in zip(np.repeat(np.arange(1, 18), 20), rng.normal(size=340))))
+    treated = "{" + ",".join(f"mu{j}" for j in range(2, 18)) + "}"
+    middle = "{" + ",".join(f"mu{j}" for j in range(2, 17)) + "}"
     assert main(["compare", str(p), "--model", f"ctl=mu1<{treated}",
-                 "--model", f"mid=mu1<{middle}<mu15", "--prior-draws", "2000"]) == 1
+                 "--model", f"mid=mu1<{middle}<mu17", "--prior-draws", "2000"]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: a component of the order of mid over 15 classes has more than 8192 down-sets")
+        "error: a component of the order of mid over 17 classes needs more than 10922 rows per "
+        "grid point; its exact cone mass exceeds the memory budget")
 
 
 def test_compare_group_recode_note(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import (
     PosteriorDraws,
     PriorDraws,
     RegionProbEstimate,
+    between_two_mass,
     cip_sample,
     component_masses_reference,
     cone_mass,
@@ -502,19 +504,31 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
         _exact_mass(data, text)
 
 
+def _rows_budget(rows):
+    """The MAX_ELEMENTS under which a component of exactly this many rows is planned."""
+    return rows * 2 * posterior.MIN_PANELS * posterior.PANEL_POINTS
+
+
 def test_downset_budget_raises(monkeypatch):
     # a wide middle layer is the one the recursion enumerates: 34 down-sets
-    # counting the empty one
+    # counting the empty one, its widest step 10 + 2 * 10 level rows
     middle = parse_model_spec("mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7", J=10)
-    assert sum(len(lv) for lv in order_components(middle)[0].levels) == 33
-    monkeypatch.setattr(posterior, "MAX_DOWNSETS", 33)
+    comp, = order_components(middle)
+    assert sum(len(lv) for lv in comp.levels) == 33 and comp.rows == 7 + 2 + 3 + 30
     order_components.cache_clear()  # the plan above was built under the default budget
-    with pytest.raises(ValueError, match="down-sets"):
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", _rows_budget(comp.rows) + 1)
+    assert order_components(middle)[0].levels == comp.levels
+    order_components.cache_clear()
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", _rows_budget(comp.rows) - 1)
+    with pytest.raises(ValueError, match=f"needs more than {comp.rows - 1} rows per grid point"):
         order_components(middle)
-    # free classes and separate components do not count against one budget
-    monkeypatch.setattr(posterior, "MAX_DOWNSETS", 4)
-    comps = order_components(parse_model_spec("mu1 < mu2 < mu3, mu4 < mu5", J=6))
+    # free classes and separate components are each checked on their own:
+    # 11 and 10 rows, within a budget of 11 that their sum is not
+    chains = parse_model_spec("mu1 < mu2 < mu3, mu4 < mu5", J=6)
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", _rows_budget(11))
+    comps = order_components(chains)
     assert [sorted(c.cols) for c in comps] == [[0, 1, 2], [3, 4]]
+    assert [c.rows for c in comps] == [11, 10]
 
 
 def _layer(first, last):
@@ -551,13 +565,52 @@ def test_wide_end_layers_are_answered_and_a_wide_middle_is_refused_by_name(monke
         for text in (f"mu1 < {_layer(2, J)}", f"{_layer(1, J - 1)} < mu{J}"):
             post = _exact_mass(data, text)
             assert post.estimate is not None and post.estimate > 0.0, text
-    # a 13-antichain between two classes: 8194 down-sets
-    data = AnovaData(responses=rng.normal(size=15 * 20), groups=np.repeat(np.arange(1, 16), 20))
-    models = [parse_model_spec(f"mu1 < {_layer(2, 15)}", J=15, name="ctl"),
-              parse_model_spec(f"mu1 < {_layer(2, 14)} < mu15", J=15, name="mid")]
-    with pytest.raises(ValueError,
-                       match=r"order of mid over 15 classes has more than 8192 down-sets"):
+    # a 13-antichain between two classes fits the memory budget; a 15-antichain
+    # does not, and compare refuses it by name after answering the control order
+    assert order_components(parse_model_spec(f"mu1 < {_layer(2, 14)} < mu15", J=15))[0].rows \
+        == 5170
+    data = AnovaData(responses=rng.normal(size=17 * 20), groups=np.repeat(np.arange(1, 18), 20))
+    models = [parse_model_spec(f"mu1 < {_layer(2, 17)}", J=17, name="ctl"),
+              parse_model_spec(f"mu1 < {_layer(2, 16)} < mu17", J=17, name="mid")]
+    with pytest.raises(ValueError, match=r"order of mid over 17 classes needs more than 10922 "
+                                         r"rows per grid point; its exact cone mass exceeds the "
+                                         r"memory budget"):
         compare(data, models, settings=Settings(prior_draws=2000))
+
+
+def _between_two(w, name=None):
+    return parse_model_spec(f"mu1 < {_layer(2, w + 1)} < mu{w + 2}", J=w + 2, name=name)
+
+
+@pytest.mark.parametrize("w", [13, 14])
+def test_middle_antichains_within_the_memory_budget_give_exact_prior_masses(w):
+    # identical classes: the two end classes are the least and the greatest of
+    # the J, so the mass is 1 / (J (J - 1)); 5170 and 9890 rows of 10922
+    J = w + 2
+    prior = prior_cone_mass(_between_two(w), (20,) * J)
+    assert prior.estimate == pytest.approx(1.0 / (J * (J - 1)), rel=1e-12, abs=0.0)
+    assert prior.doubling_error < posterior.POSTERIOR_REL_TOL
+
+
+def test_a_wide_middle_node_matches_the_two_dimensional_quadrature():
+    # one node of a 13-antichain between two classes, every class its own mean and sd
+    rng = np.random.default_rng(13)
+    mu = rng.normal(0.0, 0.3, size=15) + np.r_[-1.0, np.zeros(13), 1.0]
+    s = rng.uniform(0.5, 1.5, size=15)
+    mass, change, *_ = posterior._converged_mass(order_components(_between_two(13)), mu[None],
+                                                 s[None], np.array([1.0]))
+    assert change < posterior.POSTERIOR_REL_TOL
+    assert mass == pytest.approx(between_two_mass(mu, s), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("w", [20, 30])
+def test_middles_past_the_memory_budget_are_refused_before_their_down_sets(w):
+    # 2^20 and 2^30 down-sets: the enumeration stops at the first level step
+    # past the budget
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"order of mid over {w + 2} classes needs more than "):
+        order_components(_between_two(w, name="mid"))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ten_vs_ten_block_order_is_answered():
