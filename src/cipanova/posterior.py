@@ -47,17 +47,17 @@ workspace per call, each row the Lobatto points by the panels of every node
 (on the starting grid and its double together); a level's integrand is summed
 from row views of the densities and the previous H, so no step gathers copies.
 The grid doubles, splitting every panel in two, until the mass moves by less
-than POSTERIOR_REL_TOL.  A
-posterior mass too small for the +-10 sd truncation to be negligible
-(truncation_floor) is reported as unresolved, with an upper bound instead of a
-value, and compare.bf_k0 refuses an order whose prior mass is below that floor;
-a larger mass that the grid cap stops before it settles raises ValueError,
-since dropping it would skew the other models' probabilities.  The number of
-down-sets can grow as 2^w for an antichain layer of width w (counting linear
-extensions is #P-complete; Brightwell and Winkler 1991, Order); only a wide
-layer in R pays it, and a component whose rows leave MAX_ELEMENTS no room for
-one node's starting grid and its double is refused the same way (between two
-classes, an antichain of 15 or more).
+than POSTERIOR_REL_TOL.  A posterior mass too small for the +-10 sd truncation
+to be negligible (truncation_floor) is reported as unresolved, with an upper
+bound instead of a value, so its doubling stops once the last two grids put it
+under the floor; compare.bf_k0 refuses a prior mass below it.  A larger mass
+that has not settled when the next grid would not fit one node under
+MAX_ELEMENTS raises ValueError, since dropping it would skew the other models'
+probabilities.  The number of down-sets can grow as 2^w for an antichain layer
+of width w (counting linear extensions is #P-complete; Brightwell and Winkler
+1991, Order); only a wide layer in R pays it, and a component whose rows leave
+MAX_ELEMENTS no room for one node's starting grid and its double is refused
+the same way (between two classes, an antichain of 15 or more).
 """
 
 from __future__ import annotations
@@ -92,10 +92,8 @@ PANEL_SD = 4.5
 # of a mass, does not follow the data; from need / PANEL_SD alone it took
 # 6 to 9 panels on pop3 and j10 datasets
 MIN_PANELS = 8
-# grid points per node beyond which a mass that has not settled is refused
-MAX_GRID = 2**12
 # float64 elements one recursion step may hold (32 MB): nodes go through in
-# chunks under it, and a grid too fine for even one node counts as past MAX_GRID
+# chunks under it, and the grid doubles no further than one node fits it
 MAX_ELEMENTS = 2**22
 # nodes lighter than this are skipped when their summed bound on the mass is
 # at most PRUNE_REL times the mass of the nodes kept
@@ -156,7 +154,7 @@ def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
     if not change < POSTERIOR_REL_TOL:
         raise ValueError(
             f"the prior cone mass of {model.name or model_to_string(model)} did not settle "
-            "within the grid cap; its exact mass is too costly")
+            "within the memory budget; its exact mass is too costly")
     return ConeMass(estimate=mass, doubling_error=float(change), grid=int(grid))
 
 
@@ -425,19 +423,19 @@ def _log_pair_bound(comps, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.min(log_phi, axis=1)
 
 
-def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
+def _converged_mass(comps, mu, s, w, negligible=-np.inf) -> tuple[float, float, int, float]:
     """Mixture mass over the given nodes, doubling every component's grid until it settles.
 
     Returns (mass, relative change over the last doubling, points per node of
-    the finest grid evaluated, largest |mass| of the last two grids).  The
-    doubling stops when the change falls below POSTERIOR_REL_TOL, when the
-    mass is not positive (change inf) or at the grid cap (MAX_GRID, lower for
-    components too wide for MAX_ELEMENTS); the mass and the level are nan when
-    even the starting grid and its double exceed the cap.
+    the finest grid evaluated, level: largest |mass| of the last two grids).  It
+    stops when the change falls below POSTERIOR_REL_TOL, the mass is not
+    positive (change inf), the level is at or below negligible, or the next grid
+    would not fit one node under MAX_ELEMENTS; mass and level are nan when the
+    starting grid and its double do not.
     """
     layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
                for c in comps]
-    cap = min(MAX_GRID, MAX_ELEMENTS // max(c.rows for c in comps))
+    cap = MAX_ELEMENTS // max(c.rows for c in comps)  # grid points per node
     base = [max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
 
     def masses_at(grids):  # per component, its edges on each grid; one mass per grid
@@ -463,8 +461,9 @@ def _converged_mass(comps, mu, s, w) -> tuple[float, float, int, float]:
             mass, = masses_at([[e] for e in edges])
         grid = max(base) * scale * PANEL_POINTS
         change = abs(mass - prev) / mass if mass > 0.0 else np.inf
-        if change < POSTERIOR_REL_TOL or not np.isfinite(change) or 2 * grid > cap:
-            return mass, change, grid, max(abs(mass), abs(prev))
+        level = max(abs(mass), abs(prev))
+        if not POSTERIOR_REL_TOL <= change < np.inf or level <= negligible or 2 * grid > cap:
+            return mass, change, grid, level
         prev, scale = mass, 2 * scale
 
 
@@ -490,21 +489,22 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
         return PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=0,
                                  log_upper_bound=log_upper_bound)
 
-    def settle(keep):
-        mass, change, grid, level = _converged_mass(comps, mu[keep], s[keep], w[keep])
-        return mass, change, grid, level, change < POSTERIOR_REL_TOL and mass >= floor
+    def settle(keep):  # a mass at or below negligible is reported unresolved, not refused
+        negligible = floor - bound[~keep].sum()
+        mass, change, grid, level = _converged_mass(comps, mu[keep], s[keep], w[keep], negligible)
+        return mass, change, grid, level <= negligible, change < POSTERIOR_REL_TOL and mass >= floor
 
     keep = w > PRUNE_WEIGHT
-    mass, change, grid, level, resolved = settle(keep)
+    mass, change, grid, small, resolved = settle(keep)
     if resolved and bound[~keep].sum() > PRUNE_REL * mass:
         skipped = np.flatnonzero(~keep)
         heavy_first = skipped[np.argsort(-bound[skipped])]
         suffix = np.cumsum(bound[heavy_first][::-1])[::-1]
         keep[heavy_first[:np.searchsorted(-suffix, -PRUNE_REL * mass)]] = True
-        mass, change, grid, level, resolved = settle(keep)
-    if not resolved and not level + bound[~keep].sum() <= floor:
+        mass, change, grid, small, resolved = settle(keep)
+    if not resolved and not small:
         raise ValueError(
             f"the posterior cone mass of {model.name or model_to_string(model)} did not "
-            "settle within the grid cap; its exact mass is too costly")
+            "settle within the memory budget; its exact mass is too costly")
     return PosteriorConeMass(estimate=mass if resolved else None, doubling_error=float(change),
                              grid=int(grid), log_upper_bound=log_upper_bound)

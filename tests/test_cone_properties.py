@@ -1,7 +1,8 @@
 """Property tests of the cone masses: the exact posterior mass on random data with J = 2-5
 groups, its one-pass form of wide end layers against the full down-set recursion with J up
 to 11, its panel edges against per-node np.interp, its one final step against the full
-integration of the last level, and the exact prior mass over the total orders."""
+integration of the last level, the exact prior mass over the total orders, and the ways
+the grid doubling of a posterior mass may end, with J up to 24."""
 
 import itertools
 
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipanova import posterior
 from cipanova.constraints import ConstraintModel, encompassing_of, parse_model_spec
 from cipanova.data import AnovaData
 from cipanova.intrinsic import estimate_null_params, make_cip
 from cipanova.posterior import (
-    MAX_GRID,
     MIN_PANELS,
     PANEL_POINTS,
     PANEL_SD,
@@ -27,6 +28,7 @@ from cipanova.posterior import (
     order_components,
     posterior_cone_mass,
     prior_cone_mass,
+    truncation_floor,
 )
 from oracles import (component_masses_reference, full_downset_plan, panel_edges_reference,
                      prepared)
@@ -218,7 +220,7 @@ def class_layouts(draw):
 
 
 @PROPERTY
-@given(class_layouts(), st.integers(1, MAX_GRID // PANEL_POINTS))
+@given(class_layouts(), st.integers(1, 4096 // PANEL_POINTS))
 def test_panel_edges_match_per_node_interp_bit_for_bit(layout, panels):
     ends, need = _resolution_need(*layout)
     got = _panel_edges(ends, need, panels)
@@ -226,7 +228,7 @@ def test_panel_edges_match_per_node_interp_bit_for_bit(layout, panels):
     assert got.tobytes() == panel_edges_reference(ends, need, panels).tobytes()
     # the doubling reads a grid's edges off those of the next: every panel
     # count it can reach is the even columns of its double, bit for bit
-    for p in range(1, MAX_GRID // PANEL_POINTS // 2 + 1):
+    for p in range(1, 4096 // PANEL_POINTS // 2 + 1):
         assert _panel_edges(ends, need, p).tobytes() == \
             np.ascontiguousarray(_panel_edges(ends, need, 2 * p)[:, ::2]).tobytes()
 
@@ -300,3 +302,53 @@ def test_one_call_on_several_grids_matches_one_call_per_grid(model, nodes, seed)
         for edges, got in zip(grids, together):
             alone, = _component_masses(comp, cmu, cs, [edges])
             np.testing.assert_array_max_ulp(got, alone, maxulp=2)
+
+
+@st.composite
+def stopping_cases(draw):
+    """A chain, a control below all, or a lower half below an upper half, on J = 2-24 groups.
+
+    Group sizes and sds are unequal; the group means step 0.3 to 30 of their
+    class sds along the order or against it (a reversed chain among them).
+    """
+    J = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["chain", "control", "blocks"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = np.exp(rng.uniform(np.log(0.3), np.log(30.0)))
+    sizes = rng.integers(3, 30, size=J)
+    sd = rng.uniform(0.5, 2.0, size=J)
+    means = sign * np.cumsum(spread * sd / np.sqrt(sizes))
+    y = np.concatenate([m + d * rng.standard_normal(n) for m, d, n in zip(means, sd, sizes)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, J + 1), sizes))
+    groups = [f"mu{j}" for j in range(1, J + 1)]
+    text = {"chain": " < ".join(groups),
+            "control": f"mu1 < {{{', '.join(groups[1:])}}}",
+            "blocks": f"{{{', '.join(groups[:J // 2])}}} < {{{', '.join(groups[J // 2:])}}}"}[kind]
+    return data, parse_model_spec(text, J=J, name="drawn")
+
+
+@settings(PROPERTY, max_examples=60)
+@given(stopping_cases())
+def test_posterior_mass_ends_settled_negligible_or_refused(case):
+    # the doubling stops on what it observes, and each stop has one outcome:
+    # a settled mass, a mass its last two grids put under the truncation
+    # floor, or a refusal that names the model
+    data, model = case
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    prep = prepared(data.responses, estimate_null_params(data), spec)
+    seen, converged = [], posterior._converged_mass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior, "_converged_mass", lambda *a: seen.append(converged(*a)) or seen[-1])
+        try:
+            post = posterior_cone_mass(model, prep)
+        except ValueError as err:
+            assert "cone mass of drawn" in str(err)
+            return
+    if post.estimate is not None:
+        assert post.doubling_error < POSTERIOR_REL_TOL
+    elif post.grid:
+        *_, level = seen[-1]
+        assert level <= truncation_floor(model)
+    else:  # the closed-form bound alone puts it there, before any grid
+        assert post.upper_bound <= truncation_floor(model)

@@ -21,6 +21,7 @@ from oracles import (
     PosteriorDraws,
     PriorDraws,
     RegionProbEstimate,
+    below_all_mass,
     between_two_mass,
     cip_sample,
     component_masses_reference,
@@ -432,39 +433,49 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     post = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
     assert post.estimate is None and post.grid == 0
     assert 0.0 < post.upper_bound < 1e-10
-    # wider groups: the bound is loose, and the grid settles on a mass under the
-    # floor; from 6 sd panels it takes a second doubling, so a cap can stop it
-    # after two grids
+    # wider groups: the bound is loose, and the grid puts the mass under the
+    # floor; with 6 sd panels it would take a second doubling to settle, but
+    # the doubling stops after the first pair, which both lie under the floor
     monkeypatch.setattr(posterior, "PANEL_SD", 6.0)
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.9, size=30) for m in (3.0, 1.5, 0.0)])
     spec = make_cip(encompassing_of(model), (30, 30, 30))
-    settled = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
-    assert settled.estimate is None and settled.doubling_error < posterior.POSTERIOR_REL_TOL
-    assert settled.upper_bound > 1e-12
-    # a grid cap that stops such a mass before it settles still leaves it unresolved
-    monkeypatch.setattr(posterior, "MAX_GRID", settled.grid // 2)
-    capped = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
-    assert capped.estimate is None and capped.doubling_error >= posterior.POSTERIOR_REL_TOL
+    seen, converged = [], posterior._converged_mass
+    monkeypatch.setattr(posterior, "_converged_mass",
+                        lambda *a: seen.append(converged(*a)) or seen[-1])
+    kernel_grids, kernel = [], posterior._component_masses
+    monkeypatch.setattr(posterior, "_component_masses",
+                        lambda *a: kernel_grids.append(a[-1]) or kernel(*a))
+    stopped = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
+    assert stopped.estimate is None and stopped.upper_bound > 1e-12
+    (grids,) = kernel_grids  # one evaluation: the starting grid and its double
+    assert [e.shape[1] - 1 for e in grids] == [stopped.grid // (2 * posterior.PANEL_POINTS),
+                                               stopped.grid // posterior.PANEL_POINTS]
+    (*_, level), = seen
+    assert stopped.doubling_error >= posterior.POSTERIOR_REL_TOL
+    assert level <= posterior.truncation_floor(model)
 
 
-def test_grid_cap_refuses_a_mass_that_is_not_negligible(monkeypatch):
+def test_memory_budget_refuses_a_mass_that_is_not_negligible(monkeypatch):
     data = _c10_data()
-    whole = _exact_mass(data, "mu1 < mu2 < mu3")
+    text = "mu1 < mu2 < mu3"
+    whole = _exact_mass(data, text)
     assert whole.estimate > 0.1
-    models = [parse_model_spec(t, J=3) for t in ("mu1 = mu2 = mu3", "mu1 < mu2 < mu3")]
-    compare(data, models)  # the prior mass is cached from here on
-    # stopped one doubling before it settles, the mass is refused, not dropped
-    monkeypatch.setattr(posterior, "MAX_GRID", whole.grid // 2)
-    with pytest.raises(ValueError, match="did not settle"):
-        _exact_mass(data, "mu1 < mu2 < mu3")
+    rows = order_components(parse_model_spec(text, J=3))[0].rows
+    models = [parse_model_spec(t, J=3) for t in ("mu1 = mu2 = mu3", text)]
+    compare(data, models)  # the prior mass and the plan are cached from here on
+    # room for half the grid the mass settles on, so it stops before it
+    # settles: the mass is refused, not dropped
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid // 2)
+    with pytest.raises(ValueError, match="did not settle within the memory budget"):
+        _exact_mass(data, text)
     with pytest.raises(ValueError, match="posterior cone mass of mu1 < mu2 < mu3 did not settle"):
         compare(data, models, settings=Settings(prior_draws=2000), rng=RandomSource(4))
     # so is a prior mass whose grid cannot start, and the refusal is not cached
     posterior.prior_cone_mass.cache_clear()
-    monkeypatch.setattr(posterior, "MAX_GRID", 100)
     for _ in range(2):
-        with pytest.raises(ValueError, match="prior cone mass of mu1 < mu2 < mu3 did not settle"):
+        with pytest.raises(ValueError, match="prior cone mass of mu1 < mu2 < mu3 did not settle "
+                                             "within the memory budget"):
             compare(data, models)
     assert posterior.prior_cone_mass.cache_info().currsize == 0
 
@@ -628,6 +639,62 @@ def test_ten_vs_ten_block_order_is_answered():
     assert not bd.below_resolution
 
 
+def _control_data(J, gap, seed):
+    # groups of 20: a control at 0, one treatment at 0.2 and the rest gap apart above it
+    rng = np.random.default_rng(seed)
+    means = np.r_[0.0, 0.2, 0.2 + gap * np.arange(1, J - 1)]
+    return AnovaData(responses=np.concatenate([rng.normal(m, 1.0, 20) for m in means]),
+                     groups=np.repeat(np.arange(1, J + 1), 20))
+
+
+def test_control_below_separated_treatments_matches_the_quadrature():
+    # each well-separated class brings its own +-10 sd of panels, so 22 classes
+    # need more than 4096 points per node, well within the memory budget
+    data = _control_data(22, 5.0, seed=1)
+    model = parse_model_spec(f"mu1 < {_layer(2, 22)}", J=22)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    prep = prepared(data.responses, estimate_null_params(data), spec)
+    post = posterior_cone_mass(model, prep)
+    assert post.grid > 4096 and post.doubling_error < posterior.POSTERIOR_REL_TOL
+    eta, log_w = prep.eta_weights
+    mu, s = prep.class_mean_moments(eta)
+    assert post.estimate == pytest.approx(below_all_mass(mu, s, np.exp(log_w)), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("gap", [2.0, 5.0])
+def test_control_below_forty_treatments_is_answered_fast(gap):
+    data = _control_data(40, gap, seed=40)
+    models = [parse_model_spec(f"mu1 < {_layer(2, 40)}", J=40, name="ctl"),
+              parse_model_spec(_layer(1, 40)[1:-1], J=40, name="free")]
+    start = time.perf_counter()
+    report = compare(data, models)
+    assert time.perf_counter() - start < 1.0
+    bd = report.breakdowns[0]
+    assert bd.prior_region.estimate == pytest.approx(1.0 / 40.0, rel=1e-12, abs=0.0)
+    assert bd.post_region.estimate > 0.5 and not bd.below_resolution
+
+
+def test_contradicted_chain_stops_after_its_first_pair(monkeypatch):
+    # a 6-chain against means 6 class sds apart the other way: the pair bound
+    # is loose, and both starting grids put the mass under the floor
+    rng = np.random.default_rng(1)
+    y = np.concatenate([rng.normal(-6.0 * j / np.sqrt(20.0), 1.0, 20) for j in range(6)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, 7), 20))
+    model = parse_model_spec(_chain(6), J=6)
+    spec = make_cip(encompassing_of(model), data.group_sizes)
+    prep = prepared(data.responses, estimate_null_params(data), spec)
+    prep.eta_weights  # the evidence rule, outside the timing
+    kernel_grids, kernel = [], posterior._component_masses
+    monkeypatch.setattr(posterior, "_component_masses",
+                        lambda *a: kernel_grids.append(a[-1]) or kernel(*a))
+    start = time.perf_counter()
+    post = posterior_cone_mass(model, prep)
+    assert time.perf_counter() - start < 0.1
+    assert post.estimate is None and post.upper_bound > posterior.truncation_floor(model)
+    (grids,) = kernel_grids
+    assert post.grid == (grids[1].shape[1] - 1) * posterior.PANEL_POINTS
+
+
 def test_equal_models_share_one_read_only_plan():
     text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
     plan = order_components(parse_model_spec(text, J=10, name="split"))
@@ -692,7 +759,7 @@ def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, m
     "{mu1, mu2, mu3} < mu4 < mu5 < {mu6, mu7, mu8, mu9, mu10}",
 ], ids=["5-vs-5", "10-chain", "9-vs-1", "3-vs-1-vs-1-vs-5"])
 def test_kernel_peak_memory_is_within_its_row_count(monkeypatch, text):
-    # rows sizes the node chunks and the grid cap, so it must bound what one
+    # rows sizes the node chunks and bounds the grid, so it must bound what one
     # call holds: rows arrays of N = nodes x grid floats
     (comp, mu, s, grids), _ = _kernel_calls(monkeypatch, _j10_data(), text)[-1]
     N = sum(e.shape[0] * (e.shape[1] - 1) for e in grids) * posterior.PANEL_POINTS
