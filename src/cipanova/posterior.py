@@ -44,26 +44,35 @@ each S_b right to left on the same panels, so neither is formed as one minus
 the other, and the last integrand is integrated (times every S_b) in one
 step.  The class densities and every level's H and integrand are rows of one
 workspace per call, each row the Lobatto points by the panels of every node
-(on the starting grid and its double together); a level's integrand is summed
-from row views of the densities and the previous H, so no step gathers copies.
-The grid doubles, splitting every panel in two, until the mass moves by less
-than POSTERIOR_REL_TOL.  A posterior mass too small for the +-10 sd truncation
-to be negligible (truncation_floor) is reported as unresolved, with an upper
-bound instead of a value, so its doubling stops once the last two grids put it
-under the floor; compare.bf_k0 refuses a prior mass below it.  A larger mass
-that has not settled when the next grid would not fit one node under
-MAX_ELEMENTS raises ValueError, since dropping it would skew the other models'
-probabilities.  The number of down-sets can grow as 2^w for an antichain layer
-of width w (counting linear extensions is #P-complete; Brightwell and Winkler
-1991, Order); only a wide layer in R pays it, and a component whose rows leave
-MAX_ELEMENTS no room for one node's starting grid and its double is refused
-the same way (between two classes, an antichain of 15 or more).
+(on the starting grid and its check together), padded to whole rows; a
+level's integrand is summed from row views of the densities and the previous
+H, so no step gathers copies.
+
+The starting grid of p panels per node is checked against a grid 1.5 times as
+fine, ceil(1.5 p) panels, and the mass is the finer grid's.  A 24-point panel
+rule gains about 1e5 in accuracy each time its panels halve (pop3's M2 at
+seed 7401: 6.3e-9, 5.9e-14 and 1.4e-15 relative error at 4, 8 and 16
+panels), so the change between the two grids is the starting grid's error,
+and the finer grid's is far below it.  While the change is POSTERIOR_REL_TOL
+or more, the finer grid doubles, splitting every panel in two.  A posterior
+mass too small for the +-10 sd truncation to be negligible (truncation_floor)
+is reported as unresolved, with an upper bound instead of a value, so its
+refinement stops once the last two grids put it under the floor;
+compare.bf_k0 refuses a prior mass below it.  A larger mass that has not
+settled when the next grid would not fit one node under MAX_ELEMENTS raises
+ValueError, since dropping it would skew the other models' probabilities.
+The number of down-sets can grow as 2^w for an antichain layer of width w
+(counting linear extensions is #P-complete; Brightwell and Winkler 1991,
+Order); only a wide layer in R pays it, and a component whose rows leave
+MAX_ELEMENTS no room for one node on 2 * MIN_PANELS panels is refused the
+same way (between two classes, an antichain of 15 or more).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -73,7 +82,7 @@ from .constraints import ConstraintModel, model_to_string
 from .evidence import PreparedIntegrand
 from .gaussian import LOG_2PI, logsumexp
 
-# a posterior mass is accepted when doubling the grid moves it by less than this
+# a posterior mass is accepted when refining the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
 # each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
 # most erfc(SPAN_SD / sqrt 2) per class
@@ -93,7 +102,7 @@ PANEL_SD = 4.5
 # 6 to 9 panels on pop3 and j10 datasets
 MIN_PANELS = 8
 # float64 elements one recursion step may hold (32 MB): nodes go through in
-# chunks under it, and the grid doubles no further than one node fits it
+# chunks under it, and the grid is refined no further than one node fits it
 MAX_ELEMENTS = 2**22
 # nodes lighter than this are skipped when their summed bound on the mass is
 # at most PRUNE_REL times the mass of the nodes kept
@@ -113,8 +122,10 @@ class ConeMass:
     """Exact cone mass (None when a posterior mass is unresolved) with its diagnostics.
 
     doubling_error is the relative change of the mass over the last grid
-    doubling (inf when the mass is not positive or no grid was evaluated), and
-    grid the points per node and component of the finest grid used (0 if none).
+    refinement, from the starting grid to one 1.5 times as fine or over a
+    doubling after it: the error of the coarser grid, far above the reported
+    finer grid's (inf when the mass is not positive or no grid was evaluated).
+    grid is the points per node and component of the finest grid used (0 if none).
     """
 
     estimate: float | None
@@ -181,13 +192,25 @@ class _Component:
     bottom: int
     top: int
 
-    @property
+    @cached_property
+    def level_rows(self) -> int:
+        """Most H and integrand rows a step holds: the previous H, the integrand and the new H."""
+        # the last level keeps only its integrand, which the S_b multiply; with no
+        # middle the block holds the bottom layer's product of F_a alone, and its
+        # derivative takes the first bottom density's row
+        if not self.levels:
+            return 1
+        sizes = [1] + [len(lv) for lv in self.levels]
+        return max([prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1])
+
+    @cached_property
     def rows(self) -> int:
-        # a density row per class, their bool mask and per class and cell its mu, s and half-width
-        # factor (8 to a row each), the grid points, the product row, numpy's ufunc buffer (8192
-        # elements, at most a row), the level rows and the wider end layer's F_a or S_b
+        # a density row per class, their bool mask and per class and cell its mean, 1/sd and
+        # sd sqrt(2 pi) (8 to a row each), the product row (it also takes the grid points and
+        # the last integrand's transpose), numpy's ufunc buffer (8192 elements, at most a row),
+        # a spare row, the level rows and the wider end layer's F_a or S_b
         q = len(self.cols)
-        return q + 2 * -(-q // 8) + 3 + _level_rows(self.levels) + max(self.bottom, self.top)
+        return q + 2 * -(-q // 8) + 3 + self.level_rows + max(self.bottom, self.top)
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
@@ -197,8 +220,8 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     The plan depends on the order alone, so it is built once per model and
     process (equality ignores the name), and its arrays are read-only.
     Raises ValueError, naming the model, when a component's rows exceed the
-    memory budget: MAX_ELEMENTS has no room for one node on the starting grid
-    of MIN_PANELS panels and its double, so _converged_mass could not start it.
+    memory budget: MAX_ELEMENTS has no room for one node on 2 * MIN_PANELS
+    panels, a third more than the first check of _converged_mass needs.
     """
     room = MAX_ELEMENTS // (2 * MIN_PANELS * PANEL_POINTS)
     comps = []
@@ -221,17 +244,6 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
                 f"{len(members)} classes needs more than {room} rows per grid point; its exact "
                 "cone mass exceeds the memory budget")
     return tuple(comps)
-
-
-def _level_rows(levels: tuple[tuple, ...]) -> int:
-    """Most H and integrand rows a step holds: the previous H, the integrand and the new H."""
-    # the last level keeps only its integrand, which the S_b multiply; with no
-    # middle the block holds the bottom layer's product of F_a alone, and its
-    # derivative takes the first bottom density's row
-    if not levels:
-        return 1
-    sizes = [1] + [len(lv) for lv in levels]
-    return max([prev + 2 * cur for prev, cur in zip(sizes, sizes[1:-1])] + [sizes[-2] + 1])
 
 
 def _downset_levels(members: tuple[int, ...], order: frozenset, room: float) -> tuple | None:
@@ -285,27 +297,32 @@ def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     mu_c +- SPAN_SD s_c covers the point, and not at all in gaps no class
     covers, so equal steps of need give panels sized to the local sd.
     """
-    ends = np.sort(np.concatenate([mu - SPAN_SD * s, mu + SPAN_SD * s], axis=1), axis=1)
+    reach = SPAN_SD * s
+    ends = np.concatenate([mu - reach, mu + reach], axis=1)
+    ends.sort(axis=1)
     mids = 0.5 * (ends[:, :-1] + ends[:, 1:])
-    covers = np.abs(mids[:, :, None] - mu[:, None, :]) < SPAN_SD * s[:, None, :]
-    rate = np.max(np.where(covers, 1.0 / s[:, None, :], 0.0), axis=2)
+    covers = np.abs(mids[:, :, None] - mu[:, None, :]) < reach[:, None, :]
+    rate = (covers * (1.0 / s)[:, None, :]).max(axis=2)
     need = np.zeros(ends.shape)
-    np.cumsum(rate * np.diff(ends, axis=1), axis=1, out=need[:, 1:])
+    (rate * (ends[:, 1:] - ends[:, :-1])).cumsum(axis=1, out=need[:, 1:])
     return ends, need
 
 
-def _panel_edges(ends: np.ndarray, need: np.ndarray, panels: int) -> np.ndarray:
-    """Per node, the panels + 1 points that split its total need into equal steps.
+def _panel_edges(ends: np.ndarray, need: np.ndarray, *counts: int) -> list[np.ndarray]:
+    """Per count and node, the count + 1 points that split the node's total need into equal steps.
 
-    np.interp on all nodes at once, bit for bit: a step below the total takes
-    interp's slope * (x - x0) + y0 from the last need at or below it (over
-    plateaus), the total the last end; 2 * panels gives these as even columns.
+    np.interp on all nodes and counts at once, bit for bit: a step below the
+    total takes interp's slope * (x - x0) + y0 from the last need at or below
+    it (over plateaus), the total the last end.
     """
-    x = np.arange(panels) * (1.0 / panels) * need[:, -1:]  # np.linspace's steps, bit for bit
+    x = np.concatenate([np.arange(p) * (1.0 / p) for p in counts])  # np.linspace's steps,
+    x = x * need[:, -1:]  # bit for bit
     j = np.count_nonzero(need[:, None, 1:] <= x[..., None], axis=2)  # the segment of each step,
     j += np.arange(0, need.size, need.shape[1])[:, None]  # as a flat index into need and ends
     x0, x1, y0, y1 = need.take(j), need.take(j + 1), ends.take(j), ends.take(j + 1)
-    return np.concatenate([(y1 - y0) / (x1 - x0) * (x - x0) + y0, ends[:, -1:]], axis=1)
+    inner = (y1 - y0) / (x1 - x0) * (x - x0) + y0
+    return [np.concatenate([inner[:, a:b], ends[:, -1:]], axis=1)
+            for a, b in pairwise(accumulate(counts, initial=0))]
 
 
 def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
@@ -315,7 +332,8 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     Each row of one workspace (a density, the product row, a level's H or
     integrand, an F_a or S_b) is the Lobatto points by the cells, every node's
     panels on each grid in turn, padded to a multiple of 8 (OpenBLAS sums a
-    ragged tail in another order): all grids go through in one pass, and a
+    ragged tail in another order) with cells of width 0, whose densities are
+    0: every pass runs on whole rows, all grids go through in one pass, and a
     row integrates within its panels as M @ row.  The previous H sits at one
     end of the level rows and the new H at the other, integrands summed from
     row views through the product row; one block per call is reused by the
@@ -325,30 +343,13 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     P <- P F_a; the mass integrates it times every S_b.
     """
     x, M = _lobatto_rule(PANEL_POINTS)
-    q, n = len(comp.cols), len(mu)
-    left = np.concatenate([e[:, :-1] for e in grids], axis=1)
-    half = 0.5 * np.concatenate([np.diff(e, axis=1) for e in grids], axis=1).ravel()
-    t = left.ravel() + half * (1.0 + x)[:, None]
-    cells, bounds = t.shape[1], accumulate((e.shape[1] - 1 for e in grids), initial=0)
-    cuts = [slice(*ab) for ab in pairwise(bounds)]  # each grid's panels of a node
-    rows = _level_rows(comp.levels)
-    work = np.empty((q + 1 + rows + max(comp.bottom, comp.top), PANEL_POINTS, -(-cells // 8) * 8))
-    dens, term, block, F = work[:q], work[q], work[q + 1:q + 1 + rows], work[q + 1 + rows:]
-    z = dens[..., :cells]
-    sd = np.repeat(s.T, left.shape[1], axis=1)  # per class and cell
-    np.subtract(t, np.repeat(mu.T, left.shape[1], axis=1)[:, None], out=z)
-    z /= sd[:, None]
-    z *= z
-    # each class lives on its own +-SPAN_SD interval; z*z <= SPAN_SD**2 is
-    # |z| <= SPAN_SD exactly, since SPAN_SD**2 is exact in floating point
-    inside = z <= SPAN_SD * SPAN_SD
-    z *= -0.5
-    np.exp(z, out=z)
-    # every integrand below holds one density factor, so the panel
-    # half-widths are folded in here
-    z *= (half / (sd * np.sqrt(2.0 * np.pi)))[:, None]
-    z *= inside  # a product, not a masked copy: the mask changes every few cells
-    dens[..., cells:] = 0.0
+    q, n, levels = len(comp.cols), len(mu), comp.level_rows
+    cuts = [slice(*ab) for ab in pairwise(accumulate((e.shape[1] - 1 for e in grids), initial=0))]
+    cells = n * cuts[-1].stop
+    width = -(-cells // 8) * 8
+    work = np.empty((q + 1 + levels + max(comp.bottom, comp.top), PANEL_POINTS, width))
+    dens, term, block, F = work[:q], work[q], work[q + 1:q + 1 + levels], work[q + 1 + levels:]
+    _densities(dens, term, x, mu, s, grids, cells)
     H, front = block[:1], True  # front: H holds the first rows of the block
     if comp.bottom:
         _cumulate(dens[:comp.bottom], F[:comp.bottom], M, n, cuts)
@@ -372,10 +373,51 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
         _cumulate(dens[q - comp.top:], F[:comp.top], M, n, cuts, leftward=True)
         for Sb in F[:comp.top]:
             g *= Sb
-    # one dot product per cell, node by node on a (cells, points) copy, as in
-    # component_masses_reference: OpenBLAS sums a ragged tail of rows in another order
-    g = np.ascontiguousarray(g.reshape(term.shape).T)[:cells].reshape(n, -1, PANEL_POINTS)
+    # one dot product per cell, node by node on a (cells, points) copy held in
+    # the product row, as in component_masses_reference: OpenBLAS sums a
+    # ragged tail of rows in another order
+    by_cell = term.reshape(width, PANEL_POINTS)
+    np.copyto(by_cell, g.reshape(term.shape).T)
+    g = by_cell[:cells].reshape(n, -1, PANEL_POINTS)
     return [(g[:, cut] @ M[-1]).sum(axis=-1) for cut in cuts]
+
+
+def _densities(dens: np.ndarray, term: np.ndarray, x: np.ndarray, mu: np.ndarray,
+               s: np.ndarray, grids: list[np.ndarray], cells: int) -> None:
+    """Each class's density at the grid points, times the panel half-width, into dens.
+
+    term takes the grid points.  Every per-cell array runs to the padded
+    width: the cells past the last node have width 0, and mean and sd 1, so
+    their points and densities are 0.  The mask and the per-cell arrays are
+    freed on return, before the recursion's rows fill.
+    """
+    n, q = mu.shape
+    width = term.shape[-1]
+    left = np.concatenate([e[:, :-1] for e in grids], axis=1).ravel()
+    half = np.zeros(width)
+    np.subtract(np.concatenate([e[:, 1:] for e in grids], axis=1).ravel(), left, out=half[:cells])
+    half *= 0.5
+    np.multiply((1.0 + x)[:, None], half, out=term)
+    term[:, :cells] += left
+    # per class and node, then per class and cell: the mean, 1/sd and sd sqrt(2 pi)
+    per_node = np.ones((3, q, n + 1))
+    per_node[0, :, :n] = mu.T
+    np.divide(1.0, s.T, out=per_node[1, :, :n])
+    np.multiply(s.T, np.sqrt(2.0 * np.pi), out=per_node[2, :, :n])
+    repeats = np.full(n + 1, cells // n)
+    repeats[n] = width - cells
+    mean, inv, norm = np.repeat(per_node, repeats, axis=2)
+    np.subtract(term, mean[:, None], out=dens)
+    dens *= inv[:, None]
+    dens *= dens
+    # each class lives on its own +-SPAN_SD interval; z*z <= SPAN_SD**2 is
+    # |z| <= SPAN_SD exactly, since SPAN_SD**2 is exact in floating point
+    inside = dens <= SPAN_SD * SPAN_SD
+    dens *= -0.5
+    np.exp(dens, out=dens)
+    # every integrand holds one density factor, so the panel half-widths are folded in here
+    dens *= (half / norm)[:, None]
+    dens *= inside  # a product, not a masked copy: the mask changes every few cells
 
 
 def _cumulate(g: np.ndarray, out: np.ndarray, M: np.ndarray, n: int, cuts: list[slice],
@@ -387,12 +429,18 @@ def _cumulate(g: np.ndarray, out: np.ndarray, M: np.ndarray, n: int, cuts: list[
     """
     out = out.reshape((-1,) + M.shape[:1] + out.shape[-1:])
     np.matmul(M[::-1, ::-1] if leftward else M, g.reshape(out.shape), out=out)
-    cells, step = n * cuts[-1].stop, -1 if leftward else 1
-    totals = out[:, 0 if leftward else -1, :cells].reshape(len(out), n, -1)
-    parts = [totals[..., cut][..., ::step] for cut in cuts]
-    offsets = np.concatenate([(np.cumsum(p, axis=-1) - p)[..., ::step] for p in parts], axis=-1)
-    panels = out[..., :cells]
-    panels += offsets.reshape(len(out), 1, -1)
+    cells = n * cuts[-1].stop
+    totals = out[:, 0 if leftward else -1]
+    offsets = np.zeros(totals.shape)  # 0 on the padding, whose totals are 0
+    sums = offsets[:, :cells].reshape(len(out), n, -1)
+    parts = totals[:, :cells].reshape(sums.shape)
+    for cut in cuts:  # each grid's running totals, less each panel's own
+        into, part = sums[..., cut], parts[..., cut]
+        if leftward:
+            into, part = into[..., ::-1], part[..., ::-1]
+        part.cumsum(axis=-1, out=into)
+    offsets -= totals
+    out += offsets[:, None]
 
 
 def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarray,
@@ -424,47 +472,51 @@ def _log_pair_bound(comps, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _converged_mass(comps, mu, s, w, negligible=-np.inf) -> tuple[float, float, int, float]:
-    """Mixture mass over the given nodes, doubling every component's grid until it settles.
+    """Mixture mass over the given nodes, refining every component's grid until it settles.
 
-    Returns (mass, relative change over the last doubling, points per node of
-    the finest grid evaluated, level: largest |mass| of the last two grids).  It
-    stops when the change falls below POSTERIOR_REL_TOL, the mass is not
-    positive (change inf), the level is at or below negligible, or the next grid
-    would not fit one node under MAX_ELEMENTS; mass and level are nan when the
-    starting grid and its double do not.
+    Each component's starting grid is checked against one 1.5 times as fine,
+    then the finer grid doubles.  Returns (mass on the finest grid, relative
+    change over the last refinement, points per node of the finest grid
+    evaluated, level: largest |mass| of the last two grids).  It stops when
+    the change falls below POSTERIOR_REL_TOL, the mass is not positive
+    (change inf), the level is at or below negligible, or the next grid would
+    not fit one node under MAX_ELEMENTS; mass and level are nan when the
+    first check does not.
     """
-    layouts = [(c, mu[:, c.cols], s[:, c.cols]) + _resolution_need(mu[:, c.cols], s[:, c.cols])
-               for c in comps]
+    layouts = []
+    for comp in comps:
+        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        layouts.append((comp, cmu, cs, *_resolution_need(cmu, cs)))
     cap = MAX_ELEMENTS // max(c.rows for c in comps)  # grid points per node
-    base = [max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD))) for *_, need in layouts]
+    base = [max(MIN_PANELS, math.ceil(need[:, -1].max() / PANEL_SD)) for *_, need in layouts]
 
     def masses_at(grids):  # per component, its edges on each grid; one mass per grid
         node = np.ones((len(grids[0]), len(w)))
         for (comp, cmu, cs, *_), edges in zip(layouts, grids):
             size = [comp.rows * (e.shape[1] - 1) * PANEL_POINTS for e in edges]  # per node
             together = sum(size) <= MAX_ELEMENTS  # or one grid per call
-            for group in [range(len(edges))] if together else [[i] for i in range(len(edges))]:
-                step = max(1, MAX_ELEMENTS // sum(size[i] for i in group))
+            for group in [slice(None)] if together else [slice(i, i + 1) for i in range(len(size))]:
+                step = max(1, MAX_ELEMENTS // sum(size[group]))
                 for k in (slice(j, j + step) for j in range(0, len(w), step)):
-                    node[list(group), k] *= _component_masses(comp, cmu[k], cs[k],
-                                                              [edges[i][k] for i in group])
+                    node[group, k] *= _component_masses(comp, cmu[k], cs[k],
+                                                        [e[k] for e in edges[group]])
         return [float(w @ row) for row in node]
 
-    if 2 * max(base) * PANEL_POINTS > cap:
+    # the starting grid and the first check, a grid 1.5 times as fine; then doublings
+    counts = [(p, -(-3 * p // 2)) for p in base]
+    if max(fine for _, fine in counts) * PANEL_POINTS > cap:
         return np.nan, np.inf, 0, np.nan
-    prev, scale = None, 2
+    masses = []
     while True:
-        edges = [_panel_edges(ends, need, p * scale) for (*_, ends, need), p in zip(layouts, base)]
-        if prev is None:  # the starting grid's edges are the even columns of its double's
-            prev, mass = masses_at([[e[:, ::2], e] for e in edges])
-        else:
-            mass, = masses_at([[e] for e in edges])
-        grid = max(base) * scale * PANEL_POINTS
+        masses += masses_at([_panel_edges(ends, need, *c)
+                             for (*_, ends, need), c in zip(layouts, counts)])
+        prev, mass = masses[-2:]
+        grid = max(c[-1] for c in counts) * PANEL_POINTS
         change = abs(mass - prev) / mass if mass > 0.0 else np.inf
         level = max(abs(mass), abs(prev))
         if not POSTERIOR_REL_TOL <= change < np.inf or level <= negligible or 2 * grid > cap:
             return mass, change, grid, level
-        prev, scale = mass, 2 * scale
+        counts = [(2 * c[-1],) for c in counts]
 
 
 def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> PosteriorConeMass:

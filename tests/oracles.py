@@ -665,7 +665,7 @@ def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray, edges: np.nd
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
     t = edges[:, :-1, None] + half * (1.0 + x)
-    z = (t[None] - mu.T[:, :, None, None]) / s.T[:, :, None, None]
+    z = (t[None] - mu.T[:, :, None, None]) * (1.0 / s.T[:, :, None, None])
     # each class lives on its own +-SPAN_SD interval; every integrand below
     # holds one density factor, so the panel half-widths are folded in here
     q = len(comp.cols)

@@ -1,14 +1,15 @@
 """Property tests of the cone masses: the exact posterior mass on random data with J = 2-5
 groups, its one-pass form of wide end layers against the full down-set recursion with J up
 to 11, its panel edges against per-node np.interp, its one final step against the full
-integration of the last level, the exact prior mass over the total orders, and the ways
-the grid doubling of a posterior mass may end, with J up to 24."""
+integration of the last level, the exact prior mass over the total orders, the ways the
+grid refinement of a posterior mass may end, with J up to 24, and the first check's
+certificate against a grid four times the starting one."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cipanova import posterior
@@ -222,15 +223,19 @@ def class_layouts(draw):
 @PROPERTY
 @given(class_layouts(), st.integers(1, 4096 // PANEL_POINTS))
 def test_panel_edges_match_per_node_interp_bit_for_bit(layout, panels):
+    # one count alone, and a starting grid with its 1.5 times finer check in one call
     ends, need = _resolution_need(*layout)
-    got = _panel_edges(ends, need, panels)
-    assert got.shape == (len(ends), panels + 1)
-    assert got.tobytes() == panel_edges_reference(ends, need, panels).tobytes()
-    # the doubling reads a grid's edges off those of the next: every panel
-    # count it can reach is the even columns of its double, bit for bit
-    for p in range(1, 4096 // PANEL_POINTS // 2 + 1):
-        assert _panel_edges(ends, need, p).tobytes() == \
-            np.ascontiguousarray(_panel_edges(ends, need, 2 * p)[:, ::2]).tobytes()
+    for counts in [(panels,), (panels, -(-3 * panels // 2))]:
+        got = _panel_edges(ends, need, *counts)
+        assert len(got) == len(counts)
+        for edges, count in zip(got, counts):
+            assert edges.shape == (len(ends), count + 1)
+            assert edges.tobytes() == panel_edges_reference(ends, need, count).tobytes()
+
+
+def _starting_panels(need: np.ndarray) -> int:
+    """The starting grid's panel count, as posterior._converged_mass sets it."""
+    return max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD)))
 
 
 @st.composite
@@ -249,7 +254,7 @@ def plain_orders(draw):
 def test_final_step_matches_the_full_last_level_integration(model, seed):
     # the kernel integrates the last level's integrand over the whole grid in
     # one step instead of forming its cumulative integral; the two sum the
-    # same panel integrals in another order, on the grids the doubling uses
+    # same panel integrals in another order, on the starting grid and its check
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
     s = rng.uniform(0.5, 2.0, size=(3, 1)) / np.sqrt(sizes)
@@ -257,9 +262,9 @@ def test_final_step_matches_the_full_last_level_integration(model, seed):
     for comp in full_downset_plan(model):
         cmu, cs = mu[:, comp.cols], s[:, comp.cols]
         ends, need = _resolution_need(cmu, cs)
-        base = max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD)))
-        for panels in (base, 2 * base):
-            edges = _panel_edges(ends, need, panels)
+        base = _starting_panels(need)
+        for panels in (base, -(-3 * base // 2)):
+            edges, = _panel_edges(ends, need, panels)
             got, = _component_masses(comp, cmu, cs, [edges])
             full = component_masses_reference(comp, cmu, cs, edges, full_last_level=True)
             assert np.all(np.abs(got - full) <= 1e-15 * full)
@@ -285,8 +290,8 @@ kernel_orders = st.one_of(
 @PROPERTY
 @given(kernel_orders, st.integers(1, 25), st.integers(0, 2**32 - 1))
 def test_one_call_on_several_grids_matches_one_call_per_grid(model, nodes, seed):
-    # a mass sends its starting grid and the double through one kernel call;
-    # each grid must come out as it does alone
+    # a mass sends its starting grid and the 1.5 times finer one through one
+    # kernel call; each grid must come out as it does alone
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
     s = rng.uniform(0.5, 2.0, size=(nodes, 1)) / np.sqrt(sizes)
@@ -294,9 +299,8 @@ def test_one_call_on_several_grids_matches_one_call_per_grid(model, nodes, seed)
     for comp in order_components(model):
         cmu, cs = mu[:, comp.cols], s[:, comp.cols]
         ends, need = _resolution_need(cmu, cs)
-        base = max(MIN_PANELS, int(np.ceil(np.max(need[:, -1]) / PANEL_SD)))
-        double = _panel_edges(ends, need, 2 * base)
-        grids = [double[:, ::2], double]
+        base = _starting_panels(need)
+        grids = _panel_edges(ends, need, base, -(-3 * base // 2))
         together = _component_masses(comp, cmu, cs, grids)
         assert len(together) == 2
         for edges, got in zip(grids, together):
@@ -352,3 +356,34 @@ def test_posterior_mass_ends_settled_negligible_or_refused(case):
         assert level <= truncation_floor(model)
     else:  # the closed-form bound alone puts it there, before any grid
         assert post.upper_bound <= truncation_floor(model)
+
+
+@PROPERTY
+@given(kernel_orders, st.integers(1, 25), st.integers(0, 2**32 - 1))
+def test_the_finer_check_certifies_the_mass_as_the_doubling_did(model, nodes, seed):
+    # a mass is the 1.5 times finer grid's, and its change from the starting
+    # grid stands for the starting grid's error, as the double's did: against
+    # a grid four times the starting one, the mass is within 1e-12, and a
+    # change that stops at the first check is at least half the starting
+    # error, less 1e-13 for the rounding both grids carry
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 40, size=model.J)
+    s = rng.uniform(0.5, 2.0, size=(nodes, model.J)) / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(nodes, model.J))
+    w = rng.dirichlet(np.ones(nodes))
+    comps = order_components(model)
+    mass, change, grid, _ = _converged_mass(comps, mu, s, w)
+    assume(mass > truncation_floor(model))  # a posterior mass under it is not resolved
+    start, fine, check = np.ones(nodes), np.ones(nodes), 0
+    for comp in comps:
+        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        ends, need = _resolution_need(cmu, cs)
+        base = _starting_panels(need)
+        check = max(check, -(-3 * base // 2))
+        at_start, at_fine = _component_masses(comp, cmu, cs,
+                                              _panel_edges(ends, need, base, 4 * base))
+        start, fine = start * at_start, fine * at_fine
+    start, fine = w @ start, w @ fine
+    assert abs(mass - fine) <= 1e-12 * fine
+    if grid == check * PANEL_POINTS:
+        assert change >= 0.5 * abs(start - fine) / fine - 1e-13

@@ -405,8 +405,9 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
 def test_mass_settles_on_the_second_grid_across_datasets(monkeypatch):
     # the cost of a mass should not jump with the data: with 6 sd panels a
     # third of these datasets moved by more than POSTERIOR_REL_TOL over the
-    # first doubling and paid for a third grid, and without MIN_PANELS the
-    # first grid took 6 or 7 panels by dataset
+    # first check and paid for a third grid, and without MIN_PANELS the
+    # first grid took 6 or 7 panels by dataset; the second grid is the
+    # starting grid's 1.5 times as fine
     grids = []
     component_masses = posterior._component_masses
     monkeypatch.setattr(posterior, "_component_masses",
@@ -417,7 +418,7 @@ def test_mass_settles_on_the_second_grid_across_datasets(monkeypatch):
         grids.clear()
         post = _exact_mass(_j10_data(seed), text)
         assert post.doubling_error < 1e-10
-        assert len(grids) == 2 and grids[1] - 1 == 2 * (grids[0] - 1), seed
+        assert len(grids) == 2 and 2 * (grids[1] - 1) == 3 * (grids[0] - 1), seed
         first.add(grids[0])
     assert first == {posterior.MIN_PANELS + 1}
 
@@ -434,8 +435,9 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
     assert post.estimate is None and post.grid == 0
     assert 0.0 < post.upper_bound < 1e-10
     # wider groups: the bound is loose, and the grid puts the mass under the
-    # floor; with 6 sd panels it would take a second doubling to settle, but
-    # the doubling stops after the first pair, which both lie under the floor
+    # floor; with 6 sd panels it would take a doubling after the first check
+    # to settle, but the refinement stops after the first pair, which both lie
+    # under the floor
     monkeypatch.setattr(posterior, "PANEL_SD", 6.0)
     rng = np.random.default_rng(33)
     y = np.concatenate([rng.normal(m, 0.9, size=30) for m in (3.0, 1.5, 0.0)])
@@ -448,9 +450,9 @@ def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
                         lambda *a: kernel_grids.append(a[-1]) or kernel(*a))
     stopped = posterior_cone_mass(model, prepared(y, NullParams(1.5, 1.5), spec))
     assert stopped.estimate is None and stopped.upper_bound > 1e-12
-    (grids,) = kernel_grids  # one evaluation: the starting grid and its double
-    assert [e.shape[1] - 1 for e in grids] == [stopped.grid // (2 * posterior.PANEL_POINTS),
-                                               stopped.grid // posterior.PANEL_POINTS]
+    (grids,) = kernel_grids  # one evaluation: the starting grid and the 1.5 times finer one
+    start, check = (e.shape[1] - 1 for e in grids)
+    assert check == -(-3 * start // 2) and stopped.grid == check * posterior.PANEL_POINTS
     (*_, level), = seen
     assert stopped.doubling_error >= posterior.POSTERIOR_REL_TOL
     assert level <= posterior.truncation_floor(model)
@@ -498,8 +500,14 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
     text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
     whole = _exact_mass(data, text)
     rows = order_components(parse_model_spec(text, J=10))[0].rows
-    # room for three nodes at a time on the finest grid used
-    monkeypatch.setattr(posterior, "MAX_ELEMENTS", 3 * rows * whole.grid)
+    # the one kernel call the mass makes holds the starting grid and the finer one
+    ((*_, grids), _), = _kernel_calls(pytest.MonkeyPatch(), data, text)
+    pair = sum(e.shape[1] - 1 for e in grids) * posterior.PANEL_POINTS
+    assert pair > whole.grid
+    # room for three nodes at a time on that pair
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", 3 * rows * pair)
+    nodes = [len(mu) for (_, mu, *_), _ in _kernel_calls(pytest.MonkeyPatch(), data, text)]
+    assert len(nodes) > 1 and set(nodes[:-1]) == {3} and nodes[-1] <= 3
     chunked = _exact_mass(data, text)
     assert chunked.estimate == pytest.approx(whole.estimate, rel=1e-13, abs=0.0)
     assert chunked.grid == whole.grid
@@ -648,14 +656,16 @@ def _control_data(J, gap, seed):
 
 
 def test_control_below_separated_treatments_matches_the_quadrature():
-    # each well-separated class brings its own +-10 sd of panels, so 22 classes
-    # need more than 4096 points per node, well within the memory budget
+    # each well-separated class brings its own +-10 sd of panels, 20 / 4.5 of
+    # them, so the 21 separate intervals of 22 classes need more than 4 starting
+    # panels each, well within the memory budget
     data = _control_data(22, 5.0, seed=1)
     model = parse_model_spec(f"mu1 < {_layer(2, 22)}", J=22)
     spec = make_cip(encompassing_of(model), data.group_sizes)
     prep = prepared(data.responses, estimate_null_params(data), spec)
     post = posterior_cone_mass(model, prep)
-    assert post.grid > 4096 and post.doubling_error < posterior.POSTERIOR_REL_TOL
+    assert post.grid > 1.5 * 21 * 4 * posterior.PANEL_POINTS
+    assert post.doubling_error < posterior.POSTERIOR_REL_TOL
     eta, log_w = prep.eta_weights
     mu, s = prep.class_mean_moments(eta)
     assert post.estimate == pytest.approx(below_all_mass(mu, s, np.exp(log_w)), rel=1e-11, abs=0.0)
@@ -737,16 +747,29 @@ def _kernel_calls(monkeypatch, data, text):
     return calls
 
 
-@pytest.mark.parametrize("make_data, text", [
-    (_c07_data, MODEL_STRINGS["M2"]),
-    (_c07_data, MODEL_STRINGS["M3"]),
-    (_j10_data, "mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7"),
-    (_n_order_data, "mu1 < mu3, mu2 < mu3, mu2 < mu4"),
-    (_spread_data, "mu1 < mu2 < mu3"),
-], ids=["pop3 M2", "pop3 M3", "j10 middle", "N", "spread"])
-def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, make_data, text):
+def _pop2l_data(rep):
+    scenario, _ = make_preset("pop2l", n_per_group=50, reps=rep + 1)
+    return generate_scenario(scenario, rep)
+
+
+@pytest.mark.parametrize("make_data, text, cells", [
+    (_c07_data, MODEL_STRINGS["M2"], None),
+    (_c07_data, MODEL_STRINGS["M3"], None),
+    (_j10_data, "mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7", None),
+    (_n_order_data, "mu1 < mu3, mu2 < mu3, mu2 < mu4", None),
+    (_spread_data, "mu1 < mu2 < mu3", None),
+    # cell counts off a multiple of 8, so every row carries padding: 17 nodes
+    # of a 9-panel starting grid and its 14-panel check, and 17 nodes of 8 and 12
+    (lambda: _pop2l_data(4), MODEL_STRINGS["M2"], 17 * (9 + 14)),
+    (lambda: _pop2l_data(11), MODEL_STRINGS["M2"], 17 * (8 + 12)),
+], ids=["pop3 M2", "pop3 M3", "j10 middle", "N", "spread", "pop2l 9 panels", "pop2l odd nodes"])
+def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, make_data, text,
+                                                                  cells):
     calls = _kernel_calls(monkeypatch, make_data(), text)
     assert sum(len(grids) for (*_, grids), _ in calls) >= 2  # at least two grids
+    if cells is not None:
+        (_, mu, _, grids), _ = calls[0]
+        assert len(mu) * sum(e.shape[1] - 1 for e in grids) == cells and cells % 8
     for (comp, mu, s, grids), out in calls:
         for edges, masses in zip(grids, out, strict=True):
             assert np.array_equal(masses, component_masses_reference(comp, mu, s, edges))
