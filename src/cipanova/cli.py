@@ -210,14 +210,17 @@ def _cmd_simulate(args) -> int:
                                    base_seed=args.seed)
     sink = None
     if args.output == "records":
-        header = {"type": "config", "scenario": args.preset, "reps": args.reps,
+        # the config record goes out with replication 0's, so a study refused
+        # before it prints nothing on stdout
+        lines = [{"type": "config", "scenario": args.preset, "reps": args.reps,
                   "seed": args.seed, "n_per_group": args.n_per_group,
                   "models": {m.name: model_to_string(m) for m in models},
-                  "settings": _settings_dict(settings)}
-        print(json.dumps(header, sort_keys=True), flush=True)
+                  "settings": _settings_dict(settings)}]
 
         def sink(rec):
-            print(json.dumps(rec, sort_keys=True), flush=True)
+            for line in lines + [rec]:
+                print(json.dumps(line, sort_keys=True), flush=True)
+            lines.clear()
 
     table = run_simulation_study(scenario, models, settings=settings, jobs=args.jobs,
                                  record_sink=sink)

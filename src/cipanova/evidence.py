@@ -108,11 +108,17 @@ class PreparedIntegrand:
         return -0.5 * (self.n * LOG_2PI + self.n * np.log(a)
                        + self.q * np.log1p(self.k / eta) + quad)
 
-    def class_mean_moments(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and sd of each class mean minus alpha0, a Gaussian given eta; a row per eta."""
+    def standardized_means(self, eta: np.ndarray) -> np.ndarray:
+        """Each class mean minus alpha0 over sigma(eta), a row per eta.
+
+        Given eta the class means minus alpha0 are independent Gaussians with
+        means shrink * rbar_c and sds sigma(eta) / sqrt(n_c), one scale
+        sigma(eta)^2 = s0^2 eta/(1 - eta) * shrink over all classes; divided by
+        it, they have sds 1/sqrt(n_c) at every eta.
+        """
         shrink = 1.0 / (1.0 + (self.q + 1) / self.n * eta)
-        sd = np.sqrt(self.s0sq * eta / (1.0 - eta) * shrink)
-        return shrink[:, None] * self.rbar, sd[:, None] / np.sqrt(self.sizes)
+        scale = np.sqrt(self.s0sq * eta / (1.0 - eta) * shrink)
+        return (shrink / scale)[:, None] * self.rbar
 
     @cached_property
     def _rule(self) -> tuple[int, np.ndarray, np.ndarray, float, float]:

@@ -10,14 +10,17 @@ the class means are independent Gaussians:
   times z_c / sqrt(n_c); the cone ignores the location and the scale, so the
   prior mass is P(order) for independent N(0, 1/n_c) class means;
 - a posteriori, given eta = sigma^2/(sigma^2+sigma0^2), the class-c mean minus
-  alpha0 is Gaussian too (PreparedIntegrand.class_mean_moments).
+  alpha0 is Gaussian too, with sd sigma(eta)/sqrt(n_c): one scale again, so
+  P(order | eta) is the prior's problem with the means over sigma(eta)
+  (PreparedIntegrand.standardized_means).
 
-Both masses are exact and draw nothing: the prior mass is the recursion below
-at one node, mu = 0 and s_c = 1/sqrt(n_c), and the posterior mass is the
-evidence-weighted mixture, over the eta nodes and weights of the evidence's
-settled Gauss-Chebyshev rule, of P(order | eta).  That rule doubles until the
-evidence settles, so a narrow eta posterior at large n still spans many nodes;
-the mixture is not itself checked against a finer rule in eta.
+Both masses are exact and draw nothing, and both run the recursion below on
+the sds s_c = 1/sqrt(n_c): the prior mass at one node, mu = 0, the posterior
+mass as the evidence-weighted mixture of P(order | eta) over the eta nodes
+and weights of the evidence's settled Gauss-Chebyshev rule.  That rule
+doubles until the evidence settles, so a narrow eta posterior at large n
+still spans many nodes; the mixture is not itself checked against a finer
+rule in eta.
 
 For independent variables the probability of a strict partial order factors over the weak
 components of the order, and within a component it is a recursion over the
@@ -38,8 +41,9 @@ With R empty, g_R is d/dt prod_a F_a = sum_a f_a prod_{a' != a} F_a'.  Either
 layer may be missing (A or B empty: H_empty = 1, or no S_b).
 
 Each cumulative integral runs on a per-node grid of Chebyshev-Lobatto panels
-over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], panel widths scaled to the sd
-of the narrowest class covering each point; each F_a runs left to right and
+over [min(mu_c - 10 s_c), max(mu_c + 10 s_c)], the one truncation (every
+class density runs over all of it), panel widths scaled to the sd of the
+narrowest class covering each point; each F_a runs left to right and
 each S_b right to left on the same panels, so neither is formed as one minus
 the other, and the last integrand is integrated (times every S_b) in one
 step.  The class densities and every level's H and integrand are rows of one
@@ -55,7 +59,8 @@ seed 7401: 6.3e-9, 5.9e-14 and 1.4e-15 relative error at 4, 8 and 16
 panels), so the change between the two grids is the starting grid's error,
 and the finer grid's is far below it.  While the change is POSTERIOR_REL_TOL
 or more, the finer grid doubles, splitting every panel in two.  A posterior
-mass too small for the +-10 sd truncation to be negligible (truncation_floor)
+mass too small for the truncation to the grid's span to be negligible
+(truncation_floor)
 is reported as unresolved, with an upper bound instead of a value, so its
 refinement stops once the last two grids put it under the floor;
 compare.bf_k0 refuses a prior mass below it.  A larger mass that has not
@@ -84,8 +89,8 @@ from .gaussian import LOG_2PI, logsumexp
 
 # a posterior mass is accepted when refining the grid moves it by less than this
 POSTERIOR_REL_TOL = 1e-9
-# each class is integrated over mu_c +- SPAN_SD s_c; the mass outside is at
-# most erfc(SPAN_SD / sqrt 2) per class
+# each node's grid spans [min(mu_c - SPAN_SD s_c), max(mu_c + SPAN_SD s_c)], so
+# each class has at most erfc(SPAN_SD / sqrt 2) of its mass outside it
 SPAN_SD = 10.0
 _TAIL_PER_CLASS = 1.6e-23  # erfc(10 / sqrt(2)) = 1.52e-23, rounded up
 # Chebyshev-Lobatto points per panel, and the starting panel width in units of
@@ -145,8 +150,8 @@ class PosteriorConeMass(ConeMass):
 
 
 def truncation_floor(model: ConstraintModel) -> float:
-    """Least mass resolved to POSTERIOR_REL_TOL, as the truncation drops up to _TAIL_PER_CLASS
-    per ordered class."""
+    """Least mass resolved to POSTERIOR_REL_TOL: the grid's span, SPAN_SD sds past the
+    outermost classes, leaves out up to _TAIL_PER_CLASS of each ordered class's mass."""
     return (_TAIL_PER_CLASS * sum(len(c.cols) for c in order_components(model))
             / POSTERIOR_REL_TOL)
 
@@ -159,8 +164,8 @@ def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
     and process (equality ignores the model's name) and returned however
     small; raises ValueError, naming the model, when its grid does not settle.
     """
-    s = 1.0 / np.sqrt(np.array([sizes], dtype=float))
-    mass, change, grid, _ = _converged_mass(order_components(model), np.zeros_like(s), s,
+    s = 1.0 / np.sqrt(np.array(sizes, dtype=float))
+    mass, change, grid, _ = _converged_mass(order_components(model), np.zeros((1, len(s))), s,
                                             np.ones(1))
     if not change < POSTERIOR_REL_TOL:
         raise ValueError(
@@ -205,12 +210,14 @@ class _Component:
 
     @cached_property
     def rows(self) -> int:
-        # a density row per class, their bool mask and per class and cell its mean, 1/sd and
-        # sd sqrt(2 pi) (8 to a row each), the product row (it also takes the grid points and
-        # the last integrand's transpose), numpy's ufunc buffer (8192 elements, at most a row),
-        # a spare row, the level rows and the wider end layer's F_a or S_b
+        # a density row per class, per class and cell its mean and density scale (12 classes
+        # to a row), the product row (it also takes the grid points and the last integrand's
+        # transpose), two spare rows (a cumulative integral's running totals, and numpy's ufunc
+        # buffers: a fixed 3 * 8192 elements a call, whatever its size, so a call of a few
+        # hundred cells or fewer holds more than its rows), the level rows and the wider end
+        # layer's F_a or S_b
         q = len(self.cols)
-        return q + 2 * -(-q // 8) + 3 + self.level_rows + max(self.bottom, self.top)
+        return q + -(-q // 12) + 3 + self.level_rows + max(self.bottom, self.top)
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
@@ -221,7 +228,8 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
     process (equality ignores the name), and its arrays are read-only.
     Raises ValueError, naming the model, when a component's rows exceed the
     memory budget: MAX_ELEMENTS has no room for one node on 2 * MIN_PANELS
-    panels, a third more than the first check of _converged_mass needs.
+    cells, what the first check of _converged_mass, 1.5 * MIN_PANELS panels,
+    takes once padded to a multiple of 8.
     """
     room = MAX_ELEMENTS // (2 * MIN_PANELS * PANEL_POINTS)
     comps = []
@@ -301,8 +309,8 @@ def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     ends = np.concatenate([mu - reach, mu + reach], axis=1)
     ends.sort(axis=1)
     mids = 0.5 * (ends[:, :-1] + ends[:, 1:])
-    covers = np.abs(mids[:, :, None] - mu[:, None, :]) < reach[:, None, :]
-    rate = (covers * (1.0 / s)[:, None, :]).max(axis=2)
+    covers = np.abs(mids[:, :, None] - mu[:, None, :]) < reach
+    rate = (covers * (1.0 / s)).max(axis=2)
     need = np.zeros(ends.shape)
     (rate * (ends[:, 1:] - ends[:, :-1])).cumsum(axis=1, out=need[:, 1:])
     return ends, need
@@ -329,7 +337,8 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
                       grids: list[np.ndarray]) -> list[np.ndarray]:
     """P(the component's order | eta) at each node, on each grid of panel edges per node.
 
-    Each row of one workspace (a density, the product row, a level's H or
+    mu holds the class means, a row per node, and s one sd per class.  Each
+    row of one workspace (a density, the product row, a level's H or
     integrand, an F_a or S_b) is the Lobatto points by the cells, every node's
     panels on each grid in turn, padded to a multiple of 8 (OpenBLAS sums a
     ragged tail in another order) with cells of width 0, whose densities are
@@ -387,9 +396,10 @@ def _densities(dens: np.ndarray, term: np.ndarray, x: np.ndarray, mu: np.ndarray
     """Each class's density at the grid points, times the panel half-width, into dens.
 
     term takes the grid points.  Every per-cell array runs to the padded
-    width: the cells past the last node have width 0, and mean and sd 1, so
-    their points and densities are 0.  The mask and the per-cell arrays are
-    freed on return, before the recursion's rows fill.
+    width: the cells past the last node have width 0 and mean 0, so their
+    points and densities are 0.  Each class's density runs over the whole
+    grid, which is the truncation.  The per-cell arrays are freed on return,
+    before the recursion's rows fill.
     """
     n, q = mu.shape
     width = term.shape[-1]
@@ -399,25 +409,16 @@ def _densities(dens: np.ndarray, term: np.ndarray, x: np.ndarray, mu: np.ndarray
     half *= 0.5
     np.multiply((1.0 + x)[:, None], half, out=term)
     term[:, :cells] += left
-    # per class and node, then per class and cell: the mean, 1/sd and sd sqrt(2 pi)
-    per_node = np.ones((3, q, n + 1))
-    per_node[0, :, :n] = mu.T
-    np.divide(1.0, s.T, out=per_node[1, :, :n])
-    np.multiply(s.T, np.sqrt(2.0 * np.pi), out=per_node[2, :, :n])
+    # per class and cell, the mean (0 past the last node)
     repeats = np.full(n + 1, cells // n)
     repeats[n] = width - cells
-    mean, inv, norm = np.repeat(per_node, repeats, axis=2)
-    np.subtract(term, mean[:, None], out=dens)
-    dens *= inv[:, None]
+    np.subtract(term, np.repeat(np.c_[mu.T, np.zeros(q)], repeats, axis=1)[:, None], out=dens)
+    dens *= (1.0 / s)[:, None, None]
     dens *= dens
-    # each class lives on its own +-SPAN_SD interval; z*z <= SPAN_SD**2 is
-    # |z| <= SPAN_SD exactly, since SPAN_SD**2 is exact in floating point
-    inside = dens <= SPAN_SD * SPAN_SD
     dens *= -0.5
     np.exp(dens, out=dens)
     # every integrand holds one density factor, so the panel half-widths are folded in here
-    dens *= (half / norm)[:, None]
-    dens *= inside  # a product, not a masked copy: the mask changes every few cells
+    dens *= (half / (s * np.sqrt(2.0 * np.pi))[:, None])[:, None]
 
 
 def _cumulate(g: np.ndarray, out: np.ndarray, M: np.ndarray, n: int, cuts: list[slice],
@@ -464,7 +465,7 @@ def _log_pair_bound(comps, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
     a, b = np.concatenate([c.pairs for c in comps], axis=1)
-    z = (mu[:, b] - mu[:, a]) / np.hypot(s[:, a], s[:, b])
+    z = (mu[:, b] - mu[:, a]) / np.hypot(s[a], s[b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)
     log_phi = np.where(z >= 0.0, 0.0, np.minimum(np.log(0.5), mills))
@@ -474,7 +475,8 @@ def _log_pair_bound(comps, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _converged_mass(comps, mu, s, w, negligible=-np.inf) -> tuple[float, float, int, float]:
     """Mixture mass over the given nodes, refining every component's grid until it settles.
 
-    Each component's starting grid is checked against one 1.5 times as fine,
+    mu holds the class means, a row per node, and s one sd per class.  Each
+    component's starting grid is checked against one 1.5 times as fine,
     then the finer grid doubles.  Returns (mass on the finest grid, relative
     change over the last refinement, points per node of the finest grid
     evaluated, level: largest |mass| of the last two grids).  It stops when
@@ -485,20 +487,22 @@ def _converged_mass(comps, mu, s, w, negligible=-np.inf) -> tuple[float, float, 
     """
     layouts = []
     for comp in comps:
-        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
-        layouts.append((comp, cmu, cs, *_resolution_need(cmu, cs)))
-    cap = MAX_ELEMENTS // max(c.rows for c in comps)  # grid points per node
+        cmu, cs = mu[:, comp.cols], s[comp.cols]
+        # the cells one call may hold over all its nodes, which the kernel pads to a multiple of 8
+        room = MAX_ELEMENTS // (comp.rows * PANEL_POINTS) // 8 * 8
+        layouts.append((comp, cmu, cs, room, *_resolution_need(cmu, cs)))
+    cap = min(room for _, _, _, room, *_ in layouts) * PANEL_POINTS  # grid points per node
     base = [max(MIN_PANELS, math.ceil(need[:, -1].max() / PANEL_SD)) for *_, need in layouts]
 
     def masses_at(grids):  # per component, its edges on each grid; one mass per grid
         node = np.ones((len(grids[0]), len(w)))
-        for (comp, cmu, cs, *_), edges in zip(layouts, grids):
-            size = [comp.rows * (e.shape[1] - 1) * PANEL_POINTS for e in edges]  # per node
-            together = sum(size) <= MAX_ELEMENTS  # or one grid per call
-            for group in [slice(None)] if together else [slice(i, i + 1) for i in range(len(size))]:
-                step = max(1, MAX_ELEMENTS // sum(size[group]))
+        for (comp, cmu, cs, room, *_), edges in zip(layouts, grids):
+            cells = [e.shape[1] - 1 for e in edges]  # per node
+            # all grids in one call or, the starting grid and its check, one per call
+            for group in [slice(None)] if sum(cells) <= room else [slice(0, 1), slice(1, 2)]:
+                step = room // sum(cells[group])
                 for k in (slice(j, j + step) for j in range(0, len(w), step)):
-                    node[group, k] *= _component_masses(comp, cmu[k], cs[k],
+                    node[group, k] *= _component_masses(comp, cmu[k], cs,
                                                         [e[k] for e in edges[group]])
         return [float(w @ row) for row in node]
 
@@ -532,7 +536,7 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     comps = order_components(model)
     eta, log_w = prep.eta_weights
     w = np.exp(log_w)
-    mu, s = prep.class_mean_moments(eta)
+    mu, s = prep.standardized_means(eta), 1.0 / np.sqrt(prep.sizes)
     log_bound = log_w + _log_pair_bound(comps, mu, s)
     bound = np.exp(log_bound)
     log_upper_bound = float(logsumexp(log_bound))
@@ -543,7 +547,7 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
 
     def settle(keep):  # a mass at or below negligible is reported unresolved, not refused
         negligible = floor - bound[~keep].sum()
-        mass, change, grid, level = _converged_mass(comps, mu[keep], s[keep], w[keep], negligible)
+        mass, change, grid, level = _converged_mass(comps, mu[keep], s, w[keep], negligible)
         return mass, change, grid, level <= negligible, change < POSTERIOR_REL_TOL and mass >= floor
 
     keep = w > PRUNE_WEIGHT

@@ -63,7 +63,6 @@ from cipanova.gaussian import LOG_2PI
 from cipanova.intrinsic import CipSpec, NullParams
 from cipanova.posterior import (
     PANEL_POINTS,
-    SPAN_SD,
     _Component,
     _downset_levels,
     _lobatto_rule,
@@ -655,23 +654,23 @@ def component_masses_reference(comp, mu: np.ndarray, s: np.ndarray, edges: np.nd
                                full_last_level: bool = False) -> np.ndarray:
     """P(the component's order | eta) at each node, gathering rows by padded top/parent arrays.
 
-    Each level's (tops, parents) pairs are padded to the level's widest row
-    with top = the number of classes, which indexes a zero density row, and
-    parent = 0.  The last level's integrand is integrated over the whole grid
-    in one step, as the kernel does; with full_last_level it is integrated
-    into its cumulative H like every other level and the mass read at the
-    last point.  A plain component only (no end layer).
+    mu holds the class means, a row per node, and s one sd per class, as the
+    kernel takes them.  Each level's (tops, parents) pairs are padded to the
+    level's widest row with top = the number of classes, which indexes a zero
+    density row, and parent = 0.  The last level's integrand is integrated
+    over the whole grid in one step, as the kernel does; with full_last_level
+    it is integrated into its cumulative H like every other level and the
+    mass read at the last point.  A plain component only (no end layer).
     """
     x, M = _lobatto_rule(PANEL_POINTS)
     half = 0.5 * np.diff(edges, axis=1)[..., None]  # (nodes, panels, 1)
     t = edges[:, :-1, None] + half * (1.0 + x)
-    z = (t[None] - mu.T[:, :, None, None]) * (1.0 / s.T[:, :, None, None])
-    # each class lives on its own +-SPAN_SD interval; every integrand below
-    # holds one density factor, so the panel half-widths are folded in here
+    sd = s[:, None, None, None]
+    z = (t[None] - mu.T[:, :, None, None]) * (1.0 / sd)
+    # every integrand below holds one density factor, so the panel half-widths are folded in here
     q = len(comp.cols)
     dens = np.zeros((q + 1, t.size))  # the last row pads the levels
-    dens[:-1] = (np.where(np.abs(z) <= SPAN_SD, np.exp(-0.5 * z * z), 0.0)
-                 * (half / (s.T[:, :, None, None] * np.sqrt(2.0 * np.pi)))).reshape(len(z), -1)
+    dens[:-1] = (np.exp(-0.5 * z * z) * (half / (sd * np.sqrt(2.0 * np.pi)))).reshape(q, -1)
     H = np.ones((1, t.size))
     for k, lv in enumerate(comp.levels):
         width = max(len(tops) for tops, _ in lv)

@@ -430,6 +430,15 @@ def test_simulate_records_stream(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_simulate_refused_before_replication_0_prints_no_record(capsys):
+    # run_simulation_study refuses the study before it runs a replication; the
+    # config record waits for replication 0's, so stdout stays empty
+    argv = ["simulate", "pop1", "--reps", "2", "--jobs", "0", "--output", "records"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "error: jobs must be >= 1\n"
+
+
 def test_simulate_records_match_across_jobs(capsys, monkeypatch):
     monkeypatch.setattr(simulate, "MIN_REPS_PER_WORKER", 1)  # pool these 3 replications
     argv = ["simulate", "pop2l", "--reps", "3", "--n-per-group", "10",

@@ -167,12 +167,14 @@ def _end_layer_sizes(model):
 @PROPERTY
 @given(end_layer_orders(), st.integers(0, 2**32 - 1))
 def test_end_layer_form_matches_the_full_downset_recursion(drawn, seed):
-    # three eta nodes of unequal class means and unbalanced class sizes
+    # three eta nodes of unequal class means and unbalanced class sizes, the
+    # class sds one per class as the kernel takes them
     model, a, b = drawn
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
-    s = rng.uniform(0.5, 2.0, size=(3, 1)) / np.sqrt(sizes)
-    mu = rng.normal(scale=0.3, size=(3, model.J))
+    scale = rng.uniform(0.5, 2.0, size=(3, 1))  # each node's, divided out of its means
+    s = 1.0 / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(3, model.J)) / scale
     w = np.array([0.2, 0.5, 0.3])
     comps = order_components(model)
     # a missing layer may be found in the middle: its lowest (highest) classes
@@ -196,7 +198,8 @@ def test_total_orders_partition_the_prior_evaluations(sizes):
 
 @st.composite
 def class_layouts(draw):
-    """Class means and sds at a few eta nodes, with gaps no class covers and identical classes.
+    """Class means at a few eta nodes and one sd per class, with gaps no class covers and
+    identical classes.
 
     A wide gap puts more than 2 SPAN_SD sd between two neighbouring classes, so
     the cumulative need has a plateau there; a copied class makes coincident
@@ -208,15 +211,15 @@ def class_layouts(draw):
     wide = np.array(draw(st.lists(st.booleans(), min_size=q - 1, max_size=q - 1)))
     copy = draw(st.sampled_from(["none", "any", "last"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    s = np.exp(rng.uniform(-4.0, 4.0, size=(nodes, q)))
-    gap = rng.uniform(0.0, 3.0, size=(nodes, q - 1)) * s[:, 1:]
-    gap += wide * rng.uniform(2.0, 4.0, size=(nodes, q - 1)) * SPAN_SD * (s[:, 1:] + s[:, :-1])
+    s = np.exp(rng.uniform(-4.0, 4.0, size=q))
+    gap = rng.uniform(0.0, 3.0, size=(nodes, q - 1)) * s[1:]
+    gap += wide * rng.uniform(2.0, 4.0, size=(nodes, q - 1)) * SPAN_SD * (s[1:] + s[:-1])
     mu = rng.normal(scale=100.0) + np.concatenate([np.zeros((nodes, 1)), np.cumsum(gap, axis=1)],
                                                   axis=1)
     if copy != "none":
-        a = int(np.argmax(mu[0] + SPAN_SD * s[0])) if copy == "last" else int(rng.integers(q))
+        a = int(np.argmax(mu[0] + SPAN_SD * s)) if copy == "last" else int(rng.integers(q))
         b = (a + 1 + int(rng.integers(q - 1))) % q
-        mu[:, b], s[:, b] = mu[:, a], s[:, a]
+        mu[:, b], s[b] = mu[:, a], s[a]
     return mu, s
 
 
@@ -257,10 +260,11 @@ def test_final_step_matches_the_full_last_level_integration(model, seed):
     # same panel integrals in another order, on the starting grid and its check
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
-    s = rng.uniform(0.5, 2.0, size=(3, 1)) / np.sqrt(sizes)
-    mu = rng.normal(scale=0.3, size=(3, model.J))
+    scale = rng.uniform(0.5, 2.0, size=(3, 1))  # each node's, divided out of its means
+    s = 1.0 / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(3, model.J)) / scale
     for comp in full_downset_plan(model):
-        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        cmu, cs = mu[:, comp.cols], s[comp.cols]
         ends, need = _resolution_need(cmu, cs)
         base = _starting_panels(need)
         for panels in (base, -(-3 * base // 2)):
@@ -294,10 +298,11 @@ def test_one_call_on_several_grids_matches_one_call_per_grid(model, nodes, seed)
     # kernel call; each grid must come out as it does alone
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
-    s = rng.uniform(0.5, 2.0, size=(nodes, 1)) / np.sqrt(sizes)
-    mu = rng.normal(scale=0.3, size=(nodes, model.J))
+    scale = rng.uniform(0.5, 2.0, size=(nodes, 1))  # each node's, divided out of its means
+    s = 1.0 / np.sqrt(sizes)
+    mu = rng.normal(scale=0.3, size=(nodes, model.J)) / scale
     for comp in order_components(model):
-        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        cmu, cs = mu[:, comp.cols], s[comp.cols]
         ends, need = _resolution_need(cmu, cs)
         base = _starting_panels(need)
         grids = _panel_edges(ends, need, base, -(-3 * base // 2))
@@ -368,7 +373,7 @@ def test_the_finer_check_certifies_the_mass_as_the_doubling_did(model, nodes, se
     # error, less 1e-13 for the rounding both grids carry
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 40, size=model.J)
-    s = rng.uniform(0.5, 2.0, size=(nodes, model.J)) / np.sqrt(sizes)
+    s = rng.uniform(0.5, 2.0, size=model.J) / np.sqrt(sizes)
     mu = rng.normal(scale=0.3, size=(nodes, model.J))
     w = rng.dirichlet(np.ones(nodes))
     comps = order_components(model)
@@ -376,7 +381,7 @@ def test_the_finer_check_certifies_the_mass_as_the_doubling_did(model, nodes, se
     assume(mass > truncation_floor(model))  # a posterior mass under it is not resolved
     start, fine, check = np.ones(nodes), np.ones(nodes), 0
     for comp in comps:
-        cmu, cs = mu[:, comp.cols], s[:, comp.cols]
+        cmu, cs = mu[:, comp.cols], s[comp.cols]
         ends, need = _resolution_need(cmu, cs)
         base = _starting_panels(need)
         check = max(check, -(-3 * base // 2))

@@ -114,6 +114,33 @@ def test_gamma_conditional_limits():
         gamma_full_conditional(0.0, y, theta0, spec)
 
 
+@pytest.mark.parametrize("eta", [0.05, 0.3, 0.7, 0.97])
+def test_standardized_means_match_the_dense_full_conditional(eta):
+    # an unbalanced design with a singleton group (class 0) and a merged
+    # class: given eta the class means are independent Gaussians whose sds are
+    # one scale over sqrt(n_c), and the means minus alpha0 over that scale are
+    # what the cone masses read
+    rng = np.random.default_rng(17)
+    sizes = (1, 7, 4, 12, 6)
+    y = np.concatenate([rng.normal(m, 1.0, n) for m, n in zip((0.4, -0.3, 0.9, 0.2, 1.1), sizes)])
+    data = AnovaData(responses=y, groups=np.repeat(np.arange(1, 6), sizes))
+    theta0 = estimate_null_params(data)
+    spec = make_cip(encompassing_of(parse_model_spec("mu1, mu2 = mu3, mu4, mu5", J=5)), sizes)
+    assert spec.q == 4 and spec.sizes[0] == 1
+    mean, cov = gamma_full_conditional(theta0.sigma0**2 * eta / (1.0 - eta), y, theta0, spec)
+    # gamma is the class-0 mean, then each other class's effect against it
+    to_means = np.eye(spec.q)
+    to_means[1:, 0] = 1.0
+    cov = to_means @ cov @ to_means.T
+    sd = np.sqrt(np.diag(cov))
+    assert np.max(np.abs(cov - np.diag(sd**2))) <= 1e-12 * np.max(sd**2)
+    scale = sd * np.sqrt(spec.sizes)
+    assert np.ptp(scale) <= 1e-12 * scale[0]
+    got = prepared(y, theta0, spec).standardized_means(np.array([eta]))
+    want = (to_means @ mean - theta0.alpha0) / scale[0]
+    np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
+
+
 def test_eta_target_matches_sigma2_route():
     # map likelihood x gamma prior x inverted-beta through eta, with Jacobian;
     # differences of the unnormalized logs must agree exactly
@@ -502,10 +529,12 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
     rows = order_components(parse_model_spec(text, J=10))[0].rows
     # the one kernel call the mass makes holds the starting grid and the finer one
     ((*_, grids), _), = _kernel_calls(pytest.MonkeyPatch(), data, text)
-    pair = sum(e.shape[1] - 1 for e in grids) * posterior.PANEL_POINTS
-    assert pair > whole.grid
-    # room for three nodes at a time on that pair
-    monkeypatch.setattr(posterior, "MAX_ELEMENTS", 3 * rows * pair)
+    pair = sum(e.shape[1] - 1 for e in grids)  # cells per node
+    assert pair * posterior.PANEL_POINTS > whole.grid
+    # room for three nodes at a time on that pair, their cells padded to a
+    # multiple of 8 as the kernel holds them
+    row = rows * posterior.PANEL_POINTS
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", row * _padded(3 * pair))
     nodes = [len(mu) for (_, mu, *_), _ in _kernel_calls(pytest.MonkeyPatch(), data, text)]
     assert len(nodes) > 1 and set(nodes[:-1]) == {3} and nodes[-1] <= 3
     chunked = _exact_mass(data, text)
@@ -513,7 +542,8 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
     assert chunked.grid == whole.grid
     # room for one node on the finest grid but not on it and the starting grid
     # together: the two grids go through one call each
-    monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid)
+    fine = whole.grid // posterior.PANEL_POINTS
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", row * _padded(fine))
     split = _exact_mass(data, text)
     assert split.estimate == pytest.approx(whole.estimate, rel=1e-13, abs=0.0)
     assert split.grid == whole.grid
@@ -521,6 +551,48 @@ def test_memory_budget_chunks_nodes_then_caps_the_grid(monkeypatch):
     monkeypatch.setattr(posterior, "MAX_ELEMENTS", rows * whole.grid // 2)
     with pytest.raises(ValueError, match="did not settle"):
         _exact_mass(data, text)
+
+
+@pytest.mark.parametrize("text", [
+    "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}",
+    "mu1 < mu2 < mu3 < mu4 < mu5 < mu6 < mu7 < mu8 < mu9 < mu10",
+    "mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7",
+], ids=["5-vs-5", "10-chain", "5-wide middle"])
+def test_every_kernel_call_fits_the_budget_on_its_padded_cells(monkeypatch, text):
+    # the kernel pads a call's cells to a multiple of 8, so the node chunks and
+    # the grid cap must count the padded cells: from room for one node on the
+    # first check alone to room for a few nodes, no call holds more than
+    # MAX_ELEMENTS, and the tightest budgets refuse the mass instead
+    data = _j10_data()
+    model = parse_model_spec(text, J=10)
+    row = order_components(model)[0].rows * posterior.PANEL_POINTS
+    held = []  # rows and cells of every kernel call
+    kernel = posterior._component_masses
+
+    def spy(comp, mu, s, grids):
+        held.append((comp.rows, len(mu) * sum(e.shape[1] - 1 for e in grids)))
+        return kernel(comp, mu, s, grids)
+
+    monkeypatch.setattr(posterior, "_component_masses", spy)
+    answered = 0
+    for cells in (9, 12, 13, 16, 17, 20, 23, 31, 45, 61, 100):
+        monkeypatch.setattr(posterior, "MAX_ELEMENTS", row * cells + cells)
+        posterior.prior_cone_mass.cache_clear()
+        try:
+            prior_cone_mass(model, (20,) * 10)
+            answered += _exact_mass(data, text).estimate is not None
+        except ValueError as err:
+            assert "did not settle within the memory budget" in str(err)
+        assert all(rows * posterior.PANEL_POINTS * _padded(c) <= posterior.MAX_ELEMENTS
+                   for rows, c in held), cells
+        held.clear()
+    posterior.prior_cone_mass.cache_clear()
+    assert answered >= 5
+
+
+def _padded(cells):
+    """The cells a kernel call holds for this many: a multiple of 8."""
+    return -(-cells // 8) * 8
 
 
 def _rows_budget(rows):
@@ -533,7 +605,7 @@ def test_downset_budget_raises(monkeypatch):
     # counting the empty one, its widest step 10 + 2 * 10 level rows
     middle = parse_model_spec("mu1 < {mu2, mu3, mu4, mu5, mu6} < mu7", J=10)
     comp, = order_components(middle)
-    assert sum(len(lv) for lv in comp.levels) == 33 and comp.rows == 7 + 2 + 3 + 30
+    assert sum(len(lv) for lv in comp.levels) == 33 and comp.rows == 7 + 1 + 3 + 30
     order_components.cache_clear()  # the plan above was built under the default budget
     monkeypatch.setattr(posterior, "MAX_ELEMENTS", _rows_budget(comp.rows) + 1)
     assert order_components(middle)[0].levels == comp.levels
@@ -542,12 +614,12 @@ def test_downset_budget_raises(monkeypatch):
     with pytest.raises(ValueError, match=f"needs more than {comp.rows - 1} rows per grid point"):
         order_components(middle)
     # free classes and separate components are each checked on their own:
-    # 11 and 10 rows, within a budget of 11 that their sum is not
+    # 10 and 9 rows, within a budget of 10 that their sum is not
     chains = parse_model_spec("mu1 < mu2 < mu3, mu4 < mu5", J=6)
-    monkeypatch.setattr(posterior, "MAX_ELEMENTS", _rows_budget(11))
+    monkeypatch.setattr(posterior, "MAX_ELEMENTS", _rows_budget(10))
     comps = order_components(chains)
     assert [sorted(c.cols) for c in comps] == [[0, 1, 2], [3, 4]]
-    assert [c.rows for c in comps] == [11, 10]
+    assert [c.rows for c in comps] == [10, 9]
 
 
 def _layer(first, last):
@@ -572,7 +644,7 @@ def test_end_layer_form_gives_exact_iid_masses(text, J, exact, middle):
     comps = order_components(parse_model_spec(text, J=J))
     assert len(comps) == 1 and len(comps[0].levels) == middle
     assert comps[0].bottom + comps[0].top == J - middle
-    mass, *_ = posterior._converged_mass(comps, np.zeros((1, J)), np.ones((1, J)), np.array([1.0]))
+    mass, *_ = posterior._converged_mass(comps, np.zeros((1, J)), np.ones(J), np.array([1.0]))
     assert mass == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
@@ -587,7 +659,7 @@ def test_wide_end_layers_are_answered_and_a_wide_middle_is_refused_by_name(monke
     # a 13-antichain between two classes fits the memory budget; a 15-antichain
     # does not, and compare refuses it by name after answering the control order
     assert order_components(parse_model_spec(f"mu1 < {_layer(2, 14)} < mu15", J=15))[0].rows \
-        == 5170
+        == 5168
     data = AnovaData(responses=rng.normal(size=17 * 20), groups=np.repeat(np.arange(1, 18), 20))
     models = [parse_model_spec(f"mu1 < {_layer(2, 17)}", J=17, name="ctl"),
               parse_model_spec(f"mu1 < {_layer(2, 16)} < mu17", J=17, name="mid")]
@@ -604,7 +676,7 @@ def _between_two(w, name=None):
 @pytest.mark.parametrize("w", [13, 14])
 def test_middle_antichains_within_the_memory_budget_give_exact_prior_masses(w):
     # identical classes: the two end classes are the least and the greatest of
-    # the J, so the mass is 1 / (J (J - 1)); 5170 and 9890 rows of 10922
+    # the J, so the mass is 1 / (J (J - 1)); 5168 and 9888 rows of 10922
     J = w + 2
     prior = prior_cone_mass(_between_two(w), (20,) * J)
     assert prior.estimate == pytest.approx(1.0 / (J * (J - 1)), rel=1e-12, abs=0.0)
@@ -616,8 +688,8 @@ def test_a_wide_middle_node_matches_the_two_dimensional_quadrature():
     rng = np.random.default_rng(13)
     mu = rng.normal(0.0, 0.3, size=15) + np.r_[-1.0, np.zeros(13), 1.0]
     s = rng.uniform(0.5, 1.5, size=15)
-    mass, change, *_ = posterior._converged_mass(order_components(_between_two(13)), mu[None],
-                                                 s[None], np.array([1.0]))
+    mass, change, *_ = posterior._converged_mass(order_components(_between_two(13)), mu[None], s,
+                                                 np.array([1.0]))
     assert change < posterior.POSTERIOR_REL_TOL
     assert mass == pytest.approx(between_two_mass(mu, s), rel=1e-11, abs=0.0)
 
@@ -666,8 +738,13 @@ def test_control_below_separated_treatments_matches_the_quadrature():
     post = posterior_cone_mass(model, prep)
     assert post.grid > 1.5 * 21 * 4 * posterior.PANEL_POINTS
     assert post.doubling_error < posterior.POSTERIOR_REL_TOL
+    # the oracle takes the class means minus alpha0 and their sds given eta
+    # unscaled, from the conjugate update: with k = n / (q + 1) the prior's
+    # share is k / (k + eta), and the sd sigma sqrt(that share) / sqrt(n_c)
     eta, log_w = prep.eta_weights
-    mu, s = prep.class_mean_moments(eta)
+    share = prep.k / (prep.k + eta)
+    mu = share[:, None] * prep.rbar
+    s = np.sqrt(prep.s0sq * eta / (1.0 - eta) * share)[:, None] / np.sqrt(prep.sizes)
     assert post.estimate == pytest.approx(below_all_mass(mu, s, np.exp(log_w)), rel=1e-11, abs=0.0)
 
 
