@@ -152,8 +152,7 @@ class PosteriorConeMass(ConeMass):
 def truncation_floor(model: ConstraintModel) -> float:
     """Least mass resolved to POSTERIOR_REL_TOL: the grid's span, SPAN_SD sds past the
     outermost classes, leaves out up to _TAIL_PER_CLASS of each ordered class's mass."""
-    return (_TAIL_PER_CLASS * sum(len(c.cols) for c in order_components(model))
-            / POSTERIOR_REL_TOL)
+    return order_components(model).floor
 
 
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
@@ -176,23 +175,21 @@ def prior_cone_mass(model: ConstraintModel, sizes: tuple[int, ...]) -> ConeMass:
 
 @dataclass(frozen=True)
 class _Component:
-    """A weak component of the order: its class columns, covering pairs, end layers and middle.
+    """A weak component of the order: its class columns, end layers and middle.
 
     The end layers are the first and last layers of ConstraintModel.layers
     when that layer is an antichain of two or more classes: the first, A,
     gives the bottom columns, the last, B, the top columns; otherwise bottom
     or top is 0.  The other classes R, the middle, sit between them in member
-    order.  pairs holds the columns (a, b) of the covering pairs among the
-    members, read-only and 2 x pairs, for _log_pair_bound.  levels holds the
-    down-sets of R by size (empty when R is), one (tops, parents) pair per
-    down-set d: the maximal classes of d and, for each, the previous level's
-    down-set without it, so the integrand of d sums one density-times-H
-    product per pair, in this order.  rows, derived from the other fields,
-    bounds the grid-sized arrays per node _component_masses holds at once.
+    order.  levels holds the down-sets of R by size (empty when R is), one
+    (tops, parents) pair per down-set d: the maximal classes of d and, for
+    each, the previous level's down-set without it, so the integrand of d sums
+    one density-times-H product per pair, in this order.  rows, derived from
+    the other fields, bounds the grid-sized arrays per node _component_masses
+    holds at once.
     """
 
     cols: np.ndarray
-    pairs: np.ndarray
     levels: tuple[tuple, ...]
     bottom: int
     top: int
@@ -210,18 +207,24 @@ class _Component:
 
     @cached_property
     def rows(self) -> int:
-        # a density row per class, per class and cell its mean and density scale (12 classes
+        # a density row per class, per class and cell its mean and density factor (12 classes
         # to a row), the product row (it also takes the grid points and the last integrand's
         # transpose), two spare rows (a cumulative integral's running totals, and numpy's ufunc
-        # buffers: a fixed 3 * 8192 elements a call, whatever its size, so a call of a few
-        # hundred cells or fewer holds more than its rows), the level rows and the wider end
-        # layer's F_a or S_b
+        # buffer: 8192 elements for a pass that broadcasts a per-cell array over the points,
+        # whatever its size, so a call of a few hundred cells or fewer holds more than its
+        # rows), the level rows and the wider end layer's F_a or S_b
         q = len(self.cols)
         return q + -(-q // 12) + 3 + self.level_rows + max(self.bottom, self.top)
 
 
+class _Plan(tuple):
+    """The _Component of each weak component of 2+ classes of an order, and two attributes of
+    the whole order: pairs, the columns (a, b) of its covering pairs (read-only, 2 x pairs),
+    for _log_pair_bound, and floor, its truncation_floor."""
+
+
 @lru_cache(maxsize=PRIOR_CACHE_SIZE)
-def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
+def order_components(model: ConstraintModel) -> _Plan:
     """Bottom layer, middle down-set levels and top layer of each weak component of 2+ classes.
 
     The plan depends on the order alone, so it is built once per model and
@@ -241,17 +244,19 @@ def order_components(model: ConstraintModel) -> tuple[_Component, ...]:
         middle = tuple(r for r in members if r not in bottom + top)
         levels = _downset_levels(middle, model.order, room)
         cols = np.array([model.columns[r] for r in bottom + middle + top])
-        pairs = np.array([(model.columns[a], model.columns[b])
-                          for a, b in model.order_reduction if a in members]).T
-        cols.flags.writeable = pairs.flags.writeable = False
+        cols.flags.writeable = False
         if levels is not None:
-            comps.append(_Component(cols, pairs, levels, len(bottom), len(top)))
+            comps.append(_Component(cols, levels, len(bottom), len(top)))
         if levels is None or comps[-1].rows > room:
             raise ValueError(
                 f"a component of the order of {model.name or model_to_string(model)} over "
                 f"{len(members)} classes needs more than {room} rows per grid point; its exact "
                 "cone mass exceeds the memory budget")
-    return tuple(comps)
+    plan = _Plan(comps)
+    plan.pairs = np.array([[model.columns[r] for r in pair] for pair in model.order_reduction]).T
+    plan.pairs.flags.writeable = False
+    plan.floor = _TAIL_PER_CLASS * sum(len(c.cols) for c in comps) / POSTERIOR_REL_TOL
+    return plan
 
 
 def _downset_levels(members: tuple[int, ...], order: frozenset, room: float) -> tuple | None:
@@ -309,10 +314,11 @@ def _resolution_need(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     ends = np.concatenate([mu - reach, mu + reach], axis=1)
     ends.sort(axis=1)
     mids = 0.5 * (ends[:, :-1] + ends[:, 1:])
-    covers = np.abs(mids[:, :, None] - mu[:, None, :]) < reach
-    rate = (covers * (1.0 / s)).max(axis=2)
+    # a row per class over every node's gaps, so each pass runs on whole rows
+    covers = np.abs(mids.ravel() - np.repeat(mu.T, mids.shape[1], axis=1)) < reach[:, None]
+    rate = (covers * (1.0 / s)[:, None]).max(axis=0).reshape(mids.shape)
     need = np.zeros(ends.shape)
-    (rate * (ends[:, 1:] - ends[:, :-1])).cumsum(axis=1, out=need[:, 1:])
+    np.add.accumulate(rate * (ends[:, 1:] - ends[:, :-1]), axis=1, out=need[:, 1:])
     return ends, need
 
 
@@ -323,9 +329,10 @@ def _panel_edges(ends: np.ndarray, need: np.ndarray, *counts: int) -> list[np.nd
     total takes interp's slope * (x - x0) + y0 from the last need at or below
     it (over plateaus), the total the last end.
     """
-    x = np.concatenate([np.arange(p) * (1.0 / p) for p in counts])  # np.linspace's steps,
-    x = x * need[:, -1:]  # bit for bit
-    j = np.count_nonzero(need[:, None, 1:] <= x[..., None], axis=2)  # the segment of each step,
+    # np.linspace's steps, bit for bit, times each node's total
+    x = np.array([k * (1.0 / p) for p in counts for k in range(p)]) * need[:, -1:]
+    # the segment of each step, counted with the needs outermost (the total is above every step)
+    j = np.add.reduce(need.T[1:-1, :, None] <= x, axis=0, dtype=np.intp)
     j += np.arange(0, need.size, need.shape[1])[:, None]  # as a flat index into need and ends
     x0, x1, y0, y1 = need.take(j), need.take(j + 1), ends.take(j), ends.take(j + 1)
     inner = (y1 - y0) / (x1 - x0) * (x - x0) + y0
@@ -359,9 +366,12 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     work = np.empty((q + 1 + levels + max(comp.bottom, comp.top), PANEL_POINTS, width))
     dens, term, block, F = work[:q], work[q], work[q + 1:q + 1 + levels], work[q + 1 + levels:]
     _densities(dens, term, x, mu, s, grids, cells)
+    # each cumulative integral's running panel totals, 0 on the padding
+    sums = np.zeros((max(levels, comp.bottom, comp.top), width))
+    span = sums[:, :cells].reshape(len(sums), n, -1)
     H, front = block[:1], True  # front: H holds the first rows of the block
     if comp.bottom:
-        _cumulate(dens[:comp.bottom], F[:comp.bottom], M, n, cuts)
+        _cumulate(dens[:comp.bottom], F[:comp.bottom], M, sums, span, cuts)
         g, H = dens[0], F[:1]
         for f, Fa in zip(dens[1:comp.bottom], F[1:comp.bottom]):
             if not comp.levels:
@@ -374,12 +384,12 @@ def _component_masses(comp: _Component, mu: np.ndarray, s: np.ndarray,
     for lv in comp.levels[:-1]:
         k = len(lv)
         g, new = (block[-2 * k:-k], block[-k:]) if front else (block[k:2 * k], block[:k])
-        _cumulate(_level_integrand(lv, middle, H, term, g), new, M, n, cuts)
+        _cumulate(_level_integrand(lv, middle, H, term, g), new, M, sums, span, cuts)
         H, front = new, not front
     if comp.levels:
         g = _level_integrand(comp.levels[-1], middle, H, term, block[-1:] if front else block[:1])
     if comp.top:  # g times each S_b, integrated right to left
-        _cumulate(dens[q - comp.top:], F[:comp.top], M, n, cuts, leftward=True)
+        _cumulate(dens[q - comp.top:], F[:comp.top], M, sums, span, cuts, leftward=True)
         for Sb in F[:comp.top]:
             g *= Sb
     # one dot product per cell, node by node on a (cells, points) copy held in
@@ -398,50 +408,53 @@ def _densities(dens: np.ndarray, term: np.ndarray, x: np.ndarray, mu: np.ndarray
     term takes the grid points.  Every per-cell array runs to the padded
     width: the cells past the last node have width 0 and mean 0, so their
     points and densities are 0.  Each class's density runs over the whole
-    grid, which is the truncation.  The per-cell arrays are freed on return,
-    before the recursion's rows fill.
+    grid, which is the truncation.  The means go through dens before the
+    points are subtracted: numpy buffers a pass that broadcasts a per-cell
+    array over the points (8192 elements to each operand), and such a pass
+    runs slower.  The per-cell arrays are freed on return, before the
+    recursion's rows fill.
     """
     n, q = mu.shape
-    width = term.shape[-1]
-    left = np.concatenate([e[:, :-1] for e in grids], axis=1).ravel()
-    half = np.zeros(width)
-    np.subtract(np.concatenate([e[:, 1:] for e in grids], axis=1).ravel(), left, out=half[:cells])
+    # per cell: its left edge, its half-width and per class the mean
+    per_cell = np.zeros((q + 2, term.shape[-1]))
+    left, half, means = per_cell[0], per_cell[1], per_cell[2:]
+    np.concatenate([e[:, :-1] for e in grids], axis=1, out=left[:cells].reshape(n, -1))
+    np.concatenate([e[:, 1:] for e in grids], axis=1, out=half[:cells].reshape(n, -1))
+    half -= left
     half *= 0.5
-    np.multiply((1.0 + x)[:, None], half, out=term)
-    term[:, :cells] += left
-    # per class and cell, the mean (0 past the last node)
-    repeats = np.full(n + 1, cells // n)
-    repeats[n] = width - cells
-    np.subtract(term, np.repeat(np.c_[mu.T, np.zeros(q)], repeats, axis=1)[:, None], out=dens)
+    np.copyto(term, half)
+    term *= (1.0 + x)[:, None]
+    term += left
+    means[:, :cells].reshape(q, n, -1)[...] = mu.T[:, :, None]
+    np.copyto(dens, means[:, None])
+    np.subtract(term, dens, out=dens)
     dens *= (1.0 / s)[:, None, None]
     dens *= dens
     dens *= -0.5
     np.exp(dens, out=dens)
     # every integrand holds one density factor, so the panel half-widths are folded in here
-    dens *= (half / (s * np.sqrt(2.0 * np.pi))[:, None])[:, None]
+    dens *= (half / (s * math.sqrt(2.0 * np.pi))[:, None])[:, None]
 
 
-def _cumulate(g: np.ndarray, out: np.ndarray, M: np.ndarray, n: int, cuts: list[slice],
-              leftward: bool = False) -> None:
-    """Each row of out, the cumulative integral of that row of g over n nodes' cells, grid by grid.
+def _cumulate(g: np.ndarray, out: np.ndarray, M: np.ndarray, sums: np.ndarray, span: np.ndarray,
+              cuts: list[slice], leftward: bool = False) -> None:
+    """Each row of out, the cumulative integral of that row of g over the nodes' cells, grid by grid.
 
     M integrates within each panel, flipped from its right end when leftward;
     the totals of the panels to the left (right) at that node and grid follow.
+    sums takes the running totals, 0 on the padding, and span is its cells
+    by node.
     """
-    out = out.reshape((-1,) + M.shape[:1] + out.shape[-1:])
-    np.matmul(M[::-1, ::-1] if leftward else M, g.reshape(out.shape), out=out)
-    cells = n * cuts[-1].stop
-    totals = out[:, 0 if leftward else -1]
-    offsets = np.zeros(totals.shape)  # 0 on the padding, whose totals are 0
-    sums = offsets[:, :cells].reshape(len(out), n, -1)
-    parts = totals[:, :cells].reshape(sums.shape)
+    np.matmul(M[::-1, ::-1] if leftward else M, g, out=out)
+    totals, sums, span = out[:, 0 if leftward else -1], sums[:len(out)], span[:len(out)]
+    parts = totals[:, :span[0].size].reshape(span.shape)
     for cut in cuts:  # each grid's running totals, less each panel's own
-        into, part = sums[..., cut], parts[..., cut]
+        into, part = span[..., cut], parts[..., cut]
         if leftward:
             into, part = into[..., ::-1], part[..., ::-1]
-        part.cumsum(axis=-1, out=into)
-    offsets -= totals
-    out += offsets[:, None]
+        np.add.accumulate(part, axis=-1, out=into)
+    sums -= totals
+    out += sums[:, None]
 
 
 def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarray,
@@ -458,18 +471,18 @@ def _level_integrand(lv: tuple, dens: np.ndarray, H: np.ndarray, term: np.ndarra
     return g
 
 
-def _log_pair_bound(comps, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _log_pair_bound(pairs: np.ndarray, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per node, log of min over covering pairs (a, b) of a closed-form bound on P(X_a < X_b).
 
     P(X_a < X_b) = Phi(z); Phi(z) <= 1, and for z < 0 also Phi(z) <= 1/2 and
     Phi(z) <= phi(z)/|z| (Mills' ratio).
     """
-    a, b = np.concatenate([c.pairs for c in comps], axis=1)
+    a, b = pairs
     z = (mu[:, b] - mu[:, a]) / np.hypot(s[a], s[b])
     neg = np.minimum(z, -1e-300)
     mills = -0.5 * neg * neg - 0.5 * LOG_2PI - np.log(-neg)
-    log_phi = np.where(z >= 0.0, 0.0, np.minimum(np.log(0.5), mills))
-    return np.min(log_phi, axis=1)
+    log_phi = np.where(z >= 0.0, 0.0, np.minimum(math.log(0.5), mills))
+    return log_phi.min(axis=1)
 
 
 def _converged_mass(comps, mu, s, w, negligible=-np.inf) -> tuple[float, float, int, float]:
@@ -535,12 +548,11 @@ def posterior_cone_mass(model: ConstraintModel, prep: PreparedIntegrand) -> Post
     """
     comps = order_components(model)
     eta, log_w = prep.eta_weights
-    w = np.exp(log_w)
-    mu, s = prep.standardized_means(eta), 1.0 / np.sqrt(prep.sizes)
-    log_bound = log_w + _log_pair_bound(comps, mu, s)
+    w, mu, s = np.exp(log_w), prep.standardized_means(eta), 1.0 / np.sqrt(prep.sizes)
+    log_bound = log_w + _log_pair_bound(comps.pairs, mu, s)
     bound = np.exp(log_bound)
     log_upper_bound = float(logsumexp(log_bound))
-    floor = truncation_floor(model)
+    floor = comps.floor
     if np.exp(log_upper_bound) <= floor:
         return PosteriorConeMass(estimate=None, doubling_error=np.inf, grid=0,
                                  log_upper_bound=log_upper_bound)

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cipanova import posterior
@@ -225,6 +225,11 @@ def class_layouts(draw):
 
 @PROPERTY
 @given(class_layouts(), st.integers(1, 4096 // PANEL_POINTS))
+# five classes of sd 1, two pairs and a single class with gaps between: the
+# need is 0, 10, 20, 30, 30, 40, 50, 60, 60, 80 at the sorted ends, so of 4
+# panels' steps 20 and 40 fall exactly on interior knots and 60 on the
+# plateau of the gap (120, 190) that no class covers
+@example((np.array([[0.0, 10.0, 100.0, 110.0, 200.0]]), np.ones(5)), 4)
 def test_panel_edges_match_per_node_interp_bit_for_bit(layout, panels):
     # one count alone, and a starting grid with its 1.5 times finer check in one call
     ends, need = _resolution_need(*layout)

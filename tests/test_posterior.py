@@ -431,23 +431,29 @@ def test_exact_mass_agrees_with_sampler(make_data, text):
 
 def test_mass_settles_on_the_second_grid_across_datasets(monkeypatch):
     # the cost of a mass should not jump with the data: with 6 sd panels a
-    # third of these datasets moved by more than POSTERIOR_REL_TOL over the
+    # third of the j10 datasets moved by more than POSTERIOR_REL_TOL over the
     # first check and paid for a third grid, and without MIN_PANELS the
     # first grid took 6 or 7 panels by dataset; the second grid is the
-    # starting grid's 1.5 times as fine
-    grids = []
+    # starting grid's 1.5 times as fine, and both go through one kernel call
+    calls = []  # the panels of each grid, per kernel call
     component_masses = posterior._component_masses
     monkeypatch.setattr(posterior, "_component_masses",
-                        lambda *a: grids.extend(e.shape[1] for e in a[-1]) or component_masses(*a))
-    text = "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}"
+                        lambda *a: calls.append([e.shape[1] - 1 for e in a[-1]])
+                        or component_masses(*a))
+    scenario, _ = make_preset("pop3", n_per_group=25, reps=12)
+    cases = [(_j10_data(seed), "{mu1, mu2, mu3, mu4, mu5} < {mu6, mu7, mu8, mu9, mu10}")
+             for seed in range(1, 13)]
+    cases += [(generate_scenario(scenario, rep), MODEL_STRINGS[name])
+              for rep in range(12) for name in ("M2", "M3")]
     first = set()
-    for seed in range(1, 13):
-        grids.clear()
-        post = _exact_mass(_j10_data(seed), text)
+    for data, text in cases:
+        calls.clear()
+        post = _exact_mass(data, text)
         assert post.doubling_error < 1e-10
-        assert len(grids) == 2 and 2 * (grids[1] - 1) == 3 * (grids[0] - 1), seed
-        first.add(grids[0])
-    assert first == {posterior.MIN_PANELS + 1}
+        (start, check), = calls
+        assert 2 * check == 3 * start, (text, calls)
+        first.add(start)
+    assert first == {posterior.MIN_PANELS}
 
 
 def test_unresolved_mass_is_flagged_with_a_bound(monkeypatch):
@@ -829,6 +835,13 @@ def _pop2l_data(rep):
     return generate_scenario(scenario, rep)
 
 
+def _pop3_benchmark_data(seed):
+    # the pop3 dataset the benchmark's pop3-compare workload draws from its seed
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([m + 1.55 * rng.standard_normal(25) for m in (2.23, 1.33, 3.23, 2.33, 3.23)])
+    return AnovaData(responses=y, groups=np.repeat(np.arange(1, 6), 25))
+
+
 @pytest.mark.parametrize("make_data, text, cells", [
     (_c07_data, MODEL_STRINGS["M2"], None),
     (_c07_data, MODEL_STRINGS["M3"], None),
@@ -839,7 +852,10 @@ def _pop2l_data(rep):
     # of a 9-panel starting grid and its 14-panel check, and 17 nodes of 8 and 12
     (lambda: _pop2l_data(4), MODEL_STRINGS["M2"], 17 * (9 + 14)),
     (lambda: _pop2l_data(11), MODEL_STRINGS["M2"], 17 * (8 + 12)),
-], ids=["pop3 M2", "pop3 M3", "j10 middle", "N", "spread", "pop2l 9 panels", "pop2l odd nodes"])
+    # the benchmark's layout: 23 nodes of 8 + 12 panels, 460 cells padded to 464
+    (lambda: _pop3_benchmark_data(7401), MODEL_STRINGS["M2"], 23 * (8 + 12)),
+], ids=["pop3 M2", "pop3 M3", "j10 middle", "N", "spread", "pop2l 9 panels", "pop2l odd nodes",
+        "pop3 benchmark"])
 def test_row_view_kernel_matches_the_gather_reference_bit_for_bit(monkeypatch, make_data, text,
                                                                   cells):
     calls = _kernel_calls(monkeypatch, make_data(), text)
